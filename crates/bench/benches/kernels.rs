@@ -11,11 +11,9 @@ use rtr_control::{
     BayesOpt, BoConfig, Cem, CemConfig, Dmp, DmpConfig, GaussianProcess, Mpc, MpcConfig,
 };
 use rtr_core::kernels::perception::PflKernel;
-use rtr_geom::{maps, Point2, Point3, RigidTransform};
+use rtr_geom::{maps, Point3, RigidTransform};
 use rtr_harness::Profiler;
-use rtr_perception::{
-    EkfSlam, EkfSlamConfig, EkfUpdateMode, Icp, IcpConfig, ParticleFilter, PflConfig, PflInit,
-};
+use rtr_perception::{EkfSlam, EkfSlamConfig, Icp, IcpConfig, ParticleFilter, PflConfig, PflInit};
 use rtr_planning::{
     blocks_world, firefight, movtar, ArmProblem, MovingTarget, MovtarConfig, Pp2d, Pp2dConfig,
     Pp3d, Pp3dConfig, Prm, PrmConfig, Rrt, RrtConfig, RrtPp, RrtStar, SymbolicPlanner,
@@ -630,54 +628,9 @@ fn bench_parallel(c: &mut Criterion) {
     group.finish();
 }
 
-/// Dense-legacy vs block-sparse EKF-SLAM updates at the paper's
-/// 6-landmark setting and at 50 landmarks (state dimension 103), where
-/// the sparse update's O(6·dim²) row recombination pulls clear of the
-/// legacy chain of dense temporaries. Outputs are bit-identical (see the
-/// `equivalence` integration test); only the wall clock may differ.
-fn bench_ekf_dense_vs_sparse(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ekf_dense_vs_sparse");
-    group.sample_size(10);
-
-    for n_landmarks in [6usize, 50] {
-        let world = if n_landmarks == 6 {
-            SlamWorld::six_landmark_demo()
-        } else {
-            let landmarks = (0..n_landmarks)
-                .map(|i| {
-                    let a = i as f64 / n_landmarks as f64 * std::f64::consts::TAU;
-                    Point2::new(10.0 + 6.0 * a.cos(), 6.0 + 5.0 * a.sin())
-                })
-                .collect();
-            SlamWorld::new(landmarks, 12.0, 0.1, 0.02)
-        };
-        let mut rng = SimRng::seed_from(1);
-        let log = world.simulate_circuit(150, &mut rng);
-        let variants = [
-            ("dense", EkfUpdateMode::DenseLegacy),
-            ("sparse", EkfUpdateMode::SparseWorkspace),
-        ];
-        for (label, update_mode) in variants {
-            group.bench_function(format!("{n_landmarks}lm-{label}"), |b| {
-                b.iter(|| {
-                    let mut ekf = EkfSlam::new(EkfSlamConfig {
-                        max_landmarks: n_landmarks,
-                        update_mode,
-                        ..Default::default()
-                    });
-                    let mut profiler = Profiler::new();
-                    black_box(ekf.run(&log, None, &mut profiler, &mut NullTrace))
-                })
-            });
-        }
-    }
-    group.finish();
-}
-
-/// Allocating vs workspace-backed fast paths: GP posterior query sweeps
-/// and MPC tracking runs. Bit-identical outputs (see the `equivalence`
-/// integration test); the workspace variants skip the per-iteration heap
-/// traffic.
+/// Workspace-backed fast paths: GP posterior query sweeps (allocating
+/// `predict` vs pooled `predict_with`, bit-identical per the `equivalence`
+/// integration test) and MPC tracking runs on the scratch-buffer solver.
 fn bench_workspace(c: &mut Criterion) {
     use rtr_linalg::Workspace;
 
@@ -721,37 +674,29 @@ fn bench_workspace(c: &mut Criterion) {
     });
 
     let reference = winding_reference(60);
-    for (label, use_workspace) in [("alloc", false), ("workspace", true)] {
-        group.bench_function(format!("mpc-track/{label}"), |b| {
-            b.iter(|| {
-                let mut profiler = Profiler::new();
-                black_box(
-                    Mpc::new(MpcConfig {
-                        use_workspace,
-                        ..Default::default()
-                    })
-                    .track(&reference, &mut profiler, &mut NullTrace),
-                )
-            })
-        });
-    }
+    group.bench_function("mpc-track/workspace", |b| {
+        b.iter(|| {
+            let mut profiler = Profiler::new();
+            black_box(Mpc::new(MpcConfig::default()).track(
+                &reference,
+                &mut profiler,
+                &mut NullTrace,
+            ))
+        })
+    });
     group.finish();
 }
 
-/// Legacy node-arena vs bucketed-SoA k-d tree layouts, single thread:
-/// raw nearest-neighbor sweeps over an ICP-sized point set, plus the full
-/// `03.srec` alignment whose `nn_search` region the layout dominates.
-/// Answers are bit-identical across layouts (see the `kdtree` integration
-/// test); only the memory behavior differs.
+/// The bucketed-SoA k-d tree, single thread: raw nearest-neighbor sweeps
+/// over an ICP-sized point set across leaf bucket sizes, plus the full
+/// `03.srec` alignment whose `nn_search` region the tree dominates.
+/// Answers are bit-identical for every bucket size (see the `kdtree`
+/// integration test); only the memory behavior differs.
 fn bench_kdtree_layout(c: &mut Criterion) {
-    use rtr_geom::{KdLayout, KdTree};
+    use rtr_geom::KdTree;
 
     let mut group = c.benchmark_group("kdtree_layout");
     group.sample_size(10);
-    let variants = [
-        ("legacy", KdLayout::NodeLegacy),
-        ("bucket", KdLayout::BucketSoA),
-    ];
 
     let mut rng = SimRng::seed_from(3);
     let items: Vec<([f64; 3], usize)> = (0..20_000)
@@ -775,23 +720,21 @@ fn bench_kdtree_layout(c: &mut Criterion) {
             ]
         })
         .collect();
-    for (label, layout) in variants {
-        let tree = KdTree::<3>::build_balanced_in(layout, &items);
-        group.bench_function(format!("nearest-20k/{label}"), |b| {
-            b.iter(|| {
-                let mut acc = 0.0;
-                for q in &queries {
-                    acc += tree.nearest(q).expect("non-empty").1;
-                }
-                black_box(acc)
-            })
-        });
-    }
+    let tree = KdTree::<3>::build_balanced(&items);
+    group.bench_function("nearest-20k/bucket", |b| {
+        b.iter(|| {
+            let mut acc = 0.0;
+            for q in &queries {
+                acc += tree.nearest(q).expect("non-empty").1;
+            }
+            black_box(acc)
+        })
+    });
 
     // Bucket-size sweep at the same workload (incremental build so the
     // non-default bucket sizes exercise the scapegoat-rebuild path too).
     for bucket in [4usize, 8, 16, 32, 64] {
-        let mut tree = KdTree::<3>::new_in(KdLayout::BucketSoA).with_bucket_size(bucket);
+        let mut tree = KdTree::<3>::new().with_bucket_size(bucket);
         for &(p, id) in &items {
             tree.insert(p, id);
         }
@@ -811,20 +754,17 @@ fn bench_kdtree_layout(c: &mut Criterion) {
     let motion = RigidTransform::from_yaw_translation(0.03, Point3::new(0.05, -0.03, 0.01));
     let scan1 = scene::scan_from(&room, &RigidTransform::identity(), 0.5, 0.002, &mut rng);
     let scan2 = scene::scan_from(&room, &motion, 0.5, 0.002, &mut rng);
-    for (label, kd_layout) in variants {
-        group.bench_function(format!("icp-align/{label}"), |b| {
-            b.iter(|| {
-                let mut profiler = Profiler::new();
-                black_box(
-                    Icp::new(IcpConfig {
-                        kd_layout,
-                        ..Default::default()
-                    })
-                    .align(&scan2, &scan1, &mut profiler, &mut NullTrace),
-                )
-            })
-        });
-    }
+    group.bench_function("icp-align/bucket", |b| {
+        b.iter(|| {
+            let mut profiler = Profiler::new();
+            black_box(Icp::new(IcpConfig::default()).align(
+                &scan2,
+                &scan1,
+                &mut profiler,
+                &mut NullTrace,
+            ))
+        })
+    });
     group.finish();
 }
 
@@ -1054,7 +994,6 @@ criterion_group!(
     bench_archsim_throughput,
     bench_ring_transport,
     bench_parallel,
-    bench_ekf_dense_vs_sparse,
     bench_workspace,
     bench_kdtree_layout,
     bench_icp_batch_nn,

@@ -1,53 +1,79 @@
-//! Layout and batching equivalence for the bucketed SoA k-d tree.
+//! Query and batching equivalence for the bucketed SoA k-d tree.
 //!
-//! `KdLayout::BucketSoA` is a pure performance switch over the legacy
-//! pointer-chasing node arena: for every point set — balanced builds,
-//! incremental inserts interleaved with queries, rebuild-boundary floods —
-//! nearest, k-nearest and radius queries must reproduce the
-//! `KdLayout::NodeLegacy` answers **bit for bit** (`to_bits`, no
-//! tolerances). The pooled batch entry points carry the same contract
-//! against their sequential twins for every thread count.
+//! Queries have canonical semantics (nearest and k-nearest break distance
+//! ties toward the smallest payload; radius results are sorted by
+//! `(payload, d²)`), so the answer for a point set is unique and a
+//! brute-force scan that sums each distance in dimension order is an exact,
+//! independent reference. For every point set — balanced builds,
+//! incremental inserts interleaved with queries, rebuild-boundary floods,
+//! every bucket size — nearest, k-nearest and radius queries must match
+//! the scan **bit for bit** (`to_bits`, no tolerances). The pooled batch
+//! entry points carry the same contract against their sequential twins for
+//! every thread count.
 
 use proptest::prelude::*;
-use rtr_geom::{KdLayout, KdTree};
+use rtr_geom::KdTree;
 use rtr_harness::Pool;
 use rtr_sim::SimRng;
 
-fn build_pair(
-    seed: u64,
-    initial: usize,
-    inserts: usize,
-    bucket: usize,
-) -> (KdTree<3>, KdTree<3>, SimRng) {
-    let mut rng = SimRng::seed_from(seed);
-    let items: Vec<([f64; 3], usize)> = (0..initial)
-        .map(|i| {
-            (
-                [
-                    rng.uniform(-10.0, 10.0),
-                    rng.uniform(-10.0, 10.0),
-                    rng.uniform(-10.0, 10.0),
-                ],
-                i,
-            )
-        })
-        .collect();
-    let mut legacy = KdTree::<3>::new_in(KdLayout::NodeLegacy);
-    let mut bucketed = KdTree::<3>::new_in(KdLayout::BucketSoA).with_bucket_size(bucket);
-    for &(p, id) in &items {
-        legacy.insert(p, id);
-        bucketed.insert(p, id);
+/// Brute-force reference: every stored point scanned for every query.
+struct Scan<const D: usize> {
+    points: Vec<([f64; D], usize)>,
+}
+
+impl<const D: usize> Scan<D> {
+    fn new() -> Self {
+        Scan { points: Vec::new() }
     }
-    for j in 0..inserts {
-        let p = [
-            rng.uniform(-10.0, 10.0),
-            rng.uniform(-10.0, 10.0),
-            rng.uniform(-10.0, 10.0),
-        ];
-        legacy.insert(p, initial + j);
-        bucketed.insert(p, initial + j);
+
+    fn insert(&mut self, point: [f64; D], payload: usize) {
+        self.points.push((point, payload));
     }
-    (legacy, bucketed, rng)
+
+    /// `(payload, d²)` for every point, d² summed in dimension order.
+    fn distances(&self, q: &[f64; D]) -> Vec<(usize, f64)> {
+        self.points
+            .iter()
+            .map(|(p, payload)| {
+                let mut d2 = 0.0;
+                for d in 0..D {
+                    let diff = p[d] - q[d];
+                    d2 += diff * diff;
+                }
+                (*payload, d2)
+            })
+            .collect()
+    }
+
+    fn k_nearest(&self, q: &[f64; D], k: usize) -> Vec<(usize, f64)> {
+        let mut all = self.distances(q);
+        all.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+        all.truncate(k);
+        all
+    }
+
+    fn nearest(&self, q: &[f64; D]) -> Option<(usize, f64)> {
+        self.k_nearest(q, 1).pop()
+    }
+
+    fn within_radius(&self, q: &[f64; D], radius: f64) -> Vec<(usize, f64)> {
+        let r2 = radius * radius;
+        let mut hits: Vec<(usize, f64)> = self
+            .distances(q)
+            .into_iter()
+            .filter(|&(_, d2)| d2 <= r2)
+            .collect();
+        hits.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)));
+        hits
+    }
+}
+
+fn random_point(rng: &mut SimRng, half: f64) -> [f64; 3] {
+    [
+        rng.uniform(-half, half),
+        rng.uniform(-half, half),
+        rng.uniform(-half, half),
+    ]
 }
 
 fn assert_same_pairs(a: &[(usize, f64)], b: &[(usize, f64)], what: &str) {
@@ -58,11 +84,18 @@ fn assert_same_pairs(a: &[(usize, f64)], b: &[(usize, f64)], what: &str) {
     }
 }
 
+fn assert_same_nearest(a: Option<(usize, f64)>, b: Option<(usize, f64)>) {
+    assert_eq!(
+        a.map(|(p, d)| (p, d.to_bits())),
+        b.map(|(p, d)| (p, d.to_bits()))
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     #[test]
-    fn layouts_agree_on_every_query_kind(
+    fn every_query_kind_matches_the_scan(
         seed in 0u64..1_000,
         initial in 0usize..200,
         inserts in 0usize..60,
@@ -71,62 +104,66 @@ proptest! {
         radius in 0.5f64..8.0,
     ) {
         let bucket = [1usize, 2, 8, 16, 64][bucket_idx];
-        let (legacy, bucketed, mut rng) = build_pair(seed, initial, inserts, bucket);
-        prop_assert_eq!(legacy.len(), bucketed.len());
+        let mut rng = SimRng::seed_from(seed);
+        let mut scan = Scan::new();
+        let mut tree = KdTree::<3>::new().with_bucket_size(bucket);
+        for id in 0..initial + inserts {
+            let p = random_point(&mut rng, 10.0);
+            scan.insert(p, id);
+            tree.insert(p, id);
+        }
+        prop_assert_eq!(tree.len(), scan.points.len());
         for _ in 0..8 {
-            let q = [
-                rng.uniform(-12.0, 12.0),
-                rng.uniform(-12.0, 12.0),
-                rng.uniform(-12.0, 12.0),
-            ];
-            match (legacy.nearest(&q), bucketed.nearest(&q)) {
-                (None, None) => {}
-                (Some((pa, da)), Some((pb, db))) => {
-                    prop_assert_eq!(pa, pb);
-                    prop_assert_eq!(da.to_bits(), db.to_bits());
-                }
-                (a, b) => prop_assert!(false, "nearest disagreed: {:?} vs {:?}", a, b),
-            }
-            assert_same_pairs(&legacy.k_nearest(&q, k), &bucketed.k_nearest(&q, k), "k_nearest");
+            let q = random_point(&mut rng, 12.0);
+            assert_same_nearest(tree.nearest(&q), scan.nearest(&q));
+            assert_same_pairs(&tree.k_nearest(&q, k), &scan.k_nearest(&q, k), "k_nearest");
             assert_same_pairs(
-                &legacy.within_radius(&q, radius),
-                &bucketed.within_radius(&q, radius),
+                &tree.within_radius(&q, radius),
+                &scan.within_radius(&q, radius),
                 "within_radius",
             );
         }
     }
 
     #[test]
-    fn layouts_agree_with_queries_interleaved_between_inserts(
+    fn balanced_builds_match_the_scan(
+        seed in 0u64..1_000,
+        n in 0usize..300,
+        k in 1usize..12,
+    ) {
+        let mut rng = SimRng::seed_from(seed);
+        let items: Vec<([f64; 3], usize)> =
+            (0..n).map(|i| (random_point(&mut rng, 10.0), i)).collect();
+        let tree = KdTree::<3>::build_balanced(&items);
+        let scan = Scan { points: items };
+        for _ in 0..8 {
+            let q = random_point(&mut rng, 12.0);
+            assert_same_nearest(tree.nearest(&q), scan.nearest(&q));
+            assert_same_pairs(&tree.k_nearest(&q, k), &scan.k_nearest(&q, k), "k_nearest");
+            assert_same_pairs(&tree.within_radius(&q, 3.0), &scan.within_radius(&q, 3.0), "within_radius");
+        }
+    }
+
+    #[test]
+    fn queries_interleaved_between_inserts_match_the_scan(
         seed in 0u64..1_000,
         rounds in 1usize..12,
         per_round in 1usize..24,
     ) {
         let mut rng = SimRng::seed_from(seed);
-        let mut legacy = KdTree::<3>::new_in(KdLayout::NodeLegacy);
-        let mut bucketed = KdTree::<3>::new_in(KdLayout::BucketSoA);
+        let mut scan = Scan::new();
+        let mut tree = KdTree::<3>::new();
         let mut id = 0usize;
         for _ in 0..rounds {
             for _ in 0..per_round {
-                let p = [
-                    rng.uniform(-5.0, 5.0),
-                    rng.uniform(-5.0, 5.0),
-                    rng.uniform(-5.0, 5.0),
-                ];
-                legacy.insert(p, id);
-                bucketed.insert(p, id);
+                let p = random_point(&mut rng, 5.0);
+                scan.insert(p, id);
+                tree.insert(p, id);
                 id += 1;
             }
-            let q = [
-                rng.uniform(-6.0, 6.0),
-                rng.uniform(-6.0, 6.0),
-                rng.uniform(-6.0, 6.0),
-            ];
-            let (pa, da) = legacy.nearest(&q).expect("non-empty");
-            let (pb, db) = bucketed.nearest(&q).expect("non-empty");
-            prop_assert_eq!(pa, pb);
-            prop_assert_eq!(da.to_bits(), db.to_bits());
-            assert_same_pairs(&legacy.k_nearest(&q, 5), &bucketed.k_nearest(&q, 5), "k_nearest");
+            let q = random_point(&mut rng, 6.0);
+            assert_same_nearest(tree.nearest(&q), scan.nearest(&q));
+            assert_same_pairs(&tree.k_nearest(&q, 5), &scan.k_nearest(&q, 5), "k_nearest");
         }
     }
 
@@ -137,23 +174,20 @@ proptest! {
     ) {
         let bucket = [1usize, 4, 16][bucket_idx];
         // Monotone inserts force the pathological deep-spine shape that
-        // trips BucketSoA's scapegoat rebuild; answers must not change.
-        let mut legacy = KdTree::<1>::new_in(KdLayout::NodeLegacy);
-        let mut bucketed = KdTree::<1>::new_in(KdLayout::BucketSoA).with_bucket_size(bucket);
+        // trips the scapegoat rebuild; answers must not change.
+        let mut scan = Scan::new();
+        let mut tree = KdTree::<1>::new().with_bucket_size(bucket);
         for i in 0..n {
             let p = [i as f64 * 0.25];
-            legacy.insert(p, i);
-            bucketed.insert(p, i);
+            scan.insert(p, i);
+            tree.insert(p, i);
         }
-        prop_assert!(bucketed.rebuilds() > 0, "flood never crossed a rebuild boundary");
+        prop_assert!(tree.rebuilds() > 0, "flood never crossed a rebuild boundary");
         for q in [-1.0, 0.0, 3.3, n as f64 * 0.125, n as f64 * 0.25 + 1.0] {
-            let (pa, da) = legacy.nearest(&[q]).expect("non-empty");
-            let (pb, db) = bucketed.nearest(&[q]).expect("non-empty");
-            prop_assert_eq!(pa, pb);
-            prop_assert_eq!(da.to_bits(), db.to_bits());
+            assert_same_nearest(tree.nearest(&[q]), scan.nearest(&[q]));
             assert_same_pairs(
-                &legacy.within_radius(&[q], 2.0),
-                &bucketed.within_radius(&[q], 2.0),
+                &tree.within_radius(&[q], 2.0),
+                &scan.within_radius(&[q], 2.0),
                 "within_radius",
             );
         }
@@ -165,32 +199,12 @@ proptest! {
         n in 1usize..300,
         queries in 1usize..80,
         k in 1usize..8,
-        layout_idx in 0usize..2,
     ) {
-        let layout = [KdLayout::NodeLegacy, KdLayout::BucketSoA][layout_idx];
         let mut rng = SimRng::seed_from(seed);
-        let items: Vec<([f64; 3], usize)> = (0..n)
-            .map(|i| {
-                (
-                    [
-                        rng.uniform(-10.0, 10.0),
-                        rng.uniform(-10.0, 10.0),
-                        rng.uniform(-10.0, 10.0),
-                    ],
-                    i,
-                )
-            })
-            .collect();
-        let tree = KdTree::<3>::build_balanced_in(layout, &items);
-        let qs: Vec<[f64; 3]> = (0..queries)
-            .map(|_| {
-                [
-                    rng.uniform(-12.0, 12.0),
-                    rng.uniform(-12.0, 12.0),
-                    rng.uniform(-12.0, 12.0),
-                ]
-            })
-            .collect();
+        let items: Vec<([f64; 3], usize)> =
+            (0..n).map(|i| (random_point(&mut rng, 10.0), i)).collect();
+        let tree = KdTree::<3>::build_balanced(&items);
+        let qs: Vec<[f64; 3]> = (0..queries).map(|_| random_point(&mut rng, 12.0)).collect();
         let seq_nearest: Vec<Option<(usize, f64)>> = qs.iter().map(|q| tree.nearest(q)).collect();
         let seq_knn: Vec<Vec<(usize, f64)>> = qs.iter().map(|q| tree.k_nearest(q, k)).collect();
         for threads in [1usize, 2, 4, 8] {
@@ -198,14 +212,7 @@ proptest! {
             let batch_nearest = tree.batch_nearest(&qs, &pool);
             prop_assert_eq!(batch_nearest.len(), seq_nearest.len());
             for (a, b) in batch_nearest.iter().zip(seq_nearest.iter()) {
-                match (a, b) {
-                    (None, None) => {}
-                    (Some((pa, da)), Some((pb, db))) => {
-                        prop_assert_eq!(pa, pb, "threads={}", threads);
-                        prop_assert_eq!(da.to_bits(), db.to_bits(), "threads={}", threads);
-                    }
-                    _ => prop_assert!(false, "batch_nearest disagreed at threads={}", threads),
-                }
+                assert_same_nearest(*a, *b);
             }
             let batch_knn = tree.batch_k_nearest(&qs, k, &pool);
             prop_assert_eq!(batch_knn.len(), seq_knn.len());
@@ -220,27 +227,10 @@ proptest! {
 fn batch_into_reuses_buffers_across_repeated_fanouts() {
     let mut rng = SimRng::seed_from(42);
     let items: Vec<([f64; 3], usize)> = (0..400)
-        .map(|i| {
-            (
-                [
-                    rng.uniform(-10.0, 10.0),
-                    rng.uniform(-10.0, 10.0),
-                    rng.uniform(-10.0, 10.0),
-                ],
-                i,
-            )
-        })
+        .map(|i| (random_point(&mut rng, 10.0), i))
         .collect();
     let tree = KdTree::<3>::build_balanced(&items);
-    let qs: Vec<[f64; 3]> = (0..64)
-        .map(|_| {
-            [
-                rng.uniform(-10.0, 10.0),
-                rng.uniform(-10.0, 10.0),
-                rng.uniform(-10.0, 10.0),
-            ]
-        })
-        .collect();
+    let qs: Vec<[f64; 3]> = (0..64).map(|_| random_point(&mut rng, 10.0)).collect();
     let pool = Pool::new(4);
     let mut nn = Vec::new();
     let mut knn = Vec::new();

@@ -22,7 +22,7 @@
 
 use proptest::prelude::*;
 use rtr_control::GaussianProcess;
-use rtr_geom::{KdLayout, KdTree};
+use rtr_geom::KdTree;
 use rtr_linalg::{Matrix, Vector, Workspace};
 use rtr_simd::{ulp_diff, SimdMode, LANES};
 
@@ -47,12 +47,11 @@ proptest! {
         let xs: Vec<f64> = (0..ys.len()).map(|i| xs_seed + i as f64 * 0.37).collect();
         let mut base = ys.clone();
         rtr_simd::axpy(&mut base, alpha, &xs, SimdMode::Scalar);
-        for mode in [SimdMode::Lanes, SimdMode::Auto] {
-            let mut got = ys.clone();
-            rtr_simd::axpy(&mut got, alpha, &xs, mode);
-            prop_assert!(base.iter().zip(&got).all(|(a, b)| a.to_bits() == b.to_bits()),
-                "axpy diverged in {mode}");
-        }
+        let mode = SimdMode::Lanes;
+        let mut got = ys.clone();
+        rtr_simd::axpy(&mut got, alpha, &xs, mode);
+        prop_assert!(base.iter().zip(&got).all(|(a, b)| a.to_bits() == b.to_bits()),
+            "axpy diverged in {mode}");
     }
 
     #[test]
@@ -65,12 +64,11 @@ proptest! {
             .collect();
         let mut base = ys.clone();
         rtr_simd::axpy4(&mut base, c, &rows[0], &rows[1], &rows[2], &rows[3], SimdMode::Scalar);
-        for mode in [SimdMode::Lanes, SimdMode::Auto] {
-            let mut got = ys.clone();
-            rtr_simd::axpy4(&mut got, c, &rows[0], &rows[1], &rows[2], &rows[3], mode);
-            prop_assert!(base.iter().zip(&got).all(|(a, b)| a.to_bits() == b.to_bits()),
-                "axpy4 diverged in {mode}");
-        }
+        let mode = SimdMode::Lanes;
+        let mut got = ys.clone();
+        rtr_simd::axpy4(&mut got, c, &rows[0], &rows[1], &rows[2], &rows[3], mode);
+        prop_assert!(base.iter().zip(&got).all(|(a, b)| a.to_bits() == b.to_bits()),
+            "axpy4 diverged in {mode}");
     }
 
     #[test]
@@ -80,12 +78,11 @@ proptest! {
     ) {
         let mut base = xs.clone();
         rtr_simd::div_assign(&mut base, d, SimdMode::Scalar);
-        for mode in [SimdMode::Lanes, SimdMode::Auto] {
-            let mut got = xs.clone();
-            rtr_simd::div_assign(&mut got, d, mode);
-            prop_assert!(base.iter().zip(&got).all(|(a, b)| a.to_bits() == b.to_bits()),
-                "div_assign diverged in {mode}");
-        }
+        let mode = SimdMode::Lanes;
+        let mut got = xs.clone();
+        rtr_simd::div_assign(&mut got, d, mode);
+        prop_assert!(base.iter().zip(&got).all(|(a, b)| a.to_bits() == b.to_bits()),
+            "div_assign diverged in {mode}");
     }
 
     #[test]
@@ -96,17 +93,16 @@ proptest! {
         let pts: Vec<f64> = (0..n * 3).map(|i| (i as f64 * 0.13).cos() * 50.0).collect();
         let mut base = vec![0.0; n];
         rtr_simd::squared_distances::<3>(&pts, &q, &mut base, SimdMode::Scalar);
-        for mode in [SimdMode::Lanes, SimdMode::Auto] {
-            let mut got = vec![0.0; n];
-            rtr_simd::squared_distances::<3>(&pts, &q, &mut got, mode);
-            prop_assert!(base.iter().zip(&got).all(|(a, b)| a.to_bits() == b.to_bits()),
-                "squared_distances diverged in {mode}");
-            // The runtime-dimension twin is the same kernel.
-            let mut dyn_got = vec![0.0; n];
-            rtr_simd::squared_distances_dyn(&pts, 3, &q, &mut dyn_got, mode);
-            prop_assert!(base.iter().zip(&dyn_got).all(|(a, b)| a.to_bits() == b.to_bits()),
-                "squared_distances_dyn diverged in {mode}");
-        }
+        let mode = SimdMode::Lanes;
+        let mut got = vec![0.0; n];
+        rtr_simd::squared_distances::<3>(&pts, &q, &mut got, mode);
+        prop_assert!(base.iter().zip(&got).all(|(a, b)| a.to_bits() == b.to_bits()),
+            "squared_distances diverged in {mode}");
+        // The runtime-dimension twin is the same kernel.
+        let mut dyn_got = vec![0.0; n];
+        rtr_simd::squared_distances_dyn(&pts, 3, &q, &mut dyn_got, mode);
+        prop_assert!(base.iter().zip(&dyn_got).all(|(a, b)| a.to_bits() == b.to_bits()),
+            "squared_distances_dyn diverged in {mode}");
     }
 
     #[test]
@@ -206,30 +202,28 @@ fn kdtree_queries_are_identical_in_every_mode() {
             )
         })
         .collect();
-    let build =
-        |mode: SimdMode| KdTree::<3>::build_balanced_in(KdLayout::BucketSoA, &pts).with_simd(mode);
+    let build = |mode: SimdMode| KdTree::<3>::build_balanced(&pts).with_simd(mode);
     let base = build(SimdMode::Scalar);
-    for mode in [SimdMode::Lanes, SimdMode::Auto] {
-        let tree = build(mode);
-        for qi in 0..64 {
-            let t = qi as f64 * 0.41;
-            let q = [(t).sin() * 10.0, (t * 2.0).cos() * 10.0, t % 5.0 - 2.5];
-            let a = base.nearest(&q).expect("non-empty");
-            let b = tree.nearest(&q).expect("non-empty");
-            assert_eq!(a.0, b.0, "nearest payload {mode}");
-            assert_eq!(a.1.to_bits(), b.1.to_bits(), "nearest distance {mode}");
-            let (ka, kb) = (base.k_nearest(&q, 7), tree.k_nearest(&q, 7));
-            assert_eq!(ka.len(), kb.len());
-            for (x, y) in ka.iter().zip(kb.iter()) {
-                assert_eq!(x.0, y.0, "k-nearest payload {mode}");
-                assert_eq!(x.1.to_bits(), y.1.to_bits(), "k-nearest distance {mode}");
-            }
-            let (ra, rb) = (base.within_radius(&q, 3.0), tree.within_radius(&q, 3.0));
-            assert_eq!(ra.len(), rb.len(), "radius count {mode}");
-            for (x, y) in ra.iter().zip(rb.iter()) {
-                assert_eq!(x.0, y.0, "radius payload {mode}");
-                assert_eq!(x.1.to_bits(), y.1.to_bits(), "radius distance {mode}");
-            }
+    let mode = SimdMode::Lanes;
+    let tree = build(mode);
+    for qi in 0..64 {
+        let t = qi as f64 * 0.41;
+        let q = [(t).sin() * 10.0, (t * 2.0).cos() * 10.0, t % 5.0 - 2.5];
+        let a = base.nearest(&q).expect("non-empty");
+        let b = tree.nearest(&q).expect("non-empty");
+        assert_eq!(a.0, b.0, "nearest payload {mode}");
+        assert_eq!(a.1.to_bits(), b.1.to_bits(), "nearest distance {mode}");
+        let (ka, kb) = (base.k_nearest(&q, 7), tree.k_nearest(&q, 7));
+        assert_eq!(ka.len(), kb.len());
+        for (x, y) in ka.iter().zip(kb.iter()) {
+            assert_eq!(x.0, y.0, "k-nearest payload {mode}");
+            assert_eq!(x.1.to_bits(), y.1.to_bits(), "k-nearest distance {mode}");
+        }
+        let (ra, rb) = (base.within_radius(&q, 3.0), tree.within_radius(&q, 3.0));
+        assert_eq!(ra.len(), rb.len(), "radius count {mode}");
+        for (x, y) in ra.iter().zip(rb.iter()) {
+            assert_eq!(x.0, y.0, "radius payload {mode}");
+            assert_eq!(x.1.to_bits(), y.1.to_bits(), "radius distance {mode}");
         }
     }
 }
@@ -247,18 +241,17 @@ fn mul_vector_simd_scalar_mode_reproduces_legacy_bitwise() {
         assert_eq!(legacy[i].to_bits(), scalar[i].to_bits(), "row {i}");
     }
     // Vector modes carry the reduction contract: forward-error bounded.
-    for mode in [SimdMode::Lanes, SimdMode::Auto] {
-        let mut fast = Vector::zeros(17);
-        a.mul_vector_simd_into(&v, &mut fast, mode).unwrap();
-        for i in 0..17 {
-            let scale: f64 = (0..13).map(|j| (a[(i, j)] * v[j]).abs()).sum();
-            assert!(
-                (fast[i] - legacy[i]).abs() <= 1e-13 * scale + 1e-300,
-                "row {i} {mode}: {} vs {}",
-                fast[i],
-                legacy[i]
-            );
-        }
+    let mode = SimdMode::Lanes;
+    let mut fast = Vector::zeros(17);
+    a.mul_vector_simd_into(&v, &mut fast, mode).unwrap();
+    for i in 0..17 {
+        let scale: f64 = (0..13).map(|j| (a[(i, j)] * v[j]).abs()).sum();
+        assert!(
+            (fast[i] - legacy[i]).abs() <= 1e-13 * scale + 1e-300,
+            "row {i} {mode}: {} vs {}",
+            fast[i],
+            legacy[i]
+        );
     }
 }
 

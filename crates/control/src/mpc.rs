@@ -40,11 +40,6 @@ pub struct MpcConfig {
     pub w_tracking: f64,
     /// Weight on control effort (the "state change" penalty).
     pub w_effort: f64,
-    /// Route the per-step solver through reusable scratch buffers so the
-    /// inner optimize loop performs zero heap allocations after the first
-    /// control step. `false` selects the legacy allocating solver —
-    /// bit-identical results, retained for the equivalence suite.
-    pub use_workspace: bool,
 }
 
 impl Default for MpcConfig {
@@ -58,7 +53,6 @@ impl Default for MpcConfig {
             opt_iterations: 40,
             w_tracking: 1.0,
             w_effort: 0.05,
-            use_workspace: true,
         }
     }
 }
@@ -85,9 +79,8 @@ pub struct MpcResult {
     pub max_accel: f64,
     /// Optimizer iterations executed in total.
     pub opt_iterations: u64,
-    /// Fresh scratch-buffer allocations performed by the workspace-backed
-    /// solver over the whole run (always 0 in legacy allocating mode,
-    /// which bypasses the pool). Plateaus after the first control step —
+    /// Fresh scratch-buffer allocations performed by the solver over the
+    /// whole run. Plateaus after the first control step —
     /// the allocation-regression tests assert it stays at the warmup
     /// count no matter how long the reference is.
     pub workspace_allocations: usize,
@@ -110,9 +103,8 @@ struct SolveScratch {
 /// Created by [`Mpc::begin_track`], advanced one control step at a time
 /// by [`Mpc::tick`], and turned into an [`MpcResult`] by
 /// [`Mpc::finish_track`]. After the first tick warms the solver scratch,
-/// further ticks are allocation-free on the default workspace path (the
-/// realized-trajectory and error buffers are pre-reserved for the whole
-/// run in `begin_track`).
+/// further ticks are allocation-free (the realized-trajectory and error
+/// buffers are pre-reserved for the whole run in `begin_track`).
 #[derive(Debug)]
 pub struct TrackRun {
     state: CarState,
@@ -153,8 +145,8 @@ impl TrackRun {
         self.steps_done
     }
 
-    /// Scratch-buffer growths performed by the workspace solver so far
-    /// (see [`MpcResult::workspace_allocations`]).
+    /// Scratch-buffer growths performed by the solver so far (see
+    /// [`MpcResult::workspace_allocations`]).
     pub fn workspace_allocations(&self) -> usize {
         self.scratch.ws.allocations() + self.scratch.growths + self.window_growths
     }
@@ -216,78 +208,11 @@ impl Mpc {
     }
 
     /// Solves the horizon problem by projected gradient descent with
-    /// central-difference gradients, warm-started from `controls`.
-    fn optimize<T: MemTrace + ?Sized>(
-        &self,
-        s0: CarState,
-        controls: &mut Vec<(f64, f64)>,
-        refs: &[Point2],
-        trace: &mut T,
-    ) -> u64 {
-        let h = 1e-4;
-        let mut step_size = 0.4;
-        let mut best = self.horizon_cost(s0, controls, refs);
-        let mut iterations = 0u64;
-        for _ in 0..self.config.opt_iterations {
-            iterations += 1;
-            // Numerical gradient over the 2H control variables.
-            let mut grad = vec![(0.0f64, 0.0f64); controls.len()];
-            for k in 0..controls.len() {
-                if trace.enabled() {
-                    trace.read(CTRL_REGION + k as u64 * 16);
-                    trace.read(REF_REGION + k as u64 * 16);
-                    trace.write(GRAD_REGION + k as u64 * 16);
-                }
-                let orig = controls[k];
-                controls[k].0 = orig.0 + h;
-                let up = self.horizon_cost(s0, controls, refs);
-                controls[k].0 = orig.0 - h;
-                let down = self.horizon_cost(s0, controls, refs);
-                controls[k].0 = orig.0;
-                grad[k].0 = (up - down) / (2.0 * h);
-
-                controls[k].1 = orig.1 + h;
-                let up = self.horizon_cost(s0, controls, refs);
-                controls[k].1 = orig.1 - h;
-                let down = self.horizon_cost(s0, controls, refs);
-                controls[k].1 = orig.1;
-                grad[k].1 = (up - down) / (2.0 * h);
-            }
-            // Projected descent step with backtracking.
-            let proposal: Vec<(f64, f64)> = controls
-                .iter()
-                .zip(grad.iter())
-                .map(|(&(a, w), &(ga, gw))| {
-                    (
-                        (a - step_size * ga).clamp(-self.config.a_max, self.config.a_max),
-                        (w - step_size * gw).clamp(-self.config.steer_max, self.config.steer_max),
-                    )
-                })
-                .collect();
-            let cost = self.horizon_cost(s0, &proposal, refs);
-            if cost < best {
-                best = cost;
-                if trace.enabled() {
-                    for k in 0..proposal.len() {
-                        trace.write(CTRL_REGION + k as u64 * 16);
-                    }
-                }
-                *controls = proposal;
-            } else {
-                step_size *= 0.5;
-                if step_size < 1e-6 {
-                    break;
-                }
-            }
-        }
-        iterations
-    }
-
-    /// Workspace-backed twin of [`Mpc::optimize`]: same central-difference
-    /// gradients, projected step and backtracking — bit-identical cost
-    /// trajectory — but the gradient lives in a pooled flat buffer and the
-    /// proposal in a reused tuple buffer, so after the first control step
-    /// the loop never touches the heap.
+    /// central-difference gradients, warm-started from `controls`. The
+    /// gradient lives in a pooled flat buffer and the proposal in a reused
+    /// tuple buffer, so after the first control step the loop never
+    /// touches the heap; a proptest below holds it bit-identical to the
+    /// allocating formulation.
     fn optimize_ws<T: MemTrace + ?Sized>(
         &self,
         s0: CarState,
@@ -376,8 +301,7 @@ impl Mpc {
     /// emits the central-difference sweep over the horizon: per slot a
     /// control-sequence load, a reference-window load, and a gradient
     /// store, plus a control-sequence store per slot when a projected step
-    /// is accepted. The allocating and workspace solvers emit identical
-    /// streams (they are bit-identical twins).
+    /// is accepted.
     pub fn track<T: MemTrace + ?Sized>(
         &self,
         reference: &[Point2],
@@ -443,7 +367,6 @@ impl Mpc {
             return false;
         }
         let tr = &mut *trace;
-        let use_ws = self.config.use_workspace;
         // Find the local window of the reference.
         while run.ref_idx + 1 < reference.len()
             && reference[run.ref_idx].distance(run.state.pose.position())
@@ -462,31 +385,21 @@ impl Mpc {
             return false;
         }
         run.steps_done += 1;
-        if use_ws {
-            if run.window.capacity() < self.config.horizon {
-                run.window_growths += 1;
-            }
-            run.window.clear();
-            run.window.extend(
-                (0..self.config.horizon)
-                    .map(|k| reference[(run.ref_idx + 1 + k).min(reference.len() - 1)]),
-            );
-        } else {
-            run.window = (0..self.config.horizon)
-                .map(|k| reference[(run.ref_idx + 1 + k).min(reference.len() - 1)])
-                .collect();
+        if run.window.capacity() < self.config.horizon {
+            run.window_growths += 1;
         }
+        run.window.clear();
+        run.window.extend(
+            (0..self.config.horizon)
+                .map(|k| reference[(run.ref_idx + 1 + k).min(reference.len() - 1)]),
+        );
 
         let state = run.state;
         let controls = &mut run.controls;
         let window = &run.window;
         let scratch = &mut run.scratch;
         run.opt_iterations += profiler.time("optimize", || {
-            if use_ws {
-                self.optimize_ws(state, controls, window, scratch, &mut *tr)
-            } else {
-                self.optimize(state, controls, window, &mut *tr)
-            }
+            self.optimize_ws(state, controls, window, scratch, &mut *tr)
         });
 
         let (a, omega) = run.controls[0];
@@ -511,6 +424,7 @@ impl Mpc {
     /// Completes a stepped tracking run: reduces the per-step error
     /// series and assembles the result.
     pub fn finish_track(&self, run: TrackRun) -> MpcResult {
+        let workspace_allocations = run.workspace_allocations();
         let mean = if run.errors.is_empty() {
             0.0
         } else {
@@ -523,11 +437,7 @@ impl Mpc {
             max_speed: run.max_speed,
             max_accel: run.max_accel,
             opt_iterations: run.opt_iterations,
-            workspace_allocations: if self.config.use_workspace {
-                run.scratch.ws.allocations() + run.scratch.growths + run.window_growths
-            } else {
-                0
-            },
+            workspace_allocations,
         }
     }
 }
@@ -546,7 +456,76 @@ pub fn winding_reference(n: usize) -> Vec<Point2> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtr_trace::{CountingTrace, NullTrace};
+    use proptest::prelude::*;
+    use rtr_trace::{CountingTrace, NullTrace, RecordingTrace};
+
+    /// The allocating formulation of [`Mpc::optimize_ws`]: a fresh gradient
+    /// and proposal `Vec` per iteration. Reference for the proptest below.
+    fn optimize_allocating<T: MemTrace + ?Sized>(
+        mpc: &Mpc,
+        s0: CarState,
+        controls: &mut Vec<(f64, f64)>,
+        refs: &[Point2],
+        trace: &mut T,
+    ) -> u64 {
+        let h = 1e-4;
+        let mut step_size = 0.4;
+        let mut best = mpc.horizon_cost(s0, controls, refs);
+        let mut iterations = 0u64;
+        for _ in 0..mpc.config.opt_iterations {
+            iterations += 1;
+            // Numerical gradient over the 2H control variables.
+            let mut grad = vec![(0.0f64, 0.0f64); controls.len()];
+            for k in 0..controls.len() {
+                if trace.enabled() {
+                    trace.read(CTRL_REGION + k as u64 * 16);
+                    trace.read(REF_REGION + k as u64 * 16);
+                    trace.write(GRAD_REGION + k as u64 * 16);
+                }
+                let orig = controls[k];
+                controls[k].0 = orig.0 + h;
+                let up = mpc.horizon_cost(s0, controls, refs);
+                controls[k].0 = orig.0 - h;
+                let down = mpc.horizon_cost(s0, controls, refs);
+                controls[k].0 = orig.0;
+                grad[k].0 = (up - down) / (2.0 * h);
+
+                controls[k].1 = orig.1 + h;
+                let up = mpc.horizon_cost(s0, controls, refs);
+                controls[k].1 = orig.1 - h;
+                let down = mpc.horizon_cost(s0, controls, refs);
+                controls[k].1 = orig.1;
+                grad[k].1 = (up - down) / (2.0 * h);
+            }
+            // Projected descent step with backtracking.
+            let proposal: Vec<(f64, f64)> = controls
+                .iter()
+                .zip(grad.iter())
+                .map(|(&(a, w), &(ga, gw))| {
+                    (
+                        (a - step_size * ga).clamp(-mpc.config.a_max, mpc.config.a_max),
+                        (w - step_size * gw).clamp(-mpc.config.steer_max, mpc.config.steer_max),
+                    )
+                })
+                .collect();
+            let cost = mpc.horizon_cost(s0, &proposal, refs);
+            if cost < best {
+                best = cost;
+                if trace.enabled() {
+                    for k in 0..proposal.len() {
+                        trace.write(CTRL_REGION + k as u64 * 16);
+                    }
+                }
+                *controls = proposal;
+            } else {
+                step_size *= 0.5;
+                if step_size < 1e-6 {
+                    break;
+                }
+            }
+        }
+        iterations
+    }
 
     #[test]
     fn tracks_straight_line() {
@@ -618,37 +597,36 @@ mod tests {
         assert!(fine <= rough * 1.5 + 0.05, "fine {fine} vs rough {rough}");
     }
 
-    #[test]
-    fn workspace_solver_is_bit_identical_to_legacy() {
-        let reference = winding_reference(80);
-        let run = |use_workspace: bool| {
-            let mut profiler = Profiler::new();
-            Mpc::new(MpcConfig {
-                use_workspace,
-                ..Default::default()
-            })
-            .track(&reference, &mut profiler, &mut NullTrace)
-        };
-        let ws = run(true);
-        let legacy = run(false);
-        assert_eq!(ws.trace.len(), legacy.trace.len());
-        for (a, b) in ws.trace.iter().zip(legacy.trace.iter()) {
-            assert_eq!(a.x.to_bits(), b.x.to_bits());
-            assert_eq!(a.y.to_bits(), b.y.to_bits());
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn workspace_solver_matches_allocating_reference(
+            pose in prop::array::uniform3(-5.0f64..5.0),
+            v in 0.0f64..8.0,
+            warm in prop::collection::vec((-3.0f64..3.0, -0.8f64..0.8), 12),
+            window in prop::collection::vec(prop::array::uniform2(-10.0f64..10.0), 1..16),
+        ) {
+            let mpc = Mpc::new(MpcConfig::default());
+            let s0 = CarState { pose: Pose2::new(pose[0], pose[1], pose[2]), v };
+            let refs: Vec<Point2> = window.iter().map(|p| Point2::new(p[0], p[1])).collect();
+            let bits = |c: &[(f64, f64)]| -> Vec<(u64, u64)> {
+                c.iter().map(|&(a, w)| (a.to_bits(), w.to_bits())).collect()
+            };
+            let mut reference = warm.clone();
+            let mut fast = warm;
+            let mut scratch = SolveScratch::default();
+            // Two solves on one scratch: the second runs on warm buffers.
+            for _ in 0..2 {
+                let mut ref_trace = RecordingTrace::default();
+                let ref_iters = optimize_allocating(&mpc, s0, &mut reference, &refs, &mut ref_trace);
+                let mut fast_trace = RecordingTrace::default();
+                let fast_iters = mpc.optimize_ws(s0, &mut fast, &refs, &mut scratch, &mut fast_trace);
+                prop_assert_eq!(fast_iters, ref_iters);
+                prop_assert_eq!(bits(&fast), bits(&reference));
+                prop_assert_eq!(fast_trace.ops, ref_trace.ops);
+            }
         }
-        assert_eq!(
-            ws.mean_tracking_error.to_bits(),
-            legacy.mean_tracking_error.to_bits()
-        );
-        assert_eq!(
-            ws.max_tracking_error.to_bits(),
-            legacy.max_tracking_error.to_bits()
-        );
-        assert_eq!(ws.max_speed.to_bits(), legacy.max_speed.to_bits());
-        assert_eq!(ws.max_accel.to_bits(), legacy.max_accel.to_bits());
-        assert_eq!(ws.opt_iterations, legacy.opt_iterations);
-        assert!(ws.workspace_allocations > 0);
-        assert_eq!(legacy.workspace_allocations, 0);
     }
 
     #[test]
@@ -676,25 +654,14 @@ mod tests {
     }
 
     #[test]
-    fn traced_track_is_bit_identical_and_solver_modes_emit_alike() {
+    fn traced_track_is_bit_identical() {
         let reference = winding_reference(60);
-        let run = |use_workspace: bool, counts: &mut CountingTrace| {
-            let mut profiler = Profiler::new();
-            Mpc::new(MpcConfig {
-                use_workspace,
-                ..Default::default()
-            })
-            .track(&reference, &mut profiler, counts)
-        };
-
         let mut profiler = Profiler::new();
         let untraced =
             Mpc::new(MpcConfig::default()).track(&reference, &mut profiler, &mut NullTrace);
 
         let mut ws_counts = CountingTrace::default();
-        let ws = run(true, &mut ws_counts);
-        let mut legacy_counts = CountingTrace::default();
-        let legacy = run(false, &mut legacy_counts);
+        let ws = Mpc::new(MpcConfig::default()).track(&reference, &mut profiler, &mut ws_counts);
 
         // Attaching a sink must not perturb the controller.
         assert_eq!(untraced.opt_iterations, ws.opt_iterations);
@@ -706,13 +673,6 @@ mod tests {
             assert_eq!(a.x.to_bits(), b.x.to_bits());
             assert_eq!(a.y.to_bits(), b.y.to_bits());
         }
-
-        // The bit-identical solver twins emit identical streams.
-        assert_eq!(ws_counts, legacy_counts);
-        assert_eq!(
-            ws.mean_tracking_error.to_bits(),
-            legacy.mean_tracking_error.to_bits()
-        );
 
         // Every optimizer iteration sweeps the horizon: ctrl + ref loads
         // and a gradient store per slot.

@@ -5,7 +5,7 @@ use rtr_control::{
     DmpConfig, Mpc, MpcConfig, RolloutRun, TrackRun,
 };
 use rtr_geom::Point2;
-use rtr_harness::{Args, OptionSpec, Profiler};
+use rtr_harness::{Args, CliError, OptionSpec, Profiler};
 use rtr_sim::ThrowSim;
 use rtr_trace::MemTrace;
 
@@ -205,7 +205,6 @@ impl KernelInstance for MpcInstance {
         let run = self.run.as_mut().expect("step called after finish");
         let more = self
             .mpc
-            // rtr-lint: allow(hot-alloc) -- chain is Mpc::tick's legacy non-workspace branch; the adapter runs whichever mode the config selects and must stay bit-identical to the monolithic run
             .tick(run, &self.reference, &mut self.profiler, trace);
         Ok(if more {
             StepStatus::Running
@@ -291,11 +290,18 @@ impl Kernel for CemKernel {
     fn instantiate(&self, args: &Args) -> Result<Box<dyn KernelInstance>, KernelError> {
         let config = CemConfig {
             iterations: args.get_usize("iterations", 5)?.max(1),
-            samples_per_iteration: args.get_usize("samples", 15)?.max(1),
+            samples_per_iteration: args.get_usize("samples", 15)?,
             seed: args.get_u64("seed", 0)?,
             threads: super::threads_arg(args)?,
             ..Default::default()
         };
+        if config.samples_per_iteration < config.elites {
+            return Err(KernelError::Cli(CliError::BadValue {
+                option: "samples".into(),
+                value: config.samples_per_iteration.to_string(),
+                expected: "a sample count no smaller than the elite count (4)",
+            }));
+        }
         let sim = ThrowSim::new(args.get_f64("goal", 2.0)?.max(0.1));
         Ok(OneShotInstance::boxed(
             self.name(),

@@ -28,15 +28,16 @@ pub(crate) fn threads_arg(args: &Args) -> Result<usize, KernelError> {
 pub(crate) fn simd_option() -> OptionSpec {
     OptionSpec {
         name: "simd",
-        help: "Lane-kernel mode for the SoA hot loops: scalar|lanes|auto",
+        help: "Lane-kernel mode for the SoA hot loops: scalar|lanes (auto = lanes)",
     }
 }
 
-/// Parses `--simd` (default `auto`). A pure perf knob: every mode
-/// satisfies the `rtr-simd` equivalence contract, and the paths these
-/// kernels use are bit-identical across modes.
+/// Parses `--simd` (default `lanes`; `auto` is accepted as an alias). A
+/// pure perf knob: every mode satisfies the `rtr-simd` equivalence
+/// contract, and the paths these kernels use are bit-identical across
+/// modes.
 pub(crate) fn simd_arg(args: &Args) -> Result<rtr_simd::SimdMode, KernelError> {
-    let raw = args.get_str("simd", "auto");
+    let raw = args.get_str("simd", "lanes");
     raw.parse::<rtr_simd::SimdMode>().map_err(|_| {
         KernelError::Cli(rtr_harness::CliError::BadValue {
             option: "simd".to_string(),
@@ -308,6 +309,24 @@ mod tests {
                 assert_eq!(suggestion, None);
             }
             other => panic!("expected UnknownKernel, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn degenerate_counts_are_typed_errors_naming_the_option() {
+        for (kernel, argv, option) in [
+            ("pfl", ["--particles", "0"], "particles"),
+            ("cem", ["--samples", "3"], "samples"),
+            ("cem", ["--samples", "0"], "samples"),
+        ] {
+            let args = Args::parse_tokens(&argv).unwrap();
+            match registry_lookup(kernel).unwrap().instantiate(&args) {
+                Err(KernelError::Cli(rtr_harness::CliError::BadValue { option: o, .. })) => {
+                    assert_eq!(o, option, "{kernel} {argv:?}");
+                }
+                Err(e) => panic!("{kernel} {argv:?}: unexpected error {e}"),
+                Ok(_) => panic!("{kernel} {argv:?} must be rejected"),
+            }
         }
     }
 

@@ -1,7 +1,7 @@
 //! Perception-stage kernel adapters.
 
 use rtr_geom::{maps, Point2, Point3, PointCloud, Pose2, RigidTransform};
-use rtr_harness::{Args, OptionSpec, Profiler};
+use rtr_harness::{Args, CliError, OptionSpec, Profiler};
 use rtr_perception::{
     EkfSlam, EkfSlamConfig, Icp, IcpConfig, IcpRun, ParticleFilter, PflConfig, PflInit,
 };
@@ -96,6 +96,13 @@ impl Kernel for PflKernel {
 
     fn instantiate(&self, args: &Args) -> Result<Box<dyn KernelInstance>, KernelError> {
         let particles = args.get_usize("particles", 500)?;
+        if particles == 0 {
+            return Err(KernelError::Cli(CliError::BadValue {
+                option: "particles".into(),
+                value: particles.to_string(),
+                expected: "a particle count of at least 1",
+            }));
+        }
         let region = args.get_usize("region", 0)?;
         let beam_stride = (60 / args.get_usize("beams", 60)?.clamp(1, 60)).max(1);
         let seed = args.get_u64("seed", 0)?;
@@ -275,10 +282,9 @@ impl KernelInstance for EkfSlamInstance {
         if self.index >= self.log.len() {
             return Ok(StepStatus::Done);
         }
-        self.pose_error_sum += self
-            .ekf
-            // rtr-lint: allow(hot-alloc) -- chain is the legacy dense-covariance branch; the adapter must call the same entry point as the monolithic run (bit-identity), and the dense mode's per-step allocation is the kernel's own measured behavior
-            .process_step(&self.log[self.index], &mut self.profiler, trace);
+        self.pose_error_sum +=
+            self.ekf
+                .process_step(&self.log[self.index], &mut self.profiler, trace);
         self.index += 1;
         Ok(if self.index < self.log.len() {
             StepStatus::Running
@@ -402,7 +408,6 @@ struct SrecInstance {
 
 impl KernelInstance for SrecInstance {
     fn step(&mut self, trace: &mut dyn MemTrace) -> Result<StepStatus, KernelError> {
-        // rtr-lint: allow(hot-alloc) -- best_rigid_transform's per-iteration correspondence collect is the ICP kernel's own measured behavior; the stepped adapter must stay bit-identical to the monolithic run
         let more = self.icp.iterate(
             &mut self.run,
             &self.scan2,

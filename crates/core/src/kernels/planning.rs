@@ -31,7 +31,6 @@ fn rrt_config(args: &Args, default_samples: usize) -> Result<RrtConfig, KernelEr
         neighbor_radius: args.get_f64("radius", 0.9)?,
         seed: args.get_u64("seed", 2)?,
         star_refine_factor: Some(8.0),
-        ..Default::default()
     })
 }
 

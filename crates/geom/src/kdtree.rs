@@ -4,28 +4,23 @@
 //! paper measures up to 31 % of `08.rrt`'s and up to 49 % of
 //! `09.rrtstar`'s execution time in it, and attributes the cost to
 //! irregular memory accesses — "samples whose values (angles) are close
-//! could be allocated in distant memory locations". The tree ships two
-//! storage layouts behind [`KdLayout`]:
+//! could be allocated in distant memory locations". The tree keeps points
+//! in an insertion-order arena and indexes them with leaf buckets of ~16
+//! points whose coordinates are packed contiguously and scanned linearly,
+//! so the bottom of every descent — where most of the time goes — runs on
+//! streaming loads instead of pointer chases. The characterization
+//! harness replays every scanned point into the cache simulator via the
+//! `visit` hook of [`KdTree::nearest_with`]. Incremental
+//! [`KdTree::insert`] splits overfull leaves on their widest axis and
+//! rebuilds the whole index (scapegoat style) when an insert descends far
+//! past the balanced depth, so RRT/RRT*'s growing tree stays balanced
+//! without bulk construction.
 //!
-//! - [`KdLayout::NodeLegacy`] keeps that character on purpose: one node
-//!   per point, nodes living in a flat arena in creation order while tree
-//!   edges jump around it — exactly the allocation pattern the paper
-//!   describes. The characterization harness replays those jumps into the
-//!   cache simulator via the `visit` hook.
-//! - [`KdLayout::BucketSoA`] (the default) is the tuned layout: leaves
-//!   bucket ~16 points whose coordinates are packed contiguously and
-//!   scanned linearly, so the bottom of every descent — where most of the
-//!   time goes — runs on streaming loads instead of pointer chases.
-//!   Incremental [`KdTree::insert`] splits overfull leaves on their
-//!   widest axis and rebuilds the whole index (scapegoat style) when an
-//!   insert descends far past the balanced depth, so RRT/RRT*'s growing
-//!   tree stays balanced without bulk construction.
-//!
-//! Both layouts implement the same *canonical* query semantics — nearest
-//! and k-nearest break distance ties toward the smallest payload, radius
-//! results come back sorted by `(payload, distance)` — so every query is
-//! bit-identical across layouts (enforced by proptests in
-//! `crates/bench/tests/kdtree.rs`). Queries come in three flavors:
+//! Queries have *canonical* semantics — nearest and k-nearest break
+//! distance ties toward the smallest payload, radius results come back
+//! sorted by `(payload, distance)` — so every answer is fully determined
+//! by the point set and can be checked against a brute-force scan
+//! (`crates/bench/tests/kdtree.rs`). Queries come in three flavors:
 //! allocating ([`KdTree::k_nearest`]), caller-scratch
 //! ([`KdTree::k_nearest_into`] and friends, allocation-free once the
 //! buffer is warm), and batched ([`KdTree::batch_nearest_into`] /
@@ -37,39 +32,11 @@
 use rtr_harness::Pool;
 use rtr_simd::SimdMode;
 
-/// Default number of points per [`KdLayout::BucketSoA`] leaf.
+/// Default number of points per leaf bucket.
 ///
 /// 16 points × 3–5 dims × 8 bytes keeps a leaf within a handful of cache
 /// lines; see EXPERIMENTS.md for the sweep that picked it.
 pub const KD_BUCKET: usize = 16;
-
-/// Storage layout / traversal mode for [`KdTree`].
-///
-/// A pure performance knob, like the worker-pool thread count: every
-/// query answers bit-identically under either layout.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum KdLayout {
-    /// Node-per-point arena with pointer-chasing edges — the seed layout,
-    /// kept alive for the equivalence suite and the paper's
-    /// irregular-access characterization.
-    NodeLegacy,
-    /// Leaf-bucketed structure-of-arrays index: packed leaf scans,
-    /// rebuild-on-imbalance inserts. The default.
-    #[default]
-    BucketSoA,
-}
-
-/// Node arena index.
-type NodeId = u32;
-
-/// One point of the [`KdLayout::NodeLegacy`] index.
-#[derive(Debug, Clone)]
-struct Node {
-    /// Index of this node's point in the shared SoA arena.
-    point: u32,
-    left: Option<NodeId>,
-    right: Option<NodeId>,
-}
 
 /// Child edge of the bucketed index.
 #[derive(Debug, Clone, Copy)]
@@ -119,20 +86,16 @@ struct BucketLeaf {
 /// ```
 #[derive(Debug, Clone)]
 pub struct KdTree<const DIM: usize> {
-    layout: KdLayout,
     bucket: usize,
-    /// Leaf-scan inner-loop mode — a pure performance knob like `layout`:
-    /// every query answers bit-identically under every mode (the lane
-    /// kernel keeps each point's per-dimension accumulation order).
+    /// Leaf-scan inner-loop mode — a pure performance knob: every query
+    /// answers bit-identically under every mode (the lane kernel keeps
+    /// each point's per-dimension accumulation order).
     simd: SimdMode,
-    /// Insertion-order SoA arena shared by both layouts: point `i` lives
-    /// at `coords[i * DIM..]` with payload `payloads[i]`.
+    /// Insertion-order SoA arena: point `i` lives at `coords[i * DIM..]`
+    /// with payload `payloads[i]`.
     coords: Vec<f64>,
     payloads: Vec<usize>,
-    // --- NodeLegacy index ---
-    nodes: Vec<Node>,
-    root: Option<NodeId>,
-    // --- BucketSoA index ---
+    // --- Bucketed index over the arena ---
     inners: Vec<BucketInner>,
     leaves: Vec<BucketLeaf>,
     broot: Option<BucketRef>,
@@ -146,21 +109,13 @@ impl<const DIM: usize> Default for KdTree<DIM> {
 }
 
 impl<const DIM: usize> KdTree<DIM> {
-    /// Creates an empty tree with the default layout ([`KdLayout::BucketSoA`]).
+    /// Creates an empty tree.
     pub fn new() -> Self {
-        Self::new_in(KdLayout::default())
-    }
-
-    /// Creates an empty tree with an explicit layout.
-    pub fn new_in(layout: KdLayout) -> Self {
         KdTree {
-            layout,
             bucket: KD_BUCKET,
             simd: SimdMode::default(),
             coords: Vec::new(),
             payloads: Vec::new(),
-            nodes: Vec::new(),
-            root: None,
             inners: Vec::new(),
             leaves: Vec::new(),
             broot: None,
@@ -168,27 +123,17 @@ impl<const DIM: usize> KdTree<DIM> {
         }
     }
 
-    /// Creates an empty default-layout tree with capacity for `n` points.
+    /// Creates an empty tree with capacity for `n` points.
     pub fn with_capacity(n: usize) -> Self {
-        Self::with_capacity_in(KdLayout::default(), n)
-    }
-
-    /// Creates an empty tree with an explicit layout and capacity for `n`
-    /// points.
-    pub fn with_capacity_in(layout: KdLayout, n: usize) -> Self {
-        let mut tree = Self::new_in(layout);
+        let mut tree = Self::new();
         tree.coords.reserve(n * DIM);
         tree.payloads.reserve(n);
-        match layout {
-            KdLayout::NodeLegacy => tree.nodes.reserve(n),
-            KdLayout::BucketSoA => tree.leaves.reserve(n / KD_BUCKET + 1),
-        }
+        tree.leaves.reserve(n / KD_BUCKET + 1);
         tree
     }
 
-    /// Sets the leaf bucket size (builder style; [`KdLayout::BucketSoA`]
-    /// only — ignored by the legacy layout). Must be called before any
-    /// point is inserted.
+    /// Sets the leaf bucket size (builder style). Must be called before
+    /// any point is inserted.
     ///
     /// # Panics
     ///
@@ -225,44 +170,27 @@ impl<const DIM: usize> KdTree<DIM> {
         self.simd
     }
 
-    /// Builds a balanced default-layout tree from `(point, payload)` pairs
-    /// by recursive median split (`select_nth_unstable` per level,
+    /// Builds a balanced tree from `(point, payload)` pairs by recursive
+    /// median split on the widest axis (`select_nth_unstable` per level,
     /// O(n log n) total).
     ///
-    /// Incremental [`KdTree::insert`] on sorted or clustered inputs would
-    /// degenerate toward a linked list under the legacy layout (the
-    /// bucketed layout rebuilds itself); bulk construction guarantees
-    /// logarithmic depth up front, which is what the PRM / ICP batch
-    /// workloads want when all points are known. Construction is
-    /// deterministic for a given input order, and queries answer
-    /// identically to an incrementally built tree.
+    /// Bulk construction guarantees logarithmic depth up front, without
+    /// the rebuilds incremental [`KdTree::insert`] triggers on sorted or
+    /// clustered inputs — what the PRM / ICP batch workloads want when
+    /// all points are known. Construction is deterministic for a given
+    /// input order, and queries answer identically to an incrementally
+    /// built tree.
     pub fn build_balanced(items: &[([f64; DIM], usize)]) -> Self {
-        Self::build_balanced_in(KdLayout::default(), items)
-    }
-
-    /// [`KdTree::build_balanced`] with an explicit layout.
-    pub fn build_balanced_in(layout: KdLayout, items: &[([f64; DIM], usize)]) -> Self {
-        let mut tree = Self::with_capacity_in(layout, items.len());
+        let mut tree = Self::with_capacity(items.len());
         for (point, payload) in items {
             tree.coords.extend_from_slice(point);
             tree.payloads.push(*payload);
         }
-        match layout {
-            KdLayout::NodeLegacy => {
-                let mut order: Vec<u32> = (0..items.len() as u32).collect();
-                tree.root = tree.legacy_build_rec(&mut order, 0);
-            }
-            KdLayout::BucketSoA => tree.bucket_build_all(),
-        }
+        tree.bucket_build_all();
         tree
     }
 
-    /// The storage layout this tree was constructed with.
-    pub fn layout(&self) -> KdLayout {
-        self.layout
-    }
-
-    /// Leaf bucket size of the [`KdLayout::BucketSoA`] index.
+    /// Leaf bucket size of the index.
     pub fn bucket_size(&self) -> usize {
         self.bucket
     }
@@ -298,93 +226,20 @@ impl<const DIM: usize> KdTree<DIM> {
 
     /// Inserts a point with an associated payload.
     ///
-    /// Points are stored by value; duplicate points are allowed. Under the
-    /// bucketed layout an insert may split a leaf on its widest axis, and
-    /// an insert that descends past roughly twice the balanced depth
-    /// rebuilds the whole index (O(n log n), amortized O(log² n) per
-    /// insert — see [`KdTree::rebuilds`]).
+    /// Points are stored by value; duplicate points are allowed. An insert
+    /// may split a leaf on its widest axis, and an insert that descends
+    /// past roughly twice the balanced depth rebuilds the whole index
+    /// (O(n log n), amortized O(log² n) per insert — see
+    /// [`KdTree::rebuilds`]).
     pub fn insert(&mut self, point: [f64; DIM], payload: usize) {
         let id = self.payloads.len() as u32;
         self.coords.extend_from_slice(&point);
         self.payloads.push(payload);
-        match self.layout {
-            KdLayout::NodeLegacy => self.legacy_insert(id, &point),
-            KdLayout::BucketSoA => self.bucket_insert(id, &point),
-        }
+        self.bucket_insert(id, &point);
     }
 
     // ------------------------------------------------------------------
-    // NodeLegacy index maintenance
-    // ------------------------------------------------------------------
-
-    fn legacy_build_rec(&mut self, order: &mut [u32], depth: usize) -> Option<NodeId> {
-        if order.is_empty() {
-            return None;
-        }
-        let axis = depth % DIM;
-        let mid = order.len() / 2;
-        let coords = &self.coords;
-        order.select_nth_unstable_by(mid, |&a, &b| {
-            coords[a as usize * DIM + axis]
-                .total_cmp(&coords[b as usize * DIM + axis])
-                .then(a.cmp(&b))
-        });
-        let point = order[mid];
-        let id = self.nodes.len() as NodeId;
-        self.nodes.push(Node {
-            point,
-            left: None,
-            right: None,
-        });
-        let (lo, rest) = order.split_at_mut(mid);
-        let left = self.legacy_build_rec(lo, depth + 1);
-        let right = self.legacy_build_rec(&mut rest[1..], depth + 1);
-        let n = &mut self.nodes[id as usize];
-        n.left = left;
-        n.right = right;
-        Some(id)
-    }
-
-    fn legacy_insert(&mut self, id: u32, point: &[f64; DIM]) {
-        let new_id = self.nodes.len() as NodeId;
-        self.nodes.push(Node {
-            point: id,
-            left: None,
-            right: None,
-        });
-        let Some(mut cur) = self.root else {
-            self.root = Some(new_id);
-            return;
-        };
-        let mut depth = 0usize;
-        loop {
-            let axis = depth % DIM;
-            let cur_point = self.nodes[cur as usize].point;
-            let go_left = point[axis] < self.arena_point(cur_point)[axis];
-            let slot = if go_left {
-                self.nodes[cur as usize].left
-            } else {
-                self.nodes[cur as usize].right
-            };
-            match slot {
-                Some(child) => {
-                    cur = child;
-                    depth += 1;
-                }
-                None => {
-                    if go_left {
-                        self.nodes[cur as usize].left = Some(new_id);
-                    } else {
-                        self.nodes[cur as usize].right = Some(new_id);
-                    }
-                    return;
-                }
-            }
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // BucketSoA index maintenance
+    // Index maintenance
     // ------------------------------------------------------------------
 
     /// Rebuilds the bucketed index over the whole arena.
@@ -565,8 +420,8 @@ impl<const DIM: usize> KdTree<DIM> {
     /// Finds the nearest stored point to `query`.
     ///
     /// Returns `(payload, squared_distance)`, or `None` when empty.
-    /// Distance ties break toward the smallest payload — canonical across
-    /// layouts, so both answer bit-identically.
+    /// Distance ties break toward the smallest payload, so the answer is
+    /// canonical: independent of insertion order and tree shape.
     pub fn nearest(&self, query: &[f64; DIM]) -> Option<(usize, f64)> {
         self.nearest_with(query, |_| {})
     }
@@ -578,9 +433,8 @@ impl<const DIM: usize> KdTree<DIM> {
     }
 
     /// Like [`KdTree::nearest`], invoking `visit(payload)` on every point
-    /// examined during the descent (cache-characterization hook). Under
-    /// the bucketed layout every point scanned in a visited leaf is
-    /// reported, in leaf-storage order.
+    /// examined during the descent (cache-characterization hook): every
+    /// point scanned in a visited leaf, in leaf-storage order.
     pub fn nearest_with(
         &self,
         query: &[f64; DIM],
@@ -590,51 +444,8 @@ impl<const DIM: usize> KdTree<DIM> {
             return None;
         }
         let mut best = (usize::MAX, f64::INFINITY);
-        match self.layout {
-            KdLayout::NodeLegacy => {
-                self.legacy_nearest_rec(self.root?, query, 0, &mut best, &mut visit);
-            }
-            KdLayout::BucketSoA => {
-                self.bucket_nearest_rec(self.broot?, query, &mut best, &mut visit);
-            }
-        }
+        self.bucket_nearest_rec(self.broot?, query, &mut best, &mut visit);
         Some(best)
-    }
-
-    fn legacy_nearest_rec(
-        &self,
-        node: NodeId,
-        query: &[f64; DIM],
-        depth: usize,
-        best: &mut (usize, f64),
-        visit: &mut impl FnMut(usize),
-    ) {
-        let n = &self.nodes[node as usize];
-        let payload = self.payloads[n.point as usize];
-        visit(payload);
-        let p = self.arena_point(n.point);
-        let d2 = squared_distance(p, query);
-        if closer(payload, d2, best) {
-            *best = (payload, d2);
-        }
-        let axis = depth % DIM;
-        let delta = query[axis] - p[axis];
-        let (near, far) = if delta < 0.0 {
-            (n.left, n.right)
-        } else {
-            (n.right, n.left)
-        };
-        if let Some(child) = near {
-            self.legacy_nearest_rec(child, query, depth + 1, best, visit);
-        }
-        // Cross the splitting plane when the hypersphere reaches it; `<=`
-        // (not `<`) so an exact tie on the far side can still win on the
-        // payload tie-break.
-        if let Some(child) = far {
-            if delta * delta <= best.1 {
-                self.legacy_nearest_rec(child, query, depth + 1, best, visit);
-            }
-        }
     }
 
     /// Walks one bucketed leaf, handing `(id, d²)` to `f` in leaf-storage
@@ -728,17 +539,8 @@ impl<const DIM: usize> KdTree<DIM> {
         if k == 0 || self.is_empty() {
             return;
         }
-        match self.layout {
-            KdLayout::NodeLegacy => {
-                if let Some(root) = self.root {
-                    self.legacy_k_nearest_rec(root, query, 0, k, out);
-                }
-            }
-            KdLayout::BucketSoA => {
-                if let Some(root) = self.broot {
-                    self.bucket_k_nearest_rec(root, query, k, out);
-                }
-            }
+        if let Some(root) = self.broot {
+            self.bucket_k_nearest_rec(root, query, k, out);
         }
         out.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
     }
@@ -749,36 +551,6 @@ impl<const DIM: usize> KdTree<DIM> {
             heap_push(heap, (payload, d2));
         } else if closer(payload, d2, &heap[0]) {
             heap_replace_root(heap, (payload, d2));
-        }
-    }
-
-    fn legacy_k_nearest_rec(
-        &self,
-        node: NodeId,
-        query: &[f64; DIM],
-        depth: usize,
-        k: usize,
-        // Bounded binary max-heap on (d², payload) (root = worst kept).
-        heap: &mut Vec<(usize, f64)>,
-    ) {
-        let n = &self.nodes[node as usize];
-        let p = self.arena_point(n.point);
-        let d2 = squared_distance(p, query);
-        Self::offer_k(heap, k, self.payloads[n.point as usize], d2);
-        let axis = depth % DIM;
-        let delta = query[axis] - p[axis];
-        let (near, far) = if delta < 0.0 {
-            (n.left, n.right)
-        } else {
-            (n.right, n.left)
-        };
-        if let Some(child) = near {
-            self.legacy_k_nearest_rec(child, query, depth + 1, k, heap);
-        }
-        if let Some(child) = far {
-            if heap.len() < k || delta * delta <= heap[0].1 {
-                self.legacy_k_nearest_rec(child, query, depth + 1, k, heap);
-            }
         }
     }
 
@@ -815,7 +587,7 @@ impl<const DIM: usize> KdTree<DIM> {
     /// test uses the same `<=` so boundary points are never skipped).
     ///
     /// Returns `(payload, squared_distance)` pairs sorted by ascending
-    /// `(payload, distance)` — canonical across layouts. Used by RRT* to
+    /// `(payload, distance)` — canonical for the point set. Used by RRT* to
     /// collect the rewiring neighborhood (the paper's "yellow circle");
     /// that hot loop should use [`KdTree::within_radius_into`].
     pub fn within_radius(&self, query: &[f64; DIM], radius: f64) -> Vec<(usize, f64)> {
@@ -829,50 +601,10 @@ impl<const DIM: usize> KdTree<DIM> {
     pub fn within_radius_into(&self, query: &[f64; DIM], radius: f64, out: &mut Vec<(usize, f64)>) {
         out.clear();
         let r2 = radius * radius;
-        match self.layout {
-            KdLayout::NodeLegacy => {
-                if let Some(root) = self.root {
-                    self.legacy_radius_rec(root, query, 0, r2, out);
-                }
-            }
-            KdLayout::BucketSoA => {
-                if let Some(root) = self.broot {
-                    self.bucket_radius_rec(root, query, r2, out);
-                }
-            }
+        if let Some(root) = self.broot {
+            self.bucket_radius_rec(root, query, r2, out);
         }
         out.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)));
-    }
-
-    fn legacy_radius_rec(
-        &self,
-        node: NodeId,
-        query: &[f64; DIM],
-        depth: usize,
-        r2: f64,
-        out: &mut Vec<(usize, f64)>,
-    ) {
-        let n = &self.nodes[node as usize];
-        let p = self.arena_point(n.point);
-        let d2 = squared_distance(p, query);
-        if d2 <= r2 {
-            out.push((self.payloads[n.point as usize], d2));
-        }
-        let axis = depth % DIM;
-        let delta = query[axis] - p[axis];
-        let (near, far) = if delta < 0.0 {
-            (n.left, n.right)
-        } else {
-            (n.right, n.left)
-        };
-        if let Some(child) = near {
-            self.legacy_radius_rec(child, query, depth + 1, r2, out);
-        }
-        if let Some(child) = far {
-            if delta * delta <= r2 {
-                self.legacy_radius_rec(child, query, depth + 1, r2, out);
-            }
-        }
     }
 
     fn bucket_radius_rec(
@@ -975,8 +707,7 @@ impl<const DIM: usize> KdTree<DIM> {
 }
 
 /// Canonical "candidate beats incumbent" order: smaller squared distance
-/// first, smaller payload on exact ties. Shared by both layouts so their
-/// answers are bit-identical.
+/// first, smaller payload on exact ties.
 #[inline]
 fn closer(payload: usize, d2: f64, best: &(usize, f64)) -> bool {
     d2 < best.1 || (d2 == best.1 && payload < best.0)
@@ -1041,8 +772,6 @@ fn squared_distance(a: &[f64], b: &[f64]) -> f64 {
 mod tests {
     use super::*;
 
-    const LAYOUTS: [KdLayout; 2] = [KdLayout::NodeLegacy, KdLayout::BucketSoA];
-
     fn brute_nearest<const D: usize>(
         points: &[[f64; D]],
         query: &[f64; D],
@@ -1056,29 +785,19 @@ mod tests {
 
     #[test]
     fn empty_tree_queries() {
-        for layout in LAYOUTS {
-            let tree = KdTree::<3>::new_in(layout);
-            assert!(tree.is_empty());
-            assert_eq!(tree.nearest(&[0.0; 3]), None);
-            assert!(tree.k_nearest(&[0.0; 3], 4).is_empty());
-            assert!(tree.within_radius(&[0.0; 3], 1.0).is_empty());
-        }
-    }
-
-    #[test]
-    fn default_layout_is_bucketed() {
-        assert_eq!(KdTree::<2>::new().layout(), KdLayout::BucketSoA);
-        assert_eq!(KdLayout::default(), KdLayout::BucketSoA);
+        let tree = KdTree::<3>::new();
+        assert!(tree.is_empty());
+        assert_eq!(tree.nearest(&[0.0; 3]), None);
+        assert!(tree.k_nearest(&[0.0; 3], 4).is_empty());
+        assert!(tree.within_radius(&[0.0; 3], 1.0).is_empty());
     }
 
     #[test]
     fn single_point() {
-        for layout in LAYOUTS {
-            let mut tree = KdTree::<2>::new_in(layout);
-            tree.insert([1.0, 2.0], 42);
-            assert_eq!(tree.nearest(&[0.0, 0.0]), Some((42, 5.0)));
-            assert_eq!(tree.len(), 1);
-        }
+        let mut tree = KdTree::<2>::new();
+        tree.insert([1.0, 2.0], 42);
+        assert_eq!(tree.nearest(&[0.0, 0.0]), Some((42, 5.0)));
+        assert_eq!(tree.len(), 1);
     }
 
     #[test]
@@ -1097,87 +816,75 @@ mod tests {
         let queries: Vec<[f64; 5]> = (0..50)
             .map(|_| [next(), next(), next(), next(), next()])
             .collect();
-        for layout in LAYOUTS {
-            let mut tree = KdTree::<5>::new_in(layout);
-            for (i, p) in points.iter().enumerate() {
-                tree.insert(*p, i);
-            }
-            for q in &queries {
-                let (tp, td) = tree.nearest(q).unwrap();
-                let (bp, bd) = brute_nearest(&points, q).unwrap();
-                assert_eq!(tp, bp);
-                assert!((td - bd).abs() < 1e-12);
-            }
+        let mut tree = KdTree::<5>::new();
+        for (i, p) in points.iter().enumerate() {
+            tree.insert(*p, i);
+        }
+        for q in &queries {
+            let (tp, td) = tree.nearest(q).unwrap();
+            let (bp, bd) = brute_nearest(&points, q).unwrap();
+            assert_eq!(tp, bp);
+            assert!((td - bd).abs() < 1e-12);
         }
     }
 
     #[test]
     fn k_nearest_sorted_and_complete() {
-        for layout in LAYOUTS {
-            let mut tree = KdTree::<1>::new_in(layout);
-            for i in 0..10 {
-                tree.insert([i as f64], i);
-            }
-            let got = tree.k_nearest(&[3.2], 3);
-            assert_eq!(got.len(), 3);
-            let ids: Vec<usize> = got.iter().map(|(p, _)| *p).collect();
-            assert_eq!(ids, vec![3, 4, 2]);
-            // Distances ascend.
-            assert!(got.windows(2).all(|w| w[0].1 <= w[1].1));
+        let mut tree = KdTree::<1>::new();
+        for i in 0..10 {
+            tree.insert([i as f64], i);
         }
+        let got = tree.k_nearest(&[3.2], 3);
+        assert_eq!(got.len(), 3);
+        let ids: Vec<usize> = got.iter().map(|(p, _)| *p).collect();
+        assert_eq!(ids, vec![3, 4, 2]);
+        // Distances ascend.
+        assert!(got.windows(2).all(|w| w[0].1 <= w[1].1));
     }
 
     #[test]
     fn k_nearest_with_k_larger_than_len() {
-        for layout in LAYOUTS {
-            let mut tree = KdTree::<2>::new_in(layout);
-            tree.insert([0.0, 0.0], 0);
-            tree.insert([1.0, 0.0], 1);
-            assert_eq!(tree.k_nearest(&[0.0, 0.0], 10).len(), 2);
-        }
+        let mut tree = KdTree::<2>::new();
+        tree.insert([0.0, 0.0], 0);
+        tree.insert([1.0, 0.0], 1);
+        assert_eq!(tree.k_nearest(&[0.0, 0.0], 10).len(), 2);
     }
 
     #[test]
     fn distance_ties_break_toward_smaller_payload() {
-        for layout in LAYOUTS {
-            let mut tree = KdTree::<1>::new_in(layout);
-            // Payloads out of insertion order to make the tie-break visible.
-            tree.insert([1.0], 9);
-            tree.insert([-1.0], 2);
-            tree.insert([3.0], 5);
-            // 1.0 and -1.0 are both at distance 1 from the origin.
-            assert_eq!(tree.nearest(&[0.0]), Some((2, 1.0)));
-            let two = tree.k_nearest(&[0.0], 2);
-            assert_eq!(two, vec![(2, 1.0), (9, 1.0)]);
-        }
+        let mut tree = KdTree::<1>::new();
+        // Payloads out of insertion order to make the tie-break visible.
+        tree.insert([1.0], 9);
+        tree.insert([-1.0], 2);
+        tree.insert([3.0], 5);
+        // 1.0 and -1.0 are both at distance 1 from the origin.
+        assert_eq!(tree.nearest(&[0.0]), Some((2, 1.0)));
+        let two = tree.k_nearest(&[0.0], 2);
+        assert_eq!(two, vec![(2, 1.0), (9, 1.0)]);
     }
 
     #[test]
     fn within_radius_exact_membership() {
-        for layout in LAYOUTS {
-            let mut tree = KdTree::<2>::new_in(layout);
-            for i in 0..10 {
-                tree.insert([i as f64, 0.0], i);
-            }
-            let got: Vec<usize> = tree
-                .within_radius(&[4.5, 0.0], 1.6)
-                .into_iter()
-                .map(|(p, _)| p)
-                .collect();
-            // Canonical order: ascending payload, no caller-side sort needed.
-            assert_eq!(got, vec![3, 4, 5, 6]);
+        let mut tree = KdTree::<2>::new();
+        for i in 0..10 {
+            tree.insert([i as f64, 0.0], i);
         }
+        let got: Vec<usize> = tree
+            .within_radius(&[4.5, 0.0], 1.6)
+            .into_iter()
+            .map(|(p, _)| p)
+            .collect();
+        // Canonical order: ascending payload, no caller-side sort needed.
+        assert_eq!(got, vec![3, 4, 5, 6]);
     }
 
     #[test]
     fn radius_boundary_is_inclusive() {
-        for layout in LAYOUTS {
-            let mut tree = KdTree::<2>::new_in(layout);
-            tree.insert([3.0, 4.0], 7);
-            let got = tree.within_radius(&[0.0, 0.0], 5.0);
-            assert_eq!(got.len(), 1);
-            assert_eq!(got[0].0, 7);
-        }
+        let mut tree = KdTree::<2>::new();
+        tree.insert([3.0, 4.0], 7);
+        let got = tree.within_radius(&[0.0, 0.0], 5.0);
+        assert_eq!(got.len(), 1);
+        assert_eq!(got[0].0, 7);
     }
 
     #[test]
@@ -1198,12 +905,10 @@ mod tests {
 
     #[test]
     fn duplicate_points_are_kept() {
-        for layout in LAYOUTS {
-            let mut tree = KdTree::<2>::new_in(layout);
-            tree.insert([1.0, 1.0], 0);
-            tree.insert([1.0, 1.0], 1);
-            assert_eq!(tree.within_radius(&[1.0, 1.0], 0.1).len(), 2);
-        }
+        let mut tree = KdTree::<2>::new();
+        tree.insert([1.0, 1.0], 0);
+        tree.insert([1.0, 1.0], 1);
+        assert_eq!(tree.within_radius(&[1.0, 1.0], 0.1).len(), 2);
     }
 
     #[test]
@@ -1226,16 +931,14 @@ mod tests {
 
     #[test]
     fn visitor_reports_visited_payloads() {
-        for layout in LAYOUTS {
-            let mut tree = KdTree::<2>::new_in(layout);
-            for i in 0..50 {
-                tree.insert([(i % 7) as f64, (i % 11) as f64], i);
-            }
-            let mut visits = 0usize;
-            tree.nearest_with(&[3.0, 5.0], |_| visits += 1);
-            assert!(visits >= 1);
-            assert!(visits <= 50);
+        let mut tree = KdTree::<2>::new();
+        for i in 0..50 {
+            tree.insert([(i % 7) as f64, (i % 11) as f64], i);
         }
+        let mut visits = 0usize;
+        tree.nearest_with(&[3.0, 5.0], |_| visits += 1);
+        assert!(visits >= 1);
+        assert!(visits <= 50);
     }
 
     fn lcg_points<const D: usize>(n: usize, seed: u64) -> Vec<[f64; D]> {
@@ -1254,61 +957,43 @@ mod tests {
         let points = lcg_points::<3>(500, 99);
         let items: Vec<([f64; 3], usize)> =
             points.iter().enumerate().map(|(i, p)| (*p, i)).collect();
-        for layout in LAYOUTS {
-            let balanced = KdTree::build_balanced_in(layout, &items);
-            let mut incremental = KdTree::<3>::new_in(layout);
-            for (p, i) in &items {
-                incremental.insert(*p, *i);
-            }
-            assert_eq!(balanced.len(), incremental.len());
-            for q in lcg_points::<3>(60, 7) {
-                // Canonical tie-breaks make the answers exactly equal; no
-                // set-comparison slack needed.
-                assert_eq!(balanced.nearest(&q), incremental.nearest(&q));
-                assert_eq!(balanced.k_nearest(&q, 8), incremental.k_nearest(&q, 8));
-                assert_eq!(
-                    balanced.within_radius(&q, 2.0),
-                    incremental.within_radius(&q, 2.0)
-                );
-            }
+        let balanced = KdTree::build_balanced(&items);
+        let mut incremental = KdTree::<3>::new();
+        for (p, i) in &items {
+            incremental.insert(*p, *i);
         }
-    }
-
-    #[test]
-    fn layouts_answer_identically() {
-        let points = lcg_points::<3>(400, 41);
-        let items: Vec<([f64; 3], usize)> =
-            points.iter().enumerate().map(|(i, p)| (*p, i)).collect();
-        let legacy = KdTree::build_balanced_in(KdLayout::NodeLegacy, &items);
-        let bucket = KdTree::build_balanced_in(KdLayout::BucketSoA, &items);
-        for q in lcg_points::<3>(80, 13) {
-            assert_eq!(legacy.nearest(&q), bucket.nearest(&q));
-            assert_eq!(legacy.k_nearest(&q, 6), bucket.k_nearest(&q, 6));
-            assert_eq!(legacy.within_radius(&q, 1.5), bucket.within_radius(&q, 1.5));
+        assert_eq!(balanced.len(), incremental.len());
+        for q in lcg_points::<3>(60, 7) {
+            // Canonical tie-breaks make the answers exactly equal; no
+            // set-comparison slack needed.
+            assert_eq!(balanced.nearest(&q), incremental.nearest(&q));
+            assert_eq!(balanced.k_nearest(&q, 8), incremental.k_nearest(&q, 8));
+            assert_eq!(
+                balanced.within_radius(&q, 2.0),
+                incremental.within_radius(&q, 2.0)
+            );
         }
     }
 
     #[test]
     fn balanced_build_is_logarithmically_deep() {
-        // Sorted input: legacy incremental insertion degenerates to a
-        // list, the balanced build must not.
+        // Sorted input: the balanced build must come out shallow without
+        // any rebuild.
         let items: Vec<([f64; 1], usize)> = (0..1024).map(|i| ([i as f64], i)).collect();
-        for layout in LAYOUTS {
-            let tree = KdTree::build_balanced_in(layout, &items);
-            let mut max_visits = 0usize;
-            // Probe via the visit hook: nearest() walks one root-to-leaf
-            // path plus bounded backtracking, so the visit count bounds
-            // depth (legacy) / leaf fan-out (bucketed).
-            for q in [[-1.0], [512.3], [2000.0]] {
-                let mut visits = 0usize;
-                tree.nearest_with(&q, |_| visits += 1);
-                max_visits = max_visits.max(visits);
-            }
-            assert!(
-                max_visits <= 64,
-                "visited {max_visits} points in a 1024-point balanced tree ({layout:?})"
-            );
+        let tree = KdTree::build_balanced(&items);
+        let mut max_visits = 0usize;
+        // Probe via the visit hook: nearest() walks one root-to-leaf
+        // path plus bounded backtracking, so the visit count bounds the
+        // leaf fan-out.
+        for q in [[-1.0], [512.3], [2000.0]] {
+            let mut visits = 0usize;
+            tree.nearest_with(&q, |_| visits += 1);
+            max_visits = max_visits.max(visits);
         }
+        assert!(
+            max_visits <= 64,
+            "visited {max_visits} points in a 1024-point balanced tree"
+        );
     }
 
     #[test]
@@ -1339,7 +1024,7 @@ mod tests {
     fn custom_bucket_sizes_answer_identically() {
         let points = lcg_points::<2>(300, 5);
         let reference = {
-            let mut t = KdTree::<2>::new_in(KdLayout::NodeLegacy);
+            let mut t = KdTree::<2>::new();
             for (i, p) in points.iter().enumerate() {
                 t.insert(*p, i);
             }
@@ -1363,11 +1048,9 @@ mod tests {
 
     #[test]
     fn balanced_build_of_empty_and_tiny_inputs() {
-        for layout in LAYOUTS {
-            assert!(KdTree::<2>::build_balanced_in(layout, &[]).is_empty());
-            let one = KdTree::build_balanced_in(layout, &[([1.0, 2.0], 5)]);
-            assert_eq!(one.nearest(&[0.0, 0.0]), Some((5, 5.0)));
-        }
+        assert!(KdTree::<2>::build_balanced(&[]).is_empty());
+        let one = KdTree::build_balanced(&[([1.0, 2.0], 5)]);
+        assert_eq!(one.nearest(&[0.0, 0.0]), Some((5, 5.0)));
     }
 
     #[test]
@@ -1375,22 +1058,20 @@ mod tests {
         let points = lcg_points::<2>(200, 3);
         let items: Vec<([f64; 2], usize)> =
             points.iter().enumerate().map(|(i, p)| (*p, i)).collect();
-        for layout in LAYOUTS {
-            let tree = KdTree::build_balanced_in(layout, &items);
-            for q in lcg_points::<2>(25, 11) {
-                let got = tree.k_nearest(&q, 10);
-                let mut brute: Vec<(usize, f64)> = points
-                    .iter()
-                    .enumerate()
-                    .map(|(i, p)| (i, squared_distance(p, &q)))
-                    .collect();
-                brute.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-                brute.truncate(10);
-                assert_eq!(got.len(), brute.len());
-                for (g, b) in got.iter().zip(&brute) {
-                    assert_eq!(g.0, b.0);
-                    assert_eq!(g.1.to_bits(), b.1.to_bits());
-                }
+        let tree = KdTree::build_balanced(&items);
+        for q in lcg_points::<2>(25, 11) {
+            let got = tree.k_nearest(&q, 10);
+            let mut brute: Vec<(usize, f64)> = points
+                .iter()
+                .enumerate()
+                .map(|(i, p)| (i, squared_distance(p, &q)))
+                .collect();
+            brute.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+            brute.truncate(10);
+            assert_eq!(got.len(), brute.len());
+            for (g, b) in got.iter().zip(&brute) {
+                assert_eq!(g.0, b.0);
+                assert_eq!(g.1.to_bits(), b.1.to_bits());
             }
         }
     }
@@ -1398,28 +1079,26 @@ mod tests {
     #[test]
     fn k_nearest_into_reuses_buffer_and_sorts() {
         let items: Vec<([f64; 1], usize)> = (0..32).map(|i| ([i as f64], i)).collect();
-        for layout in LAYOUTS {
-            let tree = KdTree::build_balanced_in(layout, &items);
-            let mut buf = Vec::new();
-            tree.k_nearest_into(&[10.2], 4, &mut buf);
-            assert_eq!(
-                buf.iter().map(|p| p.0).collect::<Vec<_>>(),
-                vec![10, 11, 9, 12]
-            );
-            let cap = buf.capacity();
-            tree.k_nearest_into(&[3.9], 4, &mut buf);
-            assert_eq!(
-                buf.capacity(),
-                cap,
-                "buffer must be reused, not reallocated"
-            );
-            assert_eq!(
-                buf.iter().map(|p| p.0).collect::<Vec<_>>(),
-                vec![4, 3, 5, 2]
-            );
-            tree.k_nearest_into(&[0.0], 0, &mut buf);
-            assert!(buf.is_empty());
-        }
+        let tree = KdTree::build_balanced(&items);
+        let mut buf = Vec::new();
+        tree.k_nearest_into(&[10.2], 4, &mut buf);
+        assert_eq!(
+            buf.iter().map(|p| p.0).collect::<Vec<_>>(),
+            vec![10, 11, 9, 12]
+        );
+        let cap = buf.capacity();
+        tree.k_nearest_into(&[3.9], 4, &mut buf);
+        assert_eq!(
+            buf.capacity(),
+            cap,
+            "buffer must be reused, not reallocated"
+        );
+        assert_eq!(
+            buf.iter().map(|p| p.0).collect::<Vec<_>>(),
+            vec![4, 3, 5, 2]
+        );
+        tree.k_nearest_into(&[0.0], 0, &mut buf);
+        assert!(buf.is_empty());
     }
 
     #[test]
@@ -1428,17 +1107,15 @@ mod tests {
         let items: Vec<([f64; 3], usize)> =
             points.iter().enumerate().map(|(i, p)| (*p, i)).collect();
         let queries = lcg_points::<3>(97, 8);
-        for layout in LAYOUTS {
-            let tree = KdTree::build_balanced_in(layout, &items);
-            let reference: Vec<Option<(usize, f64)>> =
-                queries.iter().map(|q| tree.nearest(q)).collect();
-            for threads in [1usize, 2, 4, 8] {
-                let pool = Pool::new(threads);
-                assert_eq!(tree.batch_nearest(&queries, &pool), reference);
-                let got_k = tree.batch_k_nearest(&queries, 5, &pool);
-                for (q, got) in queries.iter().zip(&got_k) {
-                    assert_eq!(got, &tree.k_nearest(q, 5));
-                }
+        let tree = KdTree::build_balanced(&items);
+        let reference: Vec<Option<(usize, f64)>> =
+            queries.iter().map(|q| tree.nearest(q)).collect();
+        for threads in [1usize, 2, 4, 8] {
+            let pool = Pool::new(threads);
+            assert_eq!(tree.batch_nearest(&queries, &pool), reference);
+            let got_k = tree.batch_k_nearest(&queries, 5, &pool);
+            for (q, got) in queries.iter().zip(&got_k) {
+                assert_eq!(got, &tree.k_nearest(q, 5));
             }
         }
     }
@@ -1471,13 +1148,11 @@ mod tests {
 
     #[test]
     fn iter_yields_all_points() {
-        for layout in LAYOUTS {
-            let mut tree = KdTree::<3>::new_in(layout);
-            tree.insert([1.0, 2.0, 3.0], 9);
-            tree.insert([4.0, 5.0, 6.0], 8);
-            let all: Vec<(usize, Vec<f64>)> = tree.iter().map(|(p, c)| (p, c.to_vec())).collect();
-            assert_eq!(all.len(), 2);
-            assert_eq!(all[0], (9, vec![1.0, 2.0, 3.0]));
-        }
+        let mut tree = KdTree::<3>::new();
+        tree.insert([1.0, 2.0, 3.0], 9);
+        tree.insert([4.0, 5.0, 6.0], 8);
+        let all: Vec<(usize, Vec<f64>)> = tree.iter().map(|(p, c)| (p, c.to_vec())).collect();
+        assert_eq!(all.len(), 2);
+        assert_eq!(all[0], (9, vec![1.0, 2.0, 3.0]));
     }
 }

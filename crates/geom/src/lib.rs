@@ -47,6 +47,6 @@ pub use aabb::{Aabb2, Aabb3};
 pub use cloud::{PointCloud, RigidTransform};
 pub use footprint::Footprint;
 pub use grid::{GridMap2D, GridMap3D};
-pub use kdtree::{KdLayout, KdTree, KD_BUCKET};
+pub use kdtree::{KdTree, KD_BUCKET};
 pub use point::{normalize_angle, Point2, Point3, Pose2};
 pub use ray::{cast_ray, cast_ray_with, RayHit};

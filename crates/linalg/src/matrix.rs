@@ -293,7 +293,7 @@ impl Matrix {
                 // One multiply and one add per element in the same order
                 // as the historical loop: `axpy` is bit-identical across
                 // every `SimdMode`, so the lane kernel is always on here.
-                rtr_simd::axpy(out.row_mut(i), aik, rhs.row(k), SimdMode::Auto);
+                rtr_simd::axpy(out.row_mut(i), aik, rhs.row(k), SimdMode::Lanes);
             }
         }
     }
@@ -334,7 +334,7 @@ impl Matrix {
                         // adds in this exact order per element, so the
                         // rounding matches the historical register-blocked
                         // loop bit for bit.
-                        rtr_simd::axpy4(out_seg, a, r0, r1, r2, r3, SimdMode::Auto);
+                        rtr_simd::axpy4(out_seg, a, r0, r1, r2, r3, SimdMode::Lanes);
                     } else {
                         // A zero among the four: fall back to per-k passes
                         // so the skipped terms match the streaming kernel.
@@ -343,7 +343,7 @@ impl Matrix {
                                 continue;
                             }
                             let rhs_seg = &rhs.row(k + dk)[jj..j_end];
-                            rtr_simd::axpy(out_seg, aik, rhs_seg, SimdMode::Auto);
+                            rtr_simd::axpy(out_seg, aik, rhs_seg, SimdMode::Lanes);
                         }
                     }
                     k += 4;
@@ -353,7 +353,7 @@ impl Matrix {
                         continue;
                     }
                     let rhs_seg = &rhs.row(k)[jj..j_end];
-                    rtr_simd::axpy(out_seg, aik, rhs_seg, SimdMode::Auto);
+                    rtr_simd::axpy(out_seg, aik, rhs_seg, SimdMode::Lanes);
                 }
             }
         }
@@ -772,7 +772,7 @@ impl Matrix {
         );
         // Element-wise map: the lane kernel is bit-identical to the
         // historical loop for every `SimdMode`, so it is always on.
-        rtr_simd::axpy(&mut self.data, alpha, &rhs.data, SimdMode::Auto);
+        rtr_simd::axpy(&mut self.data, alpha, &rhs.data, SimdMode::Lanes);
     }
 
     /// Consumes the matrix, returning the row-major element storage (the

@@ -6,8 +6,9 @@
 //! own `clone` — so common std method names are treated as external
 //! leaves and everything else requires a workspace fn with a `self`
 //! receiver. Bare and `Type::`-qualified calls resolve in tiers
-//! (same file, then same crate, then whole workspace) so a `helper()`
-//! call binds to the nearest plausible definition. Anything unresolved
+//! (same file, then same crate, then the crates the caller's manifest
+//! depends on) so a `helper()` call binds to the nearest plausible
+//! definition and never to a crate the caller cannot name. Anything unresolved
 //! stays a leaf: it contributes no transitive facts, but qualified
 //! external names (`Vec::new`, `Instant::now`) are still caught by the
 //! direct token seeds in [`crate::facts`].
@@ -206,7 +207,9 @@ impl Maps {
 }
 
 /// Picks the best locality tier from `candidates`: same file beats same
-/// crate beats anywhere in the workspace.
+/// crate beats the rest of the workspace — restricted to the crates the
+/// caller's crate depends on ([`WorkspaceIndex::can_reach`]), because a
+/// call cannot land in a crate its manifest does not pull in.
 fn tier(index: &WorkspaceIndex, caller: FnId, candidates: Option<&Vec<FnId>>) -> Vec<FnId> {
     let Some(cands) = candidates else {
         return Vec::new();
@@ -229,7 +232,11 @@ fn tier(index: &WorkspaceIndex, caller: FnId, candidates: Option<&Vec<FnId>>) ->
     if !same_crate.is_empty() {
         return same_crate;
     }
-    cands.clone()
+    cands
+        .iter()
+        .copied()
+        .filter(|&c| index.can_reach(caller_crate, &index.files[index.fns[c].file].krate))
+        .collect()
 }
 
 #[cfg(test)]
@@ -310,6 +317,43 @@ mod tests {
             "struct W;\nimpl W {\n  fn clone(&self) -> W { W }\n  fn go(&self, v: &[u32]) { v.len(); self.clone(); }\n}\n",
         )]);
         assert!(g.edges.is_empty(), "{:?}", g.edges);
+    }
+
+    #[test]
+    fn workspace_tier_skips_crates_outside_the_manifest_dependencies() {
+        let files = [
+            (
+                "crates/perception/Cargo.toml",
+                "[package]\nname = \"rtr-perception\"\n[dependencies]\nrtr-geom.workspace = true\n",
+            ),
+            ("crates/geom/Cargo.toml", "[package]\nname = \"rtr-geom\"\n"),
+            (
+                "crates/planning/Cargo.toml",
+                "[package]\nname = \"rtr-planning\"\n",
+            ),
+            (
+                "crates/perception/src/a.rs",
+                "fn solve(t: T, p: P) { t.apply(p); }\n",
+            ),
+            (
+                "crates/geom/src/t.rs",
+                "struct T;\nimpl T {\n  fn apply(&self, p: P) {}\n}\n",
+            ),
+            (
+                "crates/planning/src/g.rs",
+                "struct G;\nimpl G {\n  fn apply(&self, s: S) {}\n}\n",
+            ),
+        ];
+        let (idx, g) = graph(&files);
+        let callee_crates: Vec<&str> = g
+            .edges
+            .iter()
+            .map(|e| idx.files[idx.fns[e.callee].file].krate.as_str())
+            .collect();
+        assert_eq!(callee_crates, ["geom"], "planning is not a dependency");
+        // Without the manifests the resolver cannot rule planning out.
+        let (_, g) = graph(&files[3..]);
+        assert_eq!(g.edges.len(), 2);
     }
 
     #[test]

@@ -17,6 +17,7 @@
 //! rule keeps the `// rtr-lint: allow` escape hatch.
 
 use crate::lexer::{all_fns, all_impls, scrub, FnItem, ImplItem, Scrubbed, Span};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// One lexed source file: the single shared product of the per-file lex.
 #[derive(Debug)]
@@ -116,6 +117,10 @@ pub struct WorkspaceIndex {
     /// `calls[f]` lists the call sites inside `fns[f]`'s body, in source
     /// order. Nested fns own their sites (innermost-span assignment).
     pub calls: Vec<Vec<CallSite>>,
+    /// For every crate whose `Cargo.toml` was indexed: the crates its code
+    /// can name — itself plus the transitive closure of its manifest
+    /// dependencies — as directory names under `crates/`.
+    pub reach: BTreeMap<String, BTreeSet<String>>,
 }
 
 /// Keywords and prelude constructors that look like calls but are not
@@ -168,13 +173,86 @@ impl WorkspaceIndex {
                 }
             }
         }
-        WorkspaceIndex { files, fns, calls }
+        let reach = crate_reach(&files);
+        WorkspaceIndex {
+            files,
+            fns,
+            calls,
+            reach,
+        }
     }
 
     /// The impl type of the fn's enclosing impl block (resolves `Self::`).
     pub fn self_type_of(&self, f: FnId) -> Option<&str> {
         self.fns[f].impl_type.as_deref()
     }
+
+    /// `true` when code in crate `from` can call into crate `to`: `to` is
+    /// `from` itself or one of its (transitive) manifest dependencies.
+    /// Without both manifests indexed the answer is unknown, so `true`.
+    pub fn can_reach(&self, from: &str, to: &str) -> bool {
+        match self.reach.get(from) {
+            Some(r) => r.contains(to) || !self.reach.contains_key(to),
+            None => true,
+        }
+    }
+}
+
+/// Package name and dependency keys of one `Cargo.toml`: `name` under
+/// `[package]`, and every key of a `*dependencies` table
+/// (`rtr-geom.workspace = true` and `rtr-geom = { .. }` both yield
+/// `rtr-geom`).
+fn parse_manifest(text: &str) -> (Option<&str>, Vec<&str>) {
+    let mut table = "";
+    let mut name = None;
+    let mut deps = Vec::new();
+    for line in text.lines() {
+        let line = line.split('#').next().unwrap_or("").trim();
+        if line.starts_with('[') {
+            table = line;
+            continue;
+        }
+        let Some((key, value)) = line.split_once('=') else {
+            continue;
+        };
+        let key = key.trim();
+        if table == "[package]" && key == "name" {
+            name = Some(value.trim().trim_matches('"'));
+        } else if table.ends_with("dependencies]") {
+            deps.push(key.split('.').next().unwrap_or(key).trim());
+        }
+    }
+    (name, deps)
+}
+
+/// The [`WorkspaceIndex::reach`] table, built from the indexed manifests.
+fn crate_reach(files: &[FileAnalysis]) -> BTreeMap<String, BTreeSet<String>> {
+    let mut dir_of: BTreeMap<&str, &str> = BTreeMap::new();
+    let mut deps: BTreeMap<&str, Vec<&str>> = BTreeMap::new();
+    for fa in files
+        .iter()
+        .filter(|fa| !fa.krate.is_empty() && fa.path.ends_with("/Cargo.toml"))
+    {
+        let (name, keys) = parse_manifest(&fa.scrubbed.original);
+        if let Some(name) = name {
+            dir_of.insert(name, &fa.krate);
+        }
+        deps.insert(&fa.krate, keys);
+    }
+    deps.keys()
+        .map(|&krate| {
+            let mut seen = BTreeSet::from([krate.to_owned()]);
+            let mut stack = vec![krate];
+            while let Some(k) = stack.pop() {
+                for &dir in deps[k].iter().filter_map(|d| dir_of.get(d)) {
+                    if seen.insert(dir.to_owned()) && deps.contains_key(dir) {
+                        stack.push(dir);
+                    }
+                }
+            }
+            (krate.to_owned(), seen)
+        })
+        .collect()
 }
 
 /// Extracts the implemented type name from an impl header: the last path
@@ -394,6 +472,32 @@ mod tests {
         let inner_names: Vec<&str> = idx.calls[inner].iter().map(|c| c.name.as_str()).collect();
         assert_eq!(outer_names, ["top"]);
         assert_eq!(inner_names, ["leaf"]);
+    }
+
+    #[test]
+    fn manifests_give_each_crate_its_transitive_dependencies() {
+        let idx = WorkspaceIndex::build(vec![
+            FileAnalysis::new(
+                "crates/geom/Cargo.toml",
+                "[package]\nname = \"rtr-geom\"\n\n[dependencies]\nrtr-simd.workspace = true\nrand = { path = \"../../vendor/rand\" }\n",
+            ),
+            FileAnalysis::new(
+                "crates/simd/Cargo.toml",
+                "[package]\nname = \"rtr-simd\" # lane kernels\n",
+            ),
+            FileAnalysis::new(
+                "crates/perception/Cargo.toml",
+                "[package]\nname = \"rtr-perception\"\n[dependencies]\nrtr-geom.workspace = true\n[dev-dependencies]\nproptest.workspace = true\n",
+            ),
+        ]);
+        assert!(idx.can_reach("perception", "perception"));
+        assert!(idx.can_reach("perception", "geom"));
+        assert!(idx.can_reach("perception", "simd"), "transitive via geom");
+        assert!(!idx.can_reach("geom", "perception"));
+        assert!(!idx.can_reach("simd", "geom"));
+        // A crate without an indexed manifest: nothing is ruled out.
+        assert!(idx.can_reach("planning", "perception"));
+        assert!(idx.can_reach("geom", "planning"));
     }
 
     #[test]

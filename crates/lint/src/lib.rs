@@ -11,9 +11,8 @@
 //! - **R3 `hot-alloc`** — inside `*_into` functions and `*Scratch`
 //!   impls, heap allocation (`Vec::new`, `vec![`, `.to_vec()`,
 //!   `.collect()`, `Box::new`, `.clone()`) is forbidden.
-//! - **R4 `unsafe-hygiene`** — crate roots carry
-//!   `#![forbid(unsafe_code)]`; any future `unsafe` block needs a
-//!   `// SAFETY:` comment.
+//! - **R4 `unsafe-hygiene`** — every crate root carries an unconditional
+//!   `#![forbid(unsafe_code)]`, and any `unsafe` token is a finding.
 //! - **R5 `par-rng`** — closures passed to `par_map`/`par_chunks_mut`
 //!   may only derive RNG state via `chunk_seed`.
 //! - **R6 `layering`** — the algorithm crates (and the kernel-adapter

@@ -7,7 +7,7 @@
 //! | `nondet-iter`    | kernel outputs never depend on hash iteration |
 //! | `wall-clock`     | kernels never read the wall clock directly; collector `consume_batch` callbacks never do, even in the measurement crates |
 //! | `hot-alloc`      | `*_into` / `process_batch` / `flush` / ring-producer (`push`/`push_batch`/`publish`) / `*Scratch` / `step` on `*Instance`/`*State` steady state is heap-free |
-//! | `unsafe-hygiene` | crate roots forbid `unsafe`; opt-outs justify |
+//! | `unsafe-hygiene` | every crate root forbids `unsafe`, no exceptions |
 //! | `par-rng`        | parallel closures derive RNG via `chunk_seed` |
 //! | `layering`       | kernel-layer code never names the cache simulator |
 //! | `atomic-ordering`| every memory-ordering token in the lock-free files sits in a fn with a `// ORDERING:` rationale; `SeqCst` is deny-by-default |
@@ -66,15 +66,6 @@ pub const LAYERED_CRATES: [&str; 6] = [
     "scenario",
     "sim",
 ];
-
-/// Crates that may carry `unsafe` code at all — only the SIMD crate's
-/// optional `core::arch` intrinsics backend. Allowlisted crate roots may
-/// replace the unconditional `#![forbid(unsafe_code)]` with the
-/// feature-gated `#![cfg_attr(not(feature = "..."), forbid(unsafe_code))]`
-/// form; every `unsafe` block there still needs its `// SAFETY:` line.
-/// Everywhere else an `unsafe` token is itself a finding, SAFETY comment
-/// or not.
-pub const UNSAFE_ALLOWLIST: [&str; 1] = ["simd"];
 
 /// Lane-kernel entry points in `crates/simd` whose bodies `hot-alloc`
 /// scans like any `*_into` span: the SoA fast paths sit inside kernel
@@ -517,22 +508,14 @@ fn find_all(text: &str, needle: &str) -> Vec<usize> {
     out
 }
 
-/// R4 — `unsafe-hygiene`: every crate root carries
-/// `#![forbid(unsafe_code)]`, and any `unsafe` token outside the
-/// [`UNSAFE_ALLOWLIST`] is a finding outright. Allowlisted crates (the
-/// SIMD intrinsics backend) may gate the forbid behind a feature via
-/// `#![cfg_attr(..., forbid(unsafe_code))]`, but every `unsafe` block
-/// there still needs a `// SAFETY:` comment on its own or the preceding
-/// line.
+/// R4 — `unsafe-hygiene`: every crate root carries an unconditional
+/// `#![forbid(unsafe_code)]`, and any `unsafe` token is a finding
+/// outright — the workspace is safe code throughout.
 fn rule_unsafe_hygiene(fa: &FileAnalysis, out: &mut Vec<Finding>) {
     let s = &fa.scrubbed;
-    let allowlisted = UNSAFE_ALLOWLIST.contains(&fa.krate.as_str());
     if is_crate_root(&fa.path) {
         let compact: String = s.text.chars().filter(|c| !c.is_whitespace()).collect();
-        let unconditional = compact.contains("#![forbid(unsafe_code)]");
-        let feature_gated =
-            compact.contains("#![cfg_attr(") && compact.contains(",forbid(unsafe_code))]");
-        if !(unconditional || (allowlisted && feature_gated)) {
+        if !compact.contains("#![forbid(unsafe_code)]") {
             out.push(Finding {
                 rule: "unsafe-hygiene".to_owned(),
                 file: fa.path.clone(),
@@ -543,32 +526,14 @@ fn rule_unsafe_hygiene(fa: &FileAnalysis, out: &mut Vec<Finding>) {
             });
         }
     }
-    let lines: Vec<&str> = s.original.lines().collect();
     for at in token_positions(&s.text, "unsafe") {
-        if !allowlisted {
-            push(
-                out,
-                "unsafe-hygiene",
-                fa,
-                at,
-                "unsafe outside the allowlist (only the rtr-simd intrinsics backend may carry unsafe code)".to_owned(),
-            );
-            continue;
-        }
-        let line = line_of(&s.text, at);
-        let documented = [line, line.saturating_sub(1)]
-            .iter()
-            .filter(|&&l| l >= 1)
-            .any(|&l| lines.get(l - 1).is_some_and(|t| t.contains("SAFETY:")));
-        if !documented {
-            push(
-                out,
-                "unsafe-hygiene",
-                fa,
-                at,
-                "unsafe without a // SAFETY: comment on the same or preceding line".to_owned(),
-            );
-        }
+        push(
+            out,
+            "unsafe-hygiene",
+            fa,
+            at,
+            "unsafe code (the workspace forbids it in every crate)".to_owned(),
+        );
     }
 }
 
@@ -1015,7 +980,7 @@ pub fn explain(rule: &str) -> Option<&'static str> {
         "nondet-iter" => "nondet-iter: HashMap/HashSet tokens in a kernel crate (control, core, geom, perception, planning, sim). Hash-seed randomization makes iteration order differ run to run, which would leak nondeterminism into benchmark outputs. Use BTreeMap/BTreeSet, or carry `// rtr-lint: allow(nondet-iter) -- <reason>` proving the container is never iterated.",
         "wall-clock" => "wall-clock: Instant::now/SystemTime outside the measurement crates (bench, harness, lint, scenario), and inside consume_batch collector callbacks anywhere. Kernels take timing through the harness profiler hooks. Fires transitively: a hot entry point whose resolved callees read the clock is flagged with the call chain (a_into -> helper -> Instant::now); the harness profiler types themselves are barriers (they are the sanctioned channel).",
         "hot-alloc" => "hot-alloc: heap allocation (Vec::new, vec!, .to_vec(), .collect(), Box::new, .clone()) inside a hot span: *_into/process_batch/flush fns, ring-producer fns in crates/trace, lane kernels in crates/simd, *Scratch impls (constructors new/default/with_* exempt), and step fns on *Instance/*State impls (the stepped kernel lifecycle's per-tick path; instantiate/finish may allocate). Fires transitively: a hot entry point whose resolved callees allocate is flagged with the call chain. Pool::par_chunks_mut is a barrier: its clones/collects are per-region fan-out scaffolding, not per-item work.",
-        "unsafe-hygiene" => "unsafe-hygiene: crate roots must carry #![forbid(unsafe_code)]; any unsafe token outside the allowlist (crates/simd) is a finding outright; allowlisted unsafe blocks need a // SAFETY: comment on the same or preceding line.",
+        "unsafe-hygiene" => "unsafe-hygiene: every crate root must carry an unconditional #![forbid(unsafe_code)], and any unsafe token is a finding outright: the workspace is safe code throughout, with no per-crate exceptions.",
         "par-rng" => "par-rng: inside par_map/par_chunks_mut argument spans, RNG constructors (seed_from, thread_rng, from_entropy) must derive their seed via chunk_seed so parallel runs stay bit-identical at any thread count.",
         "layering" => "layering: the cache simulator (rtr_archsim) named in the simulator-agnostic layer (algorithm crates, their manifests, and crates/core/src/kernels/). Kernel code emits into the MemTrace sink; only crates/core/src/trace.rs wires the simulator up.",
         "atomic-ordering" => "atomic-ordering: every Ordering::{Relaxed,Acquire,Release,AcqRel,SeqCst} token in crates/trace/src/{ring,sync}.rs and crates/harness/src/collector.rs must sit in a fn whose span carries a // ORDERING: rationale comment (mirroring // SAFETY:). Ordering::SeqCst is deny-by-default: justify it with an allow or weaken the ordering.",
@@ -1121,30 +1086,22 @@ mod tests {
     }
 
     #[test]
-    fn unsafe_needs_safety_comment_in_allowlisted_crate() {
-        let bad = "#![forbid(unsafe_code)]\nfn f() { unsafe { g() } }\n";
-        let f = lint_source("crates/simd/src/lib.rs", bad);
-        assert_eq!(f.len(), 1);
-        assert!(f[0].message.contains("SAFETY"));
-        let good = "#![forbid(unsafe_code)]\n// SAFETY: g has no preconditions\nfn f() { unsafe { g() } }\n";
-        assert!(lint_source("crates/simd/src/lib.rs", good).is_empty());
+    fn unsafe_is_flagged_in_every_crate_even_with_a_safety_comment() {
+        let src = "#![forbid(unsafe_code)]\n// SAFETY: documented, but no crate may use unsafe\nfn f() { unsafe { g() } }\n";
+        for root in ["crates/geom/src/lib.rs", "crates/simd/src/lib.rs"] {
+            let f = lint_source(root, src);
+            assert_eq!(f.len(), 1, "{f:?}");
+            assert_eq!(f[0].rule, "unsafe-hygiene");
+            assert_eq!(f[0].line, 3);
+        }
     }
 
     #[test]
-    fn unsafe_outside_allowlist_is_flagged_even_with_safety() {
-        let src = "#![forbid(unsafe_code)]\n// SAFETY: documented, but geom may not use unsafe at all\nfn f() { unsafe { g() } }\n";
-        let f = lint_source("crates/geom/src/lib.rs", src);
+    fn feature_gated_forbid_is_not_a_forbid() {
+        let gated = "#![cfg_attr(not(feature = \"fast\"), forbid(unsafe_code))]\npub fn f() {}\n";
+        let f = lint_source("crates/simd/src/lib.rs", gated);
         assert_eq!(f.len(), 1, "{f:?}");
-        assert!(f[0].message.contains("allowlist"));
-    }
-
-    #[test]
-    fn gated_forbid_accepted_only_on_the_allowlist() {
-        let gated =
-            "#![cfg_attr(not(feature = \"intrinsics\"), forbid(unsafe_code))]\npub fn f() {}\n";
-        assert!(lint_source("crates/simd/src/lib.rs", gated).is_empty());
-        let f = lint_source("crates/geom/src/lib.rs", gated);
-        assert!(f.iter().any(|x| x.message.contains("forbid(unsafe_code)")));
+        assert!(f[0].message.contains("forbid(unsafe_code)"));
     }
 
     #[test]

@@ -1,6 +1,6 @@
-// Fixture: R4 flags unsafe blocks without SAFETY comments. As a crate
-// root (lint_source is handed a lib.rs path), the missing
-// #![forbid(unsafe_code)] is flagged too.
+// Fixture: R4 flags every unsafe block, with or without a SAFETY
+// comment. As a crate root (lint_source is handed a lib.rs path), the
+// missing #![forbid(unsafe_code)] is flagged too.
 fn raw_read(p: *const f64) -> f64 {
     unsafe { *p }
 }

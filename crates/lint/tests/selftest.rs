@@ -143,57 +143,80 @@ fn r3_ring_producer_fixture_is_flagged_only_in_the_trace_crate() {
 }
 
 #[test]
-fn r4_bad_fixture_flags_missing_forbid_and_undocumented_unsafe() {
+fn r4_bad_fixture_flags_missing_forbid_and_every_unsafe_block() {
     let src = include_str!("fixtures/r4_unsafe_bad.rs");
-    // Linted as the allowlisted crate's root: SAFETY comments decide.
-    let f = lint_source("crates/simd/src/lib.rs", src);
-    let v = violations(&f);
-    assert!(v
-        .iter()
-        .any(|x| x.message.contains("forbid(unsafe_code)") && x.line == 1));
-    assert!(v
-        .iter()
-        .any(|x| x.message.contains("SAFETY") && x.line == 5));
-    // The documented unsafe block must not be flagged.
-    assert!(!v.iter().any(|x| x.line == 10), "{v:?}");
-    assert_eq!(v.len(), 2, "{v:?}");
+    // No crate is exempt, and a SAFETY comment (line 9) excuses nothing.
+    for root in ["crates/simd/src/lib.rs", "crates/planning/src/lib.rs"] {
+        let f = lint_source(root, src);
+        let v = violations(&f);
+        assert!(v.iter().all(|x| x.rule == "unsafe-hygiene"), "{v:?}");
+        assert!(v
+            .iter()
+            .any(|x| x.message.contains("forbid(unsafe_code)") && x.line == 1));
+        assert!(v.iter().any(|x| x.line == 5), "{root}: {v:?}");
+        assert!(v.iter().any(|x| x.line == 10), "{root}: {v:?}");
+        assert_eq!(v.len(), 3, "{root}: {v:?}");
+    }
 }
 
+/// The hot-alloc chain through `.apply(..)` may only resolve into crates
+/// the caller's manifest (transitively) depends on.
 #[test]
-fn r4_unsafe_outside_the_allowlist_is_flagged_outright() {
-    let src = include_str!("fixtures/r4_unsafe_bad.rs");
-    // In a non-allowlisted crate even the SAFETY-documented block (line
-    // 10) is a finding: only rtr-simd may carry unsafe code.
-    let f = lint_source("crates/planning/src/lib.rs", src);
-    let v = violations(&f);
-    assert!(v
-        .iter()
-        .any(|x| x.message.contains("forbid(unsafe_code)") && x.line == 1));
-    assert!(v
-        .iter()
-        .any(|x| x.message.contains("allowlist") && x.line == 5));
-    assert!(v
-        .iter()
-        .any(|x| x.message.contains("allowlist") && x.line == 10));
-    assert_eq!(v.len(), 3, "{v:?}");
-}
+fn r3_method_calls_resolve_only_into_declared_dependencies() {
+    let lint = |manifests: &[(&str, &str)]| {
+        let mut files = vec![
+            (
+                "crates/perception/src/fixture.rs".to_owned(),
+                include_str!("fixtures/r3_dep_scoped_caller.rs").to_owned(),
+            ),
+            (
+                "crates/planning/src/fixture.rs".to_owned(),
+                include_str!("fixtures/r3_dep_scoped_other_crate.rs").to_owned(),
+            ),
+        ];
+        files.extend(
+            manifests
+                .iter()
+                .map(|(path, toml)| (path.to_string(), toml.to_string())),
+        );
+        rtr_lint::lint_workspace(&files)
+    };
+    let planning = (
+        "crates/planning/Cargo.toml",
+        "[package]\nname = \"rtr-planning\"\n",
+    );
+    let assert_chain = |f: &[Finding]| {
+        let v = violations(f);
+        assert_eq!(v.len(), 1, "{f:?}");
+        assert_eq!(v[0].rule, "hot-alloc");
+        assert_eq!(v[0].line, 11, "the step's call site");
+        assert_eq!(
+            v[0].chain,
+            [
+                "SrecInstance::step",
+                "assemble",
+                "GroundAction::apply",
+                "clone()"
+            ]
+        );
+    };
 
-#[test]
-fn r4_allowlisted_fixture_is_clean_only_in_the_simd_crate() {
-    let src = include_str!("fixtures/r4_unsafe_allowlisted_clean.rs");
-    assert!(
-        lint_source("crates/simd/src/lib.rs", src).is_empty(),
-        "gated forbid + SAFETY lines must pass in the allowlisted crate"
+    // The manifest does not pull in rtr-planning: no edge, no finding.
+    let independent = (
+        "crates/perception/Cargo.toml",
+        "[package]\nname = \"rtr-perception\"\n\n[dependencies]\nrtr-geom.workspace = true\n",
     );
-    let f = lint_source("crates/geom/src/lib.rs", src);
-    let v = violations(&f);
-    // Missing unconditional forbid + two allowlist findings.
-    assert!(v.iter().any(|x| x.message.contains("forbid(unsafe_code)")));
-    assert_eq!(
-        v.iter().filter(|x| x.message.contains("allowlist")).count(),
-        2,
-        "{v:?}"
+    let f = lint(&[independent, planning]);
+    assert!(f.is_empty(), "{f:?}");
+
+    // Declaring the dependency makes the call resolvable again...
+    let dependent = (
+        "crates/perception/Cargo.toml",
+        "[package]\nname = \"rtr-perception\"\n\n[dependencies]\nrtr-planning.workspace = true\n",
     );
+    assert_chain(&lint(&[dependent, planning]));
+    // ...and so does a missing manifest: unknown dependencies rule nothing out.
+    assert_chain(&lint(&[]));
 }
 
 #[test]
@@ -410,20 +433,25 @@ fn collect_rs(dir: &std::path::Path, root: &std::path::Path, out: &mut Vec<(Stri
             // tests/, benches/, or fixture corpora.
             let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
             let under_crates = dir.file_name().is_some_and(|n| n == "crates");
+            if under_crates {
+                // Each crate's manifest joins the pass, as in the CLI walk:
+                // it scopes cross-crate call resolution.
+                push_file(&path.join("Cargo.toml"), root, out);
+            }
             if under_crates || name == "src" || dir.to_str().is_some_and(|s| s.contains("/src")) {
                 collect_rs(&path, root, out);
             }
         } else if path.extension().is_some_and(|e| e == "rs")
             && path.to_str().is_some_and(|s| s.contains("/src/"))
         {
-            let rel = path
-                .strip_prefix(root)
-                .unwrap()
-                .to_string_lossy()
-                .into_owned();
-            if let Ok(text) = std::fs::read_to_string(&path) {
-                out.push((rel, text));
-            }
+            push_file(&path, root, out);
         }
+    }
+}
+
+fn push_file(path: &std::path::Path, root: &std::path::Path, out: &mut Vec<(String, String)>) {
+    if let Ok(text) = std::fs::read_to_string(path) {
+        let rel = path.strip_prefix(root).unwrap().to_string_lossy();
+        out.push((rel.into_owned(), text));
     }
 }

@@ -16,28 +16,6 @@ use rtr_linalg::{Matrix, Vector, Workspace};
 use rtr_sim::SlamStep;
 use rtr_trace::MemTrace;
 
-/// Selects the covariance-update implementation of [`EkfSlam`].
-///
-/// Both modes produce bit-identical filter states — the sparse path skips
-/// only terms whose `H` factor is a structural zero (`x + 0.0 == x`
-/// exactly) and keeps the surviving terms in the legacy summation order,
-/// a contract enforced by the dense-vs-sparse equivalence proptest in
-/// `rtr-bench`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EkfUpdateMode {
-    /// The original full-matrix update: every per-landmark product runs
-    /// over all `dim × dim` covariance entries and allocates fresh
-    /// temporaries. Kept verbatim as the equivalence reference and the
-    /// `ekf_dense_vs_sparse` bench baseline.
-    DenseLegacy,
-    /// Block-sparse update exploiting the two nonzero column blocks of the
-    /// observation Jacobian (robot pose + one landmark), with every
-    /// temporary drawn from a recycled [`Workspace`]: O(dim²) per landmark
-    /// and allocation-free after warmup.
-    #[default]
-    SparseWorkspace,
-}
-
 /// Configuration for [`EkfSlam`].
 #[derive(Debug, Clone)]
 pub struct EkfSlamConfig {
@@ -53,8 +31,6 @@ pub struct EkfSlamConfig {
     pub r_bearing: f64,
     /// Initial pose of the filter (the paper's robot knows its start).
     pub initial_pose: Pose2,
-    /// Which covariance-update path to run (bit-identical either way).
-    pub update_mode: EkfUpdateMode,
 }
 
 impl Default for EkfSlamConfig {
@@ -66,7 +42,6 @@ impl Default for EkfSlamConfig {
             r_range: 0.05,
             r_bearing: 0.002,
             initial_pose: Pose2::new(7.0, 5.5, 0.0),
-            update_mode: EkfUpdateMode::default(),
         }
     }
 }
@@ -138,7 +113,7 @@ pub struct EkfSlam {
     cov: Matrix,
     /// Which landmark slots have been initialized.
     seen: Vec<bool>,
-    /// Recycled scratch buffers for the workspace update path.
+    /// Recycled scratch buffers for the covariance updates.
     ws: Workspace,
     updates: u64,
 }
@@ -166,11 +141,10 @@ impl EkfSlam {
         }
     }
 
-    /// Fresh heap allocations the workspace update path has performed.
+    /// Fresh heap allocations the covariance updates have performed.
     ///
     /// Plateaus after the first predict/update pair — the invariant the
-    /// allocation-regression test asserts. Always zero in
-    /// [`EkfUpdateMode::DenseLegacy`] (that path never touches the pool).
+    /// allocation-regression test asserts.
     pub fn workspace_allocations(&self) -> usize {
         self.ws.allocations()
     }
@@ -209,8 +183,8 @@ impl EkfSlam {
     /// With a live `trace` sink, emits the covariance-row traffic of the
     /// propagation: full read+write sweeps of the three pose rows and a
     /// pose-prefix read+write per landmark row (the `F·P·Fᵀ` column
-    /// update). The stream is identical for both update modes, so it never
-    /// perturbs the dense-vs-sparse bit-identity contract.
+    /// update). The stream depends only on the state dimension, never on
+    /// how the covariance arithmetic is organized.
     pub fn predict<T: MemTrace + ?Sized>(
         &mut self,
         v: f64,
@@ -238,41 +212,14 @@ impl EkfSlam {
         self.state[0] += v * theta.cos();
         self.state[1] += v * theta.sin();
         self.state[2] = normalize_angle(self.state[2] + omega);
-
-        match self.config.update_mode {
-            EkfUpdateMode::DenseLegacy => self.predict_cov_dense(v, theta, profiler),
-            EkfUpdateMode::SparseWorkspace => self.predict_cov_workspace(v, theta, profiler),
-        }
+        self.predict_cov(v, theta, profiler);
     }
 
-    /// Legacy covariance propagation: allocates the Jacobian, the noise
-    /// matrix and the product fresh every step.
-    fn predict_cov_dense(&mut self, v: f64, theta: f64, profiler: &mut Profiler) {
-        let dim = self.dim();
-        // Jacobian: identity with the pose block replaced.
-        let mut f = Matrix::identity(dim);
-        f[(0, 2)] = -v * theta.sin();
-        f[(1, 2)] = v * theta.cos();
-        let mut q = Matrix::zeros(dim, dim);
-        q[(0, 0)] = self.config.q_trans;
-        q[(1, 1)] = self.config.q_trans;
-        q[(2, 2)] = self.config.q_rot;
-
-        // Covariance propagation: the O(n³) matrix work the paper measures.
-        let cov = &self.cov;
-        let new_cov = profiler.time("matrix_ops", || {
-            let mut p = f.congruence(cov).expect("shape");
-            p += &q;
-            p.symmetrize_mut();
-            p
-        });
-        self.cov = new_cov;
-    }
-
-    /// Workspace covariance propagation: same arithmetic as the dense path
-    /// (`congruence_into` replicates the `congruence` dispatch and
-    /// summation order), with every buffer recycled across steps.
-    fn predict_cov_workspace(&mut self, v: f64, theta: f64, profiler: &mut Profiler) {
+    /// Covariance propagation `F·P·Fᵀ + Q`: the O(n³) matrix work the
+    /// paper measures. `congruence_into` replicates the allocating
+    /// `congruence` dispatch and summation order, and every buffer is
+    /// recycled across steps.
+    fn predict_cov(&mut self, v: f64, theta: f64, profiler: &mut Profiler) {
         let dim = self.dim();
         let ws = &mut self.ws;
         let cov = &self.cov;
@@ -305,7 +252,7 @@ impl EkfSlam {
     /// `H`-active rows (pose + this landmark), a pose/landmark column pair
     /// read per row for `P·Hᵀ`, and a full read+write sweep of every row
     /// for the `(I − KH)·P` rebuild — the paper's ">85 % in matrix ops"
-    /// working set. Identical for both update modes.
+    /// working set.
     pub fn update<T: MemTrace + ?Sized>(
         &mut self,
         id: usize,
@@ -360,80 +307,25 @@ impl EkfSlam {
             normalize_angle(bearing - predicted_bearing),
         ];
 
-        match self.config.update_mode {
-            EkfUpdateMode::DenseLegacy => {
-                self.update_dense(lx_idx, ly_idx, dx, dy, q, sqrt_q, innovation, profiler);
-            }
-            EkfUpdateMode::SparseWorkspace => {
-                self.update_sparse(lx_idx, ly_idx, dx, dy, q, sqrt_q, innovation, profiler);
-            }
-        }
+        self.update_sparse(lx_idx, ly_idx, dx, dy, q, sqrt_q, innovation, profiler);
         self.state[2] = normalize_angle(self.state[2]);
         self.updates += 1;
-    }
-
-    /// Legacy dense update: full `dim × dim` products per landmark.
-    #[allow(clippy::too_many_arguments)]
-    fn update_dense(
-        &mut self,
-        lx_idx: usize,
-        ly_idx: usize,
-        dx: f64,
-        dy: f64,
-        q: f64,
-        sqrt_q: f64,
-        innovation: [f64; 2],
-        profiler: &mut Profiler,
-    ) {
-        let dim = self.dim();
-        let innovation = Vector::from_slice(&innovation);
-
-        // Jacobian H (2 × dim): nonzero only on pose and this landmark.
-        let mut h = Matrix::zeros(2, dim);
-        h[(0, 0)] = -dx / sqrt_q;
-        h[(0, 1)] = -dy / sqrt_q;
-        h[(0, lx_idx)] = dx / sqrt_q;
-        h[(0, ly_idx)] = dy / sqrt_q;
-        h[(1, 0)] = dy / q;
-        h[(1, 1)] = -dx / q;
-        h[(1, 2)] = -1.0;
-        h[(1, lx_idx)] = -dy / q;
-        h[(1, ly_idx)] = dx / q;
-
-        let r = Matrix::from_diagonal(&[self.config.r_range, self.config.r_bearing]);
-
-        // Kalman gain and covariance update: the measured bottleneck.
-        let cov = self.cov.clone();
-        let (gain, new_cov) = profiler.time("matrix_ops", || {
-            let s = &h.congruence(&cov).expect("shape") + &r;
-            let s_inv = s.inverse().expect("innovation covariance is SPD");
-            let pht = cov.mul_matrix(&h.transpose()).expect("shape");
-            let k = pht.mul_matrix(&s_inv).expect("shape");
-            let kh = k.mul_matrix(&h).expect("shape");
-            let i_kh = &Matrix::identity(dim) - &kh;
-            let mut p = i_kh.mul_matrix(&cov).expect("shape");
-            p.symmetrize_mut();
-            (k, p)
-        });
-        self.cov = new_cov;
-
-        let correction = gain.mul_vector(&innovation).expect("shape");
-        self.state += &correction;
     }
 
     /// Block-sparse workspace update.
     ///
     /// `H` is nonzero only in five columns (robot pose + this landmark), so
     /// every product against it needs only those rows/columns of `P`. The
-    /// dense kernels already skip zero multiplier entries, which makes the
-    /// equivalence argument exact rather than approximate: each surviving
-    /// term below is the same product the dense path computes, in the same
-    /// ascending-`k` position of the same accumulator. The dense path's
-    /// extra terms all carry a structural `+0.0` from `H` (or from `KH` at
-    /// structural columns, which is always `+0.0` because every accumulator
-    /// starts at `+0.0` and `(+0.0) + (±0.0) == +0.0`), and adding `±0.0`
-    /// to a non-negative-zero float never changes its bits. The
-    /// dense-vs-sparse proptest in `rtr-bench` enforces this bit-identity.
+    /// dense `rtr_linalg` kernels skip zero multiplier entries, which makes
+    /// the equivalence with a full `dim × dim` update exact rather than
+    /// approximate: each surviving term below is the same product the
+    /// dense update computes, in the same ascending-`k` position of the
+    /// same accumulator. The dense update's extra terms all carry a
+    /// structural `+0.0` from `H` (or from `KH` at structural columns,
+    /// which is always `+0.0` because every accumulator starts at `+0.0`
+    /// and `(+0.0) + (±0.0) == +0.0`), and adding `±0.0` to a
+    /// non-negative-zero float never changes its bits. A proptest in
+    /// `rtr-bench` holds this filter bit-identical to a dense reference.
     #[allow(clippy::too_many_arguments)]
     fn update_sparse(
         &mut self,
@@ -634,8 +526,7 @@ impl EkfSlam {
     /// post-step position error against the step's ground truth — the
     /// quantity [`EkfSlam::run`] accumulates into `mean_pose_error`.
     /// Calling this for every step in order is exactly the one-shot run,
-    /// bit for bit. Steady-state calls are allocation-free in the
-    /// default [`EkfUpdateMode::SparseWorkspace`] mode (workspace
+    /// bit for bit. Steady-state calls are allocation-free (workspace
     /// buffers recycle after warmup).
     pub fn process_step<T: MemTrace + ?Sized>(
         &mut self,
@@ -722,7 +613,7 @@ mod tests {
     use rtr_trace::{CountingTrace, NullTrace};
 
     #[test]
-    fn traced_run_is_bit_identical_and_mode_independent() {
+    fn traced_run_is_bit_identical() {
         let world = SlamWorld::six_landmark_demo();
         let mut rng = SimRng::seed_from(9);
         let log = world.simulate_circuit(60, &mut rng);
@@ -741,15 +632,6 @@ mod tests {
         assert_eq!(traced.updates, plain.updates);
         assert!(counts.reads > traced.updates);
         assert!(counts.writes > traced.updates);
-
-        // Same stream regardless of the covariance-update implementation.
-        let mut sparse_counts = CountingTrace::default();
-        let mut sparse_ekf = EkfSlam::new(EkfSlamConfig {
-            update_mode: EkfUpdateMode::SparseWorkspace,
-            ..Default::default()
-        });
-        sparse_ekf.run(&log, None, &mut profiler, &mut sparse_counts);
-        assert_eq!(counts, sparse_counts);
     }
 
     fn run_demo(steps: usize, seed: u64) -> (EkfSlamResult, Profiler, SlamWorld) {
@@ -847,32 +729,6 @@ mod tests {
         assert!((ekf.pose().x - 1.0).abs() < 1e-12);
         // Pose uncertainty grew.
         assert!(ekf.cov[(0, 0)] > 0.0);
-    }
-
-    #[test]
-    fn sparse_update_is_bit_identical_to_dense() {
-        let world = SlamWorld::six_landmark_demo();
-        let mut rng = SimRng::seed_from(11);
-        let log = world.simulate_circuit(120, &mut rng);
-        let mut profiler = Profiler::new();
-        let mut dense = EkfSlam::new(EkfSlamConfig {
-            update_mode: EkfUpdateMode::DenseLegacy,
-            ..Default::default()
-        });
-        let mut sparse = EkfSlam::new(EkfSlamConfig {
-            update_mode: EkfUpdateMode::SparseWorkspace,
-            ..Default::default()
-        });
-        dense.run(&log, None, &mut profiler, &mut NullTrace);
-        sparse.run(&log, None, &mut profiler, &mut NullTrace);
-        for (a, b) in dense.state.iter().zip(sparse.state.iter()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        for (a, b) in dense.cov.as_slice().iter().zip(sparse.cov.as_slice()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        assert_eq!(dense.workspace_allocations(), 0);
-        assert!(sparse.workspace_allocations() > 0);
     }
 
     #[test]

@@ -24,6 +24,6 @@ pub mod ekfslam;
 pub mod pfl;
 pub mod srec;
 
-pub use ekfslam::{EkfSlam, EkfSlamConfig, EkfSlamResult, EkfUpdateMode};
+pub use ekfslam::{EkfSlam, EkfSlamConfig, EkfSlamResult};
 pub use pfl::{ParticleFilter, PflConfig, PflInit, PflResult};
 pub use srec::{Icp, IcpConfig, IcpResult, IcpRun};

@@ -15,13 +15,12 @@
 //! correspondence chase runs as a batched k-d-tree fan-out over the worker
 //! pool into persistent buffers ([`IcpConfig::threads`], bit-identical for
 //! every thread count), and the Horn solve draws its 4×4 scratch from a
-//! reusable [`Workspace`] ([`IcpConfig::use_workspace`], bit-identical to
-//! the allocating twin) — so after the first iteration an alignment stops
-//! allocating entirely outside the initial tree build.
+//! reusable [`Workspace`] — so after the first iteration an alignment
+//! stops allocating entirely outside the initial tree build.
 
-use rtr_geom::{KdLayout, KdTree, Point3, PointCloud, RigidTransform};
+use rtr_geom::{KdTree, Point3, PointCloud, RigidTransform};
 use rtr_harness::{Pool, Profiler};
-use rtr_linalg::{jacobi_eigen_in_place, symmetric_eigen, Matrix, Workspace};
+use rtr_linalg::{jacobi_eigen_in_place, Workspace};
 use rtr_simd::SimdMode;
 use rtr_trace::MemTrace;
 
@@ -47,13 +46,6 @@ pub struct IcpConfig {
     /// bit-identical for every thread count; traced runs (with a memory
     /// simulator attached) always execute sequentially.
     pub threads: usize,
-    /// Draw the Horn-step scratch from the persistent [`Workspace`]
-    /// (default). `false` selects the allocating legacy twin; both produce
-    /// bit-identical transforms.
-    pub use_workspace: bool,
-    /// Storage layout of the target k-d tree; a pure performance knob
-    /// (both layouts answer queries bit-identically).
-    pub kd_layout: KdLayout,
     /// Leaf-scan [`SimdMode`] of the target k-d tree; a pure performance
     /// knob (every mode answers queries bit-identically — the lane kernel
     /// preserves each point's per-dimension accumulation order).
@@ -67,8 +59,6 @@ impl Default for IcpConfig {
             convergence_epsilon: 1e-5,
             max_correspondence_distance: f64::INFINITY,
             threads: 1,
-            use_workspace: true,
-            kd_layout: KdLayout::default(),
             simd: SimdMode::default(),
         }
     }
@@ -88,8 +78,7 @@ pub struct IcpResult {
     /// Nearest-neighbor queries issued (the irregular-access count).
     pub nn_queries: u64,
     /// Fresh heap allocations the Horn-step workspace has performed over
-    /// this kernel's lifetime (0 under the legacy allocating path; plateaus
-    /// after the first solve otherwise).
+    /// this kernel's lifetime (plateaus after the first solve).
     pub workspace_allocations: usize,
 }
 
@@ -212,7 +201,7 @@ impl Icp {
                 .enumerate()
                 .map(|(i, p)| (p.to_array(), i))
                 .collect();
-            KdTree::<3>::build_balanced_in(config.kd_layout, &items).with_simd(config.simd)
+            KdTree::<3>::build_balanced(&items).with_simd(config.simd)
         });
         IcpRun {
             tree,
@@ -229,9 +218,8 @@ impl Icp {
     /// search (the `nn_search` region), convergence check, and Horn
     /// transform update (`matrix_ops`). Returns `true` while more
     /// iterations remain — `false` once converged, starved of pairs, or
-    /// out of iterations. Steady-state calls are allocation-free on the
-    /// default workspace path (persistent scratch, recycled Horn
-    /// buffers).
+    /// out of iterations. Steady-state calls are allocation-free
+    /// (persistent scratch, recycled Horn buffers).
     pub fn iterate<T: MemTrace + ?Sized>(
         &mut self,
         run: &mut IcpRun,
@@ -314,11 +302,7 @@ impl Icp {
 
         // Closed-form rigid alignment (Horn): the matrix-op bottleneck.
         let mo_start = profiler.hot_start();
-        let delta = if config.use_workspace {
-            best_rigid_transform_ws(&scratch.pairs, &mut scratch.ws)
-        } else {
-            best_rigid_transform(&scratch.pairs)
-        };
+        let delta = best_rigid_transform_ws(&scratch.pairs, &mut scratch.ws);
         profiler.hot_add("matrix_ops", mo_start);
         run.transform = delta.compose(&run.transform);
         true
@@ -362,8 +346,8 @@ impl Icp {
     }
 }
 
-/// Centroids and 3×3 cross-covariance of the paired points — the shared,
-/// allocation-free front half of both Horn solvers.
+/// Centroids and 3×3 cross-covariance of the paired points — the
+/// allocation-free front half of the Horn solve.
 fn horn_cross_covariance(pairs: &[(Point3, Point3)]) -> (Point3, Point3, [[f64; 3]; 3]) {
     let n = pairs.len() as f64;
     let mut src_centroid = Point3::ORIGIN;
@@ -405,7 +389,7 @@ fn horn_matrix_entries(s: &[[f64; 3]; 3]) -> [[f64; 4]; 4] {
 }
 
 /// Assembles the rigid transform from the optimal quaternion and the
-/// paired centroids — the shared back half of both Horn solvers.
+/// paired centroids — the back half of the Horn solve.
 fn horn_assemble(
     q: (f64, f64, f64, f64),
     src_centroid: Point3,
@@ -444,25 +428,13 @@ fn horn_assemble(
 }
 
 /// Least-squares rigid transform mapping `pairs.0` onto `pairs.1` (Horn's
-/// quaternion method) — the allocating legacy twin of
-/// [`best_rigid_transform_ws`].
-fn best_rigid_transform(pairs: &[(Point3, Point3)]) -> RigidTransform {
-    let (src_centroid, dst_centroid, s) = horn_cross_covariance(pairs);
-    let entries = horn_matrix_entries(&s);
-    let rows: Vec<&[f64]> = entries.iter().map(|r| r.as_slice()).collect();
-    let n_mat = Matrix::from_rows(&rows).expect("fixed shape");
-
-    let eig = symmetric_eigen(&n_mat).expect("square input");
-    let q = eig.vectors.column(0); // dominant eigenvector
-    horn_assemble((q[0], q[1], q[2], q[3]), src_centroid, dst_centroid)
-}
-
-/// Workspace twin of [`best_rigid_transform`]: the 4×4 Jacobi solve runs
-/// on matrices drawn from `ws` via [`jacobi_eigen_in_place`], so the
-/// steady-state solve performs no heap allocation. The sweep sequence is
-/// identical to `symmetric_eigen`'s, and the dominant diagonal entry is
-/// selected exactly as its stable descending sort would, so the recovered
-/// transform matches the legacy twin bit for bit.
+/// quaternion method). The 4×4 Jacobi solve runs on matrices drawn from
+/// `ws` via [`jacobi_eigen_in_place`], so the steady-state solve performs
+/// no heap allocation. The sweep sequence is identical to
+/// `symmetric_eigen`'s, and the dominant diagonal entry is selected
+/// exactly as its stable descending sort would, so the recovered
+/// transform matches the allocating `symmetric_eigen` reference in this
+/// file's tests bit for bit.
 fn best_rigid_transform_ws(pairs: &[(Point3, Point3)], ws: &mut Workspace) -> RigidTransform {
     let (src_centroid, dst_centroid, s) = horn_cross_covariance(pairs);
     let entries = horn_matrix_entries(&s);
@@ -472,8 +444,8 @@ fn best_rigid_transform_ws(pairs: &[(Point3, Point3)], ws: &mut Workspace) -> Ri
             n_mat[(r, c)] = value;
         }
     }
-    // Mirror the allocating path's op sequence exactly (a no-op on this
-    // already-symmetric matrix, since mirrored entries share bits).
+    // Mirror the allocating reference's op sequence exactly (a no-op on
+    // this already-symmetric matrix, since mirrored entries share bits).
     n_mat.symmetrize_mut();
     let mut v = ws.matrix(4, 4);
     for i in 0..4 {
@@ -498,8 +470,22 @@ fn best_rigid_transform_ws(pairs: &[(Point3, Point3)], ws: &mut Workspace) -> Ri
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rtr_linalg::{symmetric_eigen, Matrix};
     use rtr_sim::{scene, SimRng};
     use rtr_trace::{CountingTrace, NullTrace};
+
+    /// The allocating Horn solve: `symmetric_eigen` on a freshly built
+    /// 4×4 matrix. Reference for [`best_rigid_transform_ws`].
+    fn best_rigid_transform(pairs: &[(Point3, Point3)]) -> RigidTransform {
+        let (src_centroid, dst_centroid, s) = horn_cross_covariance(pairs);
+        let entries = horn_matrix_entries(&s);
+        let rows: Vec<&[f64]> = entries.iter().map(|r| r.as_slice()).collect();
+        let n_mat = Matrix::from_rows(&rows).expect("fixed shape");
+
+        let eig = symmetric_eigen(&n_mat).expect("square input");
+        let q = eig.vectors.column(0); // dominant eigenvector
+        horn_assemble((q[0], q[1], q[2], q[3]), src_centroid, dst_centroid)
+    }
 
     fn grid_cloud(n_side: usize) -> PointCloud {
         let mut cloud = PointCloud::new();
@@ -626,20 +612,20 @@ mod tests {
             .map(|i| Point3::new(i as f64 * 0.3, (i % 5) as f64, (i % 3) as f64 * 0.7))
             .collect();
         let pairs: Vec<(Point3, Point3)> = points.iter().map(|p| (*p, truth.apply(*p))).collect();
-        let recovered = best_rigid_transform(&pairs);
+        let recovered = best_rigid_transform_ws(&pairs, &mut Workspace::new());
         for p in &points {
             assert!(recovered.apply(*p).distance(truth.apply(*p)) < 1e-9);
         }
     }
 
     #[test]
-    fn workspace_horn_matches_legacy_bitwise() {
+    fn workspace_horn_matches_allocating_reference_bitwise() {
         let truth = RigidTransform::from_yaw_translation(0.3, Point3::new(0.4, -1.1, 0.2));
         let points: Vec<Point3> = (0..40)
             .map(|i| Point3::new((i % 7) as f64 * 0.4, (i % 5) as f64 * 0.9, i as f64 * 0.05))
             .collect();
         let pairs: Vec<(Point3, Point3)> = points.iter().map(|p| (*p, truth.apply(*p))).collect();
-        let legacy = best_rigid_transform(&pairs);
+        let reference = best_rigid_transform(&pairs);
         let mut ws = Workspace::new();
         for _ in 0..3 {
             let fast = best_rigid_transform_ws(&pairs, &mut ws);
@@ -647,70 +633,25 @@ mod tests {
                 for c in 0..3 {
                     assert_eq!(
                         fast.rotation[r][c].to_bits(),
-                        legacy.rotation[r][c].to_bits()
+                        reference.rotation[r][c].to_bits()
                     );
                 }
             }
-            assert_eq!(fast.translation.x.to_bits(), legacy.translation.x.to_bits());
-            assert_eq!(fast.translation.y.to_bits(), legacy.translation.y.to_bits());
-            assert_eq!(fast.translation.z.to_bits(), legacy.translation.z.to_bits());
+            assert_eq!(
+                fast.translation.x.to_bits(),
+                reference.translation.x.to_bits()
+            );
+            assert_eq!(
+                fast.translation.y.to_bits(),
+                reference.translation.y.to_bits()
+            );
+            assert_eq!(
+                fast.translation.z.to_bits(),
+                reference.translation.z.to_bits()
+            );
         }
         // Two 4×4 buffers, however many solves ran.
         assert_eq!(ws.allocations(), 2);
-    }
-
-    #[test]
-    fn workspace_mode_matches_legacy_alignment_bitwise() {
-        let mut rng = SimRng::seed_from(12);
-        let room = scene::living_room(4_000, &mut rng);
-        let motion = RigidTransform::from_yaw_translation(0.03, Point3::new(0.04, -0.02, 0.01));
-        let scan1 = scene::scan_from(&room, &RigidTransform::identity(), 0.5, 0.002, &mut rng);
-        let scan2 = scene::scan_from(&room, &motion, 0.5, 0.002, &mut rng);
-        let run = |use_workspace: bool| {
-            let mut profiler = Profiler::new();
-            Icp::new(IcpConfig {
-                use_workspace,
-                ..Default::default()
-            })
-            .align(&scan2, &scan1, &mut profiler, &mut NullTrace)
-        };
-        let fast = run(true);
-        let legacy = run(false);
-        assert_eq!(fast.iterations, legacy.iterations);
-        assert_eq!(fast.error_after.to_bits(), legacy.error_after.to_bits());
-        for r in 0..3 {
-            for c in 0..3 {
-                assert_eq!(
-                    fast.transform.rotation[r][c].to_bits(),
-                    legacy.transform.rotation[r][c].to_bits()
-                );
-            }
-        }
-        assert!(fast.workspace_allocations > 0);
-        assert_eq!(legacy.workspace_allocations, 0);
-    }
-
-    #[test]
-    fn kd_layouts_align_identically() {
-        let mut rng = SimRng::seed_from(14);
-        let room = scene::living_room(4_000, &mut rng);
-        let motion = RigidTransform::from_yaw_translation(0.02, Point3::new(0.05, 0.01, 0.0));
-        let scan1 = scene::scan_from(&room, &RigidTransform::identity(), 0.5, 0.002, &mut rng);
-        let scan2 = scene::scan_from(&room, &motion, 0.5, 0.002, &mut rng);
-        let run = |kd_layout: KdLayout| {
-            let mut profiler = Profiler::new();
-            Icp::new(IcpConfig {
-                kd_layout,
-                ..Default::default()
-            })
-            .align(&scan2, &scan1, &mut profiler, &mut NullTrace)
-        };
-        let bucket = run(KdLayout::BucketSoA);
-        let legacy = run(KdLayout::NodeLegacy);
-        assert_eq!(bucket.iterations, legacy.iterations);
-        assert_eq!(bucket.nn_queries, legacy.nn_queries);
-        assert_eq!(bucket.error_before.to_bits(), legacy.error_before.to_bits());
-        assert_eq!(bucket.error_after.to_bits(), legacy.error_after.to_bits());
     }
 
     #[test]

@@ -11,7 +11,7 @@
 
 use std::f64::consts::PI;
 
-use rtr_geom::{maps, Aabb2, KdLayout, KdTree, Point2};
+use rtr_geom::{maps, Aabb2, KdTree, Point2};
 use rtr_harness::Profiler;
 use rtr_sim::{PlanarArm, SimRng};
 use rtr_trace::MemTrace;
@@ -181,10 +181,6 @@ pub struct RrtConfig {
     /// `None` runs the full `max_samples` budget. The paper observes RRT*
     /// "up to 8×" slower than RRT, i.e. a bounded refinement phase.
     pub star_refine_factor: Option<f64>,
-    /// Storage layout of the tree's k-d index. Query results are
-    /// bit-identical across layouts; [`KdLayout::NodeLegacy`] preserves
-    /// the pointer-chasing arena the paper's miss-ratio analysis assumes.
-    pub kd_layout: KdLayout,
 }
 
 impl Default for RrtConfig {
@@ -196,7 +192,6 @@ impl Default for RrtConfig {
             neighbor_radius: 0.9,
             seed: 0,
             star_refine_factor: None,
-            kd_layout: KdLayout::default(),
         }
     }
 }
@@ -232,8 +227,8 @@ pub(crate) struct Tree {
 }
 
 impl Tree {
-    pub fn new_in(layout: KdLayout, root: Config) -> Self {
-        let mut index = KdTree::new_in(layout);
+    pub fn new(root: Config) -> Self {
+        let mut index = KdTree::new();
         index.insert(root, 0);
         Tree {
             nodes: vec![root],
@@ -325,7 +320,7 @@ impl Rrt {
             return None;
         }
         let mut rng = SimRng::seed_from(self.config.seed);
-        let mut tree = Tree::new_in(self.config.kd_layout, problem.start);
+        let mut tree = Tree::new(problem.start);
         let mut nn_queries = 0u64;
         let mut collision_checks = 0u64;
 

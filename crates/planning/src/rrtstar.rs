@@ -124,7 +124,7 @@ impl RrtStar {
         let blocked = problem.in_collision(&problem.start) || problem.in_collision(&problem.goal);
         RrtStarRun {
             rng: SimRng::seed_from(self.config.seed),
-            tree: Tree::new_in(self.config.kd_layout, problem.start),
+            tree: Tree::new(problem.start),
             neighbors: Vec::new(),
             nn_queries: 0,
             collision_checks: 0,
@@ -504,7 +504,7 @@ mod tests {
                 ops in 1usize..10,
             ) {
                 let mut rng = SimRng::seed_from(seed);
-                let mut tree = Tree::new_in(rtr_geom::KdLayout::default(), [0.0; crate::rrt::DOF]);
+                let mut tree = Tree::new([0.0; crate::rrt::DOF]);
                 for _ in 1..n {
                     let parent = rng.below(tree.nodes.len());
                     let mut c = [0.0; crate::rrt::DOF];
@@ -537,40 +537,10 @@ mod tests {
     }
 
     #[test]
-    fn kd_layouts_plan_identically() {
-        use rtr_geom::KdLayout;
-        let problem = ArmProblem::map_f(7);
-        let mut p = Profiler::new();
-        let legacy = RrtStar::new(RrtConfig {
-            max_samples: 2_000,
-            kd_layout: KdLayout::NodeLegacy,
-            ..Default::default()
-        })
-        .plan(&problem, &mut p, &mut NullTrace)
-        .expect("solvable");
-        let bucket = RrtStar::new(RrtConfig {
-            max_samples: 2_000,
-            kd_layout: KdLayout::BucketSoA,
-            ..Default::default()
-        })
-        .plan(&problem, &mut p, &mut NullTrace)
-        .expect("solvable");
-        assert_eq!(legacy.base.samples, bucket.base.samples);
-        assert_eq!(legacy.base.cost.to_bits(), bucket.base.cost.to_bits());
-        assert_eq!(legacy.rewirings, bucket.rewirings);
-        assert_eq!(legacy.base.collision_checks, bucket.base.collision_checks);
-        for (a, b) in legacy.base.path.iter().zip(bucket.base.path.iter()) {
-            for i in 0..crate::rrt::DOF {
-                assert_eq!(a[i].to_bits(), b[i].to_bits());
-            }
-        }
-    }
-
-    #[test]
     fn neighborhood_buffer_plateaus_after_warmup() {
         use std::f64::consts::PI;
         let mut rng = SimRng::seed_from(9);
-        let mut tree = Tree::new_in(rtr_geom::KdLayout::default(), [0.0; crate::rrt::DOF]);
+        let mut tree = Tree::new([0.0; crate::rrt::DOF]);
         for _ in 1..512 {
             let parent = rng.below(tree.nodes.len());
             let mut c = [0.0; crate::rrt::DOF];

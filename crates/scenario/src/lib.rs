@@ -480,7 +480,6 @@ impl ScenarioState {
             Localizer::Ekf {
                 filter, scratch, ..
             } => {
-                // rtr-lint: allow(hot-alloc) -- chain is the EKF's legacy dense-covariance branch; this loop runs the sparse workspace mode, allocation-free after warmup (plateau test)
                 filter.process_step(scratch, &mut self.profiler, &mut NullTrace);
                 filter.pose()
             }
@@ -504,7 +503,6 @@ impl ScenarioState {
         let stage_start = Instant::now();
         let more = self
             .mpc
-            // rtr-lint: allow(hot-alloc) -- chain is Mpc::tick's legacy non-workspace branch; begin_track enables the reusable workspace, so steady state is allocation-free (plateau test)
             .tick(run, &self.reference, &mut self.profiler, &mut NullTrace);
         let track = stage_start.elapsed();
 

@@ -7,18 +7,15 @@
 //! comes in two flavours selected by a [`SimdMode`] argument at the call
 //! site:
 //!
-//! * **Scalar** — the exact legacy loop, kept alive as the portable
+//! * **Scalar** — the exact sequential loop, kept as the portable
 //!   equivalence oracle (the RobotPerf convention: the scalar path is the
 //!   vendor-agnostic reference).
 //! * **Lanes** — a safe `[f64; LANES]` accumulator-array loop that LLVM
-//!   autovectorizes; no `unsafe`, no target features required.
+//!   autovectorizes; no target features required. The default.
 //!
-//! [`SimdMode::Auto`] resolves to the fastest backend compiled in: the
-//! lanes loop by default, or the `core::arch::x86_64` intrinsics backend
-//! when the `intrinsics` cargo feature is enabled *and* CPUID reports
-//! AVX2 at runtime. The intrinsics backend deliberately avoids FMA so it
-//! stays **bit-identical to the lanes loop** (fused multiply-add would
-//! skip the intermediate rounding the safe loop performs).
+//! The crate is safe code throughout (its root forbids anything else):
+//! there is no hand-written per-ISA backend, and the lanes loops never
+//! use fused multiply-add, so every target rounds them identically.
 //!
 //! # Equivalence contract
 //!
@@ -30,10 +27,9 @@
 //! reassociate the addition chain across `LANES` accumulators, so Lanes
 //! and Scalar may differ in final rounding; the divergence contract
 //! (pinned by `crates/bench/tests/simd.rs`) is a bounded ULP distance
-//! ([`ulp_diff`]) plus identical NaN/∞ propagation, and Lanes and the
-//! intrinsics backend are bit-identical to each other.
+//! ([`ulp_diff`]) plus identical NaN/∞ propagation.
 
-#![cfg_attr(not(feature = "intrinsics"), forbid(unsafe_code))]
+#![forbid(unsafe_code)]
 
 use std::fmt;
 use std::str::FromStr;
@@ -44,42 +40,39 @@ pub const LANES: usize = 4;
 
 /// Which inner-loop implementation a kernel call should use.
 ///
-/// The convention mirrors the suite's other fast-path knobs (`threads`,
-/// `use_workspace`, `KdLayout`): the default is the fast path, the legacy
-/// path stays reachable as the equivalence oracle, and tests pin the
-/// relationship between the two.
+/// The default is the fast path; the scalar path stays reachable as the
+/// vendor-agnostic reference (the benchmark times the two against each
+/// other), and tests pin the relationship between them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SimdMode {
-    /// The exact legacy sequential loop (the portable oracle).
+    /// The exact sequential loop (the portable oracle).
     Scalar,
     /// Safe `[f64; LANES]` accumulator loops (LLVM autovectorized).
-    Lanes,
-    /// Fastest backend available: lanes, or the intrinsics backend when
-    /// the `intrinsics` feature is compiled in and CPUID reports AVX2.
     #[default]
-    Auto,
+    Lanes,
 }
 
 impl SimdMode {
     /// All modes, for exhaustive equivalence sweeps in tests.
-    pub const ALL: [SimdMode; 3] = [SimdMode::Scalar, SimdMode::Lanes, SimdMode::Auto];
+    pub const ALL: [SimdMode; 2] = [SimdMode::Scalar, SimdMode::Lanes];
 
     /// Returns `true` when this mode dispatches away from the scalar
     /// oracle (for reductions this is where rounding may diverge).
     #[must_use]
     pub fn is_vectorized(self) -> bool {
-        !matches!(self, SimdMode::Scalar)
+        self == SimdMode::Lanes
     }
 }
 
+/// Parses `scalar` or `lanes`. `auto` is accepted as a spelling of
+/// `lanes`, the fastest (and only vector) backend.
 impl FromStr for SimdMode {
     type Err = String;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
             "scalar" => Ok(SimdMode::Scalar),
-            "lanes" => Ok(SimdMode::Lanes),
-            "auto" => Ok(SimdMode::Auto),
+            "lanes" | "auto" => Ok(SimdMode::Lanes),
             other => Err(format!(
                 "unknown simd mode {other:?} (expected scalar, lanes or auto)"
             )),
@@ -92,7 +85,6 @@ impl fmt::Display for SimdMode {
         let name = match self {
             SimdMode::Scalar => "scalar",
             SimdMode::Lanes => "lanes",
-            SimdMode::Auto => "auto",
         };
         f.write_str(name)
     }
@@ -124,37 +116,8 @@ pub fn ulp_diff(a: f64, b: f64) -> u64 {
     key(a).abs_diff(key(b))
 }
 
-#[cfg(all(feature = "intrinsics", target_arch = "x86_64"))]
-mod avx2;
-
-/// Dispatches a reduction: scalar oracle, lanes, or (under `Auto` with
-/// the `intrinsics` feature and AVX2 present) the intrinsics backend.
-macro_rules! dispatch_reduction {
-    ($mode:expr, $scalar:expr, $lanes:expr, $avx2:expr) => {
-        match $mode {
-            SimdMode::Scalar => $scalar,
-            SimdMode::Lanes => $lanes,
-            SimdMode::Auto => {
-                #[cfg(all(feature = "intrinsics", target_arch = "x86_64"))]
-                {
-                    if avx2::available() {
-                        $avx2
-                    } else {
-                        $lanes
-                    }
-                }
-                #[cfg(not(all(feature = "intrinsics", target_arch = "x86_64")))]
-                {
-                    $lanes
-                }
-            }
-        }
-    };
-}
-
 // ---------------------------------------------------------------------
-// Horizontal reductions (divergence contract: ULP-bounded vs Scalar,
-// Lanes ≡ intrinsics bitwise).
+// Horizontal reductions (divergence contract: ULP-bounded vs Scalar).
 // ---------------------------------------------------------------------
 
 /// Sum of a slice.
@@ -164,7 +127,10 @@ macro_rules! dispatch_reduction {
 /// (`(s0+s1) + (s2+s3)`) and fold the remainder sequentially.
 #[must_use]
 pub fn sum(xs: &[f64], mode: SimdMode) -> f64 {
-    dispatch_reduction!(mode, sum_scalar(xs), sum_lanes(xs), avx2::sum(xs))
+    match mode {
+        SimdMode::Scalar => sum_scalar(xs),
+        SimdMode::Lanes => sum_lanes(xs),
+    }
 }
 
 fn sum_scalar(xs: &[f64]) -> f64 {
@@ -187,7 +153,7 @@ fn sum_lanes(xs: &[f64]) -> f64 {
 }
 
 /// Folds the lane accumulators pairwise, then the remainder left to
-/// right — the one combine order every vector backend must share.
+/// right.
 fn combine_tail(acc: [f64; LANES], rest: &[f64]) -> f64 {
     let mut total = (acc[0] + acc[1]) + (acc[2] + acc[3]);
     for &x in rest {
@@ -199,7 +165,10 @@ fn combine_tail(acc: [f64; LANES], rest: &[f64]) -> f64 {
 /// Sum of squares (the PFL effective-sample-size reduction).
 #[must_use]
 pub fn sum_sq(xs: &[f64], mode: SimdMode) -> f64 {
-    dispatch_reduction!(mode, sum_sq_scalar(xs), sum_sq_lanes(xs), avx2::sum_sq(xs))
+    match mode {
+        SimdMode::Scalar => sum_sq_scalar(xs),
+        SimdMode::Lanes => sum_sq_lanes(xs),
+    }
 }
 
 fn sum_sq_scalar(xs: &[f64]) -> f64 {
@@ -233,7 +202,10 @@ fn sum_sq_lanes(xs: &[f64]) -> f64 {
 #[must_use]
 pub fn dot(a: &[f64], b: &[f64], mode: SimdMode) -> f64 {
     assert_eq!(a.len(), b.len(), "dot operands must match in length");
-    dispatch_reduction!(mode, dot_scalar(a, b), dot_lanes(a, b), avx2::dot(a, b))
+    match mode {
+        SimdMode::Scalar => dot_scalar(a, b),
+        SimdMode::Lanes => dot_lanes(a, b),
+    }
 }
 
 fn dot_scalar(a: &[f64], b: &[f64]) -> f64 {
@@ -282,7 +254,7 @@ pub fn axpy(y: &mut [f64], alpha: f64, x: &[f64], mode: SimdMode) {
                 *yy += alpha * xx;
             }
         }
-        SimdMode::Lanes | SimdMode::Auto => {
+        SimdMode::Lanes => {
             let mut cy = y.chunks_exact_mut(LANES);
             let mut cx = x.chunks_exact(LANES);
             for (ly, lx) in (&mut cy).zip(&mut cx) {
@@ -333,7 +305,7 @@ pub fn axpy4(
                 y[j] = acc;
             }
         }
-        SimdMode::Lanes | SimdMode::Auto => {
+        SimdMode::Lanes => {
             let mut j = 0;
             while j + LANES <= n {
                 let mut acc = [0.0f64; LANES];
@@ -377,7 +349,7 @@ pub fn div_assign(xs: &mut [f64], d: f64, mode: SimdMode) {
                 *x /= d;
             }
         }
-        SimdMode::Lanes | SimdMode::Auto => {
+        SimdMode::Lanes => {
             let mut chunks = xs.chunks_exact_mut(LANES);
             for c in &mut chunks {
                 for x in c.iter_mut() {
@@ -452,7 +424,7 @@ pub fn squared_distances_dyn(
                 out[i] = acc;
             }
         }
-        SimdMode::Lanes | SimdMode::Auto => {
+        SimdMode::Lanes => {
             let mut i = 0;
             while i + LANES <= n {
                 let block = &pts[i * DIM..(i + LANES) * DIM];
@@ -490,7 +462,8 @@ mod tests {
             assert_eq!(mode.to_string().parse::<SimdMode>().unwrap(), mode);
         }
         assert!("avx512".parse::<SimdMode>().is_err());
-        assert_eq!(SimdMode::default(), SimdMode::Auto);
+        assert_eq!("auto".parse::<SimdMode>().unwrap(), SimdMode::Lanes);
+        assert_eq!(SimdMode::default(), SimdMode::Lanes);
     }
 
     #[test]
@@ -533,7 +506,8 @@ mod tests {
     #[test]
     fn elementwise_maps_are_bit_identical_across_modes() {
         let x: Vec<f64> = (0..37).map(|i| (i as f64 * 0.7).tan()).collect();
-        for mode in [SimdMode::Lanes, SimdMode::Auto] {
+        {
+            let mode = SimdMode::Lanes;
             let mut y0: Vec<f64> = (0..37).map(|i| i as f64 * 0.01 - 0.2).collect();
             let mut y1 = y0.clone();
             axpy(&mut y0, 1.7, &x, SimdMode::Scalar);
@@ -580,9 +554,9 @@ mod tests {
         let query = [0.3, -0.7, 1.1];
         let mut base = vec![0.0; 23];
         squared_distances::<DIM>(&pts, &query, &mut base, SimdMode::Scalar);
-        for mode in [SimdMode::Lanes, SimdMode::Auto] {
+        {
             let mut got = vec![0.0; 23];
-            squared_distances::<DIM>(&pts, &query, &mut got, mode);
+            squared_distances::<DIM>(&pts, &query, &mut got, SimdMode::Lanes);
             assert!(base
                 .iter()
                 .zip(&got)

@@ -253,7 +253,7 @@ impl<T: RingItem> RingProducer<T> {
 
     /// Writes one item to its slot and advances the private tail,
     /// skipping the free-space check entirely. Logically (not memory-)
-    /// unsafe: the caller must have established room via
+    /// hazardous: the caller must have established room via
     /// [`refresh_free`](Self::refresh_free) or a prior full check, or
     /// the item silently overwrites an unread slot. Kept `pub(crate)`
     /// so only this crate's transports ([`RingTrace`]) can amortize the
