@@ -143,7 +143,6 @@ fn bench_arm_planning(c: &mut Criterion) {
         roadmap_size: 800,
         neighbors: 10,
         seed: 3,
-        kdtree_build: false,
         threads: 1,
     });
     let mut profiler = Profiler::new();
@@ -532,8 +531,9 @@ fn bench_ring_transport(c: &mut Criterion) {
 
 /// Sequential-vs-parallel variants of the four parallelized hot loops.
 ///
-/// `seq` is the exact legacy path (`threads = 1`); `par4` runs the same
-/// workload on four pool workers. Outputs are bit-identical (see the
+/// `seq` runs `threads = 1` (the exact legacy path, except for PRM, whose
+/// one build runs its pool inline); `par4` runs the same workload on four
+/// pool workers. Outputs are bit-identical (see the
 /// `determinism` integration test); only the wall clock may differ.
 fn bench_parallel(c: &mut Criterion) {
     let mut group = c.benchmark_group("parallel");
@@ -579,7 +579,6 @@ fn bench_parallel(c: &mut Criterion) {
                         roadmap_size: 800,
                         neighbors: 10,
                         seed: 3,
-                        kdtree_build: true,
                         threads,
                     })
                     .build(&problem, &mut profiler),

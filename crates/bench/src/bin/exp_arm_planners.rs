@@ -60,14 +60,15 @@ fn run_seed(problem: &ArmProblem, seed: u64, threads: usize) -> Option<SeedRun> 
         roadmap_size: 1500,
         neighbors: 12,
         seed,
-        kdtree_build: false,
         threads,
     });
     let roadmap = prm.build(problem, &mut prm_profiler);
     println!(
-        "  seed {seed}: PRM build edge checks {} counted / {} motion_free sweeps \
-         (parallel dedup shares mutual k-NN pairs)",
-        roadmap.offline_collision_checks, roadmap.motion_free_evals
+        "  seed {seed}: PRM offline build {:.1} ms, edge checks {} counted / {} \
+         motion_free sweeps (mutual k-NN pairs share one sweep)",
+        prm_profiler.region_total("offline_build").as_secs_f64() * 1e3,
+        roadmap.offline_collision_checks,
+        roadmap.motion_free_evals
     );
     let online = std::time::Instant::now();
     let prm_result = prm.query(problem, &roadmap, &mut prm_profiler, &mut NullTrace)?;

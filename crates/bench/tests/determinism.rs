@@ -6,7 +6,10 @@
 //! **bit-identical** to the sequential (`threads = 1`) legacy path —
 //! floating-point values compared via `to_bits`, not with tolerances.
 //! These properties pin that contract for the four parallelized kernels
-//! (PFL, PRM, ICP, CEM) across threads {1, 2, 4, 8}.
+//! (PFL, PRM, ICP, CEM) across threads {1, 2, 4, 8}. PRM's build has no
+//! sequential twin left in the library, so its roadmap is compared at
+//! threads {1, 2, 4} against [`reference_prm_build`], the brute-force
+//! build it replaced.
 
 use proptest::prelude::*;
 use rtr_control::{Cem, CemConfig};
@@ -14,6 +17,7 @@ use rtr_core::kernels::perception::PflKernel;
 use rtr_geom::{maps, GridMap2D, Point3, RigidTransform};
 use rtr_harness::Profiler;
 use rtr_perception::{Icp, IcpConfig, ParticleFilter, PflConfig, PflInit};
+use rtr_planning::rrt::{config_distance, Config};
 use rtr_planning::{ArmProblem, Prm, PrmConfig};
 use rtr_sim::{scene, SimRng, ThrowSim};
 use rtr_trace::NullTrace;
@@ -32,6 +36,167 @@ fn indoor_map() -> &'static GridMap2D {
 
 fn bits(x: f64) -> u64 {
     x.to_bits()
+}
+
+/// What [`reference_prm_build`] produces. `Roadmap` keeps its vertices
+/// private, so the reference returns the observable parts in its own
+/// record.
+struct ReferenceRoadmap {
+    adjacency: Vec<Vec<(usize, f64)>>,
+    offline_collision_checks: u64,
+    motion_free_evals: u64,
+    edge_count: usize,
+}
+
+/// `Prm::build` as it shipped before the k-d candidate search and the
+/// pooled pair memo became its only path, kept as the oracle for it: a
+/// brute-force sort-all k-nearest scan, which orders ties by distance and
+/// then index (the k-d tree orders them by squared distance), and a lazy
+/// sequential commit loop that sweeps `motion_free` once per candidate
+/// not already adjacent, so a blocked mutual pair is swept twice.
+fn reference_prm_build(problem: &ArmProblem, config: &PrmConfig) -> ReferenceRoadmap {
+    let mut rng = SimRng::seed_from(config.seed);
+    let mut collision_checks = 0u64;
+
+    // Rejection-sample collision-free vertices.
+    let mut nodes: Vec<Config> = Vec::with_capacity(config.roadmap_size);
+    while nodes.len() < config.roadmap_size {
+        let candidate = problem.sample(&mut rng);
+        collision_checks += 1;
+        if !problem.in_collision(&candidate) {
+            nodes.push(candidate);
+        }
+    }
+
+    let k = config.neighbors;
+    let near_of = |i: usize, node: &Config| -> Vec<(usize, f64)> {
+        let mut all: Vec<(usize, f64)> = (0..nodes.len())
+            .filter(|&j| j != i)
+            .map(|j| (j, config_distance(node, &nodes[j])))
+            .collect();
+        all.sort_by(|a, b| a.1.total_cmp(&b.1));
+        all.truncate(k);
+        all
+    };
+    let mut adjacency: Vec<Vec<(usize, f64)>> = vec![Vec::new(); nodes.len()];
+    let mut edge_count = 0usize;
+    let mut motion_free_evals = 0u64;
+    let mut commit =
+        |i: usize, j: usize, dist: f64, free: bool, adjacency: &mut Vec<Vec<(usize, f64)>>| {
+            if adjacency[i].iter().any(|&(n, _)| n == j) {
+                return;
+            }
+            collision_checks += 1;
+            if free {
+                adjacency[i].push((j, dist));
+                adjacency[j].push((i, dist));
+                edge_count += 1;
+            }
+        };
+    // Collision checks stay lazy, so pairs the dedup skips are never
+    // evaluated.
+    for i in 0..nodes.len() {
+        for (j, dist) in near_of(i, &nodes[i]) {
+            let skip = adjacency[i].iter().any(|&(n, _)| n == j);
+            if !skip {
+                motion_free_evals += 1;
+                let free = problem.motion_free(&nodes[i], &nodes[j]);
+                commit(i, j, dist, free, &mut adjacency);
+            }
+        }
+    }
+
+    ReferenceRoadmap {
+        adjacency,
+        offline_collision_checks: collision_checks,
+        motion_free_evals,
+        edge_count,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The roadmap equals the reference bit for bit at every thread count
+    /// on both workspaces: adjacency lists in order with `to_bits` edge
+    /// costs, edge count and the collision-check counter. The sweep
+    /// counter and the online query (cost, expansions, L2 evaluations)
+    /// are the same for every thread count.
+    #[test]
+    fn prm_roadmap_is_bit_identical_across_thread_counts(
+        seed in 0u64..1 << 32,
+        cluttered in prop::bool::ANY,
+        roadmap_size in 80usize..600,
+        neighbors in 4usize..13,
+    ) {
+        let problem = if cluttered {
+            ArmProblem::map_c(seed)
+        } else {
+            ArmProblem::map_f(seed)
+        };
+        let config = |threads| PrmConfig {
+            roadmap_size,
+            neighbors,
+            seed,
+            threads,
+        };
+        let reference = reference_prm_build(&problem, &config(1));
+        let mut first = None;
+        for threads in [1, 2, 4] {
+            let prm = Prm::new(config(threads));
+            let mut profiler = Profiler::new();
+            let roadmap = prm.build(&problem, &mut profiler);
+            prop_assert_eq!(roadmap.len(), reference.adjacency.len());
+            prop_assert_eq!(roadmap.edge_count, reference.edge_count, "threads {}", threads);
+            prop_assert_eq!(
+                roadmap.offline_collision_checks,
+                reference.offline_collision_checks,
+                "threads {}",
+                threads
+            );
+            for (i, expected) in reference.adjacency.iter().enumerate() {
+                let got = roadmap.neighbors(i);
+                prop_assert_eq!(got.len(), expected.len(), "vertex {} degree", i);
+                for (&(ja, ca), &(jb, cb)) in got.iter().zip(expected) {
+                    prop_assert_eq!(ja, jb, "vertex {} neighbor, threads {}", i, threads);
+                    prop_assert_eq!(bits(ca), bits(cb), "vertex {} cost, threads {}", i, threads);
+                }
+            }
+            // One sweep per distinct pair never exceeds the lazy loop's
+            // one per unskipped candidate.
+            prop_assert!(roadmap.motion_free_evals <= reference.motion_free_evals);
+            let query = prm
+                .query(&problem, &roadmap, &mut profiler, &mut NullTrace)
+                .map(|r| (bits(r.cost), r.expanded, r.l2_evals));
+            let run = (roadmap.motion_free_evals, query);
+            match &first {
+                None => first = Some(run),
+                Some(first) => prop_assert_eq!(first, &run, "threads {}", threads),
+            }
+        }
+    }
+}
+
+/// What the pair memo saves: on a cluttered map some mutual k-NN pairs
+/// are blocked, and the lazy reference sweeps each of those twice.
+#[test]
+fn prm_build_sweeps_blocked_mutual_pairs_once() {
+    let problem = ArmProblem::map_c(9);
+    let config = PrmConfig {
+        roadmap_size: 300,
+        neighbors: 8,
+        seed: 5,
+        threads: 1,
+    };
+    let reference = reference_prm_build(&problem, &config);
+    let roadmap = Prm::new(config).build(&problem, &mut Profiler::new());
+    assert_eq!(roadmap.edge_count, reference.edge_count);
+    assert!(
+        roadmap.motion_free_evals < reference.motion_free_evals,
+        "the memo saved nothing: {} vs {}",
+        roadmap.motion_free_evals,
+        reference.motion_free_evals
+    );
 }
 
 proptest! {
@@ -74,45 +239,6 @@ proptest! {
         prop_assert_eq!(seq.rays_cast, par.rays_cast);
         prop_assert_eq!(seq.cells_probed, par.cells_probed);
         prop_assert_eq!(seq.resamples, par.resamples);
-    }
-
-    #[test]
-    fn prm_roadmap_is_bit_identical_across_thread_counts(
-        seed in 0u64..1 << 32,
-        roadmap_size in 80usize..160,
-        neighbors in 4usize..9,
-        kdtree_build in prop::bool::ANY,
-        threads in threads_strategy(),
-    ) {
-        let problem = ArmProblem::map_c(seed);
-        let build = |threads: usize| {
-            let prm = Prm::new(PrmConfig {
-                roadmap_size,
-                neighbors,
-                seed,
-                kdtree_build,
-                threads,
-            });
-            let mut profiler = Profiler::new();
-            prm.build(&problem, &mut profiler)
-        };
-        let seq = build(1);
-        let par = build(threads);
-        prop_assert_eq!(seq.len(), par.len());
-        prop_assert_eq!(seq.edge_count, par.edge_count);
-        prop_assert_eq!(
-            seq.offline_collision_checks,
-            par.offline_collision_checks
-        );
-        for i in 0..seq.len() {
-            let a = seq.neighbors(i);
-            let b = par.neighbors(i);
-            prop_assert_eq!(a.len(), b.len(), "vertex {} degree", i);
-            for (&(ja, ca), &(jb, cb)) in a.iter().zip(b.iter()) {
-                prop_assert_eq!(ja, jb);
-                prop_assert_eq!(bits(ca), bits(cb));
-            }
-        }
     }
 
     #[test]

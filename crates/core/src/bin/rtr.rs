@@ -14,7 +14,7 @@
 use std::process::ExitCode;
 
 use rtr_core::{registry, registry_lookup};
-use rtr_harness::{Args, Table};
+use rtr_harness::{Args, CliError, Table};
 
 fn print_global_usage() {
     println!("USAGE:\n  rtr <kernel> [OPTIONS] [FLAGS]\n  rtr --list\n");
@@ -128,6 +128,21 @@ fn main() -> ExitCode {
             Args::usage(&format!("rtr {}", kernel.name()), &kernel.cli_options())
         );
         return ExitCode::SUCCESS;
+    }
+    // Only the kernel's declared options, plus `--json`, are accepted: a
+    // misspelt option must not silently fall back to its default.
+    let options = kernel.cli_options();
+    if let Some(unknown) = args
+        .names()
+        .into_iter()
+        .find(|name| *name != "json" && !options.iter().any(|o| o.name == *name))
+    {
+        eprintln!(
+            "error: {}; `rtr {} --help` lists the options",
+            CliError::UnknownOption(unknown.to_owned()),
+            kernel.name()
+        );
+        return ExitCode::FAILURE;
     }
 
     match kernel.run(&args) {

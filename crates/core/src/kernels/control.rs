@@ -5,12 +5,16 @@ use rtr_control::{
     DmpConfig, Mpc, MpcConfig, RolloutRun, TrackRun,
 };
 use rtr_geom::Point2;
-use rtr_harness::{Args, CliError, OptionSpec, Profiler};
+use rtr_harness::{Args, OptionSpec, Profiler};
 use rtr_sim::ThrowSim;
 use rtr_trace::MemTrace;
 
-use super::{report, OneShotInstance};
+use super::{bad_value, report, OneShotInstance};
 use crate::{Kernel, KernelError, KernelInstance, KernelReport, Stage, StepStatus, TraceSession};
+
+/// Most rollout steps (`--duration / --dt`) `13.dmp` accepts: 250x the
+/// default 4 000.
+const MAX_ROLLOUT_STEPS: f64 = 1e6;
 
 /// `13.dmp`: dynamic movement primitives from a wheeled-robot demo.
 #[derive(Debug, Clone, Copy, Default)]
@@ -52,6 +56,21 @@ impl Kernel for DmpKernel {
         let basis = args.get_usize("basis", 30)?.max(2);
         let dt = args.get_f64("dt", 0.0005)?;
         let duration = args.get_f64("duration", 2.0)?;
+        if !(duration.is_finite() && duration >= 0.0) {
+            return Err(bad_value(
+                "duration",
+                duration,
+                "a finite, non-negative duration (s)",
+            ));
+        }
+        // The rollout sizes its buffers for `duration / dt` steps up front.
+        if !(dt.is_finite() && dt > 0.0 && duration / dt <= MAX_ROLLOUT_STEPS) {
+            return Err(bad_value(
+                "dt",
+                dt,
+                "a finite, positive time step of at least duration / 1e6 (s)",
+            ));
+        }
 
         let (demo, demo_duration) = wheeled_robot_demo(400);
         let config = DmpConfig {
@@ -296,11 +315,11 @@ impl Kernel for CemKernel {
             ..Default::default()
         };
         if config.samples_per_iteration < config.elites {
-            return Err(KernelError::Cli(CliError::BadValue {
-                option: "samples".into(),
-                value: config.samples_per_iteration.to_string(),
-                expected: "a sample count no smaller than the elite count (4)",
-            }));
+            return Err(bad_value(
+                "samples",
+                config.samples_per_iteration,
+                "a sample count no smaller than the elite count (4)",
+            ));
         }
         let sim = ThrowSim::new(args.get_f64("goal", 2.0)?.max(0.1));
         Ok(OneShotInstance::boxed(

@@ -5,8 +5,18 @@ pub mod perception;
 pub mod planning;
 
 use crate::{Kernel, KernelError, KernelInstance, KernelReport, Stage, StepStatus, TraceSession};
-use rtr_harness::{Args, OptionSpec, Profiler};
+use rtr_harness::{Args, CliError, OptionSpec, Profiler};
 use rtr_trace::MemTrace;
+
+/// The typed error for a `--option` value that parses but is out of the
+/// kernel's domain.
+pub(crate) fn bad_value(option: &str, value: impl ToString, expected: &'static str) -> KernelError {
+    KernelError::Cli(CliError::BadValue {
+        option: option.to_owned(),
+        value: value.to_string(),
+        expected,
+    })
+}
 
 /// The shared `--threads` CLI option for kernels with a deterministic
 /// parallel hot loop (`01.pfl`, `03.srec`, `07.prm`, `15.cem`).
@@ -38,13 +48,8 @@ pub(crate) fn simd_option() -> OptionSpec {
 /// modes.
 pub(crate) fn simd_arg(args: &Args) -> Result<rtr_simd::SimdMode, KernelError> {
     let raw = args.get_str("simd", "lanes");
-    raw.parse::<rtr_simd::SimdMode>().map_err(|_| {
-        KernelError::Cli(rtr_harness::CliError::BadValue {
-            option: "simd".to_string(),
-            value: raw,
-            expected: "scalar|lanes|auto",
-        })
-    })
+    raw.parse::<rtr_simd::SimdMode>()
+        .map_err(|_| bad_value("simd", raw, "scalar|lanes|auto"))
 }
 
 /// Returns all sixteen kernels in paper order (`01.pfl` … `16.bo`).
@@ -318,10 +323,25 @@ mod tests {
             ("pfl", ["--particles", "0"], "particles"),
             ("cem", ["--samples", "3"], "samples"),
             ("cem", ["--samples", "0"], "samples"),
+            ("srec", ["--points", "0"], "points"),
+            ("srec", ["--points", "1"], "points"),
+            ("movtar", ["--horizon", "0"], "horizon"),
+            ("pp2d", ["--weight", "-1"], "weight"),
+            ("pp2d", ["--weight", "nan"], "weight"),
+            ("pp3d", ["--weight", "-1"], "weight"),
+            ("sym-blkw", ["--weight", "-1"], "weight"),
+            ("sym-fext", ["--weight", "-1"], "weight"),
+            ("dmp", ["--dt", "0"], "dt"),
+            ("dmp", ["--dt", "-0.001"], "dt"),
+            ("dmp", ["--dt", "nan"], "dt"),
+            ("dmp", ["--dt", "inf"], "dt"),
+            ("dmp", ["--dt", "1e-300"], "dt"),
+            ("dmp", ["--duration", "inf"], "duration"),
+            ("dmp", ["--duration", "-1"], "duration"),
         ] {
             let args = Args::parse_tokens(&argv).unwrap();
             match registry_lookup(kernel).unwrap().instantiate(&args) {
-                Err(KernelError::Cli(rtr_harness::CliError::BadValue { option: o, .. })) => {
+                Err(KernelError::Cli(CliError::BadValue { option: o, .. })) => {
                     assert_eq!(o, option, "{kernel} {argv:?}");
                 }
                 Err(e) => panic!("{kernel} {argv:?}: unexpected error {e}"),

@@ -1,14 +1,14 @@
 //! Perception-stage kernel adapters.
 
 use rtr_geom::{maps, Point2, Point3, PointCloud, Pose2, RigidTransform};
-use rtr_harness::{Args, CliError, OptionSpec, Profiler};
+use rtr_harness::{Args, OptionSpec, Profiler};
 use rtr_perception::{
     EkfSlam, EkfSlamConfig, Icp, IcpConfig, IcpRun, ParticleFilter, PflConfig, PflInit,
 };
 use rtr_sim::{scene, DifferentialDrive, Lidar, OdometryModel, SimRng, SlamStep, SlamWorld};
 use rtr_trace::MemTrace;
 
-use super::report;
+use super::{bad_value, report};
 use crate::{Kernel, KernelError, KernelInstance, KernelReport, Stage, StepStatus, TraceSession};
 
 /// `01.pfl`: particle-filter localization in the procedural indoor map.
@@ -97,11 +97,11 @@ impl Kernel for PflKernel {
     fn instantiate(&self, args: &Args) -> Result<Box<dyn KernelInstance>, KernelError> {
         let particles = args.get_usize("particles", 500)?;
         if particles == 0 {
-            return Err(KernelError::Cli(CliError::BadValue {
-                option: "particles".into(),
-                value: particles.to_string(),
-                expected: "a particle count of at least 1",
-            }));
+            return Err(bad_value(
+                "particles",
+                particles,
+                "a particle count of at least 1",
+            ));
         }
         let region = args.get_usize("region", 0)?;
         let beam_stride = (60 / args.get_usize("beams", 60)?.clamp(1, 60)).max(1);
@@ -374,6 +374,13 @@ impl Kernel for SrecKernel {
         let motion = RigidTransform::from_yaw_translation(0.04, Point3::new(0.06, -0.04, 0.01));
         let scan1 = scene::scan_from(&room, &RigidTransform::identity(), 0.5, 0.002, &mut rng);
         let scan2 = scene::scan_from(&room, &motion, 0.5, 0.002, &mut rng);
+        if scan1.is_empty() || scan2.is_empty() {
+            return Err(bad_value(
+                "points",
+                points,
+                "a point count that leaves both scans non-empty",
+            ));
+        }
 
         let mut profiler = Profiler::timed();
         let mut icp = Icp::new(IcpConfig {

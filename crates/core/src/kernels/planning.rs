@@ -10,8 +10,22 @@ use rtr_planning::{
 use rtr_planning::RrtStarRun;
 use rtr_trace::MemTrace;
 
-use super::{report, OneShotInstance};
+use super::{bad_value, report, OneShotInstance};
 use crate::{Kernel, KernelError, KernelInstance, KernelReport, Stage, StepStatus, TraceSession};
+
+/// Parses `--weight`, the heuristic weight of the graph-search kernels
+/// (default 1.0, plain A*).
+fn weight_arg(args: &Args) -> Result<f64, KernelError> {
+    let weight = args.get_f64("weight", 1.0)?;
+    if weight.is_nan() || weight < 0.0 {
+        return Err(bad_value(
+            "weight",
+            weight,
+            "a non-negative heuristic weight",
+        ));
+    }
+    Ok(weight)
+}
 
 /// Parses the paper's `--map` option (`map-f` or `map-c`) into an arm
 /// problem.
@@ -115,7 +129,7 @@ impl Kernel for Pp2dKernel {
 
     fn instantiate(&self, args: &Args) -> Result<Box<dyn KernelInstance>, KernelError> {
         let size = args.get_usize("size", 512)?.max(64);
-        let weight = args.get_f64("weight", 1.0)?;
+        let weight = weight_arg(args)?;
         let seed = args.get_u64("seed", 3)?;
 
         // With `--map-file`, plan on a real MovingAI map (the paper's
@@ -220,7 +234,7 @@ impl Kernel for Pp3dKernel {
     fn instantiate(&self, args: &Args) -> Result<Box<dyn KernelInstance>, KernelError> {
         let size = args.get_usize("size", 128)?.max(16);
         let height = args.get_usize("height", 16)?.max(4);
-        let weight = args.get_f64("weight", 1.0)?;
+        let weight = weight_arg(args)?;
         let seed = args.get_u64("seed", 11)?;
 
         let map = maps::campus_3d(size, size, height, 1.0, seed);
@@ -296,6 +310,13 @@ impl Kernel for MovtarKernel {
     fn instantiate(&self, args: &Args) -> Result<Box<dyn KernelInstance>, KernelError> {
         let size = args.get_usize("size", 96)?.max(8);
         let horizon = args.get_usize("horizon", size * 2)?;
+        if horizon == 0 {
+            return Err(bad_value(
+                "horizon",
+                horizon,
+                "a horizon of at least 1 step",
+            ));
+        }
         let epsilon = args.get_f64("epsilon", 2.0)?.max(1.0);
         let seed = args.get_u64("seed", 3)?;
 
@@ -358,10 +379,6 @@ impl Kernel for PrmKernel {
                 name: "seed",
                 help: "Random seed",
             },
-            OptionSpec {
-                name: "kdtree",
-                help: "Build the roadmap with a k-d tree (flag)",
-            },
             super::threads_option(),
         ];
         options.extend(super::trace_options());
@@ -374,7 +391,6 @@ impl Kernel for PrmKernel {
             roadmap_size: args.get_usize("roadmap", 1200)?,
             neighbors: args.get_usize("neighbors", 12)?,
             seed: args.get_u64("seed", 2)?,
-            kdtree_build: args.get_flag("kdtree"),
             threads: super::threads_arg(args)?,
         };
         // The offline roadmap construction runs at instantiation, outside
@@ -599,7 +615,7 @@ fn symbolic_instance(
     domain: rtr_planning::Domain,
     args: &Args,
 ) -> Result<Box<dyn KernelInstance>, KernelError> {
-    let weight = args.get_f64("weight", 1.0)?;
+    let weight = weight_arg(args)?;
     Ok(OneShotInstance::boxed(
         kernel,
         stage,

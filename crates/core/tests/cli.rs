@@ -80,3 +80,26 @@ fn bad_option_value_fails_cleanly() {
     let err = String::from_utf8(out.stderr).unwrap();
     assert!(err.contains("iterations"));
 }
+
+#[test]
+fn undeclared_option_fails_naming_it() {
+    for (argv, option) in [
+        (
+            ["prm", "--roadmap-size", "200"].as_slice(),
+            "--roadmap-size",
+        ),
+        (["prm", "--kdtree"].as_slice(), "--kdtree"),
+        (
+            ["cem", "--json", "--iteration", "3"].as_slice(),
+            "--iteration",
+        ),
+    ] {
+        let out = rtr().args(argv).output().expect("binary runs");
+        assert!(!out.status.success(), "{argv:?} must be rejected");
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert!(
+            err.contains(&format!("unknown option {option}")),
+            "{argv:?}: {err}"
+        );
+    }
+}

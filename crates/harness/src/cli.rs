@@ -32,6 +32,9 @@ pub enum CliError {
     /// A positional (non `--`) token appeared; the suite's kernels take
     /// options only.
     UnexpectedPositional(String),
+    /// An option or flag the command does not declare (e.g. the typo
+    /// `--roadmap-size` for `--roadmap`).
+    UnknownOption(String),
 }
 
 impl fmt::Display for CliError {
@@ -46,6 +49,7 @@ impl fmt::Display for CliError {
             CliError::UnexpectedPositional(tok) => {
                 write!(f, "unexpected positional argument {tok:?}")
             }
+            CliError::UnknownOption(opt) => write!(f, "unknown option --{opt}"),
         }
     }
 }
@@ -124,6 +128,20 @@ impl Args {
     /// Returns `true` when `--name` appeared as a switch.
     pub fn get_flag(&self, name: &str) -> bool {
         self.flags.iter().any(|f| f == name)
+    }
+
+    /// Names of every option and flag given, without the leading dashes,
+    /// sorted (`-h` appears as `help`).
+    pub fn names(&self) -> Vec<&str> {
+        let mut names: Vec<&str> = self
+            .options
+            .keys()
+            .chain(&self.flags)
+            .map(String::as_str)
+            .collect();
+        names.sort_unstable();
+        names.dedup();
+        names
     }
 
     /// Returns `true` when `--help` or `-h` was given.
@@ -245,6 +263,16 @@ mod tests {
         let err = args.get_usize("samples", 1).unwrap_err();
         assert!(matches!(err, CliError::BadValue { .. }));
         assert!(err.to_string().contains("samples"));
+    }
+
+    #[test]
+    fn names_lists_options_and_flags_sorted() {
+        let args = Args::parse_tokens(&["--seed", "3", "--json", "-h", "--map", "map-c"]).unwrap();
+        assert_eq!(args.names(), ["help", "json", "map", "seed"]);
+        assert_eq!(
+            CliError::UnknownOption("roadmap-size".into()).to_string(),
+            "unknown option --roadmap-size"
+        );
     }
 
     #[test]

@@ -60,7 +60,7 @@ pub use callgraph::CallGraph;
 pub use facts::{Facts, Seeds};
 pub use index::{FileAnalysis, WorkspaceIndex};
 pub use lexer::{scrub, Allow, Scrubbed, Span};
-pub use report::{Finding, Json, Report};
+pub use report::{Finding, Report};
 pub use rules::{
     crate_of, explain, is_layered, lint_source, lint_workspace, CLOCK_CRATES, KERNEL_CRATES,
     LAYERED_CRATES, RULES,

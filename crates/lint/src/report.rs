@@ -1,5 +1,5 @@
-//! Findings, the `LINT_report.json` document, and a minimal JSON
-//! writer/parser pair (the suite builds offline — no serde).
+//! Findings, the `LINT_report.json` document, and its minimal JSON
+//! writer (the suite builds offline — no serde).
 
 use std::fmt;
 
@@ -132,74 +132,6 @@ impl Report {
         out.push_str("]\n}\n");
         out
     }
-
-    /// Parses a report back from JSON (the round-trip inverse of
-    /// [`Report::to_json`]).
-    pub fn from_json(text: &str) -> Result<Report, String> {
-        let value = Json::parse(text)?;
-        let obj = value.as_object().ok_or("report must be a JSON object")?;
-        let version = get_u64(obj, "version")?;
-        let files_scanned = get_u64(obj, "files_scanned")?;
-        // Reports older than version 2 predate the timing field.
-        let elapsed_ms = get_u64(obj, "elapsed_ms").unwrap_or(0);
-        let findings_value = field(obj, "findings")?;
-        let Json::Array(items) = findings_value else {
-            return Err("\"findings\" must be an array".to_owned());
-        };
-        let mut findings = Vec::with_capacity(items.len());
-        for item in items {
-            let o = item.as_object().ok_or("finding must be an object")?;
-            findings.push(Finding {
-                rule: get_string(o, "rule")?,
-                file: get_string(o, "file")?,
-                line: get_u64(o, "line")? as usize,
-                message: get_string(o, "message")?,
-                allowed: match field(o, "allowed")? {
-                    Json::Null => None,
-                    Json::String(s) => Some(s.clone()),
-                    _ => return Err("\"allowed\" must be a string or null".to_owned()),
-                },
-                chain: match field(o, "chain") {
-                    Err(_) => Vec::new(),
-                    Ok(Json::Array(items)) => items
-                        .iter()
-                        .map(|v| match v {
-                            Json::String(s) => Ok(s.clone()),
-                            _ => Err("\"chain\" entries must be strings".to_owned()),
-                        })
-                        .collect::<Result<Vec<String>, String>>()?,
-                    Ok(_) => return Err("\"chain\" must be an array".to_owned()),
-                },
-            });
-        }
-        Ok(Report {
-            version,
-            files_scanned,
-            elapsed_ms,
-            findings,
-        })
-    }
-}
-
-fn field<'a>(obj: &'a [(String, Json)], key: &str) -> Result<&'a Json, String> {
-    obj.iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v)
-        .ok_or_else(|| format!("missing field {key:?}"))
-}
-
-fn get_u64(obj: &[(String, Json)], key: &str) -> Result<u64, String> {
-    match field(obj, key)? {
-        Json::Number(n) if *n >= 0.0 && n.fract() == 0.0 => Ok(*n as u64),
-        _ => Err(format!("field {key:?} must be a non-negative integer")),
-    }
-}
-
-fn get_string(obj: &[(String, Json)], key: &str) -> Result<String, String> {
-    match field(obj, key)? {
-        Json::String(s) => Ok(s.clone()),
-        _ => Err(format!("field {key:?} must be a string")),
-    }
 }
 
 /// Escapes and quotes `s` as a JSON string literal.
@@ -219,179 +151,6 @@ fn json_string(s: &str) -> String {
     }
     out.push('"');
     out
-}
-
-/// A minimal JSON value, sufficient for the report format.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any number (parsed as `f64`).
-    Number(f64),
-    /// A string.
-    String(String),
-    /// An array.
-    Array(Vec<Json>),
-    /// An object; insertion order preserved.
-    Object(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// The object fields when the value is an object.
-    pub fn as_object(&self) -> Option<&[(String, Json)]> {
-        match self {
-            Json::Object(fields) => Some(fields),
-            _ => None,
-        }
-    }
-
-    /// Parses a JSON document (recursive descent, no extensions).
-    pub fn parse(text: &str) -> Result<Json, String> {
-        let bytes = text.as_bytes();
-        let mut pos = 0usize;
-        let value = parse_value(text, bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing garbage at byte {pos}"));
-        }
-        Ok(value)
-    }
-}
-
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && (bytes[*pos] as char).is_ascii_whitespace() {
-        *pos += 1;
-    }
-}
-
-fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), String> {
-    if bytes.get(*pos) == Some(&b) {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(format!("expected {:?} at byte {}", b as char, pos))
-    }
-}
-
-fn parse_value(text: &str, bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        Some(b'{') => {
-            *pos += 1;
-            let mut fields = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Json::Object(fields));
-            }
-            loop {
-                skip_ws(bytes, pos);
-                let key = parse_string(text, bytes, pos)?;
-                skip_ws(bytes, pos);
-                expect(bytes, pos, b':')?;
-                let value = parse_value(text, bytes, pos)?;
-                fields.push((key, value));
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Json::Object(fields));
-                    }
-                    _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
-                }
-            }
-        }
-        Some(b'[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Json::Array(items));
-            }
-            loop {
-                items.push(parse_value(text, bytes, pos)?);
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Json::Array(items));
-                    }
-                    _ => return Err(format!("expected ',' or ']' at byte {pos}")),
-                }
-            }
-        }
-        Some(b'"') => Ok(Json::String(parse_string(text, bytes, pos)?)),
-        Some(b'n') if text[*pos..].starts_with("null") => {
-            *pos += 4;
-            Ok(Json::Null)
-        }
-        Some(b't') if text[*pos..].starts_with("true") => {
-            *pos += 4;
-            Ok(Json::Bool(true))
-        }
-        Some(b'f') if text[*pos..].starts_with("false") => {
-            *pos += 5;
-            Ok(Json::Bool(false))
-        }
-        Some(_) => {
-            let start = *pos;
-            while *pos < bytes.len()
-                && matches!(bytes[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-            {
-                *pos += 1;
-            }
-            text[start..*pos]
-                .parse::<f64>()
-                .map(Json::Number)
-                .map_err(|e| format!("bad number at byte {start}: {e}"))
-        }
-        None => Err("unexpected end of input".to_owned()),
-    }
-}
-
-fn parse_string(text: &str, bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-    expect(bytes, pos, b'"')?;
-    let mut out = String::new();
-    loop {
-        match bytes.get(*pos) {
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'u') => {
-                        let hex = text.get(*pos + 1..*pos + 5).ok_or("truncated \\u escape")?;
-                        let code =
-                            u32::from_str_radix(hex, 16).map_err(|e| format!("bad \\u: {e}"))?;
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        *pos += 4;
-                    }
-                    _ => return Err(format!("bad escape at byte {pos}")),
-                }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Copy one full UTF-8 char.
-                let c = text[*pos..].chars().next().ok_or("bad UTF-8")?;
-                out.push(c);
-                *pos += c.len_utf8();
-            }
-            None => return Err("unterminated string".to_owned()),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -429,27 +188,6 @@ mod tests {
     }
 
     #[test]
-    fn report_round_trips() {
-        let report = sample();
-        let json = report.to_json();
-        let parsed = Report::from_json(&json).unwrap();
-        assert_eq!(parsed, report);
-        assert_eq!(parsed.to_json(), json);
-    }
-
-    #[test]
-    fn empty_report_round_trips() {
-        let report = Report {
-            version: 2,
-            files_scanned: 0,
-            elapsed_ms: 0,
-            findings: vec![],
-        };
-        let parsed = Report::from_json(&report.to_json()).unwrap();
-        assert_eq!(parsed, report);
-    }
-
-    #[test]
     fn violation_and_allowed_counts() {
         let r = sample();
         assert_eq!(r.violations().count(), 1);
@@ -480,26 +218,22 @@ mod tests {
     }
 
     #[test]
-    fn chain_round_trips_and_is_omitted_when_empty() {
-        let r = sample();
-        let json = r.to_json();
+    fn chain_is_rendered_and_omitted_when_empty() {
+        let json = sample().to_json();
         assert!(json.contains("\"chain\": [\"plan_into\", \"stamp\", \"Instant::now\"]"));
         // The chain-free finding's object carries no chain key.
         let nondet_obj = json.lines().find(|l| l.contains("nondet-iter")).unwrap();
         assert!(!nondet_obj.contains("chain"));
-        assert_eq!(Report::from_json(&json).unwrap(), r);
     }
 
     #[test]
-    fn parser_rejects_garbage() {
-        assert!(Report::from_json("{\"version\": 1").is_err());
-        assert!(Report::from_json("[]").is_err());
-        assert!(Json::parse("{\"a\": 1} x").is_err());
-    }
-
-    #[test]
-    fn json_escapes_survive() {
-        let v = Json::parse("\"a\\n\\\"b\\\\c\\u0041\"").unwrap();
-        assert_eq!(v, Json::String("a\n\"b\\cA".to_owned()));
+    fn message_escapes_render_as_json_literals() {
+        let mut report = sample();
+        report.findings[0].message = "say \"hi\" C:\\tmp\nnext\u{1}".to_owned();
+        let json = report.to_json();
+        assert!(
+            json.contains(r#""message": "say \"hi\" C:\\tmp\nnext\u0001""#),
+            "{json}"
+        );
     }
 }

@@ -11,6 +11,7 @@
 //! space" are a bottleneck — every distance evaluation here is counted.
 
 use std::cell::Cell;
+use std::collections::BTreeMap;
 
 use rtr_harness::{Pool, Profiler};
 use rtr_sim::SimRng;
@@ -28,17 +29,12 @@ pub struct PrmConfig {
     pub neighbors: usize,
     /// RNG seed for the offline sampling.
     pub seed: u64,
-    /// Use a k-d tree for the offline neighbor queries instead of the
-    /// brute-force scan. Produces the same roadmap (k-nearest is exact);
-    /// only the build cost changes — the offline phase "is paid only once
-    /// and is done offline", so both strategies ship.
-    pub kdtree_build: bool,
-    /// Worker threads for the offline neighbor search and edge collision
-    /// checks: `1` is the exact legacy sequential path, `0` means one
-    /// thread per hardware thread. The roadmap (and every counter) is
+    /// Worker threads for the offline k-nearest queries and edge collision
+    /// checks: `0` means one thread per hardware thread, `1` runs the pool
+    /// inline on the calling thread. The roadmap (and every counter) is
     /// bit-identical for every setting: sampling and the edge-commit loop
-    /// stay sequential, only the pure per-node candidate/collision
-    /// computations fan out.
+    /// stay sequential, only the pure per-node candidate and per-pair
+    /// collision computations fan out.
     pub threads: usize,
 }
 
@@ -48,7 +44,6 @@ impl Default for PrmConfig {
             roadmap_size: 1500,
             neighbors: 10,
             seed: 0,
-            kdtree_build: false,
             threads: 1,
         }
     }
@@ -74,14 +69,14 @@ pub struct PrmResult {
 pub struct Roadmap {
     nodes: Vec<Config>,
     adjacency: Vec<Vec<(usize, f64)>>,
-    /// Collision checks spent building (offline statistics). Counted per
-    /// candidate pair surviving the adjacency dedup — identical across
-    /// thread counts and build strategies.
+    /// Collision checks spent building (offline statistics): one per
+    /// rejection sample plus one per candidate edge not already in the
+    /// adjacency when the commit loop reaches it, so a blocked mutual
+    /// k-NN pair counts twice. Identical across thread counts.
     pub offline_collision_checks: u64,
-    /// Actual `motion_free` interpolation sweeps performed while building.
-    /// The parallel build memoizes each undirected pair, so mutual k-NN
-    /// candidates cost one sweep instead of two: this counter is what the
-    /// dedup saves, while `offline_collision_checks` stays legacy-exact.
+    /// Actual `motion_free` interpolation sweeps performed while building:
+    /// one per distinct undirected candidate pair, so mutual k-NN
+    /// candidates share one sweep. Identical across thread counts.
     pub motion_free_evals: u64,
     /// Edges in the roadmap.
     pub edge_count: usize,
@@ -202,125 +197,62 @@ impl Prm {
                 }
             }
 
-            // Connect each vertex to its k nearest. Brute force by
-            // default (offline cost the paper explicitly discounts); a
-            // k-d-tree variant is available for large roadmaps. Both the
-            // k-nearest searches and the per-edge collision checks are
-            // pure functions of the sampled nodes, so they fan out over
-            // the pool; the edge-commit loop below stays sequential, which
-            // keeps the adjacency lists and counters in legacy order.
-            let index = self.config.kdtree_build.then(|| {
-                let items: Vec<(Config, usize)> =
-                    nodes.iter().enumerate().map(|(i, n)| (*n, i)).collect();
-                rtr_geom::KdTree::<{ crate::rrt::DOF }>::build_balanced(&items)
-            });
+            // Connect each vertex to its k nearest others. The k-d tree
+            // fans the queries over the pool (fixed chunking, results in
+            // query order); each list is ordered by (d², index), and a
+            // vertex's own zero-distance hit is dropped.
             let k = self.config.neighbors;
             let pool = Pool::new(self.config.threads);
-            let near_of = |i: usize, node: &Config| -> Vec<(usize, f64)> {
-                match &index {
-                    Some(tree) => tree
-                        .k_nearest(node, k + 1)
+            let items: Vec<(Config, usize)> =
+                nodes.iter().enumerate().map(|(i, n)| (*n, i)).collect();
+            let index = rtr_geom::KdTree::<{ crate::rrt::DOF }>::build_balanced(&items);
+            let cands: Vec<Vec<(usize, f64)>> = index
+                .batch_k_nearest(&nodes, k + 1, &pool)
+                .into_iter()
+                .enumerate()
+                .map(|(i, found)| {
+                    found
                         .into_iter()
                         .map(|(j, d2)| (j, d2.sqrt()))
                         .filter(|&(j, _)| j != i)
                         .take(k)
-                        .collect(),
-                    None => {
-                        let mut all: Vec<(usize, f64)> = (0..nodes.len())
-                            .filter(|&j| j != i)
-                            .map(|j| (j, config_distance(node, &nodes[j])))
-                            .collect();
-                        all.sort_by(|a, b| a.1.total_cmp(&b.1));
-                        all.truncate(k);
-                        all
-                    }
+                        .collect()
+                })
+                .collect();
+
+            // Collision-check each distinct undirected pair once, across
+            // the pool: mutual k-NN candidates share one sweep.
+            let mut pair_id: BTreeMap<(usize, usize), usize> = BTreeMap::new();
+            let mut pairs: Vec<(usize, usize)> = Vec::new();
+            for (i, cand) in cands.iter().enumerate() {
+                for &(j, _) in cand {
+                    let key = (i.min(j), i.max(j));
+                    pair_id.entry(key).or_insert_with(|| {
+                        pairs.push(key);
+                        pairs.len() - 1
+                    });
                 }
-            };
+            }
+            let free: Vec<bool> = pool.par_map(&pairs, |_, &(a, b)| {
+                problem.motion_free(&nodes[a], &nodes[b])
+            });
+
+            // Commit sequentially in candidate order. A candidate whose
+            // mirror edge is already in place is skipped uncounted; every
+            // other one counts a collision check, so a blocked mutual
+            // pair is counted twice but swept once.
             let mut adjacency: Vec<Vec<(usize, f64)>> = vec![Vec::new(); nodes.len()];
             let mut edge_count = 0usize;
-            let mut motion_free_evals = 0u64;
-            let mut commit = |i: usize,
-                              j: usize,
-                              dist: f64,
-                              free: bool,
-                              adjacency: &mut Vec<Vec<(usize, f64)>>| {
-                if adjacency[i].iter().any(|&(n, _)| n == j) {
-                    return;
-                }
-                collision_checks += 1;
-                if free {
-                    adjacency[i].push((j, dist));
-                    adjacency[j].push((i, dist));
-                    edge_count += 1;
-                }
-            };
-            if pool.threads() == 1 {
-                // Legacy path: collision checks stay lazy, so pairs the
-                // dedup skips are never evaluated.
-                for i in 0..nodes.len() {
-                    for (j, dist) in near_of(i, &nodes[i]) {
-                        let skip = adjacency[i].iter().any(|&(n, _)| n == j);
-                        if !skip {
-                            motion_free_evals += 1;
-                            let free = problem.motion_free(&nodes[i], &nodes[j]);
-                            commit(i, j, dist, free, &mut adjacency);
-                        }
+            for (i, cand) in cands.iter().enumerate() {
+                for &(j, dist) in cand {
+                    if adjacency[i].iter().any(|&(n, _)| n == j) {
+                        continue;
                     }
-                }
-            } else {
-                // Parallel path: candidate search fans out first, then the
-                // distinct undirected pairs (first-encounter order) are
-                // collision-checked across the pool exactly once each —
-                // mutual k-NN candidates share one `motion_free` sweep
-                // instead of paying one per direction. The sequential
-                // commit loop replays the legacy iteration order against
-                // the memoized verdicts, so adjacency lists, edge count,
-                // and the collision-check counter match the legacy path
-                // exactly (a blocked mutual pair is still *counted* twice,
-                // as the lazy path would, but evaluated once).
-                let cands: Vec<Vec<(usize, f64)>> = match &index {
-                    // With a k-d index the whole candidate generation is
-                    // one batched fan-out: the tree chunks the node list
-                    // over the pool itself (fixed chunking, results in
-                    // query order) instead of paying one pool task per
-                    // node. The per-node transformation below mirrors
-                    // `near_of`'s k-d branch expression for expression,
-                    // so the candidate lists are bit-identical to it.
-                    Some(tree) => tree
-                        .batch_k_nearest(&nodes, k + 1, &pool)
-                        .into_iter()
-                        .enumerate()
-                        .map(|(i, found)| {
-                            found
-                                .into_iter()
-                                .map(|(j, d2)| (j, d2.sqrt()))
-                                .filter(|&(j, _)| j != i)
-                                .take(k)
-                                .collect()
-                        })
-                        .collect(),
-                    None => pool.par_map(&nodes, |i, node| near_of(i, node)),
-                };
-                let mut seen = std::collections::BTreeSet::new();
-                let mut pairs: Vec<(usize, usize)> = Vec::new();
-                for (i, cand) in cands.iter().enumerate() {
-                    for &(j, _) in cand {
-                        let key = (i.min(j), i.max(j));
-                        if seen.insert(key) {
-                            pairs.push(key);
-                        }
-                    }
-                }
-                motion_free_evals += pairs.len() as u64;
-                let verdicts: Vec<bool> = pool.par_map(&pairs, |_, &(a, b)| {
-                    problem.motion_free(&nodes[a], &nodes[b])
-                });
-                let free_of: std::collections::BTreeMap<(usize, usize), bool> =
-                    pairs.iter().copied().zip(verdicts).collect();
-                for (i, cand) in cands.iter().enumerate() {
-                    for &(j, dist) in cand {
-                        let free = free_of[&(i.min(j), i.max(j))];
-                        commit(i, j, dist, free, &mut adjacency);
+                    collision_checks += 1;
+                    if free[pair_id[&(i.min(j), i.max(j))]] {
+                        adjacency[i].push((j, dist));
+                        adjacency[j].push((i, dist));
+                        edge_count += 1;
                     }
                 }
             }
@@ -329,7 +261,7 @@ impl Prm {
                 nodes,
                 adjacency,
                 offline_collision_checks: collision_checks,
-                motion_free_evals,
+                motion_free_evals: pairs.len() as u64,
                 edge_count,
             }
         })
@@ -464,7 +396,6 @@ mod tests {
             roadmap_size: 1200,
             neighbors: 12,
             seed: 3,
-            kdtree_build: false,
             threads: 1,
         });
         let roadmap = prm.build(&problem, &mut profiler);
@@ -513,112 +444,6 @@ mod tests {
             offline > online * 2,
             "offline {offline:?} vs online {online:?}"
         );
-    }
-
-    #[test]
-    fn kdtree_build_produces_equivalent_roadmap() {
-        let problem = ArmProblem::map_f(8);
-        let mut profiler = Profiler::new();
-        let base_config = PrmConfig {
-            roadmap_size: 400,
-            neighbors: 8,
-            seed: 4,
-            kdtree_build: false,
-            threads: 1,
-        };
-        let brute = Prm::new(base_config.clone()).build(&problem, &mut profiler);
-        let kd = Prm::new(PrmConfig {
-            kdtree_build: true,
-            ..base_config
-        })
-        .build(&problem, &mut profiler);
-        // Same samples (same seed), same k-nearest sets → same edges.
-        assert_eq!(brute.len(), kd.len());
-        assert_eq!(brute.edge_count, kd.edge_count);
-        // And queries agree.
-        let prm = Prm::new(PrmConfig {
-            kdtree_build: true,
-            roadmap_size: 400,
-            neighbors: 8,
-            seed: 4,
-            threads: 1,
-        });
-        let a = prm
-            .query(&problem, &brute, &mut profiler, &mut NullTrace)
-            .unwrap();
-        let b = prm
-            .query(&problem, &kd, &mut profiler, &mut NullTrace)
-            .unwrap();
-        assert!((a.cost - b.cost).abs() < 1e-9);
-    }
-
-    #[test]
-    fn parallel_build_dedups_mutual_pairs() {
-        let problem = ArmProblem::map_c(9);
-        let cfg = |threads| PrmConfig {
-            roadmap_size: 300,
-            neighbors: 8,
-            seed: 5,
-            kdtree_build: false,
-            threads,
-        };
-        let mut profiler = Profiler::new();
-        let seq = Prm::new(cfg(1)).build(&problem, &mut profiler);
-        let par = Prm::new(cfg(4)).build(&problem, &mut profiler);
-        // The roadmap and the legacy counter are bit-identical...
-        assert_eq!(seq.len(), par.len());
-        assert_eq!(seq.edge_count, par.edge_count);
-        assert_eq!(
-            seq.offline_collision_checks, par.offline_collision_checks,
-            "collision-check counter must not depend on thread count"
-        );
-        for i in 0..seq.len() {
-            assert_eq!(seq.neighbors(i), par.neighbors(i), "adjacency at {i}");
-        }
-        // ...while the deduped build sweeps each undirected pair once: on
-        // a cluttered map some mutual candidates are blocked, which the
-        // lazy sequential path pays for twice.
-        assert!(
-            par.motion_free_evals < seq.motion_free_evals,
-            "dedup saved nothing: {} vs {}",
-            par.motion_free_evals,
-            seq.motion_free_evals
-        );
-    }
-
-    #[test]
-    fn batched_kdtree_build_matches_sequential_for_all_thread_counts() {
-        let problem = ArmProblem::map_f(10);
-        let cfg = |threads| PrmConfig {
-            roadmap_size: 300,
-            neighbors: 8,
-            seed: 6,
-            kdtree_build: true,
-            threads,
-        };
-        let mut profiler = Profiler::new();
-        let seq = Prm::new(cfg(1)).build(&problem, &mut profiler);
-        for threads in [2, 4, 8] {
-            let par = Prm::new(cfg(threads)).build(&problem, &mut profiler);
-            assert_eq!(seq.edge_count, par.edge_count, "threads={threads}");
-            assert_eq!(
-                seq.offline_collision_checks, par.offline_collision_checks,
-                "threads={threads}"
-            );
-            for i in 0..seq.len() {
-                let a = seq.neighbors(i);
-                let b = par.neighbors(i);
-                assert_eq!(a.len(), b.len(), "adjacency len at {i}, threads={threads}");
-                for (x, y) in a.iter().zip(b.iter()) {
-                    assert_eq!(x.0, y.0, "neighbor id at {i}, threads={threads}");
-                    assert_eq!(
-                        x.1.to_bits(),
-                        y.1.to_bits(),
-                        "edge cost bits at {i}, threads={threads}"
-                    );
-                }
-            }
-        }
     }
 
     #[test]

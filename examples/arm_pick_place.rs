@@ -34,7 +34,6 @@ fn main() {
         roadmap_size: 1200,
         neighbors: 12,
         seed: 3,
-        kdtree_build: false,
         threads: 1,
     });
     let t0 = std::time::Instant::now();
