@@ -907,15 +907,35 @@ fn bench_linalg(c: &mut Criterion) {
     group.finish();
 }
 
-/// Scalar vs lane-kernel fast paths on the three SoA hot loops the
-/// `SimdMode` knob gates: the bucketed k-d leaf distance scan
-/// (`squared_distances`), the matvec microkernel behind
-/// `mul_vector_simd_into` (`dot`), and the PFL weight loop (`sum`).
-/// CI holds the measured speedup floor over these medians: Lanes must
-/// stay ≥1.3× Scalar on at least two of the three.
-fn bench_simd_fastpaths(c: &mut Criterion) {
-    use rtr_simd::SimdMode;
+/// The sequential leaf scan as the lane kernel's retired scalar arm ran
+/// it: out of line, over a run-time point dimension. Specialized for
+/// 3-D points the same loop runs several times faster, so it would be a
+/// different baseline from the one CI's floor was set on.
+#[inline(never)]
+fn scalar_squared_distances(pts: &[f64], dim: usize, query: &[f64], out: &mut [f64]) {
+    assert!(dim > 0, "point dimension must be positive");
+    assert_eq!(pts.len() % dim, 0, "packed point slice must be len × dim");
+    assert_eq!(query.len(), dim, "query dimension mismatch");
+    let n = pts.len() / dim;
+    assert!(out.len() >= n, "output buffer too short");
+    for (i, p) in pts.chunks_exact(dim).enumerate() {
+        let mut acc = 0.0;
+        for d in 0..dim {
+            let diff = p[d] - query[d];
+            acc += diff * diff;
+        }
+        out[i] = acc;
+    }
+}
 
+/// Lane kernels vs their scalar references on the three SoA hot loops:
+/// the bucketed k-d leaf distance scan (`squared_distances`), the matvec
+/// row dot (`dot`), and the PFL weight loop (`sum`). The `…/scalar`
+/// entries time the sequential loops written out here; they are the
+/// test-side references of `crates/bench/tests/simd.rs`, not a
+/// production path. CI holds the measured speedup floor over these
+/// medians: lanes must stay ≥1.3× scalar on at least two of the three.
+fn bench_simd_fastpaths(c: &mut Criterion) {
     let mut group = c.benchmark_group("simd_fastpaths");
 
     // k-d leaf scan: the 64-slot leaf blocks, back to back.
@@ -924,33 +944,51 @@ fn bench_simd_fastpaths(c: &mut Criterion) {
         .collect();
     let query = [0.3, -0.8, 1.7];
     let mut d2s = vec![0.0f64; 16_384];
-    for mode in [SimdMode::Scalar, SimdMode::Lanes] {
-        group.bench_function(format!("leaf_scan/{mode}"), |bch| {
-            bch.iter(|| {
-                rtr_simd::squared_distances::<3>(&pts, &query, &mut d2s, mode);
-                black_box(d2s[0])
-            })
-        });
-    }
+    group.bench_function("leaf_scan/scalar", |bch| {
+        bch.iter(|| {
+            scalar_squared_distances(&pts, black_box(3), &query, &mut d2s);
+            black_box(d2s[0])
+        })
+    });
+    group.bench_function("leaf_scan/lanes", |bch| {
+        bch.iter(|| {
+            rtr_simd::squared_distances::<3>(&pts, &query, &mut d2s);
+            black_box(d2s[0])
+        })
+    });
 
     // Matvec microkernel: one dense row dot per output element.
     let xs: Vec<f64> = (0..16_384).map(|i| (i as f64 * 0.7).sin()).collect();
     let ys: Vec<f64> = (0..16_384).map(|i| (i as f64 * 0.3).cos()).collect();
-    for mode in [SimdMode::Scalar, SimdMode::Lanes] {
-        group.bench_function(format!("matvec_dot/{mode}"), |bch| {
-            bch.iter(|| black_box(rtr_simd::dot(&xs, &ys, mode)))
-        });
-    }
+    group.bench_function("matvec_dot/scalar", |bch| {
+        bch.iter(|| {
+            let mut total = 0.0;
+            for (&x, &y) in xs.iter().zip(&ys) {
+                total += x * y;
+            }
+            black_box(total)
+        })
+    });
+    group.bench_function("matvec_dot/lanes", |bch| {
+        bch.iter(|| black_box(rtr_simd::dot(&xs, &ys)))
+    });
 
     // PFL weight loop: normalization totals over the particle weights.
     let weights: Vec<f64> = (0..65_536)
         .map(|i| 0.5 + (i as f64 * 0.11).sin().abs())
         .collect();
-    for mode in [SimdMode::Scalar, SimdMode::Lanes] {
-        group.bench_function(format!("weight_sum/{mode}"), |bch| {
-            bch.iter(|| black_box(rtr_simd::sum(&weights, mode)))
-        });
-    }
+    group.bench_function("weight_sum/scalar", |bch| {
+        bch.iter(|| {
+            let mut total = 0.0;
+            for &w in &weights {
+                total += w;
+            }
+            black_box(total)
+        })
+    });
+    group.bench_function("weight_sum/lanes", |bch| {
+        bch.iter(|| black_box(rtr_simd::sum(&weights)))
+    });
     group.finish();
 }
 

@@ -1,33 +1,119 @@
 //! Equivalence suite for the `rtr-simd` lane kernels.
 //!
-//! The SIMD modes are pure performance switches, and this suite pins the
-//! crate's divergence contract across all of [`SimdMode::ALL`]:
+//! The lane kernels are the suite's only production inner loops; the
+//! plain sequential loops they replaced live on here as the scalar
+//! references they are checked against (the RobotPerf convention: the
+//! scalar path is the vendor-agnostic reference for accelerated kernels).
+//! The suite pins the crate's divergence contract:
 //!
 //! - **Bit-identity** for element-wise maps (`axpy`, `axpy4`,
 //!   `div_assign`) and independent per-point scans (`squared_distances`,
-//!   `squared_distances_dyn`): every mode reproduces Scalar byte for
-//!   byte, at every length (remainders, empty, singleton included).
+//!   `squared_distances_dyn`): the lane kernel reproduces the reference
+//!   byte for byte, at every length (remainders, empty, singleton
+//!   included).
 //! - **ULP-bounded divergence** for horizontal reductions (`sum`,
 //!   `sum_sq`, `dot`), which reassociate the addition chain across four
 //!   lane accumulators. On non-cancelling (nonnegative) data the
 //!   reassociation error stays within a tight ULP budget; lengths below
 //!   the lane width fold sequentially and stay bitwise.
 //! - **Special values propagate identically**: a NaN anywhere poisons
-//!   every mode; all-infinite input overflows every mode the same way.
-//! - **Consumer contracts**: the k-d tree answers queries identically in
-//!   every mode, `Matrix::mul_vector_simd_into` reproduces the legacy
-//!   `mul_vector_into` bitwise in Scalar mode, and
-//!   `GaussianProcess::predict_with` matches `predict` bitwise in every
-//!   mode (its per-row distance scan preserves dimension order).
+//!   every reduction and only its own distance; all-infinite input
+//!   overflows to +∞.
 
 use proptest::prelude::*;
-use rtr_control::GaussianProcess;
-use rtr_geom::KdTree;
-use rtr_linalg::{Matrix, Vector, Workspace};
-use rtr_simd::{ulp_diff, SimdMode, LANES};
+use rtr_simd::LANES;
 
 /// ULP budget for a 4-accumulator reassociation on nonnegative data.
 const REDUCTION_ULP: u64 = 256;
+
+/// Distance between two doubles in units in the last place, treating the
+/// bit patterns as lexicographically ordered integers (the usual
+/// monotone mapping). Equal NaNs compare at distance 0; a NaN against a
+/// number is `u64::MAX`.
+fn ulp_diff(a: f64, b: f64) -> u64 {
+    if a.is_nan() || b.is_nan() {
+        return if a.is_nan() && b.is_nan() {
+            0
+        } else {
+            u64::MAX
+        };
+    }
+    // Map the sign-magnitude f64 bit pattern onto a monotone integer
+    // line so subtraction counts representable values between a and b.
+    fn key(x: f64) -> i64 {
+        let bits = x.to_bits() as i64;
+        if bits < 0 {
+            i64::MIN.wrapping_add(1).wrapping_sub(bits).wrapping_sub(1)
+        } else {
+            bits
+        }
+    }
+    key(a).abs_diff(key(b))
+}
+
+/// The scalar references: left-to-right folds and per-element loops.
+mod scalar {
+    pub fn sum(xs: &[f64]) -> f64 {
+        let mut total = 0.0;
+        for &x in xs {
+            total += x;
+        }
+        total
+    }
+
+    pub fn sum_sq(xs: &[f64]) -> f64 {
+        let mut total = 0.0;
+        for &x in xs {
+            total += x * x;
+        }
+        total
+    }
+
+    pub fn dot(a: &[f64], b: &[f64]) -> f64 {
+        let mut total = 0.0;
+        for (&x, &y) in a.iter().zip(b) {
+            total += x * y;
+        }
+        total
+    }
+
+    pub fn axpy(y: &mut [f64], alpha: f64, x: &[f64]) {
+        for (yy, &xx) in y.iter_mut().zip(x) {
+            *yy += alpha * xx;
+        }
+    }
+
+    pub fn axpy4(y: &mut [f64], c: [f64; 4], rows: [&[f64]; 4]) {
+        for (j, yy) in y.iter_mut().enumerate() {
+            let mut acc = *yy;
+            for (ck, row) in c.iter().zip(rows) {
+                acc += ck * row[j];
+            }
+            *yy = acc;
+        }
+    }
+
+    pub fn div_assign(xs: &mut [f64], d: f64) {
+        for x in xs.iter_mut() {
+            *x /= d;
+        }
+    }
+
+    pub fn squared_distances(pts: &[f64], dim: usize, query: &[f64], out: &mut [f64]) {
+        for (i, p) in pts.chunks_exact(dim).enumerate() {
+            let mut acc = 0.0;
+            for d in 0..dim {
+                let diff = p[d] - query[d];
+                acc += diff * diff;
+            }
+            out[i] = acc;
+        }
+    }
+}
+
+fn bitwise_eq(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+}
 
 fn finite() -> impl Strategy<Value = f64> {
     -1.0e6f64..1.0e6f64
@@ -39,92 +125,84 @@ fn nonneg() -> impl Strategy<Value = f64> {
 
 proptest! {
     #[test]
-    fn axpy_bit_identical_across_modes(
+    fn axpy_matches_scalar_reference_bitwise(
         ys in prop::collection::vec(finite(), 0..40),
         xs_seed in finite(),
         alpha in finite(),
     ) {
         let xs: Vec<f64> = (0..ys.len()).map(|i| xs_seed + i as f64 * 0.37).collect();
-        let mut base = ys.clone();
-        rtr_simd::axpy(&mut base, alpha, &xs, SimdMode::Scalar);
-        let mode = SimdMode::Lanes;
+        let mut want = ys.clone();
+        scalar::axpy(&mut want, alpha, &xs);
         let mut got = ys.clone();
-        rtr_simd::axpy(&mut got, alpha, &xs, mode);
-        prop_assert!(base.iter().zip(&got).all(|(a, b)| a.to_bits() == b.to_bits()),
-            "axpy diverged in {mode}");
+        rtr_simd::axpy(&mut got, alpha, &xs);
+        prop_assert!(bitwise_eq(&want, &got), "axpy diverged");
     }
 
     #[test]
-    fn axpy4_bit_identical_across_modes(
+    fn axpy4_matches_scalar_reference_bitwise(
         ys in prop::collection::vec(finite(), 0..40),
         c in prop::array::uniform4(finite()),
     ) {
         let rows: Vec<Vec<f64>> = (0..4)
             .map(|r| (0..ys.len()).map(|i| ((r * 31 + i) as f64 * 0.21).sin()).collect())
             .collect();
-        let mut base = ys.clone();
-        rtr_simd::axpy4(&mut base, c, &rows[0], &rows[1], &rows[2], &rows[3], SimdMode::Scalar);
-        let mode = SimdMode::Lanes;
+        let mut want = ys.clone();
+        scalar::axpy4(&mut want, c, [&rows[0], &rows[1], &rows[2], &rows[3]]);
         let mut got = ys.clone();
-        rtr_simd::axpy4(&mut got, c, &rows[0], &rows[1], &rows[2], &rows[3], mode);
-        prop_assert!(base.iter().zip(&got).all(|(a, b)| a.to_bits() == b.to_bits()),
-            "axpy4 diverged in {mode}");
+        rtr_simd::axpy4(&mut got, c, &rows[0], &rows[1], &rows[2], &rows[3]);
+        prop_assert!(bitwise_eq(&want, &got), "axpy4 diverged");
     }
 
     #[test]
-    fn div_assign_bit_identical_across_modes(
+    fn div_assign_matches_scalar_reference_bitwise(
         xs in prop::collection::vec(finite(), 0..40),
         d in 1.0e-3f64..1.0e6,
     ) {
-        let mut base = xs.clone();
-        rtr_simd::div_assign(&mut base, d, SimdMode::Scalar);
-        let mode = SimdMode::Lanes;
+        let mut want = xs.clone();
+        scalar::div_assign(&mut want, d);
         let mut got = xs.clone();
-        rtr_simd::div_assign(&mut got, d, mode);
-        prop_assert!(base.iter().zip(&got).all(|(a, b)| a.to_bits() == b.to_bits()),
-            "div_assign diverged in {mode}");
+        rtr_simd::div_assign(&mut got, d);
+        prop_assert!(bitwise_eq(&want, &got), "div_assign diverged");
     }
 
     #[test]
-    fn squared_distances_bit_identical_across_modes(
+    fn squared_distances_match_scalar_reference_bitwise(
         n in 0usize..23,
         q in prop::array::uniform3(finite()),
     ) {
         let pts: Vec<f64> = (0..n * 3).map(|i| (i as f64 * 0.13).cos() * 50.0).collect();
-        let mut base = vec![0.0; n];
-        rtr_simd::squared_distances::<3>(&pts, &q, &mut base, SimdMode::Scalar);
-        let mode = SimdMode::Lanes;
+        let mut want = vec![0.0; n];
+        scalar::squared_distances(&pts, 3, &q, &mut want);
         let mut got = vec![0.0; n];
-        rtr_simd::squared_distances::<3>(&pts, &q, &mut got, mode);
-        prop_assert!(base.iter().zip(&got).all(|(a, b)| a.to_bits() == b.to_bits()),
-            "squared_distances diverged in {mode}");
+        rtr_simd::squared_distances::<3>(&pts, &q, &mut got);
+        prop_assert!(bitwise_eq(&want, &got), "squared_distances diverged");
         // The runtime-dimension twin is the same kernel.
         let mut dyn_got = vec![0.0; n];
-        rtr_simd::squared_distances_dyn(&pts, 3, &q, &mut dyn_got, mode);
-        prop_assert!(base.iter().zip(&dyn_got).all(|(a, b)| a.to_bits() == b.to_bits()),
-            "squared_distances_dyn diverged in {mode}");
+        rtr_simd::squared_distances_dyn(&pts, 3, &q, &mut dyn_got);
+        prop_assert!(bitwise_eq(&want, &dyn_got), "squared_distances_dyn diverged");
     }
 
     #[test]
     fn reductions_ulp_bounded_on_nonnegative_data(
-        xs in prop::collection::vec(nonneg(), 0..40),
+        // Up to 511 elements: PFL reduces 300 (scenario) to 500 (`rtr`)
+        // weights per update.
+        xs in prop::collection::vec(nonneg(), 0..512),
     ) {
         let ys: Vec<f64> = xs.iter().map(|x| x * 0.5 + 1.0).collect();
-        for mode in SimdMode::ALL {
-            prop_assert!(
-                ulp_diff(rtr_simd::sum(&xs, SimdMode::Scalar), rtr_simd::sum(&xs, mode))
-                    <= REDUCTION_ULP
-            );
-            prop_assert!(
-                ulp_diff(rtr_simd::sum_sq(&xs, SimdMode::Scalar), rtr_simd::sum_sq(&xs, mode))
-                    <= REDUCTION_ULP
-            );
-            prop_assert!(
-                ulp_diff(rtr_simd::dot(&xs, &ys, SimdMode::Scalar), rtr_simd::dot(&xs, &ys, mode))
-                    <= REDUCTION_ULP
-            );
-        }
+        prop_assert!(ulp_diff(scalar::sum(&xs), rtr_simd::sum(&xs)) <= REDUCTION_ULP);
+        prop_assert!(ulp_diff(scalar::sum_sq(&xs), rtr_simd::sum_sq(&xs)) <= REDUCTION_ULP);
+        prop_assert!(ulp_diff(scalar::dot(&xs, &ys), rtr_simd::dot(&xs, &ys)) <= REDUCTION_ULP);
     }
+}
+
+#[test]
+fn ulp_diff_basics() {
+    assert_eq!(ulp_diff(1.0, 1.0), 0);
+    assert_eq!(ulp_diff(1.0, f64::from_bits(1.0f64.to_bits() + 1)), 1);
+    assert_eq!(ulp_diff(-0.0, 0.0), 0);
+    assert_eq!(ulp_diff(f64::NAN, f64::NAN), 0);
+    assert_eq!(ulp_diff(f64::NAN, 1.0), u64::MAX);
+    assert!(ulp_diff(-1.0, 1.0) > 1 << 60);
 }
 
 #[test]
@@ -134,22 +212,53 @@ fn reductions_below_lane_width_are_bitwise() {
     for n in 0..LANES {
         let xs: Vec<f64> = (0..n).map(|i| (i as f64 * 1.7).sin() * 1e3).collect();
         let ys: Vec<f64> = (0..n).map(|i| (i as f64 * 0.9).cos() * 1e-3).collect();
-        for mode in SimdMode::ALL {
-            assert_eq!(
-                rtr_simd::sum(&xs, SimdMode::Scalar).to_bits(),
-                rtr_simd::sum(&xs, mode).to_bits(),
-                "sum n={n} {mode}"
-            );
-            assert_eq!(
-                rtr_simd::dot(&xs, &ys, SimdMode::Scalar).to_bits(),
-                rtr_simd::dot(&xs, &ys, mode).to_bits(),
-                "dot n={n} {mode}"
-            );
-        }
+        assert_eq!(
+            scalar::sum(&xs).to_bits(),
+            rtr_simd::sum(&xs).to_bits(),
+            "sum n={n}"
+        );
+        assert_eq!(
+            scalar::sum_sq(&xs).to_bits(),
+            rtr_simd::sum_sq(&xs).to_bits(),
+            "sum_sq n={n}"
+        );
+        assert_eq!(
+            scalar::dot(&xs, &ys).to_bits(),
+            rtr_simd::dot(&xs, &ys).to_bits(),
+            "dot n={n}"
+        );
     }
-    for mode in SimdMode::ALL {
-        assert_eq!(rtr_simd::sum(&[], mode).to_bits(), 0.0f64.to_bits());
-        assert_eq!(rtr_simd::sum_sq(&[], mode).to_bits(), 0.0f64.to_bits());
+    assert_eq!(rtr_simd::sum(&[]).to_bits(), 0.0f64.to_bits());
+    assert_eq!(rtr_simd::sum_sq(&[]).to_bits(), 0.0f64.to_bits());
+    assert_eq!(rtr_simd::sum(&[2.5]).to_bits(), 2.5f64.to_bits());
+    assert_eq!(rtr_simd::sum_sq(&[3.0]).to_bits(), 9.0f64.to_bits());
+    assert_eq!(rtr_simd::dot(&[2.0], &[4.0]).to_bits(), 8.0f64.to_bits());
+}
+
+#[test]
+fn reductions_match_scalar_closely_at_pfl_weight_counts() {
+    // Nonnegative inputs (the PFL-weights shape) at the particle counts
+    // the suite runs: no cancellation, so the reassociation divergence
+    // stays within a few ULP.
+    for n in [103, 300, 500] {
+        let xs: Vec<f64> = (0..n)
+            .map(|i| 0.5 + (i as f64 * 0.37).sin().abs())
+            .collect();
+        let ys: Vec<f64> = (0..n)
+            .map(|i| 0.25 + (i as f64 * 0.11).cos().abs())
+            .collect();
+        assert!(
+            ulp_diff(scalar::sum(&xs), rtr_simd::sum(&xs)) <= 128,
+            "sum n={n}"
+        );
+        assert!(
+            ulp_diff(scalar::sum_sq(&xs), rtr_simd::sum_sq(&xs)) <= 128,
+            "sum_sq n={n}"
+        );
+        assert!(
+            ulp_diff(scalar::dot(&xs, &ys), rtr_simd::dot(&xs, &ys)) <= 128,
+            "dot n={n}"
+        );
     }
 }
 
@@ -159,118 +268,20 @@ fn special_values_propagate_identically() {
         for poison in 0..n {
             let mut xs: Vec<f64> = (0..n).map(|i| i as f64).collect();
             xs[poison] = f64::NAN;
-            for mode in SimdMode::ALL {
-                assert!(
-                    rtr_simd::sum(&xs, mode).is_nan(),
-                    "sum NaN n={n} at {poison} {mode}"
-                );
-                assert!(rtr_simd::sum_sq(&xs, mode).is_nan(), "sum_sq NaN {mode}");
-                let ys = vec![1.0; n];
-                assert!(rtr_simd::dot(&xs, &ys, mode).is_nan(), "dot NaN {mode}");
-                let mut d2 = vec![0.0; n];
-                rtr_simd::squared_distances_dyn(&xs, 1, &[0.0], &mut d2, mode);
-                assert!(d2[poison].is_nan(), "squared_distances NaN {mode}");
-                assert!(d2
-                    .iter()
-                    .enumerate()
-                    .all(|(i, v)| i == poison || v.is_finite()));
-            }
+            assert!(rtr_simd::sum(&xs).is_nan(), "sum NaN n={n} at {poison}");
+            assert!(rtr_simd::sum_sq(&xs).is_nan(), "sum_sq NaN n={n}");
+            let ys = vec![1.0; n];
+            assert!(rtr_simd::dot(&xs, &ys).is_nan(), "dot NaN n={n}");
+            let mut d2 = vec![0.0; n];
+            rtr_simd::squared_distances_dyn(&xs, 1, &[0.0], &mut d2);
+            assert!(d2[poison].is_nan(), "squared_distances NaN n={n}");
+            assert!(d2
+                .iter()
+                .enumerate()
+                .all(|(i, v)| i == poison || v.is_finite()));
         }
         let inf = vec![f64::INFINITY; n];
-        for mode in SimdMode::ALL {
-            assert_eq!(
-                rtr_simd::sum(&inf, mode),
-                f64::INFINITY,
-                "inf sum n={n} {mode}"
-            );
-        }
-    }
-}
-
-#[test]
-fn kdtree_queries_are_identical_in_every_mode() {
-    let pts: Vec<([f64; 3], usize)> = (0..257)
-        .map(|i| {
-            let t = i as f64;
-            (
-                [
-                    (t * 0.7).sin() * 9.0,
-                    (t * 1.3).cos() * 9.0,
-                    (t * 0.29).sin() * 4.0,
-                ],
-                i,
-            )
-        })
-        .collect();
-    let build = |mode: SimdMode| KdTree::<3>::build_balanced(&pts).with_simd(mode);
-    let base = build(SimdMode::Scalar);
-    let mode = SimdMode::Lanes;
-    let tree = build(mode);
-    for qi in 0..64 {
-        let t = qi as f64 * 0.41;
-        let q = [(t).sin() * 10.0, (t * 2.0).cos() * 10.0, t % 5.0 - 2.5];
-        let a = base.nearest(&q).expect("non-empty");
-        let b = tree.nearest(&q).expect("non-empty");
-        assert_eq!(a.0, b.0, "nearest payload {mode}");
-        assert_eq!(a.1.to_bits(), b.1.to_bits(), "nearest distance {mode}");
-        let (ka, kb) = (base.k_nearest(&q, 7), tree.k_nearest(&q, 7));
-        assert_eq!(ka.len(), kb.len());
-        for (x, y) in ka.iter().zip(kb.iter()) {
-            assert_eq!(x.0, y.0, "k-nearest payload {mode}");
-            assert_eq!(x.1.to_bits(), y.1.to_bits(), "k-nearest distance {mode}");
-        }
-        let (ra, rb) = (base.within_radius(&q, 3.0), tree.within_radius(&q, 3.0));
-        assert_eq!(ra.len(), rb.len(), "radius count {mode}");
-        for (x, y) in ra.iter().zip(rb.iter()) {
-            assert_eq!(x.0, y.0, "radius payload {mode}");
-            assert_eq!(x.1.to_bits(), y.1.to_bits(), "radius distance {mode}");
-        }
-    }
-}
-
-#[test]
-fn mul_vector_simd_scalar_mode_reproduces_legacy_bitwise() {
-    let a = Matrix::from_fn(17, 13, |r, c| ((r * 13 + c) as f64 * 0.11).sin());
-    let v = Vector::from_fn(13, |i| (i as f64 * 0.7).cos());
-    let mut legacy = Vector::zeros(17);
-    a.mul_vector_into(&v, &mut legacy).unwrap();
-    let mut scalar = Vector::zeros(17);
-    a.mul_vector_simd_into(&v, &mut scalar, SimdMode::Scalar)
-        .unwrap();
-    for i in 0..17 {
-        assert_eq!(legacy[i].to_bits(), scalar[i].to_bits(), "row {i}");
-    }
-    // Vector modes carry the reduction contract: forward-error bounded.
-    let mode = SimdMode::Lanes;
-    let mut fast = Vector::zeros(17);
-    a.mul_vector_simd_into(&v, &mut fast, mode).unwrap();
-    for i in 0..17 {
-        let scale: f64 = (0..13).map(|j| (a[(i, j)] * v[j]).abs()).sum();
-        assert!(
-            (fast[i] - legacy[i]).abs() <= 1e-13 * scale + 1e-300,
-            "row {i} {mode}: {} vs {}",
-            fast[i],
-            legacy[i]
-        );
-    }
-}
-
-#[test]
-fn gp_predict_with_is_bit_identical_in_every_mode() {
-    let xs: Vec<Vec<f64>> = (0..23)
-        .map(|i| vec![(i as f64 * 0.17).sin(), (i as f64 * 0.23).cos()])
-        .collect();
-    let ys: Vec<f64> = xs.iter().map(|x| x[0] * x[0] + 0.5 * x[1]).collect();
-    let gp = GaussianProcess::fit(&xs, &ys, 0.7, 1.0, 1e-6).unwrap();
-    for mode in SimdMode::ALL {
-        let gp = gp.clone().with_simd(mode);
-        let mut ws = Workspace::new();
-        for q in 0..32 {
-            let x = [q as f64 * 0.09 - 1.0, (q as f64 * 0.05).sin()];
-            let (m0, v0) = gp.predict(&x);
-            let (m1, v1) = gp.predict_with(&x, &mut ws);
-            assert_eq!(m0.to_bits(), m1.to_bits(), "mean query {q} {mode}");
-            assert_eq!(v0.to_bits(), v1.to_bits(), "variance query {q} {mode}");
-        }
+        assert_eq!(rtr_simd::sum(&inf), f64::INFINITY, "inf sum n={n}");
+        assert_eq!(scalar::sum(&inf), f64::INFINITY, "inf reference n={n}");
     }
 }

@@ -42,10 +42,6 @@ pub struct BoConfig {
     pub noise: f64,
     /// RNG seed.
     pub seed: u64,
-    /// Lane-kernel mode for the GP posterior scan in the acquisition
-    /// loop. Pure perf knob — every mode is bit-identical (see
-    /// [`crate::GaussianProcess::predict_with`]).
-    pub simd: rtr_simd::SimdMode,
 }
 
 impl Default for BoConfig {
@@ -58,7 +54,6 @@ impl Default for BoConfig {
             length_scale: 0.8,
             noise: 1e-4,
             seed: 0,
-            simd: rtr_simd::SimdMode::default(),
         }
     }
 }
@@ -205,7 +200,6 @@ impl BayesOpt {
                 }
                 GaussianProcess::fit(&xs, &ys, self.config.length_scale, 1.0, self.config.noise)
                     .expect("jittered kernel is SPD")
-                    .with_simd(self.config.simd)
             });
 
             // Score random candidates with UCB. Each entry carries the

@@ -7,7 +7,6 @@
 //! intensive" than CEM.
 
 use rtr_linalg::{Cholesky, LinalgError, Matrix, Vector, Workspace};
-use rtr_simd::SimdMode;
 
 /// An exact Gaussian-process regressor with an RBF (squared-exponential)
 /// kernel.
@@ -38,10 +37,6 @@ pub struct GaussianProcess {
     length_scale: f64,
     signal_variance: f64,
     y_mean: f64,
-    /// Lane-kernel mode for the `predict_with` kernel-row scan. Pure perf
-    /// knob: per-row distance accumulation preserves dimension order, so
-    /// every mode is bit-identical to [`GaussianProcess::predict`].
-    simd: SimdMode,
 }
 
 impl GaussianProcess {
@@ -95,27 +90,7 @@ impl GaussianProcess {
             length_scale,
             signal_variance,
             y_mean,
-            simd: SimdMode::default(),
         })
-    }
-
-    /// Sets the lane-kernel mode used by [`GaussianProcess::predict_with`]
-    /// (builder form). Bit-identical across modes — see the field docs.
-    #[must_use]
-    pub fn with_simd(mut self, mode: SimdMode) -> Self {
-        self.simd = mode;
-        self
-    }
-
-    /// Sets the lane-kernel mode in place.
-    pub fn set_simd(&mut self, mode: SimdMode) {
-        self.simd = mode;
-    }
-
-    /// The lane-kernel mode currently used by
-    /// [`GaussianProcess::predict_with`].
-    pub fn simd_mode(&self) -> SimdMode {
-        self.simd
     }
 
     /// Number of training points.
@@ -166,8 +141,8 @@ impl GaussianProcess {
     /// its first call (the acquisition loop in `16.bo` runs hundreds of
     /// queries per refit). The kernel row is a lane-kernel squared-distance
     /// scan over the packed training matrix followed by a scalar `exp` map;
-    /// per-row accumulation preserves dimension order, so every
-    /// [`SimdMode`] reproduces `predict` bit for bit.
+    /// per-row accumulation preserves dimension order, so it reproduces
+    /// `predict` bit for bit.
     ///
     /// # Panics
     ///
@@ -176,13 +151,7 @@ impl GaussianProcess {
         assert_eq!(x.len(), self.dim, "query dimension mismatch");
         let n = self.len();
         let mut k_star = ws.vector(n);
-        rtr_simd::squared_distances_dyn(
-            &self.train_flat,
-            self.dim,
-            x,
-            k_star.as_mut_slice(),
-            self.simd,
-        );
+        rtr_simd::squared_distances_dyn(&self.train_flat, self.dim, x, k_star.as_mut_slice());
         let l2 = self.length_scale * self.length_scale;
         for i in 0..n {
             // Same op order as `kernel` (mul, div, exp, mul) — bitwise.

@@ -14,7 +14,7 @@
 use std::process::ExitCode;
 
 use rtr_core::{registry, registry_lookup};
-use rtr_harness::{Args, CliError, Table};
+use rtr_harness::{Args, Table};
 
 fn print_global_usage() {
     println!("USAGE:\n  rtr <kernel> [OPTIONS] [FLAGS]\n  rtr --list\n");
@@ -129,17 +129,10 @@ fn main() -> ExitCode {
         );
         return ExitCode::SUCCESS;
     }
-    // Only the kernel's declared options, plus `--json`, are accepted: a
-    // misspelt option must not silently fall back to its default.
-    let options = kernel.cli_options();
-    if let Some(unknown) = args
-        .names()
-        .into_iter()
-        .find(|name| *name != "json" && !options.iter().any(|o| o.name == *name))
-    {
+    // Only the kernel's declared options, plus `--json`, are accepted.
+    if let Err(err) = args.reject_undeclared(&kernel.cli_options(), &["json"]) {
         eprintln!(
-            "error: {}; `rtr {} --help` lists the options",
-            CliError::UnknownOption(unknown.to_owned()),
+            "error: {err}; `rtr {} --help` lists the options",
             kernel.name()
         );
         return ExitCode::FAILURE;

@@ -384,7 +384,6 @@ impl Kernel for BoKernel {
                 name: "seed",
                 help: "Random seed",
             },
-            super::simd_option(),
         ];
         options.extend(super::trace_options());
         options
@@ -396,7 +395,6 @@ impl Kernel for BoKernel {
             candidates: args.get_usize("candidates", 500)?.max(1),
             kappa: args.get_f64("kappa", 2.0)?,
             seed: args.get_u64("seed", 0)?,
-            simd: super::simd_arg(args)?,
             ..Default::default()
         };
         let sim = ThrowSim::new(args.get_f64("goal", 2.0)?.max(0.1));

@@ -33,25 +33,6 @@ pub(crate) fn threads_arg(args: &Args) -> Result<usize, KernelError> {
     Ok(args.get_usize("threads", 0)?)
 }
 
-/// The shared `--simd` CLI option for kernels whose hot loop has a
-/// lane-kernel fast path (`01.pfl`, `03.srec`, `16.bo`).
-pub(crate) fn simd_option() -> OptionSpec {
-    OptionSpec {
-        name: "simd",
-        help: "Lane-kernel mode for the SoA hot loops: scalar|lanes (auto = lanes)",
-    }
-}
-
-/// Parses `--simd` (default `lanes`; `auto` is accepted as an alias). A
-/// pure perf knob: every mode satisfies the `rtr-simd` equivalence
-/// contract, and the paths these kernels use are bit-identical across
-/// modes.
-pub(crate) fn simd_arg(args: &Args) -> Result<rtr_simd::SimdMode, KernelError> {
-    let raw = args.get_str("simd", "lanes");
-    raw.parse::<rtr_simd::SimdMode>()
-        .map_err(|_| bad_value("simd", raw, "scalar|lanes|auto"))
-}
-
 /// Returns all sixteen kernels in paper order (`01.pfl` … `16.bo`).
 pub fn registry() -> Vec<Box<dyn Kernel>> {
     vec![
@@ -338,6 +319,15 @@ mod tests {
             ("dmp", ["--dt", "1e-300"], "dt"),
             ("dmp", ["--duration", "inf"], "duration"),
             ("dmp", ["--duration", "-1"], "duration"),
+            ("rrt", ["--epsilon", "0"], "epsilon"),
+            ("rrt", ["--epsilon", "-1"], "epsilon"),
+            ("rrt", ["--epsilon", "nan"], "epsilon"),
+            ("rrtstar", ["--epsilon", "0"], "epsilon"),
+            ("rrtstar", ["--epsilon", "-1"], "epsilon"),
+            ("rrtstar", ["--epsilon", "nan"], "epsilon"),
+            ("rrtpp", ["--epsilon", "0"], "epsilon"),
+            ("rrtpp", ["--epsilon", "-1"], "epsilon"),
+            ("rrtpp", ["--epsilon", "nan"], "epsilon"),
         ] {
             let args = Args::parse_tokens(&argv).unwrap();
             match registry_lookup(kernel).unwrap().instantiate(&args) {
@@ -347,6 +337,16 @@ mod tests {
                 Err(e) => panic!("{kernel} {argv:?}: unexpected error {e}"),
                 Ok(_) => panic!("{kernel} {argv:?} must be rejected"),
             }
+        }
+    }
+
+    #[test]
+    fn a_numeric_option_without_a_value_is_an_error() {
+        let args = Args::parse_tokens(&["--particles"]).unwrap();
+        match registry_lookup("pfl").unwrap().instantiate(&args) {
+            Err(KernelError::Cli(CliError::MissingValue(o))) => assert_eq!(o, "particles"),
+            Err(e) => panic!("pfl --particles: unexpected error {e}"),
+            Ok(_) => panic!("pfl --particles must be rejected"),
         }
     }
 

@@ -88,7 +88,6 @@ impl Kernel for PflKernel {
                 help: "Random seed",
             },
             super::threads_option(),
-            super::simd_option(),
         ];
         options.extend(super::trace_options());
         options
@@ -115,7 +114,6 @@ impl Kernel for PflKernel {
                 seed,
                 beam_stride,
                 threads: super::threads_arg(args)?,
-                simd: super::simd_arg(args)?,
                 init: PflInit::AroundPose {
                     pose: steps[0].true_pose,
                     pos_std: 0.8,
@@ -358,7 +356,6 @@ impl Kernel for SrecKernel {
                 help: "Random seed",
             },
             super::threads_option(),
-            super::simd_option(),
         ];
         options.extend(super::trace_options());
         options
@@ -386,7 +383,6 @@ impl Kernel for SrecKernel {
         let mut icp = Icp::new(IcpConfig {
             max_iterations: iterations,
             threads: super::threads_arg(args)?,
-            simd: super::simd_arg(args)?,
             ..Default::default()
         });
         let run = icp.begin(&scan2, &scan1, &mut profiler);

@@ -38,9 +38,19 @@ fn arm_problem(args: &Args) -> Result<ArmProblem, KernelError> {
 }
 
 fn rrt_config(args: &Args, default_samples: usize) -> Result<RrtConfig, KernelError> {
+    // A step that is not finite and positive never extends the tree:
+    // RRT and RRT++ would spin forever, RRT* would burn its budget.
+    let epsilon = args.get_f64("epsilon", 0.3)?;
+    if !(epsilon.is_finite() && epsilon > 0.0) {
+        return Err(bad_value(
+            "epsilon",
+            epsilon,
+            "a finite positive step length",
+        ));
+    }
     Ok(RrtConfig {
         max_samples: args.get_usize("samples", default_samples)?,
-        epsilon: args.get_f64("epsilon", 0.3)?,
+        epsilon,
         goal_bias: args.get_f64("bias", 0.05)?,
         neighbor_radius: args.get_f64("radius", 0.9)?,
         seed: args.get_u64("seed", 2)?,

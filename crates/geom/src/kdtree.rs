@@ -30,7 +30,6 @@
 //! thread count.
 
 use rtr_harness::Pool;
-use rtr_simd::SimdMode;
 
 /// Default number of points per leaf bucket.
 ///
@@ -87,10 +86,6 @@ struct BucketLeaf {
 #[derive(Debug, Clone)]
 pub struct KdTree<const DIM: usize> {
     bucket: usize,
-    /// Leaf-scan inner-loop mode — a pure performance knob: every query
-    /// answers bit-identically under every mode (the lane kernel keeps
-    /// each point's per-dimension accumulation order).
-    simd: SimdMode,
     /// Insertion-order SoA arena: point `i` lives at `coords[i * DIM..]`
     /// with payload `payloads[i]`.
     coords: Vec<f64>,
@@ -113,7 +108,6 @@ impl<const DIM: usize> KdTree<DIM> {
     pub fn new() -> Self {
         KdTree {
             bucket: KD_BUCKET,
-            simd: SimdMode::default(),
             coords: Vec::new(),
             payloads: Vec::new(),
             inners: Vec::new(),
@@ -146,28 +140,6 @@ impl<const DIM: usize> KdTree<DIM> {
         );
         self.bucket = bucket;
         self
-    }
-
-    /// Sets the leaf-scan [`SimdMode`] (builder style). A pure performance
-    /// knob, settable at any time: every query answers bit-identically
-    /// under every mode, because the lane kernel computes each point's
-    /// distance with the same per-dimension accumulation order as the
-    /// scalar scan and the candidate selection still walks leaf-storage
-    /// order.
-    pub fn with_simd(mut self, mode: SimdMode) -> Self {
-        self.simd = mode;
-        self
-    }
-
-    /// Sets the leaf-scan [`SimdMode`] on a live tree (see
-    /// [`KdTree::with_simd`]).
-    pub fn set_simd(&mut self, mode: SimdMode) {
-        self.simd = mode;
-    }
-
-    /// Current leaf-scan [`SimdMode`].
-    pub fn simd_mode(&self) -> SimdMode {
-        self.simd
     }
 
     /// Builds a balanced tree from `(point, payload)` pairs by recursive
@@ -449,39 +421,30 @@ impl<const DIM: usize> KdTree<DIM> {
     }
 
     /// Walks one bucketed leaf, handing `(id, d²)` to `f` in leaf-storage
-    /// order. Under a vectorized [`SimdMode`] the distances for a block of
-    /// slots are computed by the lane kernel up front (into a stack
-    /// buffer, so `_into` query paths stay allocation-free); the kernel
-    /// preserves each point's per-dimension accumulation order, so every
-    /// `d²` — and therefore every downstream selection — is bit-identical
-    /// to the scalar scan.
+    /// order. The distances for a block of slots are computed by the lane
+    /// kernel up front (into a stack buffer, so `_into` query paths stay
+    /// allocation-free); the kernel preserves each point's per-dimension
+    /// accumulation order, so every `d²` — and therefore every downstream
+    /// selection — is bit-identical to a sequential scan.
     #[inline]
     fn scan_leaf(&self, leaf: &BucketLeaf, query: &[f64; DIM], mut f: impl FnMut(u32, f64)) {
         /// Upper bound on slots distanced per lane-kernel call; leaves
         /// larger than this (custom bucket sizes) are scanned in blocks.
         const SCAN_BLOCK: usize = 64;
-        if self.simd.is_vectorized() {
-            let mut d2s = [0.0f64; SCAN_BLOCK];
-            let len = leaf.ids.len();
-            let mut base = 0usize;
-            while base < len {
-                let n = (len - base).min(SCAN_BLOCK);
-                rtr_simd::squared_distances::<DIM>(
-                    &leaf.pts[base * DIM..(base + n) * DIM],
-                    query,
-                    &mut d2s[..n],
-                    self.simd,
-                );
-                for (off, &id) in leaf.ids[base..base + n].iter().enumerate() {
-                    f(id, d2s[off]);
-                }
-                base += n;
+        let mut d2s = [0.0f64; SCAN_BLOCK];
+        let len = leaf.ids.len();
+        let mut base = 0usize;
+        while base < len {
+            let n = (len - base).min(SCAN_BLOCK);
+            rtr_simd::squared_distances::<DIM>(
+                &leaf.pts[base * DIM..(base + n) * DIM],
+                query,
+                &mut d2s[..n],
+            );
+            for (off, &id) in leaf.ids[base..base + n].iter().enumerate() {
+                f(id, d2s[off]);
             }
-        } else {
-            for (slot, &id) in leaf.ids.iter().enumerate() {
-                let p = &leaf.pts[slot * DIM..slot * DIM + DIM];
-                f(id, squared_distance(p, query));
-            }
+            base += n;
         }
     }
 
@@ -757,20 +720,19 @@ fn heap_replace_root(heap: &mut [(usize, f64)], item: (usize, f64)) {
     }
 }
 
-#[inline]
-fn squared_distance(a: &[f64], b: &[f64]) -> f64 {
-    a.iter()
-        .zip(b.iter())
-        .map(|(x, y)| {
-            let d = x - y;
-            d * d
-        })
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn squared_distance(a: &[f64], b: &[f64]) -> f64 {
+        a.iter()
+            .zip(b.iter())
+            .map(|(x, y)| {
+                let d = x - y;
+                d * d
+            })
+            .sum()
+    }
 
     fn brute_nearest<const D: usize>(
         points: &[[f64; D]],

@@ -282,7 +282,9 @@ pub const PYTHONROBOTICS_GOAL: (usize, usize) = (50, 50);
 /// # Errors
 ///
 /// Returns a descriptive error string when the header is malformed or the
-/// grid body does not match the declared dimensions.
+/// grid body does not match the declared dimensions. The body is checked
+/// against the header before the grid is allocated, so a file never
+/// costs more memory than its own length.
 ///
 /// # Example
 ///
@@ -325,33 +327,34 @@ pub fn parse_movingai(text: &str, resolution: f64) -> Result<GridMap2D, String> 
     let height = height.ok_or("missing height")?;
     let width = width.ok_or("missing width")?;
 
-    let mut map = GridMap2D::new(width, height, resolution);
+    // Validate the body before allocating: once every row holds `width`
+    // cells and there are `height` rows, the grid is no larger than the
+    // text, whatever the header claims.
+    let body = lines.map(str::trim_end).filter(|line| !line.is_empty());
     let mut rows = 0usize;
-    for line in lines {
-        let line = line.trim_end();
-        if line.is_empty() {
-            continue;
-        }
+    for line in body.clone() {
         if rows >= height {
             return Err("more map rows than declared height".into());
         }
-        if line.chars().count() != width {
-            return Err(format!(
-                "row {rows} has {} cells, expected {width}",
-                line.chars().count()
-            ));
-        }
-        for (ix, ch) in line.chars().enumerate() {
-            let occupied = !matches!(ch, '.' | 'G' | 'S');
-            if occupied {
-                // File row 0 is the top of the map; grid y grows upward.
-                map.set_occupied(ix, height - 1 - rows, true);
-            }
+        let cells = line.chars().count();
+        if cells != width {
+            return Err(format!("row {rows} has {cells} cells, expected {width}"));
         }
         rows += 1;
     }
     if rows != height {
         return Err(format!("expected {height} rows, found {rows}"));
+    }
+
+    let mut map = GridMap2D::new(width, height, resolution);
+    for (row, line) in body.enumerate() {
+        for (ix, ch) in line.chars().enumerate() {
+            let occupied = !matches!(ch, '.' | 'G' | 'S');
+            if occupied {
+                // File row 0 is the top of the map; grid y grows upward.
+                map.set_occupied(ix, height - 1 - row, true);
+            }
+        }
     }
     Ok(map)
 }

@@ -1,6 +1,8 @@
 //! Property-based tests for the geometry substrate.
 
 use proptest::prelude::*;
+use proptest::TestCaseError;
+use rtr_geom::maps::{parse_movingai, parse_movingai_scen};
 use rtr_geom::{
     cast_ray, normalize_angle, Aabb2, Footprint, GridMap2D, KdTree, Point2, Point3, Pose2,
     RigidTransform,
@@ -240,4 +242,143 @@ proptest! {
         }
         prop_assert!(fat.occupied_count() >= map.occupied_count());
     }
+}
+
+/// Number tokens for MovingAI headers and `.scen` fields: small and
+/// overflowing sizes, signs, floats and junk.
+const NUMBERS: [&str; 14] = [
+    "0",
+    "1",
+    "2",
+    "3",
+    "7",
+    "300000",
+    "4000000000",
+    "18446744073709551615",
+    "18446744073709551616",
+    "-1",
+    "1.5",
+    "nan",
+    "x",
+    "",
+];
+
+/// Cells of a `.map` body, passable and blocked, plus a multi-byte char.
+const CELLS: [char; 6] = ['.', '@', 'T', 'G', 'S', 'é'];
+
+/// Lines a `.map` file is made of, in or out of grammar.
+const MAP_LINES: [&str; 9] = [
+    "type octile",
+    "height ",
+    "width ",
+    "map",
+    "",
+    "..@.",
+    "@@@@@@@",
+    "version 1",
+    "height",
+];
+
+fn number() -> impl Strategy<Value = &'static str> {
+    (0..NUMBERS.len()).prop_map(|i| NUMBERS[i])
+}
+
+/// A header with arbitrary dimensions followed by a ragged body.
+fn grammar_map() -> impl Strategy<Value = String> {
+    (
+        number(),
+        number(),
+        prop::bool::ANY,
+        prop::collection::vec(prop::collection::vec(0..CELLS.len(), 0..6), 0..6),
+    )
+        .prop_map(|(height, width, typed, rows)| {
+            let mut text = String::new();
+            if typed {
+                text.push_str("type octile\n");
+            }
+            text.push_str(&format!("height {height}\nwidth {width}\nmap\n"));
+            for row in rows {
+                text.extend(row.into_iter().map(|c| CELLS[c]));
+                text.push('\n');
+            }
+            text
+        })
+}
+
+/// Lines drawn from the `.map` vocabulary with numbers spliced in.
+fn shuffled_map() -> impl Strategy<Value = String> {
+    prop::collection::vec((0..MAP_LINES.len(), number()), 0..12).prop_map(|lines| {
+        lines
+            .into_iter()
+            .map(|(line, n)| format!("{}{n}\n", MAP_LINES[line]))
+            .collect()
+    })
+}
+
+/// Arbitrary bytes, lossily decoded.
+fn arbitrary_text() -> impl Strategy<Value = String> {
+    prop::collection::vec(0u8..=255, 0..160)
+        .prop_map(|bytes| String::from_utf8_lossy(&bytes).into_owned())
+}
+
+/// `.scen` lines: nine-ish whitespace-separated fields from [`NUMBERS`].
+fn grammar_scen() -> impl Strategy<Value = String> {
+    prop::collection::vec(prop::collection::vec(number(), 0..11), 0..6).prop_map(|lines| {
+        let mut text = String::from("version 1\n");
+        for fields in lines {
+            text.push_str(&fields.join("\t"));
+            text.push('\n');
+        }
+        text
+    })
+}
+
+/// A parsed grid never holds more cells than its source text has bytes.
+fn check_map(text: &str) -> Result<(), TestCaseError> {
+    if let Ok(map) = parse_movingai(text, 1.0) {
+        prop_assert!(map.width() * map.height() <= text.len(), "{text:?}");
+    }
+    Ok(())
+}
+
+proptest! {
+    #[test]
+    fn movingai_map_parser_never_panics(
+        grammar in grammar_map(),
+        shuffled in shuffled_map(),
+        bytes in arbitrary_text(),
+    ) {
+        check_map(&grammar)?;
+        check_map(&shuffled)?;
+        check_map(&bytes)?;
+    }
+
+    #[test]
+    fn movingai_scen_parser_never_panics(
+        grammar in grammar_scen(),
+        bytes in arbitrary_text(),
+        height in (0..4usize).prop_map(|i| [0, 1, 4, usize::MAX][i]),
+    ) {
+        for text in [&grammar, &bytes] {
+            if let Ok(scens) = parse_movingai_scen(text, height) {
+                for s in scens {
+                    prop_assert!(s.start.1 < height && s.goal.1 < height);
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn oversized_movingai_headers_are_errors_not_allocations() {
+    for text in [
+        "height 4000000000\nwidth 4000000000\nmap\n",
+        "height 300000\nwidth 300000\nmap\n",
+        "height 300000\nwidth 300000\nmap\n..\n",
+    ] {
+        assert!(parse_movingai(text, 1.0).is_err(), "{text:?}");
+    }
+    // A zero-row grid is well formed at any declared width.
+    let empty = parse_movingai("height 0\nwidth 4000000000\nmap\n", 1.0).unwrap();
+    assert_eq!(empty.width() * empty.height(), 0);
 }

@@ -62,6 +62,8 @@ impl Error for CliError {}
 /// A token starting with `--` is a flag when it is followed by another
 /// `--token` (or nothing), and an option when followed by a value. `-h`
 /// is accepted as an alias for `--help`, matching the paper's Fig. 20.
+/// The numeric getters reject a name that was given as a bare flag, so
+/// `--particles` with its value forgotten is an error, not the default.
 ///
 /// # Example
 ///
@@ -144,6 +146,29 @@ impl Args {
         names
     }
 
+    /// Checks that every option and flag given is declared in `options`
+    /// or named in `extra`, so a misspelt or retired option never
+    /// silently falls back to its default.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CliError::UnknownOption`] for the first undeclared name,
+    /// in sorted order.
+    pub fn reject_undeclared(
+        &self,
+        options: &[OptionSpec],
+        extra: &[&str],
+    ) -> Result<(), CliError> {
+        match self
+            .names()
+            .into_iter()
+            .find(|name| !extra.contains(name) && !options.iter().any(|o| o.name == *name))
+        {
+            Some(unknown) => Err(CliError::UnknownOption(unknown.to_owned())),
+            None => Ok(()),
+        }
+    }
+
     /// Returns `true` when `--help` or `-h` was given.
     pub fn wants_help(&self) -> bool {
         self.get_flag("help")
@@ -163,6 +188,9 @@ impl Args {
         default: T,
         expected: &'static str,
     ) -> Result<T, CliError> {
+        if self.get_flag(name) {
+            return Err(CliError::MissingValue(name.to_owned()));
+        }
         match self.options.get(name) {
             None => Ok(default),
             Some(raw) => raw.parse().map_err(|_| CliError::BadValue {
@@ -177,7 +205,8 @@ impl Args {
     ///
     /// # Errors
     ///
-    /// Returns [`CliError::BadValue`] when the value does not parse.
+    /// Returns [`CliError::BadValue`] when the value does not parse, and
+    /// [`CliError::MissingValue`] when `--{name}` was given without one.
     pub fn get_f64(&self, name: &str, default: f64) -> Result<f64, CliError> {
         self.get_parsed(name, default, "a number")
     }
@@ -186,7 +215,8 @@ impl Args {
     ///
     /// # Errors
     ///
-    /// Returns [`CliError::BadValue`] when the value does not parse.
+    /// Returns [`CliError::BadValue`] when the value does not parse, and
+    /// [`CliError::MissingValue`] when `--{name}` was given without one.
     pub fn get_usize(&self, name: &str, default: usize) -> Result<usize, CliError> {
         self.get_parsed(name, default, "a non-negative integer")
     }
@@ -195,7 +225,8 @@ impl Args {
     ///
     /// # Errors
     ///
-    /// Returns [`CliError::BadValue`] when the value does not parse.
+    /// Returns [`CliError::BadValue`] when the value does not parse, and
+    /// [`CliError::MissingValue`] when `--{name}` was given without one.
     pub fn get_u64(&self, name: &str, default: u64) -> Result<u64, CliError> {
         self.get_parsed(name, default, "a non-negative integer")
     }
@@ -258,6 +289,21 @@ mod tests {
     }
 
     #[test]
+    fn numeric_option_without_a_value_is_missing_value() {
+        for argv in [
+            &["--particles"][..],
+            &["--particles", "--threads", "2"],
+            &["--particles", "5", "--particles"],
+        ] {
+            let args = Args::parse_tokens(argv).unwrap();
+            let missing = CliError::MissingValue("particles".into());
+            assert_eq!(args.get_usize("particles", 500), Err(missing.clone()));
+            assert_eq!(args.get_u64("particles", 500), Err(missing.clone()));
+            assert_eq!(args.get_f64("particles", 1.0), Err(missing), "{argv:?}");
+        }
+    }
+
+    #[test]
     fn bad_value_is_reported() {
         let args = Args::parse_tokens(&["--samples", "many"]).unwrap();
         let err = args.get_usize("samples", 1).unwrap_err();
@@ -273,6 +319,39 @@ mod tests {
             CliError::UnknownOption("roadmap-size".into()).to_string(),
             "unknown option --roadmap-size"
         );
+    }
+
+    #[test]
+    fn undeclared_options_are_rejected() {
+        let spec = [
+            OptionSpec {
+                name: "particles",
+                help: "Particle count",
+            },
+            OptionSpec {
+                name: "threads",
+                help: "Worker threads",
+            },
+        ];
+        let ok = Args::parse_tokens(&["--threads", "2", "--particles", "300", "--json"]).unwrap();
+        assert_eq!(ok.reject_undeclared(&spec, &["json"]), Ok(()));
+        assert_eq!(
+            ok.reject_undeclared(&spec, &[]),
+            Err(CliError::UnknownOption("json".into()))
+        );
+        // A retired option is unknown with or without a value.
+        for argv in [
+            &["--simd", "lanes"][..],
+            &["--particles", "300", "--simd"],
+            &["--threads", "2", "--simd", "scalar", "--json"],
+        ] {
+            let args = Args::parse_tokens(argv).unwrap();
+            assert_eq!(
+                args.reject_undeclared(&spec, &["json"]),
+                Err(CliError::UnknownOption("simd".into())),
+                "{argv:?}"
+            );
+        }
     }
 
     #[test]

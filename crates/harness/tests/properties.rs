@@ -2,7 +2,7 @@
 //! accounting.
 
 use proptest::prelude::*;
-use rtr_harness::{Args, Profiler};
+use rtr_harness::{Args, CliError, Profiler};
 use std::time::Duration;
 
 proptest! {
@@ -70,5 +70,66 @@ proptest! {
         }
         let sum: Duration = report.iter().map(|r| r.total).sum();
         prop_assert_eq!(sum, totals.iter().map(|&m| Duration::from_micros(m)).sum());
+    }
+}
+
+/// Command-line tokens: option names, help aliases, numbers that parse,
+/// overflow or do not, and junk.
+const TOKENS: [&str; 18] = [
+    "--n",
+    "--x",
+    "--help",
+    "-h",
+    "--",
+    "---n",
+    "-",
+    "0",
+    "-1",
+    "1.5",
+    "nan",
+    "inf",
+    "1e999",
+    "18446744073709551616",
+    "n",
+    "",
+    "é",
+    "--é",
+];
+
+/// Names every getter is asked for, including the empty name `--` yields.
+const NAMES: [&str; 5] = ["n", "x", "help", "", "-n"];
+
+proptest! {
+    #[test]
+    fn parse_then_every_getter_never_panics(
+        picks in prop::collection::vec(0..TOKENS.len(), 0..10),
+        bytes in prop::collection::vec(prop::collection::vec(0u8..=255, 0..6), 0..4),
+    ) {
+        let mut owned: Vec<String> = picks.iter().map(|&i| TOKENS[i].to_owned()).collect();
+        owned.extend(bytes.iter().map(|b| String::from_utf8_lossy(b).into_owned()));
+        let tokens: Vec<&str> = owned.iter().map(String::as_str).collect();
+        let Ok(args) = Args::parse_tokens(&tokens) else {
+            return Ok(());
+        };
+        let _ = (args.names(), args.wants_help());
+        for name in NAMES {
+            let bare = args.get_flag(name);
+            let _ = args.get_str(name, "default");
+            let results = [
+                args.get_f64(name, 0.5).err(),
+                args.get_usize(name, 5).err(),
+                args.get_u64(name, 5).err(),
+            ];
+            for err in results {
+                // A name given as a bare switch is a missing value for
+                // every numeric getter; anything else parses or is a
+                // bad value.
+                prop_assert_eq!(
+                    matches!(err, Some(CliError::MissingValue(_))),
+                    bare,
+                    "{:?} --{}", tokens, name
+                );
+            }
+        }
     }
 }

@@ -3,8 +3,6 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Index, IndexMut, Mul, Neg, Sub, SubAssign};
 
-use rtr_simd::SimdMode;
-
 use crate::{Cholesky, LinalgError, Lu, Qr, Vector, Workspace};
 
 /// A heap-allocated, row-major matrix of `f64` elements.
@@ -291,9 +289,8 @@ impl Matrix {
                     continue;
                 }
                 // One multiply and one add per element in the same order
-                // as the historical loop: `axpy` is bit-identical across
-                // every `SimdMode`, so the lane kernel is always on here.
-                rtr_simd::axpy(out.row_mut(i), aik, rhs.row(k), SimdMode::Lanes);
+                // as the historical loop, so the lane kernel is bitwise.
+                rtr_simd::axpy(out.row_mut(i), aik, rhs.row(k));
             }
         }
     }
@@ -334,7 +331,7 @@ impl Matrix {
                         // adds in this exact order per element, so the
                         // rounding matches the historical register-blocked
                         // loop bit for bit.
-                        rtr_simd::axpy4(out_seg, a, r0, r1, r2, r3, SimdMode::Lanes);
+                        rtr_simd::axpy4(out_seg, a, r0, r1, r2, r3);
                     } else {
                         // A zero among the four: fall back to per-k passes
                         // so the skipped terms match the streaming kernel.
@@ -343,7 +340,7 @@ impl Matrix {
                                 continue;
                             }
                             let rhs_seg = &rhs.row(k + dk)[jj..j_end];
-                            rtr_simd::axpy(out_seg, aik, rhs_seg, SimdMode::Lanes);
+                            rtr_simd::axpy(out_seg, aik, rhs_seg);
                         }
                     }
                     k += 4;
@@ -353,7 +350,7 @@ impl Matrix {
                         continue;
                     }
                     let rhs_seg = &rhs.row(k)[jj..j_end];
-                    rtr_simd::axpy(out_seg, aik, rhs_seg, SimdMode::Lanes);
+                    rtr_simd::axpy(out_seg, aik, rhs_seg);
                 }
             }
         }
@@ -508,39 +505,6 @@ impl Matrix {
                 .zip(v.as_slice())
                 .map(|(a, b)| a * b)
                 .sum();
-        }
-        Ok(())
-    }
-
-    /// Matrix–vector product into a caller-provided output with an
-    /// explicit [`SimdMode`]: each output element is one row dot product,
-    /// evaluated by the lane-kernel [`rtr_simd::dot`].
-    ///
-    /// `SimdMode::Scalar` reproduces [`Matrix::mul_vector_into`] bit for
-    /// bit (same left-to-right multiply-add chain); the vector modes keep
-    /// [`rtr_simd::LANES`] partial sums per row and may differ from the
-    /// scalar oracle in final rounding — the divergence contract is
-    /// pinned by the simd equivalence suite in `crates/bench`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] if `self.cols() != v.len()`
-    /// or `out.len() != self.rows()`.
-    pub fn mul_vector_simd_into(
-        &self,
-        v: &Vector,
-        out: &mut Vector,
-        mode: SimdMode,
-    ) -> Result<(), LinalgError> {
-        if self.cols != v.len() || out.len() != self.rows {
-            return Err(LinalgError::DimensionMismatch {
-                op: "matrix-vector multiply (simd into)",
-                lhs: self.shape(),
-                rhs: (v.len(), 1),
-            });
-        }
-        for r in 0..self.rows {
-            out[r] = rtr_simd::dot(self.row(r), v.as_slice(), mode);
         }
         Ok(())
     }
@@ -771,8 +735,8 @@ impl Matrix {
             "matrix add-scaled-assign: shape mismatch"
         );
         // Element-wise map: the lane kernel is bit-identical to the
-        // historical loop for every `SimdMode`, so it is always on.
-        rtr_simd::axpy(&mut self.data, alpha, &rhs.data, SimdMode::Lanes);
+        // historical loop.
+        rtr_simd::axpy(&mut self.data, alpha, &rhs.data);
     }
 
     /// Consumes the matrix, returning the row-major element storage (the

@@ -69,8 +69,9 @@ pub const LAYERED_CRATES: [&str; 6] = [
 
 /// Lane-kernel entry points in `crates/simd` whose bodies `hot-alloc`
 /// scans like any `*_into` span: the SoA fast paths sit inside kernel
-/// inner loops and must be allocation-free.
-pub const SIMD_HOT_FNS: [&str; 9] = [
+/// inner loops and must be allocation-free. Private helpers they call
+/// are reached by the transitive pass.
+pub const SIMD_HOT_FNS: [&str; 8] = [
     "sum",
     "sum_sq",
     "dot",
@@ -79,7 +80,6 @@ pub const SIMD_HOT_FNS: [&str; 9] = [
     "div_assign",
     "squared_distances",
     "squared_distances_dyn",
-    "combine_tail",
 ];
 
 /// Ring-producer entry points in `crates/trace` whose bodies `hot-alloc`
@@ -410,9 +410,8 @@ fn rule_wall_clock_consumer(fa: &FileAnalysis, out: &mut Vec<Finding>) {
 /// may allocate, steady state may not (ROADMAP workspace convention).
 fn rule_hot_alloc(fa: &FileAnalysis, out: &mut Vec<Finding>) {
     let text = &fa.scrubbed.text;
-    // In the SIMD crate the lane-kernel entry points (and their
-    // `_scalar`/`_lanes` twins) are hot spans too; in the trace crate,
-    // the ring-producer entry points.
+    // In the SIMD crate the lane-kernel entry points are hot spans too;
+    // in the trace crate, the ring-producer entry points.
     let simd_crate = fa.krate == "simd";
     let trace_crate = fa.krate == "trace";
     let mut hot: Vec<Span> = fa
@@ -424,10 +423,7 @@ fn rule_hot_alloc(fa: &FileAnalysis, out: &mut Vec<Finding>) {
                 || n == "process_batch"
                 || n == "flush"
                 || (trace_crate && RING_HOT_FNS.contains(&n))
-                || (simd_crate
-                    && (SIMD_HOT_FNS.contains(&n)
-                        || n.ends_with("_scalar")
-                        || n.ends_with("_lanes")))
+                || (simd_crate && SIMD_HOT_FNS.contains(&n))
         })
         .map(|f| f.span)
         .collect();
@@ -691,8 +687,7 @@ fn is_alloc_hot_entry(index: &WorkspaceIndex, f: FnId) -> bool {
         || n == "process_batch"
         || n == "flush"
         || (fa.krate == "trace" && RING_HOT_FNS.contains(&n))
-        || (fa.krate == "simd"
-            && (SIMD_HOT_FNS.contains(&n) || n.ends_with("_scalar") || n.ends_with("_lanes")));
+        || (fa.krate == "simd" && SIMD_HOT_FNS.contains(&n));
     let scratch_hot = info
         .impl_type
         .as_deref()
@@ -1106,10 +1101,15 @@ mod tests {
 
     #[test]
     fn simd_lane_kernels_are_hot_alloc_spans() {
-        let src = "pub fn dot(xs: &[f64]) -> f64 { let v = xs.to_vec(); v[0] }\nfn sum_lanes(xs: &[f64]) -> f64 { let c = xs.to_vec(); c[0] }\nfn helper(xs: &[f64]) -> f64 { xs.to_vec()[0] }\n";
+        let src = "pub fn dot(xs: &[f64]) -> f64 { let v = xs.to_vec(); v[0] }\npub fn sum(xs: &[f64]) -> f64 { fold(xs) }\nfn fold(xs: &[f64]) -> f64 { let c = xs.to_vec(); c[0] }\nfn helper(xs: &[f64]) -> f64 { xs.to_vec()[0] }\n";
         let f = lint_source("crates/simd/src/kernels.rs", src);
         let hot: Vec<_> = f.iter().filter(|x| x.rule == "hot-alloc").collect();
-        assert_eq!(hot.len(), 2, "dot and sum_lanes, not helper: {f:?}");
+        assert_eq!(hot.len(), 2, "dot, and sum through fold; not helper: {f:?}");
+        assert!(
+            hot.iter()
+                .any(|x| x.chain.first().is_some_and(|f| f == "sum")),
+            "sum's private helper is reached transitively: {f:?}"
+        );
         // The same names outside the SIMD crate stay cold.
         assert!(lint_source("crates/planning/src/x.rs", src)
             .iter()

@@ -12,7 +12,6 @@
 use rtr_geom::{cast_ray, cast_ray_with, GridMap2D, Pose2};
 use rtr_harness::{Pool, Profiler};
 use rtr_sim::{LidarScan, OdometryModel, OdometryReading, SimRng, TrajectoryStep};
-use rtr_simd::SimdMode;
 use rtr_trace::MemTrace;
 
 /// Synthetic trace address of `weights[0]`: the particle-weight scratch
@@ -65,14 +64,6 @@ pub struct PflConfig {
     /// is pure; weight application and normalization stay sequential in
     /// particle order).
     pub threads: usize,
-    /// Inner-loop mode for the flat weight reductions (normalization sum,
-    /// effective-sample-size sum of squares). [`SimdMode::Scalar`] is the
-    /// exact legacy fold; the vector modes keep [`rtr_simd::LANES`]
-    /// partial sums and may differ from it in final rounding (the
-    /// divergence contract pinned by the simd equivalence suite). For a
-    /// fixed mode the filter stays bit-identical across thread counts and
-    /// traced/untraced paths.
-    pub simd: SimdMode,
 }
 
 impl Default for PflConfig {
@@ -87,7 +78,6 @@ impl Default for PflConfig {
             resample_threshold: 0.5,
             seed: 0,
             threads: 1,
-            simd: SimdMode::default(),
         }
     }
 }
@@ -266,7 +256,7 @@ impl<'m> ParticleFilter<'m> {
         let mut y = 0.0;
         let mut sin = 0.0;
         let mut cos = 0.0;
-        let total = rtr_simd::sum(&self.weights, self.config.simd);
+        let total = rtr_simd::sum(&self.weights);
         for (pose, &weight) in self.poses.iter().zip(self.weights.iter()) {
             let w = weight / total;
             x += w * pose.x;
@@ -280,7 +270,7 @@ impl<'m> ParticleFilter<'m> {
     /// RMS distance of particles from the weighted mean.
     pub fn spread(&self) -> f64 {
         let est = self.estimate();
-        let total = rtr_simd::sum(&self.weights, self.config.simd);
+        let total = rtr_simd::sum(&self.weights);
         let var: f64 = self
             .poses
             .iter()
@@ -374,15 +364,15 @@ impl<'m> ParticleFilter<'m> {
             self.scores = scores;
         }
 
-        // Normalize. The total is the lane-kernel reduction (mode-pinned
-        // divergence contract vs the scalar fold); the per-weight division
-        // is an element-wise map, bit-identical under every mode.
-        let total = rtr_simd::sum(&self.weights, self.config.simd);
+        // Normalize. The total is the lane-kernel reduction (four partial
+        // sums, ULP-bounded against a left-to-right fold); the per-weight
+        // division is an element-wise map.
+        let total = rtr_simd::sum(&self.weights);
         if total <= 0.0 || !total.is_finite() {
             let uniform = 1.0 / self.weights.len() as f64;
             self.weights.fill(uniform);
         } else {
-            rtr_simd::div_assign(&mut self.weights, total, self.config.simd);
+            rtr_simd::div_assign(&mut self.weights, total);
         }
         if trace.enabled() {
             // Every weight is stored once more by the normalization pass.
@@ -395,9 +385,8 @@ impl<'m> ParticleFilter<'m> {
     /// Low-variance resampling when the effective sample size drops below
     /// the configured threshold. Returns `true` when resampling happened.
     pub fn maybe_resample(&mut self) -> bool {
-        // Effective sample size via the lane-kernel sum of squares (the
-        // scalar mode reproduces the legacy fold bit for bit).
-        let ess: f64 = 1.0 / rtr_simd::sum_sq(&self.weights, self.config.simd);
+        // Effective sample size via the lane-kernel sum of squares.
+        let ess: f64 = 1.0 / rtr_simd::sum_sq(&self.weights);
         if ess >= self.config.resample_threshold * self.weights.len() as f64 {
             return false;
         }

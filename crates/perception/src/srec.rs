@@ -21,7 +21,6 @@
 use rtr_geom::{KdTree, Point3, PointCloud, RigidTransform};
 use rtr_harness::{Pool, Profiler};
 use rtr_linalg::{jacobi_eigen_in_place, Workspace};
-use rtr_simd::SimdMode;
 use rtr_trace::MemTrace;
 
 /// Synthetic trace address of the correspondence pair buffer: each
@@ -46,10 +45,6 @@ pub struct IcpConfig {
     /// bit-identical for every thread count; traced runs (with a memory
     /// simulator attached) always execute sequentially.
     pub threads: usize,
-    /// Leaf-scan [`SimdMode`] of the target k-d tree; a pure performance
-    /// knob (every mode answers queries bit-identically — the lane kernel
-    /// preserves each point's per-dimension accumulation order).
-    pub simd: SimdMode,
 }
 
 impl Default for IcpConfig {
@@ -59,7 +54,6 @@ impl Default for IcpConfig {
             convergence_epsilon: 1e-5,
             max_correspondence_distance: f64::INFINITY,
             threads: 1,
-            simd: SimdMode::default(),
         }
     }
 }
@@ -201,7 +195,7 @@ impl Icp {
                 .enumerate()
                 .map(|(i, p)| (p.to_array(), i))
                 .collect();
-            KdTree::<3>::build_balanced(&items).with_simd(config.simd)
+            KdTree::<3>::build_balanced(&items)
         });
         IcpRun {
             tree,

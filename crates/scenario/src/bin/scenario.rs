@@ -34,10 +34,6 @@ const OPTIONS: &[OptionSpec] = &[
         help: "PFL ray-casting threads (0 = all; never changes outputs)",
     },
     OptionSpec {
-        name: "simd",
-        help: "Lane-kernel mode for PFL reductions: scalar|lanes|auto",
-    },
-    OptionSpec {
         name: "golden",
         help: "Also write the byte-stable golden to this file",
     },
@@ -65,21 +61,17 @@ fn main() -> ExitCode {
 }
 
 fn run(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
+    args.reject_undeclared(OPTIONS, &[])?;
     let localizer_raw = args.get_str("localizer", "pfl");
     let localizer: LocalizerKind = localizer_raw
         .parse()
         .map_err(|()| format!("unknown localizer {localizer_raw:?} (expected pfl|ekfslam)"))?;
-    let simd_raw = args.get_str("simd", "scalar");
-    let simd = simd_raw
-        .parse()
-        .map_err(|_| format!("unknown simd mode {simd_raw:?} (expected scalar|lanes|auto)"))?;
     let config = ScenarioConfig {
         max_ticks: args.get_usize("ticks", 600)?,
         seed: args.get_u64("seed", 7)?,
         localizer,
         particles: args.get_usize("particles", 300)?,
         threads: args.get_usize("threads", 1)?,
-        simd,
     };
 
     let mut state = ScenarioState::begin(&config)?;

@@ -61,7 +61,6 @@ use rtr_harness::{Profiler, RegionReport};
 use rtr_perception::{EkfSlam, EkfSlamConfig, ParticleFilter, PflConfig, PflInit};
 use rtr_planning::{Pp2d, Pp2dConfig};
 use rtr_sim::{Lidar, OdometryModel, SimRng, SlamStep, SlamWorld, TrajectoryStep};
-use rtr_simd::SimdMode;
 use rtr_trace::{MetricMap, MetricPublisher, NullTrace};
 
 /// Occupancy-grid side length in cells (25.6 m at [`MAP_RESOLUTION`]).
@@ -131,9 +130,6 @@ pub struct ScenarioConfig {
     /// Must not change any output — the determinism tests replay the
     /// scenario at several settings and require identical goldens.
     pub threads: usize,
-    /// Lane-kernel mode for the PFL weight reductions. Part of the
-    /// replay identity: vector modes may round differently.
-    pub simd: SimdMode,
 }
 
 impl Default for ScenarioConfig {
@@ -144,7 +140,6 @@ impl Default for ScenarioConfig {
             localizer: LocalizerKind::Pfl,
             particles: 300,
             threads: 1,
-            simd: SimdMode::Scalar,
         }
     }
 }
@@ -340,7 +335,6 @@ impl ScenarioState {
                         },
                         beam_stride: 4,
                         threads: config.threads,
-                        simd: config.simd,
                         seed: config.seed,
                         ..Default::default()
                     },
