@@ -39,21 +39,15 @@ pub fn small_args(kernel: &str) -> &'static [&'static str] {
 /// Looks the kernel up by name in a freshly built registry so the
 /// function is self-contained and `Sync`-free — exactly what a pool
 /// worker needs (`Box<dyn Kernel>` is neither `Send` nor `Sync`).
+/// `Telemetry::Ring` streams the ops through the SPSC ring to a
+/// collector-thread simulator instead of simulating inline; reports are
+/// byte-identical either way (the trace-identity suite pins this).
 ///
 /// # Errors
 ///
 /// Returns a rendered error string when the kernel is unknown, its CLI
 /// rejects the tokens, the run fails, or it ignores `--trace`.
-pub fn traced_run(kernel: &str, full: bool, vldp: usize) -> Result<CacheReport, String> {
-    traced_run_with(kernel, full, vldp, Telemetry::Inline)
-}
-
-/// [`traced_run`] on an explicit trace transport: `Telemetry::Ring`
-/// streams the ops through the SPSC ring to a collector-thread simulator
-/// instead of simulating inline. Reports are byte-identical either way
-/// (the trace-identity suite pins this); the knob exists so the
-/// characterization sweep can exercise and time both transports.
-pub fn traced_run_with(
+pub fn traced_run(
     kernel: &str,
     full: bool,
     vldp: usize,
@@ -111,31 +105,21 @@ pub struct CharReport {
     pub rows: Vec<CharRow>,
 }
 
-/// Collects the characterization table over the whole registry, fanning
-/// the independent kernel × {off, on} cells over `threads` pool workers
-/// (0 = one per core). Rows come back in registry order regardless of
-/// thread count.
-pub fn collect(full: bool, vldp: usize, threads: usize) -> CharReport {
-    collect_with(full, vldp, threads, Telemetry::Inline)
-}
-
-/// [`collect`] on an explicit trace transport.
+/// Collects the characterization table over the whole registry on the
+/// given trace transport, fanning the independent kernel × {off, on}
+/// cells over `threads` pool workers (0 = one per core). Rows come back
+/// in registry order regardless of thread count.
 pub fn collect_with(full: bool, vldp: usize, threads: usize, telemetry: Telemetry) -> CharReport {
     let names: Vec<String> = registry().iter().map(|k| k.name().to_string()).collect();
     collect_kernels_with(&names, full, vldp, threads, telemetry)
 }
 
-/// [`collect`] over an explicit kernel subset, in the given order; the
-/// identity suites use this to pin `--threads` invariance on a cheap
-/// slice of the table.
-pub fn collect_kernels(names: &[String], full: bool, vldp: usize, threads: usize) -> CharReport {
-    collect_kernels_with(names, full, vldp, threads, Telemetry::Inline)
-}
-
-/// [`collect_kernels`] on an explicit trace transport. Each pool worker
-/// runs its cell's whole transport (with `Telemetry::Ring`, its own ring
-/// and collector thread), so cells stay independent and rows stay
-/// byte-identical across thread counts and transports.
+/// [`collect_with`] over an explicit kernel subset, in the given order;
+/// the identity suites use this to pin `--threads` invariance on a cheap
+/// slice of the table. Each pool worker runs its cell's whole transport
+/// (with `Telemetry::Ring`, its own ring and collector thread), so cells
+/// stay independent and rows stay byte-identical across thread counts
+/// and transports.
 pub fn collect_kernels_with(
     names: &[String],
     full: bool,
@@ -150,7 +134,7 @@ pub fn collect_kernels_with(
     let pool = Pool::new(threads);
     let mut results = pool
         .par_map(&cells, |_, (name, degree)| {
-            traced_run_with(name, full, *degree, telemetry)
+            traced_run(name, full, *degree, telemetry)
         })
         .into_iter();
     let rows = names
@@ -240,7 +224,7 @@ mod tests {
 
     #[test]
     fn traced_run_rejects_unknown_kernel() {
-        let err = traced_run("99.none", false, 0).unwrap_err();
+        let err = traced_run("99.none", false, 0, Telemetry::Inline).unwrap_err();
         assert!(err.contains("unknown kernel"));
     }
 
@@ -266,12 +250,12 @@ mod tests {
 
     #[test]
     fn collected_row_json_carries_the_table_fields() {
-        // One cheap kernel rather than a full collect(): the suite-wide
+        // One cheap kernel rather than a full collect_with(): the suite-wide
         // sweeps live in the integration tests and the binary.
         let row = CharRow {
             kernel: "13.dmp".into(),
-            off: traced_run("13.dmp", false, 0),
-            on: traced_run("13.dmp", false, 2),
+            off: traced_run("13.dmp", false, 0, Telemetry::Inline),
+            on: traced_run("13.dmp", false, 2, Telemetry::Inline),
         };
         let off = row.off.as_ref().expect("13.dmp runs traced");
         let on = row.on.as_ref().expect("13.dmp runs traced with vldp");

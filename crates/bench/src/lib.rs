@@ -1,5 +1,4 @@
-//! Shared helpers for the RTRBench-rs experiment binaries and Criterion
-//! benches.
+//! Shared helpers for the RTRBench-rs experiment binaries.
 //!
 //! Every table and figure in the paper's evaluation has a regenerator
 //! binary in `src/bin/` (see DESIGN.md's experiment index):

@@ -8,7 +8,7 @@
 //! the cache rows, and prefetching must never change the demand stream.
 
 use rtr_archsim::MemorySim;
-use rtr_bench::characterization::{collect_kernels, collect_kernels_with};
+use rtr_bench::characterization::collect_kernels_with;
 use rtr_control::dmp::wheeled_robot_demo;
 use rtr_control::mpc::winding_reference;
 use rtr_control::{Dmp, DmpConfig, Mpc, MpcConfig};
@@ -281,13 +281,13 @@ fn sharded_characterization_table_is_thread_count_invariant() {
         .iter()
         .map(|n| n.to_string())
         .collect();
-    let base = collect_kernels(&names, false, 2, 1);
+    let base = collect_kernels_with(&names, false, 2, 1, Telemetry::Inline);
     for row in &base.rows {
         assert!(row.off.is_ok() && row.on.is_ok(), "{}: {row:?}", row.kernel);
     }
     for threads in [2usize, 4] {
         assert_eq!(
-            collect_kernels(&names, false, 2, threads),
+            collect_kernels_with(&names, false, 2, threads, Telemetry::Inline),
             base,
             "table diverged at --threads {threads}"
         );

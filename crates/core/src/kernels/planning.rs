@@ -161,12 +161,19 @@ impl Kernel for Pp2dKernel {
             let map = maps::parse_movingai(&text, 1.0).map_err(KernelError::Input)?;
             let scen_file = args.get_str("scen-file", "");
             let (start, goal) = if scen_file.is_empty() {
-                ((4, 4), (map.width() - 5, map.height() - 5))
+                let (w, h) = (map.width(), map.height());
+                if w < 5 || h < 5 {
+                    return Err(KernelError::Input(format!(
+                        "{map_file}: {w}x{h} map is too small for the default start (4, 4) \
+                         and goal (width - 5, height - 5); pass --scen-file"
+                    )));
+                }
+                ((4, 4), (w - 5, h - 5))
             } else {
                 let scen_text = std::fs::read_to_string(&scen_file)
                     .map_err(|e| KernelError::Input(format!("{scen_file}: {e}")))?;
-                let scens = maps::parse_movingai_scen(&scen_text, map.height())
-                    .map_err(KernelError::Input)?;
+                let scens = maps::parse_movingai_scen(&scen_text, map.width(), map.height())
+                    .map_err(|e| KernelError::Input(format!("{scen_file}: {e}")))?;
                 let idx = args.get_usize("scen-index", scens.len().saturating_sub(1))?;
                 let scen = scens
                     .get(idx)

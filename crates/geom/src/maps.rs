@@ -382,18 +382,23 @@ pub struct Scenario {
 ///
 /// # Errors
 ///
-/// Returns a descriptive error string on malformed lines.
+/// Returns a descriptive error string on malformed lines and on start or
+/// goal cells outside a `map_width` × `map_height` map.
 ///
 /// # Example
 ///
 /// ```
 /// let text = "version 1\n0\tcity.map\t4\t4\t0\t0\t3\t3\t4.24\n";
-/// let scens = rtr_geom::maps::parse_movingai_scen(text, 4).unwrap();
+/// let scens = rtr_geom::maps::parse_movingai_scen(text, 4, 4).unwrap();
 /// assert_eq!(scens.len(), 1);
 /// assert_eq!(scens[0].start, (0, 3)); // y flipped
 /// assert_eq!(scens[0].goal, (3, 0));
 /// ```
-pub fn parse_movingai_scen(text: &str, map_height: usize) -> Result<Vec<Scenario>, String> {
+pub fn parse_movingai_scen(
+    text: &str,
+    map_width: usize,
+    map_height: usize,
+) -> Result<Vec<Scenario>, String> {
     let mut out = Vec::new();
     for (lineno, line) in text.lines().enumerate() {
         let line = line.trim();
@@ -412,8 +417,16 @@ pub fn parse_movingai_scen(text: &str, map_height: usize) -> Result<Vec<Scenario
             s.parse()
                 .map_err(|_| format!("line {}: bad {what}: {s}", lineno + 1))
         };
+        let sx: usize = parse_usize(fields[4], "start x")?;
         let sy: usize = parse_usize(fields[5], "start y")?;
+        let gx: usize = parse_usize(fields[6], "goal x")?;
         let gy: usize = parse_usize(fields[7], "goal y")?;
+        if sx >= map_width || gx >= map_width {
+            return Err(format!(
+                "line {}: x coordinate outside map width",
+                lineno + 1
+            ));
+        }
         if sy >= map_height || gy >= map_height {
             return Err(format!(
                 "line {}: y coordinate outside map height",
@@ -424,8 +437,8 @@ pub fn parse_movingai_scen(text: &str, map_height: usize) -> Result<Vec<Scenario
             bucket: fields[0]
                 .parse()
                 .map_err(|_| format!("line {}: bad bucket", lineno + 1))?,
-            start: (parse_usize(fields[4], "start x")?, map_height - 1 - sy),
-            goal: (parse_usize(fields[6], "goal x")?, map_height - 1 - gy),
+            start: (sx, map_height - 1 - sy),
+            goal: (gx, map_height - 1 - gy),
             optimal_length: fields[8]
                 .parse()
                 .map_err(|_| format!("line {}: bad optimal length", lineno + 1))?,
@@ -485,7 +498,7 @@ mod tests {
         let text = "version 1\n\
                     2\tBoston_1_1024.map\t8\t8\t1\t2\t6\t7\t9.5\n\
                     0\tBoston_1_1024.map\t8\t8\t0\t0\t7\t0\t7\n";
-        let scens = parse_movingai_scen(text, 8).unwrap();
+        let scens = parse_movingai_scen(text, 8, 8).unwrap();
         assert_eq!(scens.len(), 2);
         assert_eq!(scens[0].bucket, 2);
         assert_eq!(scens[0].start, (1, 5));
@@ -496,10 +509,11 @@ mod tests {
 
     #[test]
     fn scen_parser_rejects_malformed() {
-        assert!(parse_movingai_scen("0 map 4 4 0 0\n", 4).is_err()); // short
-        assert!(parse_movingai_scen("x map 4 4 0 0 1 1 1.0\n", 4).is_err()); // bad bucket
-        assert!(parse_movingai_scen("0 map 4 4 0 9 1 1 1.0\n", 4).is_err()); // y overflow
-        assert!(parse_movingai_scen("version 1\n", 4).unwrap().is_empty());
+        assert!(parse_movingai_scen("0 map 4 4 0 0\n", 4, 4).is_err()); // short
+        assert!(parse_movingai_scen("x map 4 4 0 0 1 1 1.0\n", 4, 4).is_err()); // bad bucket
+        assert!(parse_movingai_scen("0 map 4 4 0 9 1 1 1.0\n", 4, 4).is_err()); // y overflow
+        assert!(parse_movingai_scen("0 map 4 4 9 0 1 1 1.0\n", 4, 4).is_err()); // x overflow
+        assert!(parse_movingai_scen("version 1\n", 4, 4).unwrap().is_empty());
     }
 
     #[test]

@@ -357,11 +357,13 @@ proptest! {
     fn movingai_scen_parser_never_panics(
         grammar in grammar_scen(),
         bytes in arbitrary_text(),
+        width in (0..4usize).prop_map(|i| [0, 1, 4, usize::MAX][i]),
         height in (0..4usize).prop_map(|i| [0, 1, 4, usize::MAX][i]),
     ) {
         for text in [&grammar, &bytes] {
-            if let Ok(scens) = parse_movingai_scen(text, height) {
+            if let Ok(scens) = parse_movingai_scen(text, width, height) {
                 for s in scens {
+                    prop_assert!(s.start.0 < width && s.goal.0 < width);
                     prop_assert!(s.start.1 < height && s.goal.1 < height);
                 }
             }

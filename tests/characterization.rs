@@ -5,12 +5,15 @@
 //! quantitative versions (with paper-matching configurations) live in the
 //! `rtr-bench` experiment binaries and EXPERIMENTS.md.
 
+use std::sync::OnceLock;
+
 use rtrbench::control::{BayesOpt, BoConfig, Cem, CemConfig};
-use rtrbench::harness::Profiler;
+use rtrbench::harness::{Args, Profiler};
 use rtrbench::planning::{
     blocks_world, firefight, ArmProblem, Rrt, RrtConfig, RrtStar, SymbolicPlanner,
 };
 use rtrbench::sim::ThrowSim;
+use rtrbench::suite::{registry, CacheReport};
 use rtrbench::trace::NullTrace;
 
 #[test]
@@ -125,4 +128,129 @@ fn traced_rrt_nn_search_misses_in_cache() {
     let report = mem.report();
     assert!(report.accesses > 50_000, "too few traced accesses");
     assert!(report.levels[0].miss_ratio() > 0.01);
+}
+
+/// `exp_characterization`'s reduced arguments for the nine kernels whose
+/// EXP-CHAR claims are asserted below (the same tokens as
+/// `rtr_bench::characterization::small_args`).
+const REDUCED_ARGS: [(&str, &[&str]); 9] = [
+    ("02.ekfslam", &["--steps", "60", "--landmarks", "4"]),
+    ("06.movtar", &["--size", "48"]),
+    ("08.rrt", &["--samples", "4000"]),
+    ("11.sym-blkw", &["--blocks", "4"]),
+    ("12.sym-fext", &[]),
+    ("13.dmp", &["--duration", "0.5", "--basis", "20"]),
+    ("14.mpc", &["--length", "60", "--iterations", "20"]),
+    ("15.cem", &[]),
+    ("16.bo", &["--iterations", "15", "--candidates", "120"]),
+];
+
+/// One `CHAR_report.json` row: the kernel's cache report with VLDP off
+/// and at the table's degree 4.
+struct CharRow {
+    off: CacheReport,
+    on: CacheReport,
+}
+
+/// Runs each kernel of [`REDUCED_ARGS`] through the registry with
+/// `--trace --vldp 0|4`, once for all the tests below.
+fn char_row(kernel: &str) -> &'static CharRow {
+    static TABLE: OnceLock<Vec<(&'static str, CharRow)>> = OnceLock::new();
+    let table = TABLE.get_or_init(|| {
+        let kernels = registry();
+        REDUCED_ARGS
+            .iter()
+            .map(|&(name, args)| {
+                let k = kernels.iter().find(|k| k.name() == name).unwrap();
+                let run = |vldp: &str| {
+                    let mut tokens = args.to_vec();
+                    tokens.extend(["--trace", "--vldp", vldp]);
+                    let report = k.run(&Args::parse_tokens(&tokens).unwrap()).unwrap();
+                    report.cache.expect("--trace attaches a cache report")
+                };
+                (
+                    name,
+                    CharRow {
+                        off: run("0"),
+                        on: run("4"),
+                    },
+                )
+            })
+            .collect()
+    });
+    &table.iter().find(|(name, _)| *name == kernel).unwrap().1
+}
+
+/// L2 miss ratio of one report (level 1 of L1D, L2, LLC).
+fn l2_miss(report: &CacheReport) -> f64 {
+    report.levels[1].miss_ratio()
+}
+
+#[test]
+fn vldp_collapses_l2_misses_on_streaming_sweeps() {
+    // EXP-CHAR: the prefetcher covers the DMP basis scans, BO's GP rows
+    // and RRT's configuration reads (L2 miss 1.0 -> 0.045 / 0.071 / 0.075).
+    for kernel in ["13.dmp", "16.bo", "08.rrt"] {
+        let row = char_row(kernel);
+        let (off, on) = (l2_miss(&row.off), l2_miss(&row.on));
+        assert!(off > 0.9, "{kernel}: L2 miss {off:.3} with VLDP off");
+        assert!(
+            on < 0.15,
+            "{kernel}: L2 miss {off:.3} -> {on:.3} with VLDP on"
+        );
+    }
+}
+
+#[test]
+fn vldp_barely_moves_pointer_chasing_searches() {
+    // EXP-CHAR: the symbolic planners and the moving-target search keep
+    // most of their L2 misses (1.0 -> 0.905, 0.624 -> 0.587,
+    // 0.684 -> 0.634): the streaming/irregular split of §V.
+    for kernel in ["11.sym-blkw", "12.sym-fext", "06.movtar"] {
+        let row = char_row(kernel);
+        let (off, on) = (l2_miss(&row.off), l2_miss(&row.on));
+        assert!(off > 0.5, "{kernel}: L2 miss {off:.3} with VLDP off");
+        assert!(
+            on > 0.8 * off,
+            "{kernel}: VLDP cut L2 misses {off:.3} -> {on:.3}"
+        );
+    }
+}
+
+#[test]
+fn mpc_defeats_the_prefetcher() {
+    // EXP-CHAR: MPC's demand stream alternates regions every slot, so no
+    // per-page delta stabilizes (L2 miss 1.0 -> 1.0).
+    let row = char_row("14.mpc");
+    let (off, on) = (l2_miss(&row.off), l2_miss(&row.on));
+    assert!(
+        off > 0.95 && on > 0.95,
+        "14.mpc L2 miss {off:.3} -> {on:.3}"
+    );
+}
+
+#[test]
+fn store_share_tracks_the_kernel_class() {
+    // EXP-CHAR: the matrix-heavy estimator and optimizers are store-rich,
+    // the search and sampling planners mostly probe maps and trees.
+    for kernel in ["02.ekfslam", "14.mpc", "15.cem"] {
+        let share = char_row(kernel).off.write_ratio();
+        assert!(share >= 0.40, "{kernel}: store share {share:.3}");
+    }
+    for kernel in ["06.movtar", "08.rrt", "11.sym-blkw", "12.sym-fext"] {
+        let share = char_row(kernel).off.write_ratio();
+        assert!(share <= 0.125, "{kernel}: store share {share:.3}");
+    }
+}
+
+#[test]
+fn prefetching_never_changes_the_demand_stream() {
+    for (kernel, _) in REDUCED_ARGS {
+        let row = char_row(kernel);
+        assert_eq!(
+            (row.off.accesses, row.off.reads, row.off.writes),
+            (row.on.accesses, row.on.reads, row.on.writes),
+            "{kernel}: demand stream moved with VLDP on"
+        );
+    }
 }

@@ -3,7 +3,7 @@
 //! report.
 
 use rtrbench::harness::Args;
-use rtrbench::suite::{registry, Stage};
+use rtrbench::suite::{registry, KernelError, Stage};
 
 /// Scaled-down arguments per kernel so the debug-build test stays fast.
 fn small_args(kernel: &str) -> Vec<&'static str> {
@@ -161,4 +161,34 @@ fn pp2d_accepts_movingai_inputsets() {
     // Missing files surface as input errors, not panics.
     let bad = Args::parse_tokens(&["--map-file", "/nonexistent.map"]).unwrap();
     assert!(pp2d.run(&bad).is_err());
+
+    // A map under 5 cells on a side has no room for the default endpoints
+    // (4, 4) and (width - 5, height - 5).
+    let tiny_path = dir.join("tiny.map");
+    std::fs::write(
+        &tiny_path,
+        "type octile\nheight 4\nwidth 4\nmap\n....\n....\n....\n....\n",
+    )
+    .unwrap();
+    let tiny = Args::parse_tokens(&["--map-file", tiny_path.to_str().unwrap()]).unwrap();
+    match pp2d.run(&tiny) {
+        Err(KernelError::Input(msg)) => assert!(msg.contains("too small"), "{msg}"),
+        other => panic!("4x4 map without a .scen: expected an input error, got {other:?}"),
+    }
+
+    // A .scen start or goal x outside the map width is an input error.
+    for (name, line) in [
+        ("start-x.scen", "0\tgap.map\t32\t32\t32\t16\t28\t16\t24.0"),
+        ("goal-x.scen", "0\tgap.map\t32\t32\t4\t16\t40\t16\t24.0"),
+    ] {
+        let path = dir.join(name);
+        std::fs::write(&path, format!("version 1\n{line}\n")).unwrap();
+        let args =
+            Args::parse_tokens(&["--map-file", map_arg, "--scen-file", path.to_str().unwrap()])
+                .unwrap();
+        match pp2d.run(&args) {
+            Err(KernelError::Input(msg)) => assert!(msg.contains("outside map width"), "{msg}"),
+            other => panic!("{name}: expected an input error, got {other:?}"),
+        }
+    }
 }
