@@ -10,7 +10,8 @@
 //!    same arguments.
 //! 2. **Thread-count-independent replay** — the closed-loop scenario's
 //!    golden (every pose rendered via `to_bits`) is byte-identical
-//!    across `threads` ∈ {1, 2, 4}, for both localizers.
+//!    across `threads` ∈ {1, 2, 4}, for both localizers, and equals the
+//!    checked-in `scenario_<localizer>.golden` next to this file.
 //! 3. **Allocation plateau** — once warm, further scenario ticks grow no
 //!    scratch buffer: the growth counters at tick 40 equal the counters
 //!    at the end of the run.
@@ -124,6 +125,15 @@ fn scenario_golden(localizer: LocalizerKind, threads: usize) -> String {
     report.golden()
 }
 
+/// The checked-in `threads = 1` golden: comparing thread counts alone
+/// would miss a change that moves every thread count together.
+fn checked_in_golden(localizer: LocalizerKind) -> &'static str {
+    match localizer {
+        LocalizerKind::Pfl => include_str!("scenario_pfl.golden"),
+        LocalizerKind::EkfSlam => include_str!("scenario_ekfslam.golden"),
+    }
+}
+
 #[test]
 fn scenario_replay_is_byte_identical_across_thread_counts() {
     for localizer in [LocalizerKind::Pfl, LocalizerKind::EkfSlam] {
@@ -131,6 +141,12 @@ fn scenario_replay_is_byte_identical_across_thread_counts() {
         assert!(
             baseline.contains(localizer.label()),
             "golden names its loop"
+        );
+        assert_eq!(
+            baseline,
+            checked_in_golden(localizer),
+            "{}: golden diverges from the checked-in fixture",
+            localizer.label()
         );
         for threads in [2usize, 4] {
             let replay = scenario_golden(localizer, threads);

@@ -86,15 +86,32 @@ pub struct MpcResult {
     pub workspace_allocations: usize,
 }
 
+/// One slot of the nominal rollout that [`Mpc::optimize_ws`] caches once
+/// per iteration: what a central difference at this slot needs to replay
+/// only the slots its perturbation reaches.
+#[derive(Debug, Clone, Copy)]
+struct RolloutSlot {
+    /// State entering the slot.
+    entry: CarState,
+    /// Running horizon cost after the slots before this one.
+    cost: f64,
+    /// Cosine of the heading after the slot, which moved the car.
+    cos: f64,
+    /// Sine of the same heading.
+    sin: f64,
+}
+
 /// Reusable solver scratch: a [`Workspace`] pool for the flattened
-/// gradient plus a tuple buffer for the projected proposal (tuples cannot
-/// live in the `f64` pool).
+/// gradient plus struct buffers for the nominal rollout and the projected
+/// proposal (neither can live in the `f64` pool).
 #[derive(Debug, Default, Clone)]
 struct SolveScratch {
     ws: Workspace,
+    rollout: Vec<RolloutSlot>,
     proposal: Vec<(f64, f64)>,
-    /// Times the tuple buffer's capacity had to grow (counts as an
-    /// allocation for the regression tests).
+    /// Times the rollout and proposal buffers had to grow (counts as an
+    /// allocation for the regression tests). Both are horizon-sized, so
+    /// they grow together, in one event.
     growths: usize,
 }
 
@@ -180,17 +197,38 @@ impl Mpc {
 
     /// Unicycle-with-speed dynamics under control `(a, ω)`.
     fn step(&self, s: CarState, a: f64, omega: f64) -> CarState {
-        let dt = self.config.dt;
-        let v = (s.v + a * dt).clamp(0.0, self.config.v_max);
-        let theta = normalize_angle(s.pose.theta + omega * dt);
+        let theta = normalize_angle(s.pose.theta + omega * self.config.dt);
+        let (x, y, v) = self.advance(s.pose.x, s.pose.y, s.v, a, theta.cos(), theta.sin());
         CarState {
-            pose: Pose2::new(
-                s.pose.x + v * theta.cos() * dt,
-                s.pose.y + v * theta.sin() * dt,
-                theta,
-            ),
+            pose: Pose2::new(x, y, theta),
             v,
         }
+    }
+
+    /// The part of [`Mpc::step`] an acceleration reaches: accelerates by
+    /// `a` from speed `v` and moves `(x, y)` along the heading whose
+    /// cosine and sine are given. Returns the new `(x, y, v)`.
+    fn advance(&self, x: f64, y: f64, v: f64, a: f64, cos: f64, sin: f64) -> (f64, f64, f64) {
+        let dt = self.config.dt;
+        let v = (v + a * dt).clamp(0.0, self.config.v_max);
+        (x + v * cos * dt, y + v * sin * dt, v)
+    }
+
+    /// Adds slot `k`'s cost — tracking error at `position`, effort of
+    /// `(a, ω)` — to the running `cost`, with the operations and order of
+    /// [`Mpc::horizon_cost`], so a replayed suffix continues a cached
+    /// prefix bit for bit.
+    fn add_slot_cost(
+        &self,
+        cost: f64,
+        k: usize,
+        position: Point2,
+        (a, omega): (f64, f64),
+        refs: &[Point2],
+    ) -> f64 {
+        let target = refs[k.min(refs.len() - 1)];
+        cost + self.config.w_tracking * position.distance_squared(target)
+            + self.config.w_effort * (a * a + omega * omega)
     }
 
     /// Horizon cost of a control sequence from state `s0` against the
@@ -207,12 +245,97 @@ impl Mpc {
         cost
     }
 
+    /// Rolls `controls` out from `s0` into `slots`, one [`RolloutSlot`]
+    /// per control, with exactly the operations of
+    /// [`Mpc::horizon_cost`].
+    fn roll_out(
+        &self,
+        s0: CarState,
+        controls: &[(f64, f64)],
+        refs: &[Point2],
+        slots: &mut Vec<RolloutSlot>,
+    ) {
+        slots.clear();
+        let mut s = s0;
+        let mut cost = 0.0;
+        for (k, &u) in controls.iter().enumerate() {
+            let theta = normalize_angle(s.pose.theta + u.1 * self.config.dt);
+            let (cos, sin) = (theta.cos(), theta.sin());
+            slots.push(RolloutSlot {
+                entry: s,
+                cost,
+                cos,
+                sin,
+            });
+            let (x, y, v) = self.advance(s.pose.x, s.pose.y, s.v, u.0, cos, sin);
+            s = CarState {
+                pose: Pose2::new(x, y, theta),
+                v,
+            };
+            cost = self.add_slot_cost(cost, k, s.pose.position(), u, refs);
+        }
+    }
+
+    /// Horizon cost of `controls` with slot `k`'s acceleration replaced
+    /// by `a_k`, replaying only slots `k..` from the cached rollout. An
+    /// acceleration never turns the car, so every slot keeps its cached
+    /// heading: no trig, no angle normalization.
+    fn replay_accel(
+        &self,
+        slots: &[RolloutSlot],
+        k: usize,
+        a_k: f64,
+        controls: &[(f64, f64)],
+        refs: &[Point2],
+    ) -> f64 {
+        let RolloutSlot {
+            entry, mut cost, ..
+        } = slots[k];
+        let (mut x, mut y, mut v) = (entry.pose.x, entry.pose.y, entry.v);
+        for (j, (&u, slot)) in (k..).zip(controls[k..].iter().zip(&slots[k..])) {
+            let u = if j == k { (a_k, u.1) } else { u };
+            (x, y, v) = self.advance(x, y, v, u.0, slot.cos, slot.sin);
+            cost = self.add_slot_cost(cost, j, Point2::new(x, y), u, refs);
+        }
+        cost
+    }
+
+    /// Horizon cost of `controls` with slot `k`'s steering rate replaced
+    /// by `omega_k`, replaying full steps over slots `k..` from the cached
+    /// rollout.
+    fn replay_steer(
+        &self,
+        slots: &[RolloutSlot],
+        k: usize,
+        omega_k: f64,
+        controls: &[(f64, f64)],
+        refs: &[Point2],
+    ) -> f64 {
+        let RolloutSlot {
+            entry: mut s,
+            mut cost,
+            ..
+        } = slots[k];
+        for (j, &u) in (k..).zip(&controls[k..]) {
+            let u = if j == k { (u.0, omega_k) } else { u };
+            s = self.step(s, u.0, u.1);
+            cost = self.add_slot_cost(cost, j, s.pose.position(), u, refs);
+        }
+        cost
+    }
+
     /// Solves the horizon problem by projected gradient descent with
-    /// central-difference gradients, warm-started from `controls`. The
-    /// gradient lives in a pooled flat buffer and the proposal in a reused
-    /// tuple buffer, so after the first control step the loop never
-    /// touches the heap; a proptest below holds it bit-identical to the
-    /// allocating formulation.
+    /// central-difference gradients, warm-started from `controls`.
+    ///
+    /// Each iteration rolls the controls out once into a per-slot cache;
+    /// a difference at slot `k` leaves slots `0..k` untouched, so it
+    /// replays only slots `k..` from there. Per iteration that is H²+3H
+    /// full steps plus H(H+1) trig-free acceleration steps, against
+    /// 4H²+H full steps for re-simulating the whole horizon per
+    /// difference. The gradient lives in a pooled flat buffer and the
+    /// rollout and proposal in reused struct buffers, so after the first
+    /// control step the loop never touches the heap; a proptest below
+    /// holds it bit-identical to the allocating full-horizon formulation.
     fn optimize_ws<T: MemTrace + ?Sized>(
         &self,
         s0: CarState,
@@ -232,29 +355,25 @@ impl Mpc {
         let mut grad = scratch.ws.vector(2 * n);
         for _ in 0..self.config.opt_iterations {
             iterations += 1;
+            if scratch.rollout.capacity() < n || scratch.proposal.capacity() < n {
+                scratch.growths += 1;
+            }
+            self.roll_out(s0, controls, refs, &mut scratch.rollout);
+            let slots = &scratch.rollout;
             for k in 0..n {
                 if trace.enabled() {
                     trace.read(CTRL_REGION + k as u64 * 16);
                     trace.read(REF_REGION + k as u64 * 16);
                     trace.write(GRAD_REGION + k as u64 * 16);
                 }
-                let orig = controls[k];
-                controls[k].0 = orig.0 + h;
-                let up = self.horizon_cost(s0, controls, refs);
-                controls[k].0 = orig.0 - h;
-                let down = self.horizon_cost(s0, controls, refs);
-                controls[k].0 = orig.0;
+                let (a, omega) = controls[k];
+                let up = self.replay_accel(slots, k, a + h, controls, refs);
+                let down = self.replay_accel(slots, k, a - h, controls, refs);
                 grad[2 * k] = (up - down) / (2.0 * h);
 
-                controls[k].1 = orig.1 + h;
-                let up = self.horizon_cost(s0, controls, refs);
-                controls[k].1 = orig.1 - h;
-                let down = self.horizon_cost(s0, controls, refs);
-                controls[k].1 = orig.1;
+                let up = self.replay_steer(slots, k, omega + h, controls, refs);
+                let down = self.replay_steer(slots, k, omega - h, controls, refs);
                 grad[2 * k + 1] = (up - down) / (2.0 * h);
-            }
-            if scratch.proposal.capacity() < n {
-                scratch.growths += 1;
             }
             scratch.proposal.clear();
             scratch
@@ -603,28 +722,44 @@ mod tests {
         #[test]
         fn workspace_solver_matches_allocating_reference(
             pose in prop::array::uniform3(-5.0f64..5.0),
-            v in 0.0f64..8.0,
-            warm in prop::collection::vec((-3.0f64..3.0, -0.8f64..0.8), 12),
+            // Starting speed as a fraction of `v_max`: exactly 0 or 1 a
+            // third of the time each, so the speed clamp fires at both
+            // ends of the replayed rollouts.
+            speed in (0usize..3, 0.0f64..1.0).prop_map(|(pick, f)| [0.0, 1.0, f][pick]),
+            // Warm starts of 1..=16 slots.
+            warm in prop::collection::vec((-3.0f64..3.0, -0.8f64..0.8), 1..17),
             window in prop::collection::vec(prop::array::uniform2(-10.0f64..10.0), 1..16),
         ) {
-            let mpc = Mpc::new(MpcConfig::default());
-            let s0 = CarState { pose: Pose2::new(pose[0], pose[1], pose[2]), v };
+            let scenario = MpcConfig {
+                horizon: 10,
+                v_max: 2.0,
+                a_max: 2.5,
+                opt_iterations: 25,
+                ..Default::default()
+            };
             let refs: Vec<Point2> = window.iter().map(|p| Point2::new(p[0], p[1])).collect();
             let bits = |c: &[(f64, f64)]| -> Vec<(u64, u64)> {
                 c.iter().map(|&(a, w)| (a.to_bits(), w.to_bits())).collect()
             };
-            let mut reference = warm.clone();
-            let mut fast = warm;
-            let mut scratch = SolveScratch::default();
-            // Two solves on one scratch: the second runs on warm buffers.
-            for _ in 0..2 {
-                let mut ref_trace = RecordingTrace::default();
-                let ref_iters = optimize_allocating(&mpc, s0, &mut reference, &refs, &mut ref_trace);
-                let mut fast_trace = RecordingTrace::default();
-                let fast_iters = mpc.optimize_ws(s0, &mut fast, &refs, &mut scratch, &mut fast_trace);
-                prop_assert_eq!(fast_iters, ref_iters);
-                prop_assert_eq!(bits(&fast), bits(&reference));
-                prop_assert_eq!(fast_trace.ops, ref_trace.ops);
+            for config in [MpcConfig::default(), scenario] {
+                let mpc = Mpc::new(config);
+                let v = speed * config.v_max;
+                let s0 = CarState { pose: Pose2::new(pose[0], pose[1], pose[2]), v };
+                let mut reference = warm.clone();
+                let mut fast = warm.clone();
+                let mut scratch = SolveScratch::default();
+                // Two solves on one scratch: the second runs on warm buffers.
+                for _ in 0..2 {
+                    let mut ref_trace = RecordingTrace::default();
+                    let ref_iters =
+                        optimize_allocating(&mpc, s0, &mut reference, &refs, &mut ref_trace);
+                    let mut fast_trace = RecordingTrace::default();
+                    let fast_iters =
+                        mpc.optimize_ws(s0, &mut fast, &refs, &mut scratch, &mut fast_trace);
+                    prop_assert_eq!(fast_iters, ref_iters);
+                    prop_assert_eq!(bits(&fast), bits(&reference));
+                    prop_assert_eq!(fast_trace.ops, ref_trace.ops);
+                }
             }
         }
     }
@@ -639,8 +774,9 @@ mod tests {
         };
         let short = run(30);
         let long = run(120);
-        // One gradient buffer, one proposal growth, one window growth —
-        // all during the first control step, regardless of run length.
+        // One gradient buffer, one rollout-and-proposal growth, one window
+        // growth — all during the first control step, regardless of run
+        // length.
         assert_eq!(short, 3, "warmup allocations");
         assert_eq!(long, short, "allocations must not scale with steps");
     }

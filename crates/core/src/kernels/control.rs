@@ -151,6 +151,10 @@ impl KernelInstance for DmpInstance {
     }
 }
 
+/// Most reference samples (`--length`) `14.mpc` accepts: 500x the
+/// default 200. The run reserves its trajectory for 4x this many steps.
+const MAX_REFERENCE_SAMPLES: usize = 100_000;
+
 /// `14.mpc`: model predictive control along a winding reference.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MpcKernel;
@@ -191,6 +195,21 @@ impl Kernel for MpcKernel {
         let length = args.get_usize("length", 200)?.max(2);
         let horizon = args.get_usize("horizon", 12)?.max(1);
         let iterations = args.get_usize("iterations", 40)?.max(1);
+        // The run sizes its trajectory and solver buffers from these two.
+        if length > MAX_REFERENCE_SAMPLES {
+            return Err(bad_value(
+                "length",
+                length,
+                "a reference of at most 100000 samples",
+            ));
+        }
+        if horizon > length {
+            return Err(bad_value(
+                "horizon",
+                horizon,
+                "a horizon no longer than the reference (--length)",
+            ));
+        }
 
         let reference = winding_reference(length);
         let config = MpcConfig {

@@ -328,6 +328,8 @@ mod tests {
             ("rrtpp", ["--epsilon", "0"], "epsilon"),
             ("rrtpp", ["--epsilon", "-1"], "epsilon"),
             ("rrtpp", ["--epsilon", "nan"], "epsilon"),
+            ("mpc", ["--length", "1000000000000"], "length"),
+            ("mpc", ["--horizon", "1000000000000"], "horizon"),
         ] {
             let args = Args::parse_tokens(&argv).unwrap();
             match registry_lookup(kernel).unwrap().instantiate(&args) {

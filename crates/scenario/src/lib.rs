@@ -660,8 +660,11 @@ impl ScenarioReport {
     /// Byte-stable replay fingerprint: every float rendered via
     /// [`f64::to_bits`], no wall-clock quantity and no thread count
     /// included. Two runs of the same [`ScenarioConfig`] (any
-    /// `threads`) must produce identical goldens — CI byte-compares
-    /// this against a checked-in file.
+    /// `threads`) must produce identical goldens —
+    /// `crates/bench/tests/scenario.rs`'s
+    /// `scenario_replay_is_byte_identical_across_thread_counts`
+    /// byte-compares them across thread counts and against checked-in
+    /// fixtures for both localizers.
     pub fn golden(&self) -> String {
         let pose_bits = |p: &Pose2| {
             format!(
