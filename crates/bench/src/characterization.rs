@@ -8,7 +8,7 @@
 //! preserves input order, the assembled rows are byte-identical for any
 //! `--threads` value (the trace-identity suite pins this).
 
-use rtr_core::{registry, registry_lookup, CacheReport, Telemetry};
+use rtr_core::{registry, registry_lookup, CacheReport, Telemetry, TraceSession};
 use rtr_harness::{Args, Pool};
 
 /// Reduced per-kernel arguments used unless `--full` is passed: the same
@@ -46,7 +46,7 @@ pub fn small_args(kernel: &str) -> &'static [&'static str] {
 /// # Errors
 ///
 /// Returns a rendered error string when the kernel is unknown, its CLI
-/// rejects the tokens, the run fails, or it ignores `--trace`.
+/// rejects the tokens, the run fails, or it ignores the trace session.
 pub fn traced_run(
     kernel: &str,
     full: bool,
@@ -54,29 +54,13 @@ pub fn traced_run(
     telemetry: Telemetry,
 ) -> Result<CacheReport, String> {
     let k = registry_lookup(kernel).map_err(|e| e.to_string())?;
-    let mut tokens: Vec<String> = if full {
-        Vec::new()
-    } else {
-        small_args(kernel)
-            .iter()
-            .map(|t| (*t).to_string())
-            .collect()
-    };
-    tokens.push("--trace".into());
-    if vldp > 0 {
-        tokens.push("--vldp".into());
-        tokens.push(vldp.to_string());
-    }
-    if telemetry == Telemetry::Ring {
-        tokens.push("--telemetry".into());
-        tokens.push("ring".into());
-    }
-    let refs: Vec<&str> = tokens.iter().map(String::as_str).collect();
-    let args = Args::parse_tokens(&refs).map_err(|e| e.to_string())?;
-    let report = k.run(&args).map_err(|e| e.to_string())?;
+    let tokens: &[&str] = if full { &[] } else { small_args(kernel) };
+    let args = Args::parse_tokens(tokens).map_err(|e| e.to_string())?;
+    let session = TraceSession::enabled_with(telemetry, vldp);
+    let report = k.run_with(&args, session).map_err(|e| e.to_string())?;
     report
         .cache
-        .ok_or_else(|| "kernel ignored --trace".to_string())
+        .ok_or_else(|| "kernel ignored the trace session".to_string())
 }
 
 /// One characterization row: a kernel's VLDP-off and VLDP-on reports over

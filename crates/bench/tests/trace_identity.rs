@@ -12,7 +12,7 @@ use rtr_bench::characterization::collect_kernels_with;
 use rtr_control::dmp::wheeled_robot_demo;
 use rtr_control::mpc::winding_reference;
 use rtr_control::{Dmp, DmpConfig, Mpc, MpcConfig};
-use rtr_core::{registry, Telemetry};
+use rtr_core::{registry, Telemetry, TraceSession};
 use rtr_harness::{Args, Collector, Profiler};
 use rtr_trace::{ring, BufferedTrace, MemTrace, RingTrace, TraceOp};
 
@@ -219,9 +219,9 @@ fn ring_transport_matches_inline_simulation_on_kernel_streams() {
     });
 }
 
-/// The registry-level knob: `--telemetry ring` on real kernels must
-/// reproduce the inline cache report exactly — the guarantee behind the
-/// CI leg that byte-compares the two `CHAR_report.json` artifacts.
+/// The registry-level transport choice: a ring session on real kernels
+/// must reproduce the inline cache report exactly — the guarantee behind
+/// the CI leg that byte-compares the two `CHAR_report.json` artifacts.
 #[test]
 fn telemetry_ring_kernel_runs_match_inline_reports() {
     for name in ["13.dmp", "14.mpc"] {
@@ -232,10 +232,10 @@ fn telemetry_ring_kernel_runs_match_inline_reports() {
             .run(&parse(extra, &["--trace", "--vldp", "2"]))
             .unwrap();
         let ringed = kernel
-            .run(&parse(
-                extra,
-                &["--trace", "--vldp", "2", "--telemetry", "ring"],
-            ))
+            .run_with(
+                &parse(extra, &[]),
+                TraceSession::enabled_with(Telemetry::Ring, 2),
+            )
             .unwrap();
         assert_eq!(
             inline.cache, ringed.cache,

@@ -9,12 +9,17 @@ use rtr_harness::{Args, OptionSpec, Profiler};
 use rtr_sim::ThrowSim;
 use rtr_trace::MemTrace;
 
-use super::{bad_value, report, OneShotInstance};
+use super::{bad_value, count_arg, report, OneShotInstance};
 use crate::{Kernel, KernelError, KernelInstance, KernelReport, Stage, StepStatus, TraceSession};
 
 /// Most rollout steps (`--duration / --dt`) `13.dmp` accepts: 250x the
 /// default 4 000.
 const MAX_ROLLOUT_STEPS: f64 = 1e6;
+
+/// Most basis functions `13.dmp --basis` accepts: 333x the default 30.
+/// Centers, widths and per-dimension weights take about 64 B per basis
+/// function, under 1 MB at the cap.
+const MAX_BASIS: usize = 10_000;
 
 /// `13.dmp`: dynamic movement primitives from a wheeled-robot demo.
 #[derive(Debug, Clone, Copy, Default)]
@@ -53,7 +58,14 @@ impl Kernel for DmpKernel {
     }
 
     fn instantiate(&self, args: &Args) -> Result<Box<dyn KernelInstance>, KernelError> {
-        let basis = args.get_usize("basis", 30)?.max(2);
+        let basis = count_arg(
+            args,
+            "basis",
+            30,
+            MAX_BASIS,
+            "a basis count of at most 10000",
+        )?
+        .max(2);
         let dt = args.get_f64("dt", 0.0005)?;
         let duration = args.get_f64("duration", 2.0)?;
         if !(duration.is_finite() && duration >= 0.0) {
@@ -192,17 +204,17 @@ impl Kernel for MpcKernel {
     }
 
     fn instantiate(&self, args: &Args) -> Result<Box<dyn KernelInstance>, KernelError> {
-        let length = args.get_usize("length", 200)?.max(2);
+        // The run sizes its trajectory and solver buffers from these two.
+        let length = count_arg(
+            args,
+            "length",
+            200,
+            MAX_REFERENCE_SAMPLES,
+            "a reference of at most 100000 samples",
+        )?
+        .max(2);
         let horizon = args.get_usize("horizon", 12)?.max(1);
         let iterations = args.get_usize("iterations", 40)?.max(1);
-        // The run sizes its trajectory and solver buffers from these two.
-        if length > MAX_REFERENCE_SAMPLES {
-            return Err(bad_value(
-                "length",
-                length,
-                "a reference of at most 100000 samples",
-            ));
-        }
         if horizon > length {
             return Err(bad_value(
                 "horizon",
@@ -284,6 +296,11 @@ impl KernelInstance for MpcInstance {
     }
 }
 
+/// Most samples per iteration `15.cem --samples` accepts. Each iteration
+/// draws its population and scores it into about 56 B per sample: 126 MB
+/// peak RSS at the cap.
+const MAX_CEM_SAMPLES: usize = 1_000_000;
+
 /// `15.cem`: cross-entropy-method learning of the ball throw.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CemKernel;
@@ -328,7 +345,13 @@ impl Kernel for CemKernel {
     fn instantiate(&self, args: &Args) -> Result<Box<dyn KernelInstance>, KernelError> {
         let config = CemConfig {
             iterations: args.get_usize("iterations", 5)?.max(1),
-            samples_per_iteration: args.get_usize("samples", 15)?,
+            samples_per_iteration: count_arg(
+                args,
+                "samples",
+                15,
+                MAX_CEM_SAMPLES,
+                "a sample count of at most 1000000",
+            )?,
             seed: args.get_u64("seed", 0)?,
             threads: super::threads_arg(args)?,
             ..Default::default()
@@ -363,6 +386,11 @@ impl Kernel for CemKernel {
         ))
     }
 }
+
+/// Most acquisition candidates per iteration `16.bo --candidates`
+/// accepts: 2000x the default 500. Each iteration scores its candidates
+/// into one 48 B row each (72 MB peak RSS at the cap).
+const MAX_CANDIDATES: usize = 1_000_000;
 
 /// `16.bo`: Bayesian optimization of the ball throw.
 #[derive(Debug, Clone, Copy, Default)]
@@ -411,7 +439,14 @@ impl Kernel for BoKernel {
     fn instantiate(&self, args: &Args) -> Result<Box<dyn KernelInstance>, KernelError> {
         let config = BoConfig {
             iterations: args.get_usize("iterations", 45)?.max(1),
-            candidates: args.get_usize("candidates", 500)?.max(1),
+            candidates: count_arg(
+                args,
+                "candidates",
+                500,
+                MAX_CANDIDATES,
+                "a candidate count of at most 1000000",
+            )?
+            .max(1),
             kappa: args.get_f64("kappa", 2.0)?,
             seed: args.get_u64("seed", 0)?,
             ..Default::default()

@@ -33,6 +33,25 @@ pub(crate) fn threads_arg(args: &Args) -> Result<usize, KernelError> {
     Ok(args.get_usize("threads", 0)?)
 }
 
+/// Parses a count option and rejects a value above `max`. Kernels size
+/// inputs and buffers from their counts before running, so each count
+/// carries a named cap (`MAX_*`, its bound in the comment) that an
+/// adapter checks before it generates any input: a huge count then
+/// names the option instead of aborting the process on allocation.
+pub(crate) fn count_arg(
+    args: &Args,
+    option: &str,
+    default: usize,
+    max: usize,
+    expected: &'static str,
+) -> Result<usize, KernelError> {
+    let count = args.get_usize(option, default)?;
+    if count > max {
+        return Err(bad_value(option, count, expected));
+    }
+    Ok(count)
+}
+
 /// Returns all sixteen kernels in paper order (`01.pfl` … `16.bo`).
 pub fn registry() -> Vec<Box<dyn Kernel>> {
     vec![
@@ -117,14 +136,10 @@ fn edit_distance(a: &str, b: &str) -> usize {
     prev[b.len()]
 }
 
-/// The shared `--trace`/`--vldp`/`--telemetry` CLI options every kernel
-/// accepts (the registry-level trace path lives in [`crate::trace`]).
-pub(crate) fn trace_options() -> [OptionSpec; 3] {
-    [
-        crate::trace::trace_option(),
-        crate::trace::vldp_option(),
-        crate::trace::telemetry_option(),
-    ]
+/// The shared `--trace`/`--vldp` CLI options every kernel accepts (the
+/// registry-level trace path lives in [`crate::trace`]).
+pub(crate) fn trace_options() -> [OptionSpec; 2] {
+    [crate::trace::trace_option(), crate::trace::vldp_option()]
 }
 
 /// Builds a [`KernelReport`] from a finished profiler, metric list and
@@ -330,6 +345,25 @@ mod tests {
             ("rrtpp", ["--epsilon", "nan"], "epsilon"),
             ("mpc", ["--length", "1000000000000"], "length"),
             ("mpc", ["--horizon", "1000000000000"], "horizon"),
+            ("rrt", ["--map", "bogus"], "map"),
+            ("rrtstar", ["--map", "bogus"], "map"),
+            ("rrtpp", ["--map", "bogus"], "map"),
+            ("prm", ["--map", "bogus"], "map"),
+            ("pfl", ["--particles", "1000000000000"], "particles"),
+            ("ekfslam", ["--steps", "1000000000000"], "steps"),
+            ("ekfslam", ["--landmarks", "1000000000000"], "landmarks"),
+            ("srec", ["--points", "1000000000000"], "points"),
+            ("pp2d", ["--size", "1000000000000"], "size"),
+            ("pp3d", ["--size", "1000000000000"], "size"),
+            ("pp3d", ["--height", "1000000000000"], "height"),
+            ("movtar", ["--size", "1000000000000"], "size"),
+            ("movtar", ["--horizon", "1000000000000"], "horizon"),
+            ("prm", ["--roadmap", "1000000000000"], "roadmap"),
+            ("prm", ["--neighbors", "1000000000000"], "neighbors"),
+            ("sym-blkw", ["--blocks", "1000000000000"], "blocks"),
+            ("dmp", ["--basis", "1000000000000"], "basis"),
+            ("cem", ["--samples", "1000000000000"], "samples"),
+            ("bo", ["--candidates", "1000000000000"], "candidates"),
         ] {
             let args = Args::parse_tokens(&argv).unwrap();
             match registry_lookup(kernel).unwrap().instantiate(&args) {

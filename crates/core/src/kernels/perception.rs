@@ -8,8 +8,13 @@ use rtr_perception::{
 use rtr_sim::{scene, DifferentialDrive, Lidar, OdometryModel, SimRng, SlamStep, SlamWorld};
 use rtr_trace::MemTrace;
 
-use super::{bad_value, report};
+use super::{bad_value, count_arg, report};
 use crate::{Kernel, KernelError, KernelInstance, KernelReport, Stage, StepStatus, TraceSession};
+
+/// Most particles `01.pfl` accepts: 2000x the default 500. The filter
+/// keeps about 90 B per particle (pose, weight, score and resampling
+/// slots): 95 MB peak RSS at the cap.
+const MAX_PARTICLES: usize = 1_000_000;
 
 /// `01.pfl`: particle-filter localization in the procedural indoor map.
 #[derive(Debug, Clone, Copy, Default)]
@@ -94,7 +99,13 @@ impl Kernel for PflKernel {
     }
 
     fn instantiate(&self, args: &Args) -> Result<Box<dyn KernelInstance>, KernelError> {
-        let particles = args.get_usize("particles", 500)?;
+        let particles = count_arg(
+            args,
+            "particles",
+            500,
+            MAX_PARTICLES,
+            "a particle count of at most 1000000",
+        )?;
         if particles == 0 {
             return Err(bad_value(
                 "particles",
@@ -193,6 +204,16 @@ impl KernelInstance for PflInstance {
     }
 }
 
+/// Most drive steps `02.ekfslam` accepts: 333x the default 300. The
+/// input log holds a 64 B step plus 24 B per observation, at most 21 MB
+/// at the cap with the default six landmarks.
+const MAX_SLAM_STEPS: usize = 100_000;
+
+/// Most landmarks `02.ekfslam` accepts. The filter's covariance and its
+/// update scratch are about five dense (3 + 2n)² matrices of `f64`:
+/// 187 MB peak RSS at the cap.
+const MAX_LANDMARKS: usize = 1_000;
+
 /// `02.ekfslam`: EKF-SLAM on the six-landmark demo world.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EkfSlamKernel;
@@ -230,8 +251,20 @@ impl Kernel for EkfSlamKernel {
     }
 
     fn instantiate(&self, args: &Args) -> Result<Box<dyn KernelInstance>, KernelError> {
-        let steps = args.get_usize("steps", 300)?;
-        let n_landmarks = args.get_usize("landmarks", 6)?;
+        let steps = count_arg(
+            args,
+            "steps",
+            300,
+            MAX_SLAM_STEPS,
+            "a step count of at most 100000",
+        )?;
+        let n_landmarks = count_arg(
+            args,
+            "landmarks",
+            6,
+            MAX_LANDMARKS,
+            "a landmark count of at most 1000",
+        )?;
         let seed = args.get_u64("seed", 0)?;
 
         let world = if n_landmarks == 6 {
@@ -324,6 +357,11 @@ impl KernelInstance for EkfSlamInstance {
     }
 }
 
+/// Most scene points `03.srec` accepts: 250x the default 40 000. The
+/// scene, both scans, the k-d tree and the ICP scratch take about 125 B
+/// per point: 1.3 GB peak RSS at the cap.
+const MAX_POINTS: usize = 10_000_000;
+
 /// `03.srec`: ICP alignment of two synthetic living-room scans.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SrecKernel;
@@ -362,7 +400,13 @@ impl Kernel for SrecKernel {
     }
 
     fn instantiate(&self, args: &Args) -> Result<Box<dyn KernelInstance>, KernelError> {
-        let points = args.get_usize("points", 40_000)?;
+        let points = count_arg(
+            args,
+            "points",
+            40_000,
+            MAX_POINTS,
+            "a point count of at most 10000000",
+        )?;
         let iterations = args.get_usize("iterations", 30)?;
         let seed = args.get_u64("seed", 6)?;
 

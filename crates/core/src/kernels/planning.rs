@@ -10,7 +10,7 @@ use rtr_planning::{
 use rtr_planning::RrtStarRun;
 use rtr_trace::MemTrace;
 
-use super::{bad_value, report, OneShotInstance};
+use super::{bad_value, count_arg, report, OneShotInstance};
 use crate::{Kernel, KernelError, KernelInstance, KernelReport, Stage, StepStatus, TraceSession};
 
 /// Parses `--weight`, the heuristic weight of the graph-search kernels
@@ -33,7 +33,8 @@ fn arm_problem(args: &Args) -> Result<ArmProblem, KernelError> {
     let seed = args.get_u64("seed", 2)?;
     match args.get_str("map", "map-c").as_str() {
         "map-f" => Ok(ArmProblem::map_f(seed)),
-        _ => Ok(ArmProblem::map_c(seed)),
+        "map-c" => Ok(ArmProblem::map_c(seed)),
+        other => Err(bad_value("map", other, "map-f or map-c")),
     }
 }
 
@@ -89,6 +90,12 @@ fn arm_options() -> Vec<OptionSpec> {
     options
 }
 
+/// Most cells per side `04.pp2d --size` accepts: 8x the default 512 and
+/// 4x the paper's 1024-cell Boston map. The map is one byte per cell
+/// (16 MB at the cap) and the search grows with it: 705 MB peak RSS at
+/// the cap.
+const MAX_CITY_SIDE: usize = 4_096;
+
 /// `04.pp2d`: car path planning across the procedural city.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Pp2dKernel;
@@ -138,7 +145,14 @@ impl Kernel for Pp2dKernel {
     }
 
     fn instantiate(&self, args: &Args) -> Result<Box<dyn KernelInstance>, KernelError> {
-        let size = args.get_usize("size", 512)?.max(64);
+        let size = count_arg(
+            args,
+            "size",
+            512,
+            MAX_CITY_SIDE,
+            "a side of at most 4096 cells",
+        )?
+        .max(64);
         let weight = weight_arg(args)?;
         let seed = args.get_u64("seed", 3)?;
 
@@ -208,6 +222,15 @@ impl Kernel for Pp2dKernel {
     }
 }
 
+/// Most cells per side `05.pp3d --size` accepts: 8x the default 128.
+/// The voxel map is one byte per cell, side² × height: 16 MB at this cap
+/// and the default height (25 MB peak RSS), 1 GiB with both caps.
+const MAX_CAMPUS_SIDE: usize = 1_024;
+
+/// Most airspace cells `05.pp3d --height` accepts: 64x the default 16;
+/// 16 MB of voxels at the default side (32 MB peak RSS).
+const MAX_AIRSPACE_HEIGHT: usize = 1_024;
+
 /// `05.pp3d`: UAV path planning across the procedural campus.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Pp3dKernel;
@@ -249,8 +272,22 @@ impl Kernel for Pp3dKernel {
     }
 
     fn instantiate(&self, args: &Args) -> Result<Box<dyn KernelInstance>, KernelError> {
-        let size = args.get_usize("size", 128)?.max(16);
-        let height = args.get_usize("height", 16)?.max(4);
+        let size = count_arg(
+            args,
+            "size",
+            128,
+            MAX_CAMPUS_SIDE,
+            "a side of at most 1024 cells",
+        )?
+        .max(16);
+        let height = count_arg(
+            args,
+            "height",
+            16,
+            MAX_AIRSPACE_HEIGHT,
+            "a height of at most 1024 cells",
+        )?
+        .max(4);
         let weight = weight_arg(args)?;
         let seed = args.get_u64("seed", 11)?;
 
@@ -282,6 +319,16 @@ impl Kernel for Pp3dKernel {
         ))
     }
 }
+
+/// Most cells per side `06.movtar --size` accepts: 10x the default 96.
+/// The cost field is 8 B per cell (8 MB at the cap); the heuristic flood
+/// and the search grow with it: 489 MB peak RSS at the cap.
+const MAX_FIELD_SIDE: usize = 1_024;
+
+/// Most target steps `06.movtar --horizon` accepts; the default is twice
+/// the side (192, at most 2048). The trajectory is 16 B per step, 1.6 MB
+/// at the cap.
+const MAX_HORIZON: usize = 100_000;
 
 /// `06.movtar`: catching a moving target with WA* and a backward-Dijkstra
 /// heuristic.
@@ -325,8 +372,21 @@ impl Kernel for MovtarKernel {
     }
 
     fn instantiate(&self, args: &Args) -> Result<Box<dyn KernelInstance>, KernelError> {
-        let size = args.get_usize("size", 96)?.max(8);
-        let horizon = args.get_usize("horizon", size * 2)?;
+        let size = count_arg(
+            args,
+            "size",
+            96,
+            MAX_FIELD_SIDE,
+            "a side of at most 1024 cells",
+        )?
+        .max(8);
+        let horizon = count_arg(
+            args,
+            "horizon",
+            size * 2,
+            MAX_HORIZON,
+            "a horizon of at most 100000 steps",
+        )?;
         if horizon == 0 {
             return Err(bad_value(
                 "horizon",
@@ -360,6 +420,16 @@ impl Kernel for MovtarKernel {
         ))
     }
 }
+
+/// Most vertices `07.prm --roadmap` accepts: 83x the default 1200. The
+/// build keeps about 1.1 KB per vertex at 12 neighbors: 122 MB peak RSS
+/// at the cap.
+const MAX_ROADMAP: usize = 100_000;
+
+/// Most neighbors per vertex `07.prm --neighbors` accepts: 83x the
+/// default 12. Candidate lists and collision pairs grow with roadmap ×
+/// neighbors (79 MB peak RSS at the cap and the default roadmap).
+const MAX_NEIGHBORS: usize = 1_000;
 
 /// `07.prm`: probabilistic roadmap for the 5-DoF arm.
 #[derive(Debug, Clone, Copy, Default)]
@@ -403,13 +473,25 @@ impl Kernel for PrmKernel {
     }
 
     fn instantiate(&self, args: &Args) -> Result<Box<dyn KernelInstance>, KernelError> {
-        let problem = arm_problem(args)?;
         let config = PrmConfig {
-            roadmap_size: args.get_usize("roadmap", 1200)?,
-            neighbors: args.get_usize("neighbors", 12)?,
+            roadmap_size: count_arg(
+                args,
+                "roadmap",
+                1200,
+                MAX_ROADMAP,
+                "a roadmap of at most 100000 vertices",
+            )?,
+            neighbors: count_arg(
+                args,
+                "neighbors",
+                12,
+                MAX_NEIGHBORS,
+                "a neighbor count of at most 1000",
+            )?,
             seed: args.get_u64("seed", 2)?,
             threads: super::threads_arg(args)?,
         };
+        let problem = arm_problem(args)?;
         // The offline roadmap construction runs at instantiation, outside
         // the region of interest — only the online query is measured.
         let mut profiler = Profiler::timed();
@@ -656,6 +738,12 @@ fn symbolic_instance(
     ))
 }
 
+/// Most blocks `11.sym-blkw --blocks` accepts: 10x the default 6. The
+/// solve first grounds (n + 1)·n·(n − 1) move actions of about 650 B
+/// each, about 170 MB at the cap. The cap does not bound the search that
+/// follows, which passed 900 MB in 20 s at 16 blocks.
+const MAX_BLOCKS: usize = 64;
+
 /// `11.sym-blkw`: the blocks-world symbolic planning problem.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SymBlkwKernel;
@@ -689,7 +777,8 @@ impl Kernel for SymBlkwKernel {
     }
 
     fn instantiate(&self, args: &Args) -> Result<Box<dyn KernelInstance>, KernelError> {
-        let blocks = args.get_usize("blocks", 6)?.max(1);
+        let blocks =
+            count_arg(args, "blocks", 6, MAX_BLOCKS, "a block count of at most 64")?.max(1);
         symbolic_instance(self.name(), self.stage(), blocks_world(blocks), args)
     }
 }

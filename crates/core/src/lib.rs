@@ -213,7 +213,20 @@ pub trait Kernel: std::fmt::Debug {
     fn instantiate(&self, args: &Args) -> Result<Box<dyn KernelInstance>, KernelError>;
 
     /// Runs the kernel with the given arguments on its representative
-    /// inputset.
+    /// inputset, tracing as the shared `--trace`/`--vldp` options ask.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`KernelError::Cli`] on malformed arguments and
+    /// [`KernelError::Unsolvable`] when the configured instance admits no
+    /// solution.
+    fn run(&self, args: &Args) -> Result<KernelReport, KernelError> {
+        self.run_with(args, TraceSession::from_args(args)?)
+    }
+
+    /// [`run`](Kernel::run) with a caller-built trace session, for
+    /// callers that choose the transport themselves (the
+    /// characterization table's [`Telemetry::Ring`] cells).
     ///
     /// The default implementation is the stepped lifecycle driven to
     /// completion: [`instantiate`](Kernel::instantiate), then
@@ -222,11 +235,12 @@ pub trait Kernel: std::fmt::Debug {
     ///
     /// # Errors
     ///
-    /// Returns [`KernelError::Cli`] on malformed arguments and
-    /// [`KernelError::Unsolvable`] when the configured instance admits no
-    /// solution.
-    fn run(&self, args: &Args) -> Result<KernelReport, KernelError> {
-        let mut session = TraceSession::from_args(args)?;
+    /// As [`run`](Kernel::run).
+    fn run_with(
+        &self,
+        args: &Args,
+        mut session: TraceSession,
+    ) -> Result<KernelReport, KernelError> {
         let mut instance = self.instantiate(args)?;
         let roi = Roi::enter(self.name());
         while instance.step(session.sink())? == StepStatus::Running {}

@@ -6,7 +6,9 @@
 //! backend choice. Every runnable binary (`rtr` and the `exp_*` bench
 //! binaries) gets identical wiring by building a [`TraceSession`] from
 //! the shared `--trace`/`--vldp` options and handing its sink to the
-//! kernel.
+//! kernel. The transport is a library choice, not a kernel option:
+//! [`TraceSession::enabled_with`] picks it, and
+//! `exp_characterization --telemetry` exposes it.
 
 use rtr_harness::{Args, Collector, OptionSpec};
 use rtr_trace::{BufferedTrace, MemTrace, NullTrace, RingTrace};
@@ -32,15 +34,6 @@ pub fn vldp_option() -> OptionSpec {
     }
 }
 
-/// The shared `--telemetry` CLI option.
-pub fn telemetry_option() -> OptionSpec {
-    OptionSpec {
-        name: "telemetry",
-        help:
-            "Trace transport: 'inline' simulates on the kernel thread, 'ring' on a collector thread",
-    }
-}
-
 /// Which transport carries the traced op stream to the simulator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Telemetry {
@@ -56,7 +49,8 @@ pub enum Telemetry {
 }
 
 impl Telemetry {
-    /// Parses the shared `--telemetry` option (default `inline`).
+    /// Parses a `--telemetry` option (default `inline`), as
+    /// `exp_characterization` declares it.
     ///
     /// # Errors
     ///
@@ -97,8 +91,8 @@ enum Transport {
 /// One kernel run's tracing state: either a configured cache simulator
 /// (`--trace`) or the zero-cost [`NullTrace`].
 ///
-/// Two transports carry the stream to the simulator, selected by
-/// `--telemetry`:
+/// Two transports carry the stream to the simulator, selected by the
+/// [`Telemetry`] passed to [`TraceSession::enabled_with`]:
 ///
 /// - **inline** (default): the simulator is held behind a
 ///   [`BufferedTrace`] so the `&mut dyn MemTrace` the kernel emits into
@@ -135,18 +129,16 @@ pub struct TraceSession {
 }
 
 impl TraceSession {
-    /// Builds the session from the shared
-    /// `--trace`/`--vldp`/`--telemetry` options.
+    /// Builds the session from the shared `--trace`/`--vldp` options,
+    /// on the inline transport.
     ///
     /// # Errors
     ///
-    /// Returns [`KernelError::Cli`] when `--vldp` or `--telemetry` is
-    /// malformed.
+    /// Returns [`KernelError::Cli`] when `--vldp` is malformed.
     pub fn from_args(args: &Args) -> Result<Self, KernelError> {
         let degree = args.get_usize("vldp", 0)?;
-        let telemetry = Telemetry::from_args(args)?;
         Ok(if args.get_flag("trace") {
-            Self::enabled_with(telemetry, degree)
+            Self::enabled(degree)
         } else {
             Self::disabled()
         })
@@ -316,7 +308,7 @@ mod tests {
         };
         let mut inline = TraceSession::from_args(&args(&["--trace"])).unwrap();
         emit(&mut inline);
-        let mut ring = TraceSession::from_args(&args(&["--trace", "--telemetry", "ring"])).unwrap();
+        let mut ring = TraceSession::enabled_with(Telemetry::Ring, 0);
         emit(&mut ring);
         assert_eq!(inline.finish().unwrap(), ring.finish().unwrap());
     }

@@ -10,8 +10,6 @@ use std::cell::Cell;
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
-use rtr_trace::MetricPublisher;
-
 /// Accumulated timing for one named region.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RegionReport {
@@ -61,18 +59,7 @@ struct RegionAcc {
 /// Experiment binaries that want the per-region breakdown construct the
 /// profiler with [`Profiler::timed`] instead. Coarse once-per-solve
 /// measurements ([`Profiler::time`], [`Profiler::span`]) always measure.
-///
-/// # Ring publishing
-///
-/// [`Profiler::publish_to`] attaches a [`MetricPublisher`]: every
-/// region measurement is then *also* streamed as an individual
-/// nanosecond record through the SPSC ring to an off-thread
-/// [`MetricMap`](rtr_trace::MetricMap), which is what serve-mode style
-/// per-invocation latency histograms (p50/p99/p99.9) are built from.
-/// The inline aggregate stays authoritative for region totals and
-/// fractions; publishing runs under the ring's count-and-drop contract
-/// and never blocks the measured code.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Profiler {
     regions: HashMap<&'static str, RegionAcc>,
     origin: Instant,
@@ -81,23 +68,6 @@ pub struct Profiler {
     frozen_total: Option<Duration>,
     /// Whether per-iteration hot-loop hooks read the clock.
     hot: bool,
-    /// Optional ring publisher for per-measurement records.
-    publisher: Option<MetricPublisher>,
-}
-
-impl Clone for Profiler {
-    /// Clones the aggregates and knobs. The ring publisher is **not**
-    /// cloned — the ring is single-producer, so the attached publisher
-    /// stays with the original and the clone starts unattached.
-    fn clone(&self) -> Self {
-        Profiler {
-            regions: self.regions.clone(),
-            origin: self.origin,
-            frozen_total: self.frozen_total,
-            hot: self.hot,
-            publisher: None,
-        }
-    }
 }
 
 impl Default for Profiler {
@@ -115,7 +85,6 @@ impl Profiler {
             origin: Instant::now(),
             frozen_total: None,
             hot: false,
-            publisher: None,
         }
     }
 
@@ -179,36 +148,12 @@ impl Profiler {
         out
     }
 
-    /// Attaches a ring publisher: from now on every region measurement
-    /// is also streamed as a nanosecond record (count-and-drop, never
-    /// blocking) for an off-thread `MetricMap` to aggregate. Returns the
-    /// previously attached publisher, if any.
-    pub fn publish_to(&mut self, publisher: MetricPublisher) -> Option<MetricPublisher> {
-        self.publisher.replace(publisher)
-    }
-
-    /// Detaches and returns the ring publisher, ending streaming. Call
-    /// before `Collector::finish` to recover the interned name table
-    /// (ids in the collected map index into it).
-    pub fn take_publisher(&mut self) -> Option<MetricPublisher> {
-        self.publisher.take()
-    }
-
-    /// Whether a ring publisher is attached.
-    pub fn publishing(&self) -> bool {
-        self.publisher.is_some()
-    }
-
     /// Directly adds a measured duration to `name` (for code that cannot be
     /// wrapped in a closure).
     pub fn add(&mut self, name: &'static str, elapsed: Duration) {
         let acc = self.regions.entry(name).or_default();
         acc.total += elapsed;
         acc.calls += 1;
-        if let Some(publisher) = self.publisher.as_mut() {
-            let id = publisher.metric_id(name);
-            publisher.publish(id, elapsed.as_nanos() as u64);
-        }
     }
 
     /// Merges a pre-aggregated measurement (e.g. a [`HotRegion`] drained

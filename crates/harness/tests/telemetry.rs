@@ -1,49 +1,35 @@
-//! End-to-end telemetry transport: `Profiler` measurements streamed
-//! through the SPSC ring to an off-thread `Collector` aggregating a
-//! `MetricMap`, with quantile sanity on the result.
+//! End-to-end telemetry transport: measurements published through the
+//! SPSC ring to an off-thread `Collector` aggregating a `MetricMap`,
+//! with quantile sanity on the result.
 
-use std::time::Duration;
-
-use rtr_harness::{Collector, Profiler};
+use rtr_harness::Collector;
 use rtr_trace::{metric_channel, MetricMap};
 
 #[test]
-fn profiler_measurements_stream_into_an_off_thread_metric_map() {
-    let (publisher, reader) = metric_channel(1 << 12);
+fn published_measurements_stream_into_an_off_thread_metric_map() {
+    let (mut publisher, reader) = metric_channel(1 << 12);
     let collector = Collector::spawn(reader, MetricMap::new());
 
-    let mut profiler = Profiler::new();
-    assert!(!profiler.publishing());
-    assert!(profiler.publish_to(publisher).is_none());
-    assert!(profiler.publishing());
-
     // A synthetic latency population: mostly ~1 µs, a 1-in-100 tail at
-    // ~100 µs, attributed via the normal `add` path (what `time`,
-    // `hot_add` and `drain_into` all route through).
+    // ~100 µs.
+    let solve_id = publisher.metric_id("solve");
+    let setup_id = publisher.metric_id("setup");
     for i in 0..2000u64 {
         let nanos = if i % 100 == 99 {
             100_000
         } else {
             1_000 + i % 32
         };
-        profiler.add("solve", Duration::from_nanos(nanos));
+        assert!(publisher.publish(solve_id, nanos));
     }
-    profiler.add("setup", Duration::from_nanos(500));
+    assert!(publisher.publish(setup_id, 500));
 
-    // The inline aggregate keeps working unchanged alongside publishing.
-    assert_eq!(profiler.region_calls("solve"), 2000);
-    assert_eq!(profiler.region_calls("setup"), 1);
-
-    let publisher = profiler.take_publisher().expect("publisher attached");
-    assert!(!profiler.publishing());
-    let names = publisher.names().to_vec();
+    assert_eq!(publisher.names(), ["solve", "setup"]);
     assert_eq!(publisher.dropped(), 0, "ring sized for the stream");
     drop(publisher);
 
     let metrics = collector.finish();
     assert_eq!(metrics.len(), 2);
-    let solve_id = names.iter().position(|n| n == "solve").unwrap() as u32;
-    let setup_id = names.iter().position(|n| n == "setup").unwrap() as u32;
 
     let solve = metrics.get(solve_id).expect("solve metric collected");
     assert_eq!(solve.hist.count(), 2000);
@@ -56,21 +42,4 @@ fn profiler_measurements_stream_into_an_off_thread_metric_map() {
     assert!(solve.hist.p99() <= p999);
 
     assert_eq!(metrics.get(setup_id).unwrap().hist.count(), 1);
-}
-
-#[test]
-fn cloning_a_profiler_does_not_clone_the_publisher() {
-    let (publisher, reader) = metric_channel(1 << 4);
-    let collector = Collector::spawn(reader, MetricMap::new());
-    let mut profiler = Profiler::new();
-    profiler.publish_to(publisher);
-    profiler.add("r", Duration::from_nanos(42));
-
-    let clone = profiler.clone();
-    assert!(!clone.publishing(), "SPSC: the clone starts unattached");
-    assert_eq!(clone.region_calls("r"), 1, "aggregates are cloned");
-
-    drop(profiler.take_publisher());
-    let metrics = collector.finish();
-    assert_eq!(metrics.len(), 1);
 }

@@ -15,7 +15,6 @@
 //! - [`Lu`] — LU factorization with partial pivoting: solve, inverse,
 //!   determinant.
 //! - [`Cholesky`] — factorization of symmetric positive-definite matrices.
-//! - [`Qr`] — Householder QR factorization and least-squares solves.
 //! - [`Workspace`] — recycled scratch-buffer pool backing the `*_into`
 //!   in-place operations, so kernel hot loops run allocation-free.
 //!
@@ -42,7 +41,6 @@ mod eigen;
 mod error;
 mod lu;
 mod matrix;
-mod qr;
 mod vector;
 mod workspace;
 
@@ -51,7 +49,6 @@ pub use eigen::{jacobi_eigen_in_place, symmetric_eigen, SymmetricEigen};
 pub use error::LinalgError;
 pub use lu::Lu;
 pub use matrix::Matrix;
-pub use qr::Qr;
 pub use vector::Vector;
 pub use workspace::Workspace;
 

@@ -3,7 +3,7 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Index, IndexMut, Mul, Neg, Sub, SubAssign};
 
-use crate::{Cholesky, LinalgError, Lu, Qr, Vector, Workspace};
+use crate::{Cholesky, LinalgError, Lu, Vector, Workspace};
 
 /// A heap-allocated, row-major matrix of `f64` elements.
 ///
@@ -225,9 +225,9 @@ impl Matrix {
 
     /// Matrix–matrix product.
     ///
-    /// Dispatches on size: small products use the streaming i-k-j kernel
-    /// ([`Matrix::mul_matrix_reference`]); once every dimension reaches
-    /// [`Matrix::BLOCK_THRESHOLD`] the cache-blocked kernel takes over.
+    /// Dispatches on size: small products use the streaming i-k-j kernel;
+    /// once every dimension reaches [`Matrix::BLOCK_THRESHOLD`] the
+    /// cache-blocked kernel takes over.
     /// Both kernels accumulate each output element over ascending `k` with
     /// the same zero-skip, so results are bit-identical regardless of path.
     ///
@@ -252,23 +252,6 @@ impl Matrix {
     /// Dimensions at which [`Matrix::mul_matrix`] switches from the
     /// streaming kernel to the cache-blocked kernel.
     pub const BLOCK_THRESHOLD: usize = 64;
-
-    /// The unblocked i-k-j product kernel, kept public as the reference
-    /// implementation for benchmarks and validation.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] if `self.cols() != rhs.rows()`.
-    pub fn mul_matrix_reference(&self, rhs: &Matrix) -> Result<Matrix, LinalgError> {
-        if self.cols != rhs.rows {
-            return Err(LinalgError::DimensionMismatch {
-                op: "matrix multiply",
-                lhs: self.shape(),
-                rhs: rhs.shape(),
-            });
-        }
-        Ok(self.mul_unblocked(rhs))
-    }
 
     // i-k-j loop order keeps both operands streaming row-major; the
     // independent per-column accumulators vectorize without reassociating
@@ -583,15 +566,6 @@ impl Matrix {
     /// symmetric positive definite.
     pub fn cholesky(&self) -> Result<Cholesky, LinalgError> {
         Cholesky::new(self)
-    }
-
-    /// Householder QR factorization.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::MalformedInput`] when `rows < cols`.
-    pub fn qr(&self) -> Result<Qr, LinalgError> {
-        Qr::new(self)
     }
 
     /// Solves `self * x = b` via LU factorization.
@@ -1044,7 +1018,7 @@ mod tests {
             let a = dense(m, k, 1);
             let b = dense(k, n, 2);
             let blocked = a.mul_matrix(&b).unwrap();
-            let reference = a.mul_matrix_reference(&b).unwrap();
+            let reference = a.mul_unblocked(&b);
             assert_eq!(blocked.shape(), reference.shape());
             for (x, y) in blocked.as_slice().iter().zip(reference.as_slice()) {
                 assert_eq!(x.to_bits(), y.to_bits(), "shape ({m},{k},{n})");
@@ -1060,7 +1034,7 @@ mod tests {
         }
         let b = dense(80, 80, 4);
         let blocked = a.mul_matrix(&b).unwrap();
-        let reference = a.mul_matrix_reference(&b).unwrap();
+        let reference = a.mul_unblocked(&b);
         for (x, y) in blocked.as_slice().iter().zip(reference.as_slice()) {
             assert_eq!(x.to_bits(), y.to_bits());
         }
@@ -1071,7 +1045,7 @@ mod tests {
         let a = dense(40, 33, 5);
         let b = dense(27, 33, 6);
         let fast = a.mul_transposed(&b).unwrap();
-        let reference = a.mul_matrix_reference(&b.transpose()).unwrap();
+        let reference = a.mul_unblocked(&b.transpose());
         assert_eq!(fast.shape(), (40, 27));
         for (x, y) in fast.as_slice().iter().zip(reference.as_slice()) {
             assert_eq!(x.to_bits(), y.to_bits());

@@ -97,17 +97,6 @@ proptest! {
     }
 
     #[test]
-    fn qr_q_is_orthonormal(data in prop::collection::vec(-5.0..5.0f64, 12)) {
-        let a = Matrix::from_vec(4, 3, data).unwrap();
-        // Skip (rare) rank-deficient draws.
-        if let Ok(qr) = a.qr() {
-            let q = qr.thin_q();
-            let qtq = &q.transpose() * &q;
-            prop_assert!(qtq.approx_eq(&Matrix::identity(3), 1e-8));
-        }
-    }
-
-    #[test]
     fn transpose_is_involution(data in prop::collection::vec(-5.0..5.0f64, 6)) {
         let a = Matrix::from_vec(2, 3, data).unwrap();
         prop_assert_eq!(a.transpose().transpose(), a);

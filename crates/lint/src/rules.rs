@@ -86,9 +86,8 @@ pub const SIMD_HOT_FNS: [&str; 8] = [
 /// scans like any `*_into` span: they run once per telemetry record (or
 /// per batch) on the kernel's hot thread, and the transport's whole
 /// point is that this path never touches the allocator.
-pub const RING_HOT_FNS: [&str; 8] = [
+pub const RING_HOT_FNS: [&str; 7] = [
     "push",
-    "try_push",
     "push_batch",
     "try_push_batch",
     "publish",

@@ -40,8 +40,5 @@ pub use prm::{Prm, PrmConfig, PrmResult};
 pub use rrt::{ArmProblem, Rrt, RrtConfig, RrtResult};
 pub use rrtpp::{RrtPp, RrtPpResult};
 pub use rrtstar::{RrtStar, RrtStarResult, RrtStarRun};
-pub use search::{
-    anytime_weighted_astar, astar, dijkstra, weighted_astar, AnytimeSolution, SearchResult,
-    SearchSpace,
-};
+pub use search::{astar, dijkstra, weighted_astar, SearchResult, SearchSpace};
 pub use symbolic::{blocks_world, firefight, Domain, Plan, SymbolicPlanner};

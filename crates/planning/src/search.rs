@@ -318,82 +318,6 @@ fn weighted_astar_impl<S: SearchSpace, T: MemTrace + ?Sized>(
     None
 }
 
-/// One solution from an anytime search, with its suboptimality bound.
-#[derive(Debug, Clone)]
-pub struct AnytimeSolution<N> {
-    /// The weight the solution was found with (its suboptimality bound).
-    pub weight: f64,
-    /// The search result at that weight.
-    pub result: SearchResult<N>,
-}
-
-/// Anytime weighted A* in the spirit of ARA* (the paper's SBPL lineage):
-/// runs Weighted A* with a decreasing weight schedule, keeping every
-/// improving solution. The first entry arrives fast with a loose bound;
-/// the last entry found within the schedule is the tightest.
-///
-/// Returns the improving solutions in discovery order (empty when even
-/// the loosest weight finds no path). This simple formulation re-searches
-/// per weight rather than repairing, trading efficiency for clarity; the
-/// bound semantics match ARA*'s.
-///
-/// # Panics
-///
-/// Panics if `initial_weight < 1`, `step <= 0`, or `final_weight < 1`.
-///
-/// # Example
-///
-/// ```
-/// use rtr_planning::search::{anytime_weighted_astar, SearchSpace};
-///
-/// struct Line;
-/// impl SearchSpace for Line {
-///     type Node = i64;
-///     fn successors(&self, n: i64, out: &mut Vec<(i64, f64)>) {
-///         out.push((n + 1, 1.0));
-///         out.push((n - 1, 1.0));
-///     }
-///     fn heuristic(&self, n: i64) -> f64 { (9 - n).abs() as f64 }
-///     fn is_goal(&self, n: i64) -> bool { n == 9 }
-/// }
-/// let solutions = anytime_weighted_astar(&Line, 0, 3.0, 1.0, 1.0);
-/// assert_eq!(solutions.last().unwrap().weight, 1.0);
-/// assert_eq!(solutions.last().unwrap().result.cost, 9.0);
-/// ```
-pub fn anytime_weighted_astar<S: SearchSpace>(
-    space: &S,
-    start: S::Node,
-    initial_weight: f64,
-    step: f64,
-    final_weight: f64,
-) -> Vec<AnytimeSolution<S::Node>> {
-    assert!(initial_weight >= 1.0, "initial weight must be >= 1");
-    assert!(final_weight >= 1.0, "final weight must be >= 1");
-    assert!(step > 0.0, "weight step must be positive");
-
-    let mut solutions: Vec<AnytimeSolution<S::Node>> = Vec::new();
-    let mut weight = initial_weight.max(final_weight);
-    loop {
-        if let Some(result) = weighted_astar(space, start, weight) {
-            match solutions.last_mut() {
-                Some(prev) if result.cost >= prev.result.cost - 1e-12 => {
-                    // No cheaper path, but completing the tighter search
-                    // still tightens the bound on the best-so-far (the
-                    // ARA* bound-update rule).
-                    prev.weight = prev.weight.min(weight);
-                }
-                _ => solutions.push(AnytimeSolution { weight, result }),
-            }
-        } else if solutions.is_empty() {
-            return solutions; // Unreachable at the loosest bound: give up.
-        }
-        if weight <= final_weight {
-            return solutions;
-        }
-        weight = (weight - step).max(final_weight);
-    }
-}
-
 /// Multi-source Dijkstra over an explicit successor function, returning the
 /// cost-to-come for every reached node.
 ///
@@ -659,54 +583,5 @@ mod tests {
     #[should_panic(expected = "non-negative")]
     fn negative_weight_panics() {
         let _ = weighted_astar(&diamond(), 0, -1.0);
-    }
-
-    #[test]
-    fn anytime_converges_to_optimal() {
-        // Grid where greedy WA* takes a worse corridor first.
-        struct Trap;
-        impl SearchSpace for Trap {
-            type Node = (i64, i64);
-            fn successors(&self, (x, y): (i64, i64), out: &mut Vec<((i64, i64), f64)>) {
-                for (dx, dy) in [(1, 0), (-1, 0), (0, 1), (0, -1)] {
-                    let n = (x + dx, y + dy);
-                    // A wall at x=5 except a gap far from the goal line.
-                    let blocked = n.0 == 5 && n.1 != 8;
-                    if (0..=10).contains(&n.0) && (0..=10).contains(&n.1) && !blocked {
-                        out.push((n, 1.0));
-                    }
-                }
-            }
-            fn heuristic(&self, (x, y): (i64, i64)) -> f64 {
-                ((10 - x).abs() + y.abs()) as f64
-            }
-            fn is_goal(&self, n: (i64, i64)) -> bool {
-                n == (10, 0)
-            }
-        }
-        let solutions = anytime_weighted_astar(&Trap, (0, 0), 5.0, 2.0, 1.0);
-        assert!(!solutions.is_empty());
-        // Costs strictly improve, final equals optimal A*.
-        for w in solutions.windows(2) {
-            assert!(w[1].result.cost < w[0].result.cost);
-        }
-        let optimal = astar(&Trap, (0, 0)).unwrap();
-        let last = solutions.last().unwrap();
-        assert_eq!(last.weight, 1.0);
-        assert_eq!(last.result.cost, optimal.cost);
-        // Every intermediate respects its bound.
-        for s in &solutions {
-            assert!(s.result.cost <= s.weight * optimal.cost + 1e-9);
-        }
-    }
-
-    #[test]
-    fn anytime_unreachable_is_empty() {
-        let fx = Fixture {
-            adj: vec![vec![], vec![]],
-            goal: 1,
-            h: vec![0.0, 0.0],
-        };
-        assert!(anytime_weighted_astar(&fx, 0, 3.0, 1.0, 1.0).is_empty());
     }
 }

@@ -8,7 +8,7 @@
 
 use std::process::ExitCode;
 
-use rtr_harness::{Args, Collector, OptionSpec};
+use rtr_harness::{Args, CliError, Collector, OptionSpec};
 use rtr_scenario::{latency_table, LocalizerKind, ScenarioConfig, ScenarioState};
 use rtr_trace::{metric_channel, MetricMap};
 
@@ -39,6 +39,34 @@ const OPTIONS: &[OptionSpec] = &[
     },
 ];
 
+/// Most control ticks `--ticks` accepts: 1667x the default 600. The run
+/// reserves its tick log (56 B a tick) up front, 56 MB at the cap.
+const MAX_TICKS: usize = 1_000_000;
+
+/// Most particles `--particles` accepts: 3333x the default 300. The
+/// filter keeps about 90 B per particle, under 100 MB at the cap.
+const MAX_PARTICLES: usize = 1_000_000;
+
+/// Parses a count option, rejecting a value above `max` before the run
+/// sizes anything from it.
+fn count_arg(
+    args: &Args,
+    option: &str,
+    default: usize,
+    max: usize,
+    expected: &'static str,
+) -> Result<usize, CliError> {
+    let count = args.get_usize(option, default)?;
+    if count > max {
+        return Err(CliError::BadValue {
+            option: option.to_owned(),
+            value: count.to_string(),
+            expected,
+        });
+    }
+    Ok(count)
+}
+
 fn main() -> ExitCode {
     let args = match Args::parse_env() {
         Ok(args) => args,
@@ -67,10 +95,22 @@ fn run(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         .parse()
         .map_err(|()| format!("unknown localizer {localizer_raw:?} (expected pfl|ekfslam)"))?;
     let config = ScenarioConfig {
-        max_ticks: args.get_usize("ticks", 600)?,
+        max_ticks: count_arg(
+            args,
+            "ticks",
+            600,
+            MAX_TICKS,
+            "a tick budget of at most 1000000",
+        )?,
         seed: args.get_u64("seed", 7)?,
         localizer,
-        particles: args.get_usize("particles", 300)?,
+        particles: count_arg(
+            args,
+            "particles",
+            300,
+            MAX_PARTICLES,
+            "a particle count of at most 1000000",
+        )?,
         threads: args.get_usize("threads", 1)?,
     };
 

@@ -1,14 +1,13 @@
-//! Time-series metric layer for the ring transport: fixed-capacity
-//! series plus HDR-style fixed-bucket latency histograms.
+//! Metric layer for the ring transport: HDR-style fixed-bucket latency
+//! histograms.
 //!
 //! The producer side publishes [`MetricRecord`]s (a `u32` metric id and
 //! a `u64` value, typically nanoseconds) through the SPSC ring under the
 //! count-and-drop contract — a measurement stream tolerates loss, a hot
 //! loop does not tolerate stalls. The collector side aggregates into a
-//! [`MetricMap`]: per metric id, a circular [`TimeSeries`] of the most
-//! recent raw values and a [`Histogram`] with bounded relative error for
-//! p50/p99/p99.9 queries. Nothing here reads the wall clock: values are
-//! timed by the producer, the collector only counts.
+//! [`MetricMap`]: per metric id, a [`Histogram`] with bounded relative
+//! error for p50/p99/p99.9 queries. Nothing here reads the wall clock:
+//! values are timed by the producer, the collector only counts.
 //!
 //! The histogram follows the HDR scheme (exact unit buckets for small
 //! values, then 32 logarithmic sub-buckets per power of two), which
@@ -163,68 +162,9 @@ impl Histogram {
     }
 }
 
-/// Fixed-capacity circular buffer of the most recent raw samples.
-///
-/// When full, a push overwrites the oldest sample; the histogram keeps
-/// the full distribution, the series keeps a bounded tail of raw values
-/// for inspection and report writing.
-#[derive(Debug, Clone)]
-pub struct TimeSeries {
-    buf: Vec<u64>,
-    capacity: usize,
-    head: usize,
-}
-
-impl TimeSeries {
-    /// An empty series retaining at most `capacity` samples.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "TimeSeries capacity must be non-zero");
-        TimeSeries {
-            buf: Vec::with_capacity(capacity),
-            capacity,
-            head: 0,
-        }
-    }
-
-    /// Appends a sample, evicting the oldest when full.
-    pub fn push(&mut self, value: u64) {
-        if self.buf.len() < self.capacity {
-            self.buf.push(value);
-        } else {
-            self.buf[self.head] = value;
-            self.head = (self.head + 1) % self.capacity;
-        }
-    }
-
-    /// Samples currently retained.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// `true` when no samples are retained.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// The retained samples, oldest first.
-    pub fn snapshot(&self) -> Vec<u64> {
-        let mut out = Vec::with_capacity(self.buf.len());
-        out.extend_from_slice(&self.buf[self.head..]);
-        out.extend_from_slice(&self.buf[..self.head]);
-        out
-    }
-}
-
-/// Per-metric aggregate: bounded raw tail plus full-distribution
-/// histogram.
+/// Per-metric aggregate: the full distribution for quantile queries.
 #[derive(Debug, Clone)]
 pub struct Metric {
-    /// Most recent raw samples, oldest first.
-    pub series: TimeSeries,
     /// Full distribution for quantile queries.
     pub hist: Histogram,
 }
@@ -235,38 +175,26 @@ pub struct Metric {
 /// Implements [`RingConsumer`], so a `Collector` can drain a metric ring
 /// straight into it. Iteration order is by id (via `BTreeMap`), which
 /// keeps report output deterministic.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct MetricMap {
-    series_capacity: usize,
     metrics: BTreeMap<u32, Metric>,
 }
 
 impl MetricMap {
-    /// Default per-metric raw-sample retention.
-    pub const DEFAULT_SERIES_CAPACITY: usize = 1024;
-
-    /// An empty map with the default series retention.
+    /// An empty map.
     pub fn new() -> Self {
-        Self::with_series_capacity(Self::DEFAULT_SERIES_CAPACITY)
-    }
-
-    /// An empty map retaining `series_capacity` raw samples per metric.
-    pub fn with_series_capacity(series_capacity: usize) -> Self {
-        assert!(series_capacity > 0, "series capacity must be non-zero");
-        MetricMap {
-            series_capacity,
-            metrics: BTreeMap::new(),
-        }
+        Self::default()
     }
 
     /// Records one sample under `id`.
     pub fn record(&mut self, id: u32, value: u64) {
-        let metric = self.metrics.entry(id).or_insert_with(|| Metric {
-            series: TimeSeries::new(self.series_capacity),
-            hist: Histogram::new(),
-        });
-        metric.series.push(value);
-        metric.hist.record(value);
+        self.metrics
+            .entry(id)
+            .or_insert_with(|| Metric {
+                hist: Histogram::new(),
+            })
+            .hist
+            .record(value);
     }
 
     /// The aggregate for `id`, if any samples have arrived.
@@ -287,12 +215,6 @@ impl MetricMap {
     /// Metric ids seen so far, ascending.
     pub fn ids(&self) -> impl Iterator<Item = u32> + '_ {
         self.metrics.keys().copied()
-    }
-}
-
-impl Default for MetricMap {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -470,28 +392,8 @@ mod tests {
     }
 
     #[test]
-    fn time_series_evicts_oldest() {
-        let mut s = TimeSeries::new(4);
-        for v in 1..=6u64 {
-            s.push(v);
-        }
-        assert_eq!(s.snapshot(), vec![3, 4, 5, 6]);
-        assert_eq!(s.len(), 4);
-        assert!(!s.is_empty());
-    }
-
-    #[test]
-    fn time_series_partial_fill_keeps_order() {
-        let mut s = TimeSeries::new(8);
-        s.push(10);
-        s.push(20);
-        assert_eq!(s.snapshot(), vec![10, 20]);
-        assert_eq!(s.len(), 2);
-    }
-
-    #[test]
     fn metric_map_aggregates_per_id() {
-        let mut map = MetricMap::with_series_capacity(16);
+        let mut map = MetricMap::new();
         map.consume_batch(&[
             MetricRecord { id: 1, value: 10 },
             MetricRecord { id: 2, value: 99 },
@@ -500,8 +402,8 @@ mod tests {
         assert_eq!(map.len(), 2);
         assert_eq!(map.ids().collect::<Vec<_>>(), vec![1, 2]);
         let m1 = map.get(1).unwrap();
-        assert_eq!(m1.series.snapshot(), vec![10, 30]);
         assert_eq!(m1.hist.count(), 2);
+        assert_eq!(m1.hist.max(), 30);
         assert!(map.get(3).is_none());
     }
 

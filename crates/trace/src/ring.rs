@@ -18,13 +18,11 @@
 //! consumer falls behind, [`RingProducer::push_batch`] (and
 //! [`push`](RingProducer::push)) drop the records that do not fit and
 //! count them in the [`dropped`](RingProducer::dropped) counter —
-//! telemetry may be lossy, the hot loop may not stall. Callers that need
-//! a *lossless* stream (the [`RingTrace`] cache-trace transport, whose
-//! consumer replays every op through the simulator) instead loop on the
-//! non-counting [`RingProducer::try_push`]/
-//! [`try_push_batch`](RingProducer::try_push_batch) and yield between
-//! attempts: explicit backpressure at the transport layer, chosen per
-//! stream, never silently inside the ring.
+//! telemetry may be lossy, the hot loop may not stall. The *lossless*
+//! stream (the [`RingTrace`] cache-trace transport, whose consumer
+//! replays every op through the simulator) instead waits for free space
+//! and yields between attempts: explicit backpressure at the transport
+//! layer, chosen per stream, never silently inside the ring.
 //!
 //! SPSC is enforced by move semantics: [`ring`] returns one non-`Clone`
 //! [`RingProducer`] and one non-`Clone` [`RingReader`]; whichever thread
@@ -154,14 +152,13 @@ pub fn ring<T: RingItem>(capacity: usize) -> (RingProducer<T>, RingReader<T>) {
 /// no shared line except the slots and one release store of the tail;
 /// the head is re-read (acquire) only when the cached view looks full.
 ///
-/// The per-item [`try_push`](Self::try_push) fast path additionally
-/// *defers* the tail's release store: items land in their slots
-/// immediately but become visible to the consumer only at the next
+/// The batch entry points ([`try_push_batch`](Self::try_push_batch) and
+/// everything built on it) publish on every call. [`RingTrace`] instead
+/// writes single items unpublished and makes them visible at the next
 /// [`publish`](Self::publish) — the batched-producer-writes contract
-/// without staging items through a local buffer first. The batch entry
-/// points ([`try_push_batch`](Self::try_push_batch) and everything built
-/// on it) publish on every call, and every slow path publishes before
-/// waiting on the consumer, so deferral can never starve the reader.
+/// without staging items through a local buffer first — and publishes
+/// before every wait on the consumer, so deferral never starves the
+/// reader.
 pub struct RingProducer<T: RingItem> {
     shared: Arc<Shared>,
     /// Fat-pointer clone of the slot array (see [`Shared`]).
@@ -220,42 +217,11 @@ impl<T: RingItem> RingProducer<T> {
         }
     }
 
-    /// The full-ring slow path: publish what we have (so a retrying
-    /// caller can never starve the reader), refresh the cached head, and
-    /// report whether the ring is still full. Out of line so the
-    /// steady-state `try_push` stays a handful of instructions.
-    #[cold]
-    #[inline(never)]
-    fn still_full_after_refresh(&mut self) -> bool {
-        self.publish();
-        // ORDERING: Acquire — pairs with the consumer's Release store of
-        // head in pop_batch: slots the consumer freed are only reused
-        // after its reads of them are complete.
-        self.cached_head = self.shared.head.load(Ordering::Acquire);
-        self.tail.wrapping_sub(self.cached_head) == self.capacity
-    }
-
-    /// Pushes one item without publishing it (deferred batched
-    /// publication; see the type docs). Returns `false` — without
-    /// counting a drop — when the ring is full even after publishing
-    /// the pending items and re-reading the consumer's head, so a
-    /// retrying caller can never starve the reader.
-    #[inline]
-    pub fn try_push(&mut self, item: T) -> bool {
-        if self.tail.wrapping_sub(self.cached_head) == self.capacity
-            && self.still_full_after_refresh()
-        {
-            return false;
-        }
-        self.push_unpublished(item);
-        true
-    }
-
     /// Writes one item to its slot and advances the private tail,
     /// skipping the free-space check entirely. Logically (not memory-)
     /// hazardous: the caller must have established room via
-    /// [`refresh_free`](Self::refresh_free) or a prior full check, or
-    /// the item silently overwrites an unread slot. Kept `pub(crate)`
+    /// [`refresh_free`](Self::refresh_free), or the item silently
+    /// overwrites an unread slot. Kept `pub(crate)`
     /// so only this crate's transports ([`RingTrace`]) can amortize the
     /// check across a whole refill window.
     #[inline]
@@ -746,38 +712,6 @@ mod tests {
         let mut out = Vec::new();
         rx.pop_batch(&mut out, 16);
         assert_eq!(out, vec![op(0, false), op(64, true), op(128, false)]);
-    }
-
-    #[test]
-    fn try_push_defers_visibility_until_publish() {
-        let (mut tx, mut rx) = ring::<TraceOp>(8);
-        assert!(tx.try_push(op(1, false)));
-        assert!(tx.try_push(op(2, true)));
-        assert_eq!(tx.unpublished(), 2);
-        let mut out = Vec::new();
-        assert_eq!(rx.pop_batch(&mut out, 8), 0, "unpublished = invisible");
-        tx.publish();
-        assert_eq!(tx.unpublished(), 0);
-        assert_eq!(rx.pop_batch(&mut out, 8), 2);
-        assert_eq!(out, vec![op(1, false), op(2, true)]);
-    }
-
-    #[test]
-    fn full_ring_try_push_publishes_before_refusing() {
-        let (mut tx, mut rx) = ring::<TraceOp>(2);
-        assert!(tx.try_push(op(1, false)));
-        assert!(tx.try_push(op(2, false)));
-        // The refusal's slow path must have published the pending pair,
-        // otherwise a retrying producer and the consumer deadlock.
-        assert!(!tx.try_push(op(3, false)));
-        assert_eq!(tx.dropped(), 0, "try_push never counts drops");
-        let mut out = Vec::new();
-        assert_eq!(rx.pop_batch(&mut out, 8), 2);
-        // Space freed: the retry lands.
-        assert!(tx.try_push(op(3, false)));
-        tx.publish();
-        assert_eq!(rx.pop_batch(&mut out, 8), 1);
-        assert_eq!(out.last(), Some(&op(3, false)));
     }
 
     #[test]
