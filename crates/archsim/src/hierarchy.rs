@@ -1,5 +1,6 @@
 //! The full memory hierarchy: L1D → L2 → LLC with an optional prefetcher.
 
+use crate::prefetch::LINE_BYTES;
 use crate::{Cache, CacheConfig, CacheStats, PrefetchStats, VldpPrefetcher};
 
 /// Summary of a traced run through the hierarchy.
@@ -75,6 +76,20 @@ pub struct MemorySim {
     /// Reused buffer for prefetch predictions; keeps the per-access
     /// prefetch tail allocation-free.
     prediction_scratch: Vec<u64>,
+    /// The quiet-repeat memo (see [`MemorySim::hit_tail`]): set when the
+    /// last demand access's prefetch tail filled no line, to that
+    /// access's prefetcher line and the number of predictions it issued.
+    quiet_tail: Option<QuietTail>,
+}
+
+/// A prefetch tail that filled nothing: every prediction was already
+/// resident in every level below L1.
+#[derive(Debug, Clone, Copy)]
+struct QuietTail {
+    /// The access's line under the prefetcher's 64-byte lines.
+    line: u64,
+    /// Predictions the tail issued.
+    issued: u64,
 }
 
 impl MemorySim {
@@ -93,6 +108,7 @@ impl MemorySim {
             memory_accesses: 0,
             memory_writebacks: 0,
             prediction_scratch: Vec::new(),
+            quiet_tail: None,
         }
     }
 
@@ -183,30 +199,60 @@ impl MemorySim {
     /// hits included — so the delta histories a batched run trains are
     /// identical to an unbatched run's.
     fn prefetch_tail(&mut self, addr: u64) {
-        if self.prefetcher.is_none() {
+        let Some(pf) = &mut self.prefetcher else {
             return;
-        }
+        };
         // Take the scratch buffer out of `self` so the prefetcher borrow
         // ends before the level walk below needs `&mut self`.
         let mut predictions = std::mem::take(&mut self.prediction_scratch);
-        if let Some(pf) = &mut self.prefetcher {
-            pf.observe_into(addr, &mut predictions);
-        }
+        pf.observe_into(addr, &mut predictions);
+        let mut redundant = 0;
         for &p in &predictions {
-            let mut redundant = true;
+            let mut resident = true;
             for j in 1..self.levels.len() {
-                redundant &= self.levels[j].prefetch(p);
+                resident &= self.levels[j].prefetch(p);
                 if let Some(victim) = self.levels[j].take_writeback() {
                     self.writeback_into(j + 1, victim);
                 }
             }
-            if redundant {
-                if let Some(pf) = &mut self.prefetcher {
-                    pf.note_redundant();
+            redundant += resident as u64;
+        }
+        let issued = predictions.len() as u64;
+        if let Some(pf) = &mut self.prefetcher {
+            pf.note_redundant(redundant);
+        }
+        self.quiet_tail = (redundant == issued).then_some(QuietTail {
+            line: addr / LINE_BYTES,
+            issued,
+        });
+        self.prediction_scratch = predictions;
+    }
+
+    /// The prefetch tail of a batched L1 hit, with the quiet-repeat rule:
+    /// when the access before this one was on the same 64-byte line and
+    /// its tail filled nothing, this tail reduces to its counter updates.
+    ///
+    /// Exact, not approximate. The prefetcher sees delta 0, so it trains
+    /// nothing, leaves the page entry and tables as they were, and
+    /// predicts the same lines as last time. Only L1 has changed since
+    /// (this access hit it), so every predicted line is still resident
+    /// in every lower level, and each redundant `Cache::prefetch` only
+    /// ticks that level's clock. The memo always describes the access
+    /// just before this one: every demand access, per-op or batched,
+    /// ends in a tail that sets or clears it. The per-op `read`/`write`
+    /// path never takes the rule, so the batch-vs-per-op proptests
+    /// compare the two.
+    fn hit_tail(&mut self, addr: u64) {
+        if let (Some(quiet), Some(pf)) = (self.quiet_tail, &mut self.prefetcher) {
+            if quiet.line == addr / LINE_BYTES {
+                pf.note_quiet_repeat(quiet.issued);
+                for level in &mut self.levels[1..] {
+                    level.advance_clock(quiet.issued);
                 }
+                return;
             }
         }
-        self.prediction_scratch = predictions;
+        self.prefetch_tail(addr);
     }
 
     /// Forwards a dirty-eviction write-back starting at `level`, walking
@@ -270,15 +316,18 @@ impl rtr_trace::MemTrace for MemorySim {
     ///   only change on an L1 demand miss (prefetches fill L2 and below;
     ///   write-backs from above dirty resident lines in place), and the
     ///   memo is dropped on every miss.
+    /// - **Quiet repeat**: an L1 hit on the same 64-byte line as the
+    ///   access before it, whose prefetch tail filled nothing, repeats
+    ///   that tail's counters instead of re-walking the prefetcher
+    ///   (`MemorySim::hit_tail`).
     fn process_batch(&mut self, ops: &[rtr_trace::TraceOp]) {
         let mut memo: Option<(u64, usize)> = None;
         // With no prefetcher attached, a run of consecutive ops on the
         // memoized line commits in one step (`touch_resident_run` is
         // state-identical to the per-op replay). With VLDP attached the
-        // memo still skips the way scan but every op goes through
-        // `prefetch_tail` individually: the prefetcher observes each
-        // demand access, and repeated same-line observations are not
-        // idempotent (they re-walk the prediction tables).
+        // memo still skips the way scan but every op runs its own
+        // prefetch tail, which the quiet-repeat rule (`hit_tail`) cuts to
+        // counter updates when nothing can change.
         let collapse_runs = self.prefetcher.is_none();
         let mut i = 0;
         while i < ops.len() {
@@ -302,7 +351,7 @@ impl rtr_trace::MemTrace for MemorySim {
                         self.accesses += 1;
                         self.writes += op.is_write as u64;
                         self.levels[0].touch_resident(memo_idx, op.is_write);
-                        self.prefetch_tail(op.addr);
+                        self.hit_tail(op.addr);
                         i += 1;
                     }
                     continue;
@@ -312,7 +361,7 @@ impl rtr_trace::MemTrace for MemorySim {
             self.writes += op.is_write as u64;
             if let Some(idx) = self.levels[0].try_demand_hit(op.addr, op.is_write) {
                 memo = Some((line_addr, idx));
-                self.prefetch_tail(op.addr);
+                self.hit_tail(op.addr);
             } else {
                 memo = None;
                 self.access_levels(op.addr, op.is_write);

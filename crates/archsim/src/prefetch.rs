@@ -8,7 +8,7 @@
 //! on each access the longest matching history predicts the next line
 //! delta(s) and the predicted lines are prefetched.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 
 /// Counters describing prefetcher behaviour.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -19,29 +19,114 @@ pub struct PrefetchStats {
     pub redundant: u64,
 }
 
-/// Number of pages tracked simultaneously (VLDP's DHB is small; 64 entries
-/// over-approximates it, consistent with the paper's "over-approximated"
-/// evaluation).
+/// Number of pages tracked simultaneously. VLDP's delta history buffer
+/// is small; 4096 pages (16 MiB of address space) over-approximates it,
+/// consistent with the paper's "over-approximated" evaluation.
 const HISTORY_CAPACITY: usize = 4096;
 
 /// History length used by the deepest delta-prediction table.
 const MAX_HISTORY: usize = 3;
 
+/// Bytes per prefetched line.
+pub(crate) const LINE_BYTES: u64 = 64;
+
+/// Bytes per page; predictions never cross a page.
+const PAGE_BYTES: u64 = 4096;
+
+/// Lines per page. A delta is a difference of two line offsets within
+/// one page, so every recorded or predicted delta lies in
+/// `-(LINES_PER_PAGE - 1)..=LINES_PER_PAGE - 1`, and it is never 0.
+const LINES_PER_PAGE: i8 = (PAGE_BYTES / LINE_BYTES) as i8;
+
+/// Distinct deltas a table key position can hold (127, with the unused
+/// zero slot in the middle).
+const DELTA_SPAN: usize = 2 * LINES_PER_PAGE as usize - 1;
+
+/// The dense index of one delta: `-63..=63` maps onto `0..=126`.
+#[inline]
+fn slot(delta: i8) -> usize {
+    (delta as isize + LINES_PER_PAGE as isize - 1) as usize
+}
+
+/// The dense index of a two-delta history, oldest first.
+#[inline]
+fn pair(older: i8, newer: i8) -> usize {
+    slot(older) * DELTA_SPAN + slot(newer)
+}
+
+/// A zeroed table of every two-delta history (16 129 bytes).
+fn pair_table() -> Box<[i8]> {
+    vec![0; DELTA_SPAN * DELTA_SPAN].into_boxed_slice()
+}
+
+/// The three delta-prediction tables, dense. The length-`L` table is a
+/// total function from the `DELTA_SPAN^L` possible histories to the
+/// next delta, with 0 meaning "no entry" (a learned delta is never 0).
+#[derive(Debug, Clone)]
+struct DeltaTables {
+    /// Length-1 histories, at `slot(d)`.
+    one: Box<[i8]>,
+    /// Length-2 histories, at `pair(d0, d1)`.
+    two: Box<[i8]>,
+    /// Length-3 histories: one pair table per oldest delta, at
+    /// `three[slot(d0)][pair(d1, d2)]`. A block is allocated when a
+    /// history with that oldest delta first trains, so a prefetcher
+    /// allocates at most `DELTA_SPAN` blocks in its life. A flat table
+    /// of all 2 048 383 histories replayed as fast, but zeroing it added
+    /// about 140 µs to building every VLDP hierarchy (2-vCPU x86-64
+    /// host), which already takes about 95 µs.
+    three: Vec<Option<Box<[i8]>>>,
+}
+
+impl DeltaTables {
+    fn new() -> Self {
+        DeltaTables {
+            one: vec![0; DELTA_SPAN].into_boxed_slice(),
+            two: pair_table(),
+            three: vec![None; DELTA_SPAN],
+        }
+    }
+
+    /// The learned successor of `history` (1 to 3 deltas, oldest first),
+    /// 0 when there is none.
+    #[inline]
+    fn successor(&self, history: &[i8]) -> i8 {
+        match *history {
+            [d] => self.one[slot(d)],
+            [d0, d1] => self.two[pair(d0, d1)],
+            [d0, d1, d2] => self.three[slot(d0)]
+                .as_ref()
+                .map_or(0, |block| block[pair(d1, d2)]),
+            _ => unreachable!("histories hold 1 to {MAX_HISTORY} deltas"),
+        }
+    }
+
+    /// The successor slot of `history`, for training.
+    #[inline]
+    fn successor_mut(&mut self, history: &[i8]) -> &mut i8 {
+        match *history {
+            [d] => &mut self.one[slot(d)],
+            [d0, d1] => &mut self.two[pair(d0, d1)],
+            [d0, d1, d2] => &mut self.three[slot(d0)].get_or_insert_with(pair_table)[pair(d1, d2)],
+            _ => unreachable!("histories hold 1 to {MAX_HISTORY} deltas"),
+        }
+    }
+}
+
 #[derive(Debug, Clone, Copy, Default)]
 struct PageEntry {
     /// Last accessed line offset within the page.
-    last_line: i64,
+    last_line: i8,
     /// Most recent line-deltas, newest last; only `len` slots are live.
     /// Fixed-size because deltas beyond [`MAX_HISTORY`] never train or
-    /// predict — keeping a `Vec` here put an allocation on every tracked
-    /// page for no reason.
-    deltas: [i64; MAX_HISTORY],
+    /// predict.
+    deltas: [i8; MAX_HISTORY],
     len: usize,
 }
 
 impl PageEntry {
     /// Appends a delta, dropping the oldest once `MAX_HISTORY` are live.
-    fn push(&mut self, delta: i64) {
+    fn push(&mut self, delta: i8) {
         if self.len == MAX_HISTORY {
             self.deltas.copy_within(1.., 0);
             self.deltas[MAX_HISTORY - 1] = delta;
@@ -51,21 +136,10 @@ impl PageEntry {
         }
     }
 
-    /// The live suffix, oldest first.
-    fn history(&self) -> &[i64] {
-        &self.deltas[..self.len]
+    /// The newest `len` deltas, oldest first.
+    fn suffix(&self, len: usize) -> &[i8] {
+        &self.deltas[self.len - len..self.len]
     }
-}
-
-/// Right-aligns a history suffix into a fixed-size table key, zero-padded
-/// on the left. Unambiguous because recorded deltas are never zero (zero
-/// deltas neither train nor extend the history), so padding cannot
-/// collide with a real shorter history — and each table only holds keys
-/// of one length anyway.
-fn table_key(history: &[i64]) -> [i64; MAX_HISTORY] {
-    let mut key = [0i64; MAX_HISTORY];
-    key[MAX_HISTORY - history.len()..].copy_from_slice(history);
-    key
 }
 
 /// A multi-table delta prefetcher in the spirit of VLDP.
@@ -90,16 +164,19 @@ fn table_key(history: &[i64]) -> [i64; MAX_HISTORY] {
 /// ```
 #[derive(Debug, Clone)]
 pub struct VldpPrefetcher {
-    /// `history (exactly len deltas, right-aligned) → predicted next
-    /// delta`; `tables[len - 1]` holds the length-`len` histories.
-    tables: Vec<HashMap<[i64; MAX_HISTORY], i64>>,
-    pages: HashMap<u64, PageEntry>,
-    /// Insertion order for page-entry eviction (oldest at the front).
-    page_order: VecDeque<u64>,
+    tables: DeltaTables,
+    /// Tracked pages and their histories. Slots fill in order; once all
+    /// [`HISTORY_CAPACITY`] are taken, each new page replaces the oldest,
+    /// which is always the one at `oldest` (first in, first out).
+    pages: Vec<(u64, PageEntry)>,
+    /// Page number → slot in `pages`.
+    page_slots: HashMap<u64, usize>,
+    oldest: usize,
+    /// Slot of the page observed last: consecutive accesses to one page
+    /// skip the hash lookup.
+    last_slot: usize,
     degree: usize,
     stats: PrefetchStats,
-    line_bytes: u64,
-    page_bytes: u64,
 }
 
 impl VldpPrefetcher {
@@ -111,14 +188,52 @@ impl VldpPrefetcher {
     pub fn new(degree: usize) -> Self {
         assert!(degree > 0, "prefetch degree must be positive");
         VldpPrefetcher {
-            tables: vec![HashMap::new(); MAX_HISTORY],
-            pages: HashMap::new(),
-            page_order: VecDeque::new(),
+            tables: DeltaTables::new(),
+            pages: Vec::new(),
+            page_slots: HashMap::new(),
+            oldest: 0,
+            last_slot: 0,
             degree,
             stats: PrefetchStats::default(),
-            line_bytes: 64,
-            page_bytes: 4096,
         }
+    }
+
+    /// The slot tracking `page`, taking one (and evicting the oldest page
+    /// when all are taken) for a page seen for the first time at `line`.
+    fn page_slot(&mut self, page: u64, line: i8) -> usize {
+        if self
+            .pages
+            .get(self.last_slot)
+            .is_some_and(|&(p, _)| p == page)
+        {
+            return self.last_slot;
+        }
+        let slot = match self.page_slots.get(&page) {
+            Some(&slot) => slot,
+            None => {
+                let fresh = (
+                    page,
+                    PageEntry {
+                        last_line: line,
+                        ..PageEntry::default()
+                    },
+                );
+                let slot = if self.pages.len() < HISTORY_CAPACITY {
+                    self.pages.push(fresh);
+                    self.pages.len() - 1
+                } else {
+                    let slot = self.oldest;
+                    self.page_slots.remove(&self.pages[slot].0);
+                    self.pages[slot] = fresh;
+                    self.oldest = (slot + 1) % HISTORY_CAPACITY;
+                    slot
+                };
+                self.page_slots.insert(page, slot);
+                slot
+            }
+        };
+        self.last_slot = slot;
+        slot
     }
 
     /// Statistics so far.
@@ -126,9 +241,18 @@ impl VldpPrefetcher {
         self.stats
     }
 
-    /// Notes a redundant prefetch (the hierarchy reports back).
-    pub(crate) fn note_redundant(&mut self) {
-        self.stats.redundant += 1;
+    /// Notes `count` redundant prefetches (the hierarchy reports back).
+    pub(crate) fn note_redundant(&mut self, count: u64) {
+        self.stats.redundant += count;
+    }
+
+    /// Counts a repeat of the previous observation without replaying it:
+    /// `count` predictions issued again, all found resident. The
+    /// hierarchy's quiet-repeat rule calls this when the observation
+    /// would change no state (see `MemorySim::hit_tail`).
+    pub(crate) fn note_quiet_repeat(&mut self, count: u64) {
+        self.stats.issued += count;
+        self.stats.redundant += count;
     }
 
     /// Observes a demand access and returns predicted prefetch addresses.
@@ -143,34 +267,17 @@ impl VldpPrefetcher {
     /// observing millions of accesses allocates nothing per access.
     pub fn observe_into(&mut self, addr: u64, out: &mut Vec<u64>) {
         out.clear();
-        let page = addr / self.page_bytes;
-        let line = ((addr % self.page_bytes) / self.line_bytes) as i64;
+        let page = addr / PAGE_BYTES;
+        let line = ((addr % PAGE_BYTES) / LINE_BYTES) as i8;
 
-        let entry = match self.pages.get_mut(&page) {
-            Some(e) => e,
-            None => {
-                if self.pages.len() >= HISTORY_CAPACITY {
-                    // Evict the oldest tracked page.
-                    if let Some(old) = self.page_order.pop_front() {
-                        self.pages.remove(&old);
-                    }
-                }
-                self.page_order.push_back(page);
-                self.pages.entry(page).or_insert_with(|| PageEntry {
-                    last_line: line,
-                    ..PageEntry::default()
-                })
-            }
-        };
+        let slot = self.page_slot(page, line);
+        let entry = &mut self.pages[slot].1;
 
         let delta = line - entry.last_line;
         if delta != 0 {
             // Train each table with the history that preceded this delta.
-            for (len, table) in self.tables.iter_mut().enumerate() {
-                let len = len + 1;
-                if entry.len >= len {
-                    table.insert(table_key(&entry.deltas[entry.len - len..entry.len]), delta);
-                }
+            for len in 1..=entry.len {
+                *self.tables.successor_mut(entry.suffix(len)) = delta;
             }
             entry.push(delta);
             entry.last_line = line;
@@ -181,21 +288,17 @@ impl VldpPrefetcher {
         let mut history = *entry;
         let mut predicted_line = line;
         for _ in 0..self.degree {
-            let mut next_delta = None;
-            for len in (1..=history.len).rev() {
-                let key = table_key(&history.history()[history.len - len..]);
-                if let Some(&d) = self.tables[len - 1].get(&key) {
-                    next_delta = Some(d);
-                    break;
-                }
-            }
-            let Some(d) = next_delta else { break };
+            let next = (1..=history.len)
+                .rev()
+                .map(|len| self.tables.successor(history.suffix(len)))
+                .find(|&d| d != 0);
+            let Some(d) = next else { break };
+            // Both terms lie within ±63, so the sum cannot overflow.
             predicted_line += d;
-            let lines_per_page = (self.page_bytes / self.line_bytes) as i64;
-            if predicted_line < 0 || predicted_line >= lines_per_page {
+            if !(0..LINES_PER_PAGE).contains(&predicted_line) {
                 break; // VLDP does not cross page boundaries
             }
-            out.push(page * self.page_bytes + predicted_line as u64 * self.line_bytes);
+            out.push(page * PAGE_BYTES + predicted_line as u64 * LINE_BYTES);
             self.stats.issued += 1;
             history.push(d);
         }
