@@ -27,7 +27,7 @@
 //! the knob only moves where the simulation time is spent.
 
 use rtr_bench::characterization::{collect_with, CharReport};
-use rtr_core::Telemetry;
+use rtr_core::{vldp_arg, Telemetry};
 use rtr_harness::{Args, Table};
 
 /// Formats an off→on pair of percentages.
@@ -98,19 +98,21 @@ fn render(report: &CharReport) -> Table {
     table
 }
 
+/// Prints a usage error and exits with status 2.
+fn usage_error(e: impl std::fmt::Display) -> ! {
+    eprintln!("exp_characterization: {e}");
+    std::process::exit(2);
+}
+
 fn main() {
-    let args = Args::parse_env().unwrap_or_else(|e| {
-        eprintln!("exp_characterization: {e}");
-        std::process::exit(2);
-    });
+    let args = Args::parse_env().unwrap_or_else(|e| usage_error(e));
     let full = args.get_flag("full");
-    let vldp = args.get_usize("vldp", 4).unwrap_or(4).max(1);
-    let threads = args.get_usize("threads", 0).unwrap_or(0);
+    let vldp = vldp_arg(&args, 4).unwrap_or_else(|e| usage_error(e)).max(1);
+    let threads = args
+        .get_usize("threads", 0)
+        .unwrap_or_else(|e| usage_error(e));
     let out = args.get_str("out", "");
-    let telemetry = Telemetry::from_args(&args).unwrap_or_else(|e| {
-        eprintln!("exp_characterization: {e}");
-        std::process::exit(2);
-    });
+    let telemetry = Telemetry::from_args(&args).unwrap_or_else(|e| usage_error(e));
 
     println!(
         "EXP-CHAR: suite-wide cache characterization ({} inputset, VLDP degree {vldp})\n",

@@ -296,6 +296,11 @@ impl KernelInstance for MpcInstance {
     }
 }
 
+/// Most iterations `15.cem --iterations` accepts: 2000x the paper's 5.
+/// Time grows linearly with the count: 1.2 s at the cap (default
+/// samples, release build, 2-vCPU x86-64 host).
+const MAX_CEM_ITERATIONS: usize = 10_000;
+
 /// Most samples per iteration `15.cem --samples` accepts. Each iteration
 /// draws its population and scores it into about 56 B per sample: 126 MB
 /// peak RSS at the cap.
@@ -344,7 +349,14 @@ impl Kernel for CemKernel {
 
     fn instantiate(&self, args: &Args) -> Result<Box<dyn KernelInstance>, KernelError> {
         let config = CemConfig {
-            iterations: args.get_usize("iterations", 5)?.max(1),
+            iterations: count_arg(
+                args,
+                "iterations",
+                5,
+                MAX_CEM_ITERATIONS,
+                "an iteration count of at most 10000",
+            )?
+            .max(1),
             samples_per_iteration: count_arg(
                 args,
                 "samples",
@@ -386,6 +398,12 @@ impl Kernel for CemKernel {
         ))
     }
 }
+
+/// Most iterations `16.bo --iterations` accepts: 4x the paper's 45.
+/// Every iteration refits the GP on all observations so far, so time
+/// grows much faster than the count: 1.2 s at the cap, 19 s at 500
+/// (default candidates, release build, 2-vCPU x86-64 host).
+const MAX_BO_ITERATIONS: usize = 200;
 
 /// Most acquisition candidates per iteration `16.bo --candidates`
 /// accepts: 2000x the default 500. Each iteration scores its candidates
@@ -438,7 +456,14 @@ impl Kernel for BoKernel {
 
     fn instantiate(&self, args: &Args) -> Result<Box<dyn KernelInstance>, KernelError> {
         let config = BoConfig {
-            iterations: args.get_usize("iterations", 45)?.max(1),
+            iterations: count_arg(
+                args,
+                "iterations",
+                45,
+                MAX_BO_ITERATIONS,
+                "an iteration count of at most 200",
+            )?
+            .max(1),
             candidates: count_arg(
                 args,
                 "candidates",

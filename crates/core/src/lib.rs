@@ -31,7 +31,7 @@ use std::fmt;
 pub use kernels::{registry, registry_lookup};
 use rtr_harness::{Args, CliError, OptionSpec, RegionReport, Roi};
 use rtr_trace::MemTrace;
-pub use trace::{CacheReport, Telemetry, TraceSession};
+pub use trace::{vldp_arg, CacheReport, Telemetry, TraceSession};
 
 /// The pipeline stage a kernel belongs to (the paper's Fig. 1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

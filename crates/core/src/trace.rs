@@ -34,6 +34,31 @@ pub fn vldp_option() -> OptionSpec {
     }
 }
 
+/// Largest prefetch degree `--vldp` accepts: 16x the degree every
+/// experiment and benchmark uses (4). A page holds 64 lines, so a deeper
+/// walk only revisits lines it already predicted. Without a cap,
+/// `--trace --vldp 1000000000000` walked an oscillating history for as
+/// long as it lasted and grew the per-access prediction buffer until
+/// allocation failed.
+pub const MAX_VLDP_DEGREE: usize = 64;
+
+/// Parses `--vldp` (0 = no prefetcher) and rejects a degree above
+/// [`MAX_VLDP_DEGREE`].
+///
+/// # Errors
+///
+/// Returns [`KernelError::Cli`] naming `vldp` when the value is malformed
+/// or above the cap.
+pub fn vldp_arg(args: &Args, default: usize) -> Result<usize, KernelError> {
+    crate::kernels::count_arg(
+        args,
+        "vldp",
+        default,
+        MAX_VLDP_DEGREE,
+        "a prefetch degree of at most 64",
+    )
+}
+
 /// Which transport carries the traced op stream to the simulator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Telemetry {
@@ -134,9 +159,10 @@ impl TraceSession {
     ///
     /// # Errors
     ///
-    /// Returns [`KernelError::Cli`] when `--vldp` is malformed.
+    /// Returns [`KernelError::Cli`] when `--vldp` is malformed or above
+    /// [`MAX_VLDP_DEGREE`], with or without `--trace`.
     pub fn from_args(args: &Args) -> Result<Self, KernelError> {
-        let degree = args.get_usize("vldp", 0)?;
+        let degree = vldp_arg(args, 0)?;
         Ok(if args.get_flag("trace") {
             Self::enabled(degree)
         } else {
@@ -269,6 +295,25 @@ mod tests {
         }
         let report = session.finish().unwrap();
         assert!(report.prefetch.is_some());
+    }
+
+    #[test]
+    fn vldp_degree_is_capped() {
+        let at_cap = TraceSession::from_args(&args(&["--trace", "--vldp", "64"])).unwrap();
+        assert!(at_cap.finish().is_some());
+        for argv in [
+            ["--trace", "--vldp", "65"].as_slice(),
+            &["--trace", "--vldp", "1000000000000"],
+            &["--vldp", "1000000000000"],
+        ] {
+            match TraceSession::from_args(&args(argv)) {
+                Err(KernelError::Cli(rtr_harness::CliError::BadValue { option, .. })) => {
+                    assert_eq!(option, "vldp", "{argv:?}");
+                }
+                Err(e) => panic!("{argv:?}: unexpected error {e}"),
+                Ok(_) => panic!("{argv:?} must be rejected"),
+            }
+        }
     }
 
     #[test]

@@ -13,8 +13,11 @@
 //! never fail the run. `--baseline <path>` byte-compares the freshly
 //! generated report against a committed one (ignoring the volatile
 //! `elapsed_ms` line) and fails on any difference — so new findings
-//! *and* silently vanished coverage both break the build. `--explain`
-//! prints a rule's one-paragraph spec and exits.
+//! *and* silently vanished coverage both break the build. The baseline
+//! is read before the report is written, and the report is never
+//! written over it (so `--baseline LINT_report.json` without `--report`
+//! compares and leaves the file alone). `--explain` prints a rule's
+//! one-paragraph spec and exits.
 
 #![forbid(unsafe_code)]
 
@@ -128,6 +131,14 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     Ok(())
 }
 
+/// Whether two paths name one existing file.
+fn same_file(a: &Path, b: &Path) -> bool {
+    match (std::fs::canonicalize(a), std::fs::canonicalize(b)) {
+        (Ok(a), Ok(b)) => a == b,
+        _ => false,
+    }
+}
+
 /// Strips the volatile timing line so two reports from different runs
 /// over identical sources compare byte-equal.
 fn strip_elapsed(text: &str) -> String {
@@ -239,27 +250,41 @@ fn main() -> ExitCode {
         }
     }
 
+    // Read the baseline before writing anything, and never write the
+    // report over it: the default report path is the committed
+    // baseline's, and writing first compared the fresh report with
+    // itself.
+    let baseline = match &args.baseline {
+        Some(path) => match std::fs::read_to_string(path) {
+            Ok(text) => Some((path, text)),
+            Err(e) => {
+                eprintln!("rtr-lint: cannot read baseline {}: {e}", path.display());
+                return ExitCode::from(2);
+            }
+        },
+        None => None,
+    };
+
     let json = report.to_json();
     let report_path = args
         .report
         .unwrap_or_else(|| args.root.join("LINT_report.json"));
-    if let Err(e) = std::fs::write(&report_path, &json) {
+    let is_baseline = baseline
+        .as_ref()
+        .is_some_and(|(path, _)| same_file(path, &report_path));
+    if is_baseline {
+        println!(
+            "report not written: {} is the baseline (pass --report to keep it)",
+            report_path.display()
+        );
+    } else if let Err(e) = std::fs::write(&report_path, &json) {
         eprintln!("rtr-lint: cannot write {}: {e}", report_path.display());
         return ExitCode::from(2);
+    } else {
+        println!("report written to {}", report_path.display());
     }
-    println!("report written to {}", report_path.display());
 
-    if let Some(baseline_path) = &args.baseline {
-        let baseline = match std::fs::read_to_string(baseline_path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!(
-                    "rtr-lint: cannot read baseline {}: {e}",
-                    baseline_path.display()
-                );
-                return ExitCode::from(2);
-            }
-        };
+    if let Some((baseline_path, baseline)) = baseline {
         if !baseline_matches(&json, &baseline) {
             return ExitCode::FAILURE;
         }
