@@ -8,7 +8,7 @@
 //! which this implementation preserves by sampling the footprint interior
 //! on a resolution-matched lattice.
 
-use crate::{GridMap2D, Point2, Pose2};
+use crate::{normalize_angle, GridMap2D, Point2, Pose2};
 
 /// A rectangular robot footprint (e.g. the paper's 4.8 m × 1.8 m car).
 ///
@@ -92,43 +92,128 @@ impl Footprint {
     /// The interior of the rectangle is sampled on a lattice with spacing
     /// one grid resolution, guaranteeing no occupied cell strictly inside
     /// the footprint is missed (cells are at least as large as the sample
-    /// spacing).
+    /// spacing). This is [`FootprintLattice::collides_with`] on the
+    /// lattice at `pose.theta`, rotated on the fly instead of stored.
     pub fn collides_with(
         &self,
         map: &GridMap2D,
         pose: &Pose2,
-        mut visit: impl FnMut(i64, i64),
+        visit: impl FnMut(i64, i64),
     ) -> bool {
-        let res = map.resolution();
-        // Sample count along each dimension, including both edges.
-        let steps_l = (self.length / res).ceil().max(1.0) as usize + 1;
-        let steps_w = (self.width / res).ceil().max(1.0) as usize + 1;
-        let hl = self.length * 0.5;
-        let hw = self.width * 0.5;
-        for i in 0..steps_l {
-            let lx = -hl + self.length * i as f64 / (steps_l - 1).max(1) as f64;
-            for j in 0..steps_w {
-                let ly = -hw + self.width * j as f64 / (steps_w - 1).max(1) as f64;
-                let world = pose.transform_point(Point2::new(lx, ly));
-                let ix = (world.x / res).floor() as i64;
-                let iy = (world.y / res).floor() as i64;
-                visit(ix, iy);
-                if map.is_occupied(ix, iy) {
-                    return true;
-                }
-            }
+        probe(
+            map,
+            pose.x,
+            pose.y,
+            self.offsets(map.resolution(), pose.theta),
+            visit,
+        )
+    }
+
+    /// The sample lattice rotated to `heading`, for callers that check
+    /// many positions at a few headings (a grid planner's moves). Checking
+    /// it at `(x, y)` probes exactly the cells, in exactly the order, that
+    /// [`Footprint::collides_with`] probes at `Pose2::new(x, y, heading)`
+    /// on a map of resolution `res`.
+    pub fn lattice(&self, res: f64, heading: f64) -> FootprintLattice {
+        FootprintLattice {
+            offsets: self.offsets(res, normalize_angle(heading)).collect(),
         }
-        false
+    }
+
+    /// The lattice sample points rotated by `theta`, in probe order: the
+    /// length index outer, the width index inner.
+    fn offsets(&self, res: f64, theta: f64) -> impl Iterator<Item = Point2> {
+        let (steps_l, steps_w) = self.steps(res);
+        let (length, width) = (self.length, self.width);
+        let hl = length * 0.5;
+        let hw = width * 0.5;
+        // `Point2::rotated`'s expressions, with the sine and cosine taken once.
+        let (s, c) = theta.sin_cos();
+        (0..steps_l).flat_map(move |i| {
+            let lx = -hl + length * i as f64 / (steps_l - 1).max(1) as f64;
+            (0..steps_w).map(move |j| {
+                let ly = -hw + width * j as f64 / (steps_w - 1).max(1) as f64;
+                Point2::new(c * lx - s * ly, s * lx + c * ly)
+            })
+        })
+    }
+
+    /// Sample count along the length and the width, both edges included.
+    fn steps(&self, res: f64) -> (usize, usize) {
+        (
+            (self.length / res).ceil().max(1.0) as usize + 1,
+            (self.width / res).ceil().max(1.0) as usize + 1,
+        )
     }
 
     /// Number of cell probes one collision check performs on `map` —
     /// the "work unit" the characterization harness charges per check.
     pub fn probe_count(&self, map: &GridMap2D) -> usize {
-        let res = map.resolution();
-        let steps_l = (self.length / res).ceil().max(1.0) as usize + 1;
-        let steps_w = (self.width / res).ceil().max(1.0) as usize + 1;
+        let (steps_l, steps_w) = self.steps(map.resolution());
         steps_l * steps_w
     }
+}
+
+/// A [`Footprint`]'s sample lattice rotated to one heading (see
+/// [`Footprint::lattice`]): the offset from the robot's position to each
+/// probe point, in probe order.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FootprintLattice {
+    offsets: Vec<Point2>,
+}
+
+impl FootprintLattice {
+    /// Collision check with the robot at `(x, y)`, reporting every probed
+    /// cell to `visit`; see [`Footprint::collides_with`].
+    pub fn collides_with(
+        &self,
+        map: &GridMap2D,
+        x: f64,
+        y: f64,
+        visit: impl FnMut(i64, i64),
+    ) -> bool {
+        probe(map, x, y, self.offsets.iter().copied(), visit)
+    }
+
+    /// The rotated offsets, in probe order.
+    pub fn offsets(&self) -> &[Point2] {
+        &self.offsets
+    }
+}
+
+/// Probes the cell under `(x, y) + offset` for each offset in turn,
+/// stopping at the first occupied (or off-map) cell.
+#[inline]
+fn probe(
+    map: &GridMap2D,
+    x: f64,
+    y: f64,
+    offsets: impl IntoIterator<Item = Point2>,
+    mut visit: impl FnMut(i64, i64),
+) -> bool {
+    let res = map.resolution();
+    for offset in offsets {
+        let ix = floor_i64((x + offset.x) / res);
+        let iy = floor_i64((y + offset.y) / res);
+        visit(ix, iy);
+        if map.is_occupied(ix, iy) {
+            return true;
+        }
+    }
+    false
+}
+
+/// `x.floor() as i64` for every `f64` (NaN → 0, saturating at the `i64`
+/// range), without calling `floor`: on the x86-64 baseline, which lacks
+/// SSE4.1's `roundsd`, that is a branchy software routine. Inside the
+/// `i64` range the truncation converts back to `f64` exactly, so it
+/// exceeds `x` only for a negative non-integer, whose floor is one lower.
+/// Below the range the cast saturates to `i64::MIN`, and so does the
+/// subtraction.
+#[inline]
+fn floor_i64(x: f64) -> i64 {
+    let t = x as i64;
+    t.saturating_sub(i64::from(t as f64 > x))
 }
 
 #[cfg(test)]
@@ -219,6 +304,57 @@ mod tests {
         });
         // All probes fall within the footprint's extent (≤ ~5 m / 0.5 m).
         assert!((max_x - min_x) as f64 <= 5.0 / map.resolution() + 2.0);
+    }
+
+    #[test]
+    fn floor_i64_matches_floor_cast_on_edge_values() {
+        let two52 = 2f64.powi(52);
+        let two63 = 2f64.powi(63);
+        let edges = [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.0,
+            -0.0,
+            0.5,
+            -0.5,
+            1.0,
+            -1.0,
+            -1.5,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            -f64::from_bits(1),
+            two52 + 0.5,
+            two52 - 0.5,
+            -two52 + 0.5,
+            -two52 - 0.5,
+            two63,
+            -two63,
+            two63 * 2.0,
+            -two63 * 2.0,
+            f64::MAX,
+            f64::MIN,
+        ];
+        for x in edges {
+            assert_eq!(floor_i64(x), x.floor() as i64, "x = {x:e}");
+        }
+    }
+
+    #[test]
+    fn floor_i64_matches_floor_cast_on_random_bit_patterns() {
+        // splitmix64: every exponent and sign, NaN payloads included.
+        let mut state = 0x243f_6a88_85a3_08d3u64;
+        for _ in 0..1_000_000 {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            let x = f64::from_bits(z ^ (z >> 31));
+            assert_eq!(floor_i64(x), x.floor() as i64, "bits {:016x}", x.to_bits());
+            // The same magnitudes near the probes' range: |x| < 2^12.
+            let near = x % 4096.0;
+            assert_eq!(floor_i64(near), near.floor() as i64, "x = {near:e}");
+        }
     }
 
     #[test]

@@ -45,7 +45,7 @@ mod ray;
 
 pub use aabb::{Aabb2, Aabb3};
 pub use cloud::{PointCloud, RigidTransform};
-pub use footprint::Footprint;
+pub use footprint::{Footprint, FootprintLattice};
 pub use grid::{GridMap2D, GridMap3D};
 pub use kdtree::{KdTree, KD_BUCKET};
 pub use point::{normalize_angle, Point2, Point3, Pose2};

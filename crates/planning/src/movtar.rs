@@ -18,7 +18,7 @@ use rtr_harness::Profiler;
 use rtr_sim::SimRng;
 use rtr_trace::MemTrace;
 
-use crate::search::{dijkstra_flood_traced, weighted_astar_traced, SearchSpace};
+use crate::search::{dijkstra_flood_traced, weighted_astar_traced, FxBuildHasher, SearchSpace};
 
 /// A 2D cost field: obstacles are `f64::INFINITY`, free cells have a
 /// positive traversal cost.
@@ -119,7 +119,7 @@ struct TimeSpace<'a> {
     field: &'a CostField,
     trajectory: &'a [(usize, usize)],
     // rtr-lint: allow(nondet-iter) -- get()-only lookups, order never observed
-    heuristic: &'a HashMap<(i64, i64), f64>,
+    heuristic: &'a HashMap<(i64, i64), f64, FxBuildHasher>,
     epsilon_floor: f64,
 }
 

@@ -10,7 +10,7 @@
 
 use std::cell::Cell;
 
-use rtr_geom::{Footprint, GridMap2D, Pose2};
+use rtr_geom::{Footprint, FootprintLattice, GridMap2D};
 use rtr_harness::{HotRegion, Profiler};
 use rtr_trace::MemTrace;
 
@@ -60,26 +60,38 @@ pub struct Pp2dResult {
 struct CarSpace<'a> {
     map: &'a GridMap2D,
     goal: (i64, i64),
-    footprint: Footprint,
+    /// The footprint's lattice at each move's heading, in [`MOVES`] order.
+    /// Move 0 heads along +x, at heading 0.
+    lattices: [FootprintLattice; 8],
+    /// Each move's metric length, in [`MOVES`] order.
+    step_lengths: [f64; 8],
     collision: HotRegion,
     collision_checks: Cell<u64>,
     cells_probed: Cell<u64>,
 }
 
-impl CarSpace<'_> {
-    /// Footprint check for occupying `cell` while heading `theta`.
-    fn pose_free(&self, cell: (i64, i64), theta: f64) -> bool {
+impl<'a> CarSpace<'a> {
+    fn new(map: &'a GridMap2D, goal: (i64, i64), footprint: Footprint, hot_timing: bool) -> Self {
+        let res = map.resolution();
+        CarSpace {
+            map,
+            goal,
+            lattices: MOVES.map(|(dx, dy)| footprint.lattice(res, (dy as f64).atan2(dx as f64))),
+            step_lengths: MOVES.map(|(dx, dy)| ((dx * dx + dy * dy) as f64).sqrt() * res),
+            collision: HotRegion::timed(hot_timing),
+            collision_checks: Cell::new(0),
+            cells_probed: Cell::new(0),
+        }
+    }
+
+    /// Footprint check for occupying `cell` with `lattice`'s heading.
+    fn pose_free(&self, cell: (i64, i64), lattice: &FootprintLattice) -> bool {
         let start = self.collision.start();
         let res = self.map.resolution();
-        let pose = Pose2::new(
-            (cell.0 as f64 + 0.5) * res,
-            (cell.1 as f64 + 0.5) * res,
-            theta,
-        );
+        let x = (cell.0 as f64 + 0.5) * res;
+        let y = (cell.1 as f64 + 0.5) * res;
         let mut probes = 0u64;
-        let collides = self
-            .footprint
-            .collides_with(self.map, &pose, |_, _| probes += 1);
+        let collides = lattice.collides_with(self.map, x, y, |_, _| probes += 1);
         self.collision.add(start);
         self.collision_checks.set(self.collision_checks.get() + 1);
         self.cells_probed.set(self.cells_probed.get() + probes);
@@ -87,7 +99,7 @@ impl CarSpace<'_> {
     }
 }
 
-/// The eight grid moves with their metric costs (unit resolution).
+/// The eight grid moves (unit resolution).
 const MOVES: [(i64, i64); 8] = [
     (1, 0),
     (-1, 0),
@@ -103,15 +115,14 @@ impl SearchSpace for CarSpace<'_> {
     type Node = (i64, i64);
 
     fn successors(&self, node: (i64, i64), out: &mut Vec<((i64, i64), f64)>) {
-        let res = self.map.resolution();
-        for (dx, dy) in MOVES {
+        for ((&(dx, dy), lattice), &step) in
+            MOVES.iter().zip(&self.lattices).zip(&self.step_lengths)
+        {
             let next = (node.0 + dx, node.1 + dy);
             if !self.map.in_bounds(next.0, next.1) {
                 continue;
             }
-            let theta = (dy as f64).atan2(dx as f64);
-            if self.pose_free(next, theta) {
-                let step = ((dx * dx + dy * dy) as f64).sqrt() * res;
+            if self.pose_free(next, lattice) {
                 out.push((next, step));
             }
         }
@@ -178,17 +189,16 @@ impl Pp2d {
         profiler: &mut Profiler,
         trace: &mut T,
     ) -> Option<Pp2dResult> {
-        let space = CarSpace {
+        let space = CarSpace::new(
             map,
-            goal: (self.config.goal.0 as i64, self.config.goal.1 as i64),
-            footprint: self.config.footprint,
-            collision: HotRegion::timed(profiler.hot_timing()),
-            collision_checks: Cell::new(0),
-            cells_probed: Cell::new(0),
-        };
+            (self.config.goal.0 as i64, self.config.goal.1 as i64),
+            self.config.footprint,
+            profiler.hot_timing(),
+        );
         let start = (self.config.start.0 as i64, self.config.start.1 as i64);
-        // Reject trivially invalid endpoints (any heading blocked).
-        if !space.pose_free(start, 0.0) || !space.pose_free(space.goal, 0.0) {
+        // Reject trivially invalid endpoints (blocked at heading 0).
+        let heading_zero = &space.lattices[0];
+        if !space.pose_free(start, heading_zero) || !space.pose_free(space.goal, heading_zero) {
             return None;
         }
 

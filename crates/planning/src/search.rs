@@ -9,9 +9,10 @@
 //! [`NullTrace`] (the default) the emission compiles to nothing.
 
 use std::cmp::Ordering;
+use std::collections::hash_map::Entry;
 // rtr-lint: allow(nondet-iter) -- maps below are keyed-lookup only, never iterated
 use std::collections::{BinaryHeap, HashMap};
-use std::hash::Hash;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 use rtr_trace::{MemTrace, NullTrace};
 
@@ -69,6 +70,65 @@ fn trace_heap_pop<T: MemTrace + ?Sized>(trace: &mut T, len_after: usize) {
         k = 2 * k + 1;
     }
 }
+
+/// A multiply-rotate hasher in the style of rustc's `FxHasher`: one
+/// rotate, xor and multiply per word. The engine's maps are keyed by
+/// small `Copy` nodes (grid cells, ids), which SipHash's DoS resistance
+/// only slows down; a fixed function also keeps every run's table layout
+/// the same.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct FxHasher {
+    hash: u64,
+}
+
+/// The multiplier of rustc's 64-bit `FxHasher`.
+const FX_SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+
+impl FxHasher {
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(FX_SEED);
+    }
+}
+
+impl Hasher for FxHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn write_u8(&mut self, i: u8) {
+        self.add(u64::from(i));
+    }
+
+    #[inline]
+    fn write_u32(&mut self, i: u32) {
+        self.add(u64::from(i));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, i: u64) {
+        self.add(i);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, i: usize) {
+        self.add(i as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.hash
+    }
+}
+
+/// Builds [`FxHasher`]s: the hasher of every map the engine keeps.
+pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
 /// A search problem over an implicitly defined graph.
 ///
@@ -225,18 +285,22 @@ fn weighted_astar_impl<S: SearchSpace, T: MemTrace + ?Sized>(
     assert!(weight >= 0.0, "heuristic weight must be non-negative");
 
     let mut open = BinaryHeap::new();
-    // node → (best g, parent). Accessed by key only (get/insert); iteration
-    // order never reaches the search result, so hash maps are safe here and
-    // keep generic nodes to a Hash + Eq bound.
+    // The one bookkeeping map, node → (best g, parent, closed). Accessed by
+    // key only; iteration order never reaches the search result.
     // rtr-lint: allow(nondet-iter) -- keyed get/insert only, order never observed
-    let mut best: HashMap<S::Node, (f64, Option<S::Node>)> = HashMap::new();
-    // rtr-lint: allow(nondet-iter) -- membership test only, order never observed
-    let mut closed: HashMap<S::Node, ()> = HashMap::new();
+    let mut best: HashMap<S::Node, Record<S::Node>, FxBuildHasher> = HashMap::default();
     let mut succ_buf: Vec<(S::Node, f64)> = Vec::new();
     let mut expanded = 0u64;
     let mut generated = 0u64;
 
-    best.insert(start, (0.0, None));
+    best.insert(
+        start,
+        Record {
+            g: 0.0,
+            parent: None,
+            closed: false,
+        },
+    );
     if trace.enabled() {
         trace.write(probe_addr(node_addr(&start)));
         trace_heap_push(trace, 0);
@@ -252,15 +316,13 @@ fn weighted_astar_impl<S: SearchSpace, T: MemTrace + ?Sized>(
             trace_heap_pop(trace, open.len());
             trace.read(probe_addr(node_addr(&node)));
         }
-        // Skip stale entries (lazy decrease-key).
-        match best.get(&node) {
-            Some(&(best_g, _)) if g > best_g => continue,
-            _ => {}
-        }
-        if closed.contains_key(&node) {
+        // Every queued node has a record. Skip stale entries (lazy
+        // decrease-key) and nodes already expanded.
+        let record = best.get_mut(&node).expect("queued nodes have a record");
+        if g > record.g || record.closed {
             continue;
         }
-        closed.insert(node, ());
+        record.closed = true;
         expanded += 1;
         if trace.enabled() {
             let addr = node_addr(&node);
@@ -272,7 +334,11 @@ fn weighted_astar_impl<S: SearchSpace, T: MemTrace + ?Sized>(
             // Reconstruct the path.
             let mut path = vec![node];
             let mut cur = node;
-            while let Some(&(_, Some(parent))) = best.get(&cur) {
+            while let Some(&Record {
+                parent: Some(parent),
+                ..
+            }) = best.get(&cur)
+            {
                 path.push(parent);
                 cur = parent;
             }
@@ -293,29 +359,46 @@ fn weighted_astar_impl<S: SearchSpace, T: MemTrace + ?Sized>(
             if trace.enabled() {
                 trace.read(probe_addr(node_addr(&next))); // closed/best probe
             }
-            if closed.contains_key(&next) {
-                continue;
-            }
             let tentative = g + edge_cost;
-            let improved = match best.get(&next) {
-                Some(&(existing, _)) => tentative < existing,
-                None => true,
-            };
-            if improved {
-                best.insert(next, (tentative, Some(node)));
-                if trace.enabled() {
-                    trace.write(probe_addr(node_addr(&next)));
-                    trace_heap_push(trace, open.len());
+            match best.entry(next) {
+                Entry::Occupied(mut entry) => {
+                    let record = entry.get_mut();
+                    let improved = !record.closed && tentative < record.g;
+                    if !improved {
+                        continue;
+                    }
+                    record.g = tentative;
+                    record.parent = Some(node);
                 }
-                open.push(OpenEntry {
-                    f: tentative + weight * space.heuristic(next),
-                    g: tentative,
-                    node: next,
-                });
+                Entry::Vacant(entry) => {
+                    entry.insert(Record {
+                        g: tentative,
+                        parent: Some(node),
+                        closed: false,
+                    });
+                }
             }
+            if trace.enabled() {
+                trace.write(probe_addr(node_addr(&next)));
+                trace_heap_push(trace, open.len());
+            }
+            open.push(OpenEntry {
+                f: tentative + weight * space.heuristic(next),
+                g: tentative,
+                node: next,
+            });
         }
     }
     None
+}
+
+/// A node's bookkeeping: the best g found so far, its parent on that
+/// path, and whether the node has been expanded. A closed record never
+/// changes again.
+struct Record<N> {
+    g: f64,
+    parent: Option<N>,
+    closed: bool,
 }
 
 /// Multi-source Dijkstra over an explicit successor function, returning the
@@ -325,7 +408,7 @@ fn weighted_astar_impl<S: SearchSpace, T: MemTrace + ?Sized>(
 /// seeded from the goal set, it labels the whole reachable space with exact
 /// goal distances in one sweep.
 // rtr-lint: allow(nondet-iter) -- callers read the table by key, never by order
-pub fn dijkstra_flood<N, F>(sources: &[N], successors: F) -> HashMap<N, f64>
+pub fn dijkstra_flood<N, F>(sources: &[N], successors: F) -> HashMap<N, f64, FxBuildHasher>
 where
     N: Copy + Eq + Hash,
     F: FnMut(N, &mut Vec<(N, f64)>),
@@ -343,14 +426,14 @@ pub fn dijkstra_flood_traced<N, F, T>(
     trace: &mut T,
     node_addr: &mut dyn FnMut(&N) -> u64,
     // rtr-lint: allow(nondet-iter) -- callers read the table by key, never by order
-) -> HashMap<N, f64>
+) -> HashMap<N, f64, FxBuildHasher>
 where
     N: Copy + Eq + Hash,
     F: FnMut(N, &mut Vec<(N, f64)>),
     T: MemTrace + ?Sized,
 {
     // rtr-lint: allow(nondet-iter) -- keyed get/insert only, order never observed
-    let mut dist: HashMap<N, f64> = HashMap::new();
+    let mut dist: HashMap<N, f64, FxBuildHasher> = HashMap::default();
     let mut open = BinaryHeap::new();
     for &s in sources {
         dist.insert(s, 0.0);
@@ -379,12 +462,21 @@ where
         successors(node, &mut buf);
         for &(next, cost) in &buf {
             let tentative = g + cost;
-            let improved = dist.get(&next).is_none_or(|&d| tentative < d);
+            let improved = match dist.entry(next) {
+                Entry::Occupied(mut entry) if tentative < *entry.get() => {
+                    entry.insert(tentative);
+                    true
+                }
+                Entry::Occupied(_) => false,
+                Entry::Vacant(entry) => {
+                    entry.insert(tentative);
+                    true
+                }
+            };
             if trace.enabled() {
                 trace.read(probe_addr(node_addr(&next)));
             }
             if improved {
-                dist.insert(next, tentative);
                 if trace.enabled() {
                     trace.write(probe_addr(node_addr(&next)));
                     trace_heap_push(trace, open.len());
