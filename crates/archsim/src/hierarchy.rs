@@ -267,10 +267,15 @@ impl MemorySim {
         self.memory_writebacks += 1;
     }
 
-    /// Resets statistics on every level (contents stay warm).
+    /// Resets every counter, the prefetcher's included, opening a new
+    /// counting window. Cache contents, the prefetcher's tables and the
+    /// quiet-repeat memo stay warm.
     pub fn reset_stats(&mut self) {
         for level in &mut self.levels {
             level.reset_stats();
+        }
+        if let Some(prefetcher) = &mut self.prefetcher {
+            prefetcher.reset_stats();
         }
         self.accesses = 0;
         self.writes = 0;
@@ -408,22 +413,40 @@ mod tests {
 
     #[test]
     fn l2_catches_l1_capacity_misses() {
-        let mut sim = MemorySim::i3_8109u();
-        // 64 KiB working set: 2x L1, fits L2 easily.
-        let lines = 1024u64;
-        for _ in 0..3 {
+        for sim in [MemorySim::i3_8109u(), MemorySim::i3_8109u().with_vldp(2)] {
+            let mut sim = sim;
+            // 64 KiB working set: 2x L1, fits L2 easily.
+            let lines = 1024u64;
+            for _ in 0..3 {
+                for i in 0..lines {
+                    sim.read(i * 64);
+                    sim.write(i * 64 + 8);
+                }
+            }
+            sim.reset_stats();
+            // A reset zeroes every counter, the prefetcher's included.
+            let r = sim.report();
+            let zero = CacheStats::default();
+            assert_eq!(r.levels, vec![zero; 3]);
+            assert_eq!(
+                (
+                    r.accesses,
+                    r.reads,
+                    r.writes,
+                    r.memory_accesses,
+                    r.memory_writebacks
+                ),
+                (0, 0, 0, 0, 0)
+            );
+            assert!(r.prefetch.is_none_or(|p| p == PrefetchStats::default()));
             for i in 0..lines {
                 sim.read(i * 64);
             }
+            let r = sim.report();
+            assert!(r.levels[0].miss_ratio() > 0.9, "L1 should thrash");
+            assert_eq!(r.levels[1].misses, 0, "L2 should absorb everything");
+            assert_eq!(r.memory_accesses, 0);
         }
-        sim.reset_stats();
-        for i in 0..lines {
-            sim.read(i * 64);
-        }
-        let r = sim.report();
-        assert!(r.levels[0].miss_ratio() > 0.9, "L1 should thrash");
-        assert_eq!(r.levels[1].misses, 0, "L2 should absorb everything");
-        assert_eq!(r.memory_accesses, 0);
     }
 
     #[test]

@@ -241,6 +241,11 @@ impl VldpPrefetcher {
         self.stats
     }
 
+    /// Zeroes the statistics; the delta tables and tracked pages stay.
+    pub(crate) fn reset_stats(&mut self) {
+        self.stats = PrefetchStats::default();
+    }
+
     /// Notes `count` redundant prefetches (the hierarchy reports back).
     pub(crate) fn note_redundant(&mut self, count: u64) {
         self.stats.redundant += count;
