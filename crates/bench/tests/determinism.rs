@@ -347,7 +347,7 @@ fn symbolic_planner_is_run_to_run_deterministic() {
             let mut profiler = Profiler::new();
             SymbolicPlanner::new(1.0)
                 .solve(&domain, &mut profiler, &mut NullTrace)
-                .unwrap_or_else(|| panic!("{name} should be solvable"))
+                .unwrap_or_else(|e| panic!("{name} should be solvable: {e:?}"))
         };
         let a = solve();
         let b = solve();

@@ -4,7 +4,8 @@ use rtr_geom::maps;
 use rtr_harness::{Args, OptionSpec, Profiler};
 use rtr_planning::{
     blocks_world, firefight, movtar, ArmProblem, MovingTarget, MovtarConfig, Pp2d, Pp2dConfig,
-    Pp3d, Pp3dConfig, Prm, PrmConfig, Rrt, RrtConfig, RrtPp, RrtStar, SymbolicPlanner,
+    Pp3d, Pp3dConfig, Prm, PrmConfig, Rrt, RrtConfig, RrtPp, RrtStar, SolveError, SymbolicPlanner,
+    SEARCH_BUDGET,
 };
 
 use rtr_planning::RrtStarRun;
@@ -735,7 +736,14 @@ fn symbolic_instance(
         move |profiler, trace| {
             let plan = SymbolicPlanner::new(weight)
                 .solve(&domain, profiler, trace)
-                .ok_or(KernelError::Unsolvable("no symbolic plan exists"))?;
+                .map_err(|e| match e {
+                    SolveError::Unsolvable => KernelError::Unsolvable("no symbolic plan exists"),
+                    SolveError::BudgetExhausted => KernelError::BudgetExhausted {
+                        budget: "SEARCH_BUDGET",
+                        limit: SEARCH_BUDGET,
+                        unit: "generated states",
+                    },
+                })?;
             let valid = domain.validate_plan(&plan.actions);
             Ok(vec![
                 ("plan length".into(), plan.actions.len().to_string()),
@@ -753,8 +761,8 @@ fn symbolic_instance(
 
 /// Most blocks `11.sym-blkw --blocks` accepts: 10x the default 6. The
 /// solve first grounds (n + 1)·n·(n − 1) move actions of about 650 B
-/// each, about 170 MB at the cap. The cap does not bound the search that
-/// follows, which passed 900 MB in 20 s at 16 blocks.
+/// each, about 170 MB at the cap; the search that follows stops at
+/// [`SEARCH_BUDGET`] generated states.
 const MAX_BLOCKS: usize = 64;
 
 /// `11.sym-blkw`: the blocks-world symbolic planning problem.

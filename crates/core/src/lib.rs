@@ -89,6 +89,16 @@ pub enum KernelError {
     /// The configured problem instance has no solution (e.g. the goal is
     /// unreachable on the generated map).
     Unsolvable(&'static str),
+    /// The kernel spent a named work budget without finishing; unlike
+    /// [`KernelError::Unsolvable`], a solution may still exist.
+    BudgetExhausted {
+        /// The budget's name, e.g. `SEARCH_BUDGET`.
+        budget: &'static str,
+        /// Its limit.
+        limit: u64,
+        /// What the limit counts, e.g. "generated states".
+        unit: &'static str,
+    },
     /// An external inputset (e.g. a MovingAI `.map`/`.scen` file) could
     /// not be read or parsed.
     Input(String),
@@ -108,6 +118,14 @@ impl fmt::Display for KernelError {
         match self {
             KernelError::Cli(e) => write!(f, "{e}"),
             KernelError::Unsolvable(what) => write!(f, "problem instance unsolvable: {what}"),
+            KernelError::BudgetExhausted {
+                budget,
+                limit,
+                unit,
+            } => write!(
+                f,
+                "search budget exhausted: {budget} ({limit} {unit}) spent without a solution"
+            ),
             KernelError::Input(what) => write!(f, "bad inputset: {what}"),
             KernelError::UnknownKernel { name, suggestion } => {
                 write!(f, "unknown kernel {name:?}")?;

@@ -1,7 +1,9 @@
 //! Integration tests driving the `rtr` binary itself — the paper's §VI
 //! usage contract (Fig. 20).
 
-use std::process::Command;
+use std::io::Read;
+use std::process::{Command, Stdio};
+use std::time::{Duration, Instant};
 
 fn rtr() -> Command {
     Command::new(env!("CARGO_BIN_EXE_rtr"))
@@ -101,5 +103,48 @@ fn undeclared_option_fails_naming_it() {
             err.contains(&format!("unknown option {option}")),
             "{argv:?}: {err}"
         );
+    }
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "grounding 64 blocks alone takes tens of seconds in debug; run with --release"
+)]
+fn symbolic_search_stops_at_its_budget_within_time_and_memory() {
+    // Each run is a child under a 1 GiB address-space limit, killed after
+    // 10 s: an unbounded search aborts or times out instead of growing.
+    for blocks in ["16", "64"] {
+        let start = Instant::now();
+        let mut child = Command::new("sh")
+            .args([
+                "-c",
+                "ulimit -v 1048576 && exec \"$0\" sym-blkw --blocks \"$1\"",
+                env!("CARGO_BIN_EXE_rtr"),
+                blocks,
+            ])
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("sh runs");
+        let status = loop {
+            if let Some(status) = child.try_wait().expect("child status") {
+                break status;
+            }
+            if start.elapsed() > Duration::from_secs(10) {
+                child.kill().expect("kill the child");
+                panic!("--blocks {blocks} still searching after 10 s");
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        };
+        let mut err = String::new();
+        child
+            .stderr
+            .take()
+            .expect("piped stderr")
+            .read_to_string(&mut err)
+            .expect("utf-8 stderr");
+        assert_eq!(status.code(), Some(1), "--blocks {blocks}: {err}");
+        assert!(err.contains("SEARCH_BUDGET"), "--blocks {blocks}: {err}");
     }
 }

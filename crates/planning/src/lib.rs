@@ -41,4 +41,6 @@ pub use rrt::{ArmProblem, Rrt, RrtConfig, RrtResult};
 pub use rrtpp::{RrtPp, RrtPpResult};
 pub use rrtstar::{RrtStar, RrtStarResult, RrtStarRun};
 pub use search::{astar, dijkstra, weighted_astar, SearchResult, SearchSpace};
-pub use symbolic::{blocks_world, firefight, Domain, Plan, SymbolicPlanner};
+pub use symbolic::{
+    blocks_world, firefight, Domain, Plan, SolveError, SymbolicPlanner, SEARCH_BUDGET,
+};

@@ -225,6 +225,10 @@ struct SymbolicSpace<'a, 'c, 'd, T: MemTrace + ?Sized> {
     strings: HotRegion,
     expansions: Cell<u64>,
     applicable_total: Cell<u64>,
+    /// Set once the search has generated [`SEARCH_BUDGET`] states; from
+    /// then on nothing is generated and no state is a goal, so the engine
+    /// drains its open list and gives up.
+    exhausted: Cell<bool>,
     trace: &'c RefCell<&'d mut T>,
 }
 
@@ -245,6 +249,7 @@ impl<'a, 'c, 'd, T: MemTrace + ?Sized> SymbolicSpace<'a, 'c, 'd, T> {
             strings: HotRegion::timed(timed),
             expansions: Cell::new(0),
             applicable_total: Cell::new(0),
+            exhausted: Cell::new(false),
             trace,
         };
         space.ids.borrow_mut().insert(init, 0);
@@ -293,12 +298,19 @@ impl<T: MemTrace + ?Sized> SearchSpace for SymbolicSpace<'_, '_, '_, T> {
     type Node = usize;
 
     fn successors(&self, node: usize, out: &mut Vec<(usize, f64)>) {
+        if self.exhausted.get() {
+            return;
+        }
         let state = self.state(node);
         self.expansions.set(self.expansions.get() + 1);
         let start = self.strings.start();
         let mut applicable = 0u64;
         for action in self.actions {
             if action.applicable(&state) {
+                if self.applicable_total.get() + applicable == SEARCH_BUDGET {
+                    self.exhausted.set(true);
+                    break;
+                }
                 applicable += 1;
                 let next = action.apply(&state);
                 out.push((self.intern(next), 1.0));
@@ -315,9 +327,34 @@ impl<T: MemTrace + ?Sized> SearchSpace for SymbolicSpace<'_, '_, '_, T> {
     }
 
     fn is_goal(&self, node: usize) -> bool {
+        if self.exhausted.get() {
+            return false;
+        }
         let state = self.state(node);
         self.goal.iter().all(|f| state.contains(f))
     }
+}
+
+/// States one solve may generate (successors built by applying an
+/// action) before it gives up. Every generated state is a fact set the
+/// state arena may keep, so the budget bounds the search's memory; an
+/// expansion count would not, because one expansion of the 64-block world
+/// generates about 4,000 states. The largest solve any binary, test, CI
+/// step or benchmark workload makes is `12.sym-fext` at defaults, which
+/// generates 1,392 states. Measured on a release build (2 vCPUs), 11
+/// blocks still solve (546 expansions, 0.4 s), 16 blocks stop after
+/// 0.7 s at 64 MB peak RSS, and 64 blocks after 4.8 s at 480 MB, most of
+/// it grounding.
+pub const SEARCH_BUDGET: u64 = 25_000;
+
+/// Why [`SymbolicPlanner::solve`] returned no plan.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SolveError {
+    /// The search exhausted every reachable state: no plan exists.
+    Unsolvable,
+    /// The search generated [`SEARCH_BUDGET`] states without reaching the
+    /// goal; a plan may still exist.
+    BudgetExhausted,
 }
 
 /// The symbolic planning kernel.
@@ -352,7 +389,7 @@ impl SymbolicPlanner {
         SymbolicPlanner { weight }
     }
 
-    /// Solves `domain`, returning the plan, or `None` when no plan exists.
+    /// Solves `domain`, returning the plan.
     ///
     /// Profiler regions: `grounding` (schema instantiation),
     /// `graph_search` (state-space search minus fact matching) and
@@ -366,12 +403,18 @@ impl SymbolicPlanner {
     /// interning traffic (fact-string reads, index probes, arena writes)
     /// and the search engine's open-list stream; pass
     /// [`rtr_trace::NullTrace`] for an untraced solve.
+    ///
+    /// # Errors
+    ///
+    /// [`SolveError::Unsolvable`] when no plan exists, and
+    /// [`SolveError::BudgetExhausted`] when the search generated
+    /// [`SEARCH_BUDGET`] states without finding one.
     pub fn solve<T: MemTrace + ?Sized>(
         &self,
         domain: &Domain,
         profiler: &mut Profiler,
         trace: &mut T,
-    ) -> Option<Plan> {
+    ) -> Result<Plan, SolveError> {
         let actions = profiler.time("grounding", || domain.ground());
         let trace = RefCell::new(trace);
         let space = SymbolicSpace::new(
@@ -392,7 +435,11 @@ impl SymbolicPlanner {
         space.strings.drain_into(profiler, "string_ops");
         profiler.add("graph_search", total.saturating_sub(strings));
 
-        let result = result?;
+        let result = result.ok_or(if space.exhausted.get() {
+            SolveError::BudgetExhausted
+        } else {
+            SolveError::Unsolvable
+        })?;
         // Recover action labels by re-matching consecutive states.
         let mut plan_actions = Vec::with_capacity(result.path.len().saturating_sub(1));
         for w in result.path.windows(2) {
@@ -406,7 +453,7 @@ impl SymbolicPlanner {
         }
 
         let expansions = space.expansions.get().max(1);
-        Some(Plan {
+        Ok(Plan {
             actions: plan_actions,
             expanded: result.expanded,
             mean_branching: space.applicable_total.get() as f64 / expansions as f64,
@@ -753,13 +800,29 @@ mod tests {
     }
 
     #[test]
-    fn unsolvable_domain_returns_none() {
+    fn unsolvable_domain_is_unsolvable() {
         let mut domain = blocks_world(2);
         domain.goal.push("On(B1,B9)".to_owned()); // impossible fact
         let mut profiler = Profiler::new();
-        assert!(SymbolicPlanner::new(1.0)
-            .solve(&domain, &mut profiler, &mut NullTrace)
-            .is_none());
+        assert_eq!(
+            SymbolicPlanner::new(1.0)
+                .solve(&domain, &mut profiler, &mut NullTrace)
+                .unwrap_err(),
+            SolveError::Unsolvable
+        );
+    }
+
+    #[test]
+    fn search_stops_at_its_budget() {
+        // 16 blocks: about 270 states per expansion, so the budget runs
+        // out after some 200 expansions, long before a plan.
+        let mut profiler = Profiler::new();
+        assert_eq!(
+            SymbolicPlanner::new(1.0)
+                .solve(&blocks_world(16), &mut profiler, &mut NullTrace)
+                .unwrap_err(),
+            SolveError::BudgetExhausted
+        );
     }
 
     #[test]
