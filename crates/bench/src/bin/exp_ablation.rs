@@ -197,6 +197,7 @@ fn ablate_particles() {
 }
 
 fn main() {
+    rtr_bench::parse_args("exp_ablation", &[]);
     println!("EXP-ABL: design-choice ablations\n");
     ablate_nn();
     ablate_footprint();

@@ -15,7 +15,8 @@
 //! ```
 
 use rtr_archsim::MemorySim;
-use rtr_harness::{Args, Profiler, Table};
+use rtr_bench::{parse_args, usage_error};
+use rtr_harness::{OptionSpec, Profiler, Table};
 use rtr_planning::{ArmProblem, Prm, PrmConfig, Rrt, RrtConfig, RrtPp, RrtStar};
 use rtr_trace::NullTrace;
 
@@ -113,10 +114,27 @@ fn run_seed(problem: &ArmProblem, seed: u64, threads: usize) -> Option<SeedRun> 
     })
 }
 
+const BIN: &str = "exp_arm_planners";
+
+const OPTIONS: &[OptionSpec] = &[
+    OptionSpec {
+        name: "seeds",
+        help: "Seeds averaged per planner and map",
+    },
+    OptionSpec {
+        name: "threads",
+        help: "Worker threads (0 = one per core)",
+    },
+];
+
 fn main() {
-    let args = Args::parse_env().expect("valid arguments");
-    let seeds = args.get_u64("seeds", 5).expect("numeric seeds");
-    let threads = args.get_usize("threads", 0).expect("numeric threads");
+    let args = parse_args(BIN, OPTIONS);
+    let seeds = args
+        .get_u64("seeds", 5)
+        .unwrap_or_else(|e| usage_error(BIN, e));
+    let threads = args
+        .get_usize("threads", 0)
+        .unwrap_or_else(|e| usage_error(BIN, e));
     println!("EXP-F8..12: arm planners on Map-F / Map-C, averaged over {seeds} seeds\n");
 
     for (map_name, make) in [

@@ -27,8 +27,9 @@
 //! the knob only moves where the simulation time is spent.
 
 use rtr_bench::characterization::{collect_with, CharReport};
+use rtr_bench::{parse_args, usage_error};
 use rtr_core::{vldp_arg, Telemetry};
-use rtr_harness::{Args, Table};
+use rtr_harness::{OptionSpec, Table};
 
 /// Formats an off→on pair of percentages.
 fn pair(off: f64, on: f64) -> String {
@@ -98,21 +99,42 @@ fn render(report: &CharReport) -> Table {
     table
 }
 
-/// Prints a usage error and exits with status 2.
-fn usage_error(e: impl std::fmt::Display) -> ! {
-    eprintln!("exp_characterization: {e}");
-    std::process::exit(2);
-}
+const BIN: &str = "exp_characterization";
+
+const OPTIONS: &[OptionSpec] = &[
+    OptionSpec {
+        name: "full",
+        help: "Run the kernels' default paper-scale inputsets (flag)",
+    },
+    OptionSpec {
+        name: "vldp",
+        help: "VLDP prefetch degree of the 'on' column (default 4)",
+    },
+    OptionSpec {
+        name: "threads",
+        help: "Workers sharding the cells (0 = one per core)",
+    },
+    OptionSpec {
+        name: "out",
+        help: "Also write the table as JSON to this file",
+    },
+    OptionSpec {
+        name: "telemetry",
+        help: "Trace transport: inline|ring",
+    },
+];
 
 fn main() {
-    let args = Args::parse_env().unwrap_or_else(|e| usage_error(e));
+    let args = parse_args(BIN, OPTIONS);
     let full = args.get_flag("full");
-    let vldp = vldp_arg(&args, 4).unwrap_or_else(|e| usage_error(e)).max(1);
+    let vldp = vldp_arg(&args, 4)
+        .unwrap_or_else(|e| usage_error(BIN, e))
+        .max(1);
     let threads = args
         .get_usize("threads", 0)
-        .unwrap_or_else(|e| usage_error(e));
+        .unwrap_or_else(|e| usage_error(BIN, e));
     let out = args.get_str("out", "");
-    let telemetry = Telemetry::from_args(&args).unwrap_or_else(|e| usage_error(e));
+    let telemetry = Telemetry::from_args(&args).unwrap_or_else(|e| usage_error(BIN, e));
 
     println!(
         "EXP-CHAR: suite-wide cache characterization ({} inputset, VLDP degree {vldp})\n",

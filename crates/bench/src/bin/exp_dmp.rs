@@ -13,6 +13,7 @@ use rtr_harness::{Profiler, Table};
 use rtr_trace::NullTrace;
 
 fn main() {
+    rtr_bench::parse_args("exp_dmp", &[]);
     println!("EXP-F15: dynamic movement primitives (Fig. 15)\n");
     let (demo, duration) = wheeled_robot_demo(400);
     let dmp = Dmp::learn(&demo, duration, DmpConfig::default());

@@ -12,6 +12,7 @@ use rtr_sim::{SimRng, SlamWorld};
 use rtr_trace::NullTrace;
 
 fn main() {
+    rtr_bench::parse_args("exp_ekfslam", &[]);
     println!("EXP-F3: EKF-SLAM on the six-landmark loop (Fig. 3)\n");
     let world = SlamWorld::six_landmark_demo();
     let mut rng = SimRng::seed_from(1);

@@ -14,16 +14,26 @@
 
 use rtr_baselines::{CRobAstar, PRobAstar, PRobIcp, PRobKnn};
 use rtr_bench::{eng, time_once};
+use rtr_bench::{parse_args, usage_error};
 use rtr_geom::{maps, Footprint, KdTree, Point3, RigidTransform};
-use rtr_harness::{Args, Pool, Profiler, Table};
+use rtr_harness::{OptionSpec, Pool, Profiler, Table};
 use rtr_perception::{Icp, IcpConfig};
 use rtr_planning::{Pp2d, Pp2dConfig};
 use rtr_sim::{scene, SimRng};
 use rtr_trace::NullTrace;
 
+const BIN: &str = "exp_librarycomp";
+
+const OPTIONS: &[OptionSpec] = &[OptionSpec {
+    name: "max-scale",
+    help: "Largest map scale factor swept",
+}];
+
 fn main() {
-    let args = Args::parse_env().expect("valid arguments");
-    let max_scale = args.get_usize("max-scale", 8).expect("numeric max-scale");
+    let args = parse_args(BIN, OPTIONS);
+    let max_scale = args
+        .get_usize("max-scale", 8)
+        .unwrap_or_else(|e| usage_error(BIN, e));
     println!("EXP-F21: library comparison on the PythonRobotics demo map (Fig. 21)\n");
     println!("(--max-scale {max_scale}; the paper sweeps to 64 — the baselines' cost");
     println!(" grows superlinearly, so large scales take correspondingly long)\n");

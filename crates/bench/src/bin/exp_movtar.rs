@@ -12,6 +12,7 @@ use rtr_planning::{movtar, MovingTarget, MovtarConfig};
 use rtr_trace::NullTrace;
 
 fn main() {
+    rtr_bench::parse_args("exp_movtar", &[]);
     println!("EXP-F7: moving-target interception — environment-size sweep\n");
     let mut table = Table::new(&[
         "env size",

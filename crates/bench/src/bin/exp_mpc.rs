@@ -13,6 +13,7 @@ use rtr_harness::{Profiler, Table};
 use rtr_trace::NullTrace;
 
 fn main() {
+    rtr_bench::parse_args("exp_mpc", &[]);
     println!("EXP-F16: model predictive control along a winding road\n");
     let reference = winding_reference(400); // a 200 m reference
     let config = MpcConfig::default();

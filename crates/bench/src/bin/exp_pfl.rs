@@ -6,15 +6,25 @@
 //! cargo run --release -p rtr-bench --bin exp_pfl
 //! ```
 
+use rtr_bench::{parse_args, usage_error};
 use rtr_core::kernels::perception::PflKernel;
 use rtr_geom::maps;
-use rtr_harness::{Args, Profiler, Table};
+use rtr_harness::{OptionSpec, Profiler, Table};
 use rtr_perception::{ParticleFilter, PflConfig, PflInit};
 use rtr_trace::NullTrace;
 
+const BIN: &str = "exp_pfl";
+
+const OPTIONS: &[OptionSpec] = &[OptionSpec {
+    name: "threads",
+    help: "Worker threads (0 = one per core)",
+}];
+
 fn main() {
-    let args = Args::parse_env().unwrap_or_default();
-    let threads = args.get_usize("threads", 0).unwrap_or(0);
+    let args = parse_args(BIN, OPTIONS);
+    let threads = args
+        .get_usize("threads", 0)
+        .unwrap_or_else(|e| usage_error(BIN, e));
     println!("EXP-PFL: particle-filter localization across five map regions\n");
     let map = maps::indoor_floor_plan(256, 0.1, 7);
     let mut table = Table::new(&[

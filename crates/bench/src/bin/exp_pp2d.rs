@@ -6,14 +6,24 @@
 //! cargo run --release -p rtr-bench --bin exp_pp2d [--size 1024]
 //! ```
 
+use rtr_bench::{parse_args, usage_error};
 use rtr_geom::maps;
-use rtr_harness::{Args, Profiler, Table};
+use rtr_harness::{OptionSpec, Profiler, Table};
 use rtr_planning::{Pp2d, Pp2dConfig};
 use rtr_trace::NullTrace;
 
+const BIN: &str = "exp_pp2d";
+
+const OPTIONS: &[OptionSpec] = &[OptionSpec {
+    name: "size",
+    help: "City map side length in cells",
+}];
+
 fn main() {
-    let args = Args::parse_env().expect("valid arguments");
-    let size = args.get_usize("size", 1024).expect("numeric size");
+    let args = parse_args(BIN, OPTIONS);
+    let size = args
+        .get_usize("size", 1024)
+        .unwrap_or_else(|e| usage_error(BIN, e));
     println!("EXP-F5: car path planning on a {size}x{size} city map\n");
 
     // 0.5 m cells: the 4.8 m x 1.8 m footprint covers ~55 cells per probe.

@@ -9,14 +9,24 @@
 //! ```
 
 use rtr_archsim::MemorySim;
+use rtr_bench::{parse_args, usage_error};
 use rtr_geom::maps;
-use rtr_harness::{Args, Profiler, Table};
+use rtr_harness::{OptionSpec, Profiler, Table};
 use rtr_planning::{Pp3d, Pp3dConfig};
 use rtr_trace::NullTrace;
 
+const BIN: &str = "exp_pp3d";
+
+const OPTIONS: &[OptionSpec] = &[OptionSpec {
+    name: "size",
+    help: "Campus side length in cells",
+}];
+
 fn main() {
-    let args = Args::parse_env().expect("valid arguments");
-    let size = args.get_usize("size", 192).expect("numeric size");
+    let args = parse_args(BIN, OPTIONS);
+    let size = args
+        .get_usize("size", 192)
+        .unwrap_or_else(|e| usage_error(BIN, e));
     println!("EXP-F6: UAV path planning over a {size}x{size}x16 campus\n");
     let map = maps::campus_3d(size, size, 16, 1.0, 11);
     let config = Pp3dConfig {

@@ -9,14 +9,24 @@
 //! ```
 
 use rtr_bench::sparkline;
+use rtr_bench::{parse_args, usage_error};
 use rtr_control::{BayesOpt, BoConfig, Cem, CemConfig};
-use rtr_harness::{Args, Profiler, Table};
+use rtr_harness::{OptionSpec, Profiler, Table};
 use rtr_sim::ThrowSim;
 use rtr_trace::NullTrace;
 
+const BIN: &str = "exp_rl";
+
+const OPTIONS: &[OptionSpec] = &[OptionSpec {
+    name: "threads",
+    help: "Worker threads (0 = one per core)",
+}];
+
 fn main() {
-    let args = Args::parse_env().unwrap_or_default();
-    let threads = args.get_usize("threads", 0).unwrap_or(0);
+    let args = parse_args(BIN, OPTIONS);
+    let threads = args
+        .get_usize("threads", 0)
+        .unwrap_or_else(|e| usage_error(BIN, e));
     println!("EXP-F17/18/19: ball-throwing reinforcement learning\n");
     let sim = ThrowSim::new(2.0);
     println!(

@@ -8,15 +8,25 @@
 //! ```
 
 use rtr_archsim::MemorySim;
+use rtr_bench::{parse_args, usage_error};
 use rtr_geom::{Point3, RigidTransform};
-use rtr_harness::{Args, Profiler, Table};
+use rtr_harness::{OptionSpec, Profiler, Table};
 use rtr_perception::{Icp, IcpConfig};
 use rtr_sim::{scene, SimRng};
 use rtr_trace::NullTrace;
 
+const BIN: &str = "exp_srec";
+
+const OPTIONS: &[OptionSpec] = &[OptionSpec {
+    name: "threads",
+    help: "Worker threads (0 = one per core)",
+}];
+
 fn main() {
-    let args = Args::parse_env().unwrap_or_default();
-    let threads = args.get_usize("threads", 0).unwrap_or(0);
+    let args = parse_args(BIN, OPTIONS);
+    let threads = args
+        .get_usize("threads", 0)
+        .unwrap_or_else(|e| usage_error(BIN, e));
     println!("EXP-F4: ICP scene reconstruction of the synthetic living room\n");
     let mut rng = SimRng::seed_from(6);
     let room = scene::living_room(60_000, &mut rng);

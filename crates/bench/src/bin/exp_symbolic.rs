@@ -45,6 +45,7 @@ fn characterize(name: &str, domain: &Domain) -> (f64, f64) {
 }
 
 fn main() {
+    rtr_bench::parse_args("exp_symbolic", &[]);
     println!("EXP-F13/F14: symbolic planning — blocks world vs firefighting\n");
     // The paper's Fig. 13 blocks world has three blocks (A, B, C).
     let blkw = blocks_world(3);

@@ -35,6 +35,7 @@ fn pretty(region: &str) -> &str {
 }
 
 fn main() {
+    rtr_bench::parse_args("exp_table1", &[]);
     println!("EXP-T1: Table I — kernels, stages and measured bottlenecks\n");
     let mut table = Table::new(&[
         "kernel",

@@ -24,7 +24,31 @@
 
 pub mod characterization;
 
+use std::fmt;
 use std::time::{Duration, Instant};
+
+use rtr_harness::{Args, OptionSpec};
+
+/// Parses the command line of experiment binary `bin` against the
+/// options it declares. `--help` prints the usage and exits 0; a
+/// malformed command line or an undeclared option (a typo such as
+/// `--threadz`) exits 2 naming it, before any work starts.
+pub fn parse_args(bin: &str, options: &[OptionSpec]) -> Args {
+    let args = Args::parse_env().unwrap_or_else(|e| usage_error(bin, e));
+    if args.wants_help() {
+        println!("{}", Args::usage(bin, options));
+        std::process::exit(0);
+    }
+    args.reject_undeclared(options, &[])
+        .unwrap_or_else(|e| usage_error(bin, e));
+    args
+}
+
+/// Prints `bin: e` and exits with status 2, the usage-error status.
+pub fn usage_error(bin: &str, e: impl fmt::Display) -> ! {
+    eprintln!("{bin}: {e}");
+    std::process::exit(2);
+}
 
 /// Times one closure invocation.
 pub fn time_once<R>(f: impl FnOnce() -> R) -> (R, Duration) {
