@@ -174,11 +174,6 @@ impl FootprintLattice {
     ) -> bool {
         probe(map, x, y, self.offsets.iter().copied(), visit)
     }
-
-    /// The rotated offsets, in probe order.
-    pub fn offsets(&self) -> &[Point2] {
-        &self.offsets
-    }
 }
 
 /// Probes the cell under `(x, y) + offset` for each offset in turn,
