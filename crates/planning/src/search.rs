@@ -102,16 +102,6 @@ impl Hasher for FxHasher {
     }
 
     #[inline]
-    fn write_u8(&mut self, i: u8) {
-        self.add(u64::from(i));
-    }
-
-    #[inline]
-    fn write_u32(&mut self, i: u32) {
-        self.add(u64::from(i));
-    }
-
-    #[inline]
     fn write_u64(&mut self, i: u64) {
         self.add(i);
     }
