@@ -342,9 +342,9 @@ impl<T: MemTrace + ?Sized> SearchSpace for SymbolicSpace<'_, '_, '_, T> {
 /// generates about 4,000 states. The largest solve any binary, test, CI
 /// step or benchmark workload makes is `12.sym-fext` at defaults, which
 /// generates 1,392 states. Measured on a release build (2 vCPUs), 11
-/// blocks still solve (546 expansions, 0.4 s), 16 blocks stop after
-/// 0.7 s at 64 MB peak RSS, and 64 blocks after 4.8 s at 480 MB, most of
-/// it grounding.
+/// blocks still solve (about 17,000 states, 0.4 s), 16 blocks stop after
+/// 0.8 s at 64 MB peak RSS, and 64 blocks after 5.5 s at 480 MB, 1.8 s
+/// of it grounding.
 pub const SEARCH_BUDGET: u64 = 25_000;
 
 /// Why [`SymbolicPlanner::solve`] returned no plan.
