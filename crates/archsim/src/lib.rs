@@ -30,7 +30,6 @@
 //! assert!(stats.miss_ratio() < 0.2);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod cache;

@@ -27,7 +27,6 @@
 //! regenerator can show the tuned, k-d-indexed kernels winning at every
 //! thread count.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod spatial;
@@ -201,7 +200,10 @@ type NodeMap = HashMap<(i64, i64), ((i64, i64), f64)>;
 
 /// Deliberately pass-by-value "helper" mirroring the C-Rob defect: the
 /// open set, closed set and map are copied on every call.
-#[allow(clippy::needless_pass_by_value)]
+#[allow(
+    clippy::needless_pass_by_value,
+    reason = "the per-call copies are the C-Rob defect this baseline reproduces"
+)]
 fn select_min_node(open_set: NodeMap, map: GridMap2D, goal: (i64, i64)) -> (i64, i64) {
     let _ = map.width(); // the copied map is "used", as in the original
     open_set
@@ -216,7 +218,10 @@ fn select_min_node(open_set: NodeMap, map: GridMap2D, goal: (i64, i64)) -> (i64,
 }
 
 /// Pass-by-value successor expansion, cloning both sets and the map.
-#[allow(clippy::needless_pass_by_value)]
+#[allow(
+    clippy::needless_pass_by_value,
+    reason = "the per-call copies are the C-Rob defect this baseline reproduces"
+)]
 fn expand_node(
     current: (i64, i64),
     current_cost: f64,

@@ -15,8 +15,8 @@
 //! ```
 
 use rtr_archsim::MemorySim;
-use rtr_bench::{parse_args, usage_error};
-use rtr_harness::{OptionSpec, Profiler, Table};
+use rtr_bench::parse_args;
+use rtr_harness::{usage_error, OptionSpec, Profiler, Table};
 use rtr_planning::{ArmProblem, Prm, PrmConfig, Rrt, RrtConfig, RrtPp, RrtStar};
 use rtr_trace::NullTrace;
 

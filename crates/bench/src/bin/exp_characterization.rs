@@ -27,9 +27,9 @@
 //! the knob only moves where the simulation time is spent.
 
 use rtr_bench::characterization::{collect_with, CharReport};
-use rtr_bench::{parse_args, usage_error};
+use rtr_bench::parse_args;
 use rtr_core::{vldp_arg, Telemetry};
-use rtr_harness::{OptionSpec, Table};
+use rtr_harness::{usage_error, OptionSpec, Table};
 
 /// Formats an off→on pair of percentages.
 fn pair(off: f64, on: f64) -> String {

@@ -13,10 +13,10 @@
 //! ```
 
 use rtr_baselines::{CRobAstar, PRobAstar, PRobIcp, PRobKnn};
+use rtr_bench::parse_args;
 use rtr_bench::{eng, time_once};
-use rtr_bench::{parse_args, usage_error};
 use rtr_geom::{maps, Footprint, KdTree, Point3, RigidTransform};
-use rtr_harness::{OptionSpec, Pool, Profiler, Table};
+use rtr_harness::{usage_error, OptionSpec, Pool, Profiler, Table};
 use rtr_perception::{Icp, IcpConfig};
 use rtr_planning::{Pp2d, Pp2dConfig};
 use rtr_sim::{scene, SimRng};

@@ -6,10 +6,10 @@
 //! cargo run --release -p rtr-bench --bin exp_pfl
 //! ```
 
-use rtr_bench::{parse_args, usage_error};
+use rtr_bench::parse_args;
 use rtr_core::kernels::perception::PflKernel;
 use rtr_geom::maps;
-use rtr_harness::{OptionSpec, Profiler, Table};
+use rtr_harness::{usage_error, OptionSpec, Profiler, Table};
 use rtr_perception::{ParticleFilter, PflConfig, PflInit};
 use rtr_trace::NullTrace;
 

@@ -6,9 +6,9 @@
 //! cargo run --release -p rtr-bench --bin exp_pp2d [--size 1024]
 //! ```
 
-use rtr_bench::{parse_args, usage_error};
+use rtr_bench::parse_args;
 use rtr_geom::maps;
-use rtr_harness::{OptionSpec, Profiler, Table};
+use rtr_harness::{usage_error, OptionSpec, Profiler, Table};
 use rtr_planning::{Pp2d, Pp2dConfig};
 use rtr_trace::NullTrace;
 

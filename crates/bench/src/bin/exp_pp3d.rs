@@ -9,9 +9,9 @@
 //! ```
 
 use rtr_archsim::MemorySim;
-use rtr_bench::{parse_args, usage_error};
+use rtr_bench::parse_args;
 use rtr_geom::maps;
-use rtr_harness::{OptionSpec, Profiler, Table};
+use rtr_harness::{usage_error, OptionSpec, Profiler, Table};
 use rtr_planning::{Pp3d, Pp3dConfig};
 use rtr_trace::NullTrace;
 

@@ -8,10 +8,10 @@
 //! cargo run --release -p rtr-bench --bin exp_rl
 //! ```
 
+use rtr_bench::parse_args;
 use rtr_bench::sparkline;
-use rtr_bench::{parse_args, usage_error};
 use rtr_control::{BayesOpt, BoConfig, Cem, CemConfig};
-use rtr_harness::{OptionSpec, Profiler, Table};
+use rtr_harness::{usage_error, OptionSpec, Profiler, Table};
 use rtr_sim::ThrowSim;
 use rtr_trace::NullTrace;
 

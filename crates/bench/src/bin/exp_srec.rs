@@ -8,9 +8,9 @@
 //! ```
 
 use rtr_archsim::MemorySim;
-use rtr_bench::{parse_args, usage_error};
+use rtr_bench::parse_args;
 use rtr_geom::{Point3, RigidTransform};
-use rtr_harness::{OptionSpec, Profiler, Table};
+use rtr_harness::{usage_error, OptionSpec, Profiler, Table};
 use rtr_perception::{Icp, IcpConfig};
 use rtr_sim::{scene, SimRng};
 use rtr_trace::NullTrace;

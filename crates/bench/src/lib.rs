@@ -19,15 +19,13 @@
 //! | `exp_rl` | Figs. 17–19 + §V.15–§V.16 |
 //! | `exp_librarycomp` | Fig. 21 (§VII) |
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod characterization;
 
-use std::fmt;
 use std::time::{Duration, Instant};
 
-use rtr_harness::{Args, OptionSpec};
+use rtr_harness::{usage_error, Args, OptionSpec};
 
 /// Parses the command line of experiment binary `bin` against the
 /// options it declares. `--help` prints the usage and exits 0; a
@@ -42,12 +40,6 @@ pub fn parse_args(bin: &str, options: &[OptionSpec]) -> Args {
     args.reject_undeclared(options, &[])
         .unwrap_or_else(|e| usage_error(bin, e));
     args
-}
-
-/// Prints `bin: e` and exits with status 2, the usage-error status.
-pub fn usage_error(bin: &str, e: impl fmt::Display) -> ! {
-    eprintln!("{bin}: {e}");
-    std::process::exit(2);
 }
 
 /// Times one closure invocation.

@@ -333,7 +333,9 @@ proptest! {
 /// its tie-breaking never depends on a hash seed. Two runs in the same
 /// process would already diverge if interning went through `HashMap`
 /// (each instance draws a fresh `RandomState`), so repeat-and-compare is
-/// a real regression test for the `nondet-iter` contract, not a tautology.
+/// a real regression test for the hash-order contract, not a tautology.
+/// Clippy's `disallowed-types` (`crates/planning/clippy.toml`) rejects
+/// such a `HashMap` statically.
 #[test]
 fn symbolic_planner_is_run_to_run_deterministic() {
     use rtr_planning::symbolic::{blocks_world, firefight};

@@ -7,7 +7,6 @@ use std::process::Command;
 
 /// Every `exp_*` binary with the options the docs and CI pass it.
 const BINARIES: &[(&str, &[&str])] = &[
-    (env!("CARGO_BIN_EXE_exp_ablation"), &[]),
     (
         env!("CARGO_BIN_EXE_exp_arm_planners"),
         &["seeds", "threads"],

@@ -16,7 +16,6 @@
 //!   Gaussian process and a UCB acquisition function; far more compute,
 //!   with a correspondingly heavier sort.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bo;

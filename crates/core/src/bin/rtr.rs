@@ -10,11 +10,16 @@
 //! rtr 08.rrt --map map-c --samples 20000
 //! rtr rrt --help
 //! ```
+//!
+//! Exit status: 0 on success, 1 when an accepted run fails (e.g. an
+//! unsolvable instance or an exhausted search budget), and 2 on a usage
+//! error: a malformed command line, a missing or unknown kernel, an
+//! undeclared option, or a bad option value.
 
 use std::process::ExitCode;
 
-use rtr_core::{registry, registry_lookup};
-use rtr_harness::{Args, Table};
+use rtr_core::{registry, registry_lookup, KernelError};
+use rtr_harness::{usage_error, Args, Table};
 
 fn print_global_usage() {
     println!("USAGE:\n  rtr <kernel> [OPTIONS] [FLAGS]\n  rtr --list\n");
@@ -96,7 +101,7 @@ fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let Some(selector) = argv.first() else {
         print_global_usage();
-        return ExitCode::FAILURE;
+        return ExitCode::from(2);
     };
     if selector == "--list" {
         print_list();
@@ -106,22 +111,11 @@ fn main() -> ExitCode {
         print_global_usage();
         return ExitCode::SUCCESS;
     }
-    let kernel = match registry_lookup(selector) {
-        Ok(kernel) => kernel,
-        Err(err) => {
-            eprintln!("{err}; `rtr --list` shows all kernels");
-            return ExitCode::FAILURE;
-        }
-    };
+    let kernel = registry_lookup(selector)
+        .unwrap_or_else(|err| usage_error("rtr", format!("{err}; `rtr --list` shows all kernels")));
 
     let tokens: Vec<&str> = argv[1..].iter().map(String::as_str).collect();
-    let args = match Args::parse_tokens(&tokens) {
-        Ok(args) => args,
-        Err(err) => {
-            eprintln!("error: {err}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let args = Args::parse_tokens(&tokens).unwrap_or_else(|err| usage_error("rtr", err));
     if args.wants_help() {
         print!(
             "{}",
@@ -131,11 +125,10 @@ fn main() -> ExitCode {
     }
     // Only the kernel's declared options, plus `--json`, are accepted.
     if let Err(err) = args.reject_undeclared(&kernel.cli_options(), &["json"]) {
-        eprintln!(
-            "error: {err}; `rtr {} --help` lists the options",
-            kernel.name()
+        usage_error(
+            "rtr",
+            format!("{err}; `rtr {} --help` lists the options", kernel.name()),
         );
-        return ExitCode::FAILURE;
     }
 
     match kernel.run(&args) {
@@ -165,8 +158,9 @@ fn main() -> ExitCode {
             print!("{metrics}");
             ExitCode::SUCCESS
         }
+        Err(err @ KernelError::Cli(_)) => usage_error("rtr", err),
         Err(err) => {
-            eprintln!("error: {err}");
+            eprintln!("rtr: {err}");
             ExitCode::FAILURE
         }
     }

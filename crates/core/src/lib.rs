@@ -20,7 +20,6 @@
 //! assert_eq!(pfl.stage(), Stage::Perception);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod kernels;

@@ -1,5 +1,5 @@
 //! Integration tests driving the `rtr` binary itself — the paper's §VI
-//! usage contract (Fig. 20).
+//! usage contract (Fig. 20). A usage error exits 2, a failed run 1.
 
 use std::io::Read;
 use std::process::{Command, Stdio};
@@ -67,25 +67,39 @@ fn json_output_is_machine_readable() {
 #[test]
 fn unknown_kernel_fails_with_message() {
     let out = rtr().arg("frobnicate").output().expect("binary runs");
-    assert!(!out.status.success());
+    assert_eq!(out.status.code(), Some(2));
     let err = String::from_utf8(out.stderr).unwrap();
     assert!(err.contains("unknown kernel"));
 }
 
 #[test]
+fn missing_kernel_exits_2_with_usage() {
+    let out = rtr().output().expect("binary runs");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8(out.stdout).unwrap().contains("USAGE:"));
+}
+
+#[test]
 fn bad_option_value_fails_cleanly() {
-    let out = rtr()
-        .args(["cem", "--iterations", "lots"])
-        .output()
-        .expect("binary runs");
-    assert!(!out.status.success());
-    let err = String::from_utf8(out.stderr).unwrap();
-    assert!(err.contains("iterations"));
+    for (argv, option) in [
+        (["cem", "--iterations", "lots"].as_slice(), "iterations"),
+        (
+            ["pfl", "--particles", "1000000000000"].as_slice(),
+            "particles",
+        ),
+        (["cem", "--threads"].as_slice(), "threads"),
+    ] {
+        let out = rtr().args(argv).output().expect("binary runs");
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(2), "{argv:?}: {err}");
+        assert!(err.contains(option), "{argv:?}: {err}");
+    }
 }
 
 #[test]
 fn undeclared_option_fails_naming_it() {
     for (argv, option) in [
+        (["pfl", "--bogus", "1"].as_slice(), "--bogus"),
         (
             ["prm", "--roadmap-size", "200"].as_slice(),
             "--roadmap-size",
@@ -97,8 +111,8 @@ fn undeclared_option_fails_naming_it() {
         ),
     ] {
         let out = rtr().args(argv).output().expect("binary runs");
-        assert!(!out.status.success(), "{argv:?} must be rejected");
         let err = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(2), "{argv:?}: {err}");
         assert!(
             err.contains(&format!("unknown option {option}")),
             "{argv:?}: {err}"

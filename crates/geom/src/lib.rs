@@ -31,7 +31,6 @@
 //! assert!((hit.distance - 3.0).abs() < 0.1);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod aabb;

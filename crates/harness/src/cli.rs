@@ -56,6 +56,14 @@ impl fmt::Display for CliError {
 
 impl Error for CliError {}
 
+/// Prints `bin: e` and exits with status 2, the usage-error status of
+/// every suite binary (a run that fails after its arguments were
+/// accepted exits 1).
+pub fn usage_error(bin: &str, e: impl fmt::Display) -> ! {
+    eprintln!("{bin}: {e}");
+    std::process::exit(2);
+}
+
 /// Parsed command-line arguments: `--key value` options and `--flag`
 /// switches.
 ///

@@ -35,7 +35,6 @@
 //! assert!(profiler.region_calls("compute") == 1);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod cli;
@@ -45,7 +44,7 @@ mod profiler;
 mod roi;
 mod table;
 
-pub use cli::{Args, CliError, OptionSpec};
+pub use cli::{usage_error, Args, CliError, OptionSpec};
 pub use collector::Collector;
 pub use pool::{chunk_boundaries, chunk_seed, Pool};
 pub use profiler::{HotRegion, Profiler, RegionReport};

@@ -1,10 +1,9 @@
 //! Phase 2 of the interprocedural analysis: transitive facts over the
 //! call graph.
 //!
-//! Three boolean facts are computed per workspace fn — `allocates`,
-//! `reads-clock`, `touches-nondet-iter` — each seeded by token patterns
-//! in the fn's own body (the same needles the lexical rules use) and
-//! propagated caller-ward over resolved call edges to a fixpoint: a fn
+//! Two boolean facts are computed per workspace fn — `allocates` and
+//! `reads-clock` — each seeded by token patterns in the fn's own body
+//! (the same needles the lexical rules use) and propagated caller-ward over resolved call edges to a fixpoint: a fn
 //! holds a fact iff its body matches a seed or any resolved callee holds
 //! it. Every derived fact keeps a *witness* (the seeding token, or the
 //! call site + callee it came through), so a finding can print the full
@@ -72,8 +71,6 @@ pub struct Seeds<'a> {
     pub alloc: &'a [&'static str],
     /// Token patterns seeding the `reads-clock` fact.
     pub clock: &'a [&'static str],
-    /// Token patterns seeding the `touches-nondet-iter` fact.
-    pub nondet: &'a [&'static str],
     /// Structural barriers for the `allocates` fact.
     pub alloc_barriers: &'a [Barrier],
     /// Structural barriers for the `reads-clock` fact.
@@ -86,17 +83,14 @@ pub struct Facts {
     pub allocates: Fact,
     /// Fn may read the wall clock, directly or through a callee.
     pub reads_clock: Fact,
-    /// Fn may touch a hash-ordered container, directly or transitively.
-    pub nondet_iter: Fact,
 }
 
 impl Facts {
-    /// Computes all three facts over the resolved call graph.
+    /// Computes both facts over the resolved call graph.
     pub fn compute(index: &WorkspaceIndex, graph: &CallGraph, seeds: &Seeds) -> Facts {
         Facts {
             allocates: propagate(index, graph, seeds.alloc, seeds.alloc_barriers),
             reads_clock: propagate(index, graph, seeds.clock, seeds.clock_barriers),
-            nondet_iter: propagate(index, graph, seeds.nondet, &[]),
         }
     }
 }
@@ -202,7 +196,6 @@ mod tests {
 
     const ALLOC: [&str; 3] = ["Vec::new(", "vec!", ".clone()"];
     const CLOCK: [&str; 2] = ["Instant::now", "SystemTime"];
-    const NONDET: [&str; 2] = ["HashMap", "HashSet"];
 
     fn facts_with_barriers(src: &str, alloc_barriers: &[Barrier]) -> (WorkspaceIndex, Facts) {
         let idx = WorkspaceIndex::build(vec![FileAnalysis::new("crates/geom/src/x.rs", src)]);
@@ -210,7 +203,6 @@ mod tests {
         let seeds = Seeds {
             alloc: &ALLOC,
             clock: &CLOCK,
-            nondet: &NONDET,
             alloc_barriers,
             clock_barriers: &[],
         };

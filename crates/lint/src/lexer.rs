@@ -21,7 +21,7 @@ pub struct Allow {
     /// own line (trailing comment) and on the following line (standalone
     /// comment above the offending statement).
     pub line: usize,
-    /// Rule identifier inside `allow(...)`, e.g. `nondet-iter`.
+    /// Rule identifier inside `allow(...)`, e.g. `hot-alloc`.
     pub rule: String,
     /// Justification after `--`. Empty when the author forgot one — the
     /// engine turns that into an un-allowable `allow-syntax` finding.
@@ -471,11 +471,11 @@ mod tests {
 
     #[test]
     fn allow_annotations_are_harvested() {
-        let src = "// rtr-lint: allow(nondet-iter) -- keyed lookups only\nuse x;\n";
+        let src = "// rtr-lint: allow(hot-alloc) -- warm-up growth only\nuse x;\n";
         let s = scrub(src);
         assert_eq!(s.allows.len(), 1);
-        assert_eq!(s.allows[0].rule, "nondet-iter");
-        assert_eq!(s.allows[0].reason, "keyed lookups only");
+        assert_eq!(s.allows[0].rule, "hot-alloc");
+        assert_eq!(s.allows[0].reason, "warm-up growth only");
         assert_eq!(s.allows[0].line, 1);
     }
 

@@ -19,8 +19,6 @@
 //! compares and leaves the file alone). `--explain` prints a rule's
 //! one-paragraph spec and exits.
 
-#![forbid(unsafe_code)]
-
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Instant;

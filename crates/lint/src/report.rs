@@ -176,11 +176,11 @@ mod tests {
                     ],
                 },
                 Finding {
-                    rule: "nondet-iter".to_owned(),
+                    rule: "layering".to_owned(),
                     file: "crates/planning/src/search.rs".to_owned(),
                     line: 152,
-                    message: "HashMap \"quoted\" and \\ escaped".to_owned(),
-                    allowed: Some("keyed lookups only".to_owned()),
+                    message: "rtr_archsim \"quoted\" and \\ escaped".to_owned(),
+                    allowed: Some("a doc example names the simulator".to_owned()),
                     chain: Vec::new(),
                 },
             ],
@@ -222,8 +222,11 @@ mod tests {
         let json = sample().to_json();
         assert!(json.contains("\"chain\": [\"plan_into\", \"stamp\", \"Instant::now\"]"));
         // The chain-free finding's object carries no chain key.
-        let nondet_obj = json.lines().find(|l| l.contains("nondet-iter")).unwrap();
-        assert!(!nondet_obj.contains("chain"));
+        let layering_obj = json
+            .lines()
+            .find(|l| l.contains("\"rule\": \"layering\", \"file\""))
+            .unwrap();
+        assert!(!layering_obj.contains("chain"));
     }
 
     #[test]

@@ -1,25 +1,23 @@
-//! The rule engine: six lexical rules plus two graph-backed rules, each
-//! the static form of a ROADMAP contract, plus the `allow-syntax` meta
-//! rule.
+//! The rule engine: six rules, each the static form of a ROADMAP
+//! contract that rustc and clippy cannot check, plus the `allow-syntax`
+//! meta rule.
 //!
 //! | id | contract |
 //! |------------------|-----------------------------------------------|
-//! | `nondet-iter`    | kernel outputs never depend on hash iteration |
 //! | `wall-clock`     | kernels never read the wall clock directly; collector `consume_batch` callbacks never do, even in the measurement crates |
 //! | `hot-alloc`      | `*_into` / `process_batch` / `flush` / ring-producer (`push`/`push_batch`/`publish`) / `*Scratch` / `step` on `*Instance`/`*State` steady state is heap-free |
-//! | `unsafe-hygiene` | every crate root forbids `unsafe`, no exceptions |
 //! | `par-rng`        | parallel closures derive RNG via `chunk_seed` |
 //! | `layering`       | kernel-layer code never names the cache simulator |
 //! | `atomic-ordering`| every memory-ordering token in the lock-free files sits in a fn with a `// ORDERING:` rationale; `SeqCst` is deny-by-default |
 //! | `trace-gated`    | kernel `MemTrace` emissions are dominated by a `trace.enabled()` check |
 //!
-//! Rules are scoped by crate (see [`crate_of`]): `nondet-iter` guards the
-//! kernel crates, `wall-clock` everything except the measurement crates
-//! (`harness`, `bench`, `scenario` — which times its pipeline stages —
-//! and `lint` itself, which times its own pass) — where only
-//! `consume_batch` spans are scanned — `layering` the algorithm crates
-//! plus the adapter subtree in `core` (see [`is_layered`]), the rest the
-//! whole workspace.
+//! Rules are scoped by crate (see [`crate_of`]): `wall-clock` guards
+//! everything except the measurement crates (`harness`, `bench`,
+//! `scenario` — which times its pipeline stages — and `lint` itself,
+//! which times its own pass) — where only `consume_batch` spans are
+//! scanned — `trace-gated` the kernel crates, `layering` the algorithm
+//! crates plus the adapter subtree in `core` (see [`is_layered`]), the
+//! rest the whole workspace.
 //!
 //! `hot-alloc` and `wall-clock` additionally fire *transitively*: a hot
 //! entry point whose resolved callees allocate or read the clock is a
@@ -34,10 +32,12 @@ use crate::index::{FileAnalysis, FnId, WorkspaceIndex};
 use crate::lexer::{line_of, matching_delim, token_positions, Span};
 use crate::report::Finding;
 
-/// Crates whose outputs are benchmark kernel results: hash-iteration
-/// order must never reach them (ROADMAP determinism contract).
-/// `scenario` is here because its golden replay is the same contract at
-/// closed-loop scale: byte-identical at any thread count.
+/// Crates whose outputs are benchmark kernel results: `trace-gated`
+/// scans them, and hash-iteration order must never reach them (ROADMAP
+/// determinism contract), which each one's `clippy.toml` enforces by
+/// disallowing `HashMap`/`HashSet`. `scenario` is here because its
+/// golden replay is the same contract at closed-loop scale:
+/// byte-identical at any thread count.
 pub const KERNEL_CRATES: [&str; 7] = [
     "control",
     "core",
@@ -99,11 +99,9 @@ pub const RING_HOT_FNS: [&str; 7] = [
 ];
 
 /// All rule identifiers, as used in `allow(<rule>)` annotations.
-pub const RULES: [&str; 8] = [
-    "nondet-iter",
+pub const RULES: [&str; 6] = [
     "wall-clock",
     "hot-alloc",
-    "unsafe-hygiene",
     "par-rng",
     "layering",
     "atomic-ordering",
@@ -161,9 +159,6 @@ pub const CLOCK_BARRIERS: [Barrier; 3] = [
     },
 ];
 
-/// Hash-ordered containers; seed of the `touches-nondet-iter` fact.
-pub const NONDET_NEEDLES: [&str; 2] = ["HashMap", "HashSet"];
-
 /// The files `atomic-ordering` audits: the hand-rolled lock-free code.
 pub const ATOMIC_SCOPE: [&str; 3] = [
     "crates/trace/src/ring.rs",
@@ -186,13 +181,6 @@ pub fn crate_of(path: &str) -> Option<&str> {
 pub fn is_layered(path: &str) -> bool {
     crate_of(path).is_some_and(|k| LAYERED_CRATES.contains(&k))
         || path.starts_with("crates/core/src/kernels/")
-}
-
-/// Returns `true` when `path` is a crate root (`src/lib.rs` or
-/// `src/main.rs` of a workspace crate), where `unsafe-hygiene` demands
-/// `#![forbid(unsafe_code)]`.
-pub fn is_crate_root(path: &str) -> bool {
-    crate_of(path).is_some() && (path.ends_with("/src/lib.rs") || path.ends_with("/src/main.rs"))
 }
 
 /// Lints one file. `path` must be workspace-relative (it selects which
@@ -221,7 +209,6 @@ pub fn lint_workspace(files: &[(String, String)]) -> Vec<Finding> {
     let seeds = Seeds {
         alloc: &ALLOC_NEEDLES,
         clock: &CLOCK_NEEDLES,
-        nondet: &NONDET_NEEDLES,
         alloc_barriers: &ALLOC_BARRIERS,
         clock_barriers: &CLOCK_BARRIERS,
     };
@@ -251,16 +238,12 @@ fn per_file_rules(fa: &FileAnalysis, out: &mut Vec<Finding>) {
     // Manifests (`Cargo.toml`) only participate in the layering rule;
     // the Rust-syntax rules read `.rs` files.
     if fa.is_rust {
-        if KERNEL_CRATES.contains(&fa.krate.as_str()) {
-            rule_nondet_iter(fa, out);
-        }
         if !CLOCK_CRATES.contains(&fa.krate.as_str()) {
             rule_wall_clock(fa, out);
         } else {
             rule_wall_clock_consumer(fa, out);
         }
         rule_hot_alloc(fa, out);
-        rule_unsafe_hygiene(fa, out);
         rule_par_rng(fa, out);
         rule_atomic_ordering(fa, out);
     }
@@ -330,24 +313,6 @@ fn push(out: &mut Vec<Finding>, rule: &str, fa: &FileAnalysis, offset: usize, me
         allowed: None,
         chain: Vec::new(),
     });
-}
-
-/// R1 — `nondet-iter`: `HashMap`/`HashSet` in a kernel crate. Hash-seed
-/// randomization makes their iteration order differ run to run; any
-/// kernel-crate use must either switch to `BTreeMap`/`BTreeSet` or carry
-/// an allow annotation proving the map is never iterated.
-fn rule_nondet_iter(fa: &FileAnalysis, out: &mut Vec<Finding>) {
-    for token in NONDET_NEEDLES {
-        for at in token_positions(&fa.scrubbed.text, token) {
-            push(
-                out,
-                "nondet-iter",
-                fa,
-                at,
-                format!("{token} in kernel crate: iteration order is nondeterministic (use BTreeMap/BTreeSet or justify with an allow)"),
-            );
-        }
-    }
 }
 
 /// R2 — `wall-clock`: `Instant::now` / `SystemTime` outside the
@@ -501,35 +466,6 @@ fn find_all(text: &str, needle: &str) -> Vec<usize> {
         from += pos + needle.len();
     }
     out
-}
-
-/// R4 — `unsafe-hygiene`: every crate root carries an unconditional
-/// `#![forbid(unsafe_code)]`, and any `unsafe` token is a finding
-/// outright — the workspace is safe code throughout.
-fn rule_unsafe_hygiene(fa: &FileAnalysis, out: &mut Vec<Finding>) {
-    let s = &fa.scrubbed;
-    if is_crate_root(&fa.path) {
-        let compact: String = s.text.chars().filter(|c| !c.is_whitespace()).collect();
-        if !compact.contains("#![forbid(unsafe_code)]") {
-            out.push(Finding {
-                rule: "unsafe-hygiene".to_owned(),
-                file: fa.path.clone(),
-                line: 1,
-                message: "crate root is missing #![forbid(unsafe_code)]".to_owned(),
-                allowed: None,
-                chain: Vec::new(),
-            });
-        }
-    }
-    for at in token_positions(&s.text, "unsafe") {
-        push(
-            out,
-            "unsafe-hygiene",
-            fa,
-            at,
-            "unsafe code (the workspace forbids it in every crate)".to_owned(),
-        );
-    }
 }
 
 /// R5 — `par-rng`: inside the argument span of a
@@ -971,10 +907,8 @@ fn guard_spans(text: &str, info: &crate::index::FnInfo) -> Vec<Span> {
 /// The one-paragraph specification printed by `--explain <rule>`.
 pub fn explain(rule: &str) -> Option<&'static str> {
     Some(match rule {
-        "nondet-iter" => "nondet-iter: HashMap/HashSet tokens in a kernel crate (control, core, geom, perception, planning, sim). Hash-seed randomization makes iteration order differ run to run, which would leak nondeterminism into benchmark outputs. Use BTreeMap/BTreeSet, or carry `// rtr-lint: allow(nondet-iter) -- <reason>` proving the container is never iterated.",
         "wall-clock" => "wall-clock: Instant::now/SystemTime outside the measurement crates (bench, harness, lint, scenario), and inside consume_batch collector callbacks anywhere. Kernels take timing through the harness profiler hooks. Fires transitively: a hot entry point whose resolved callees read the clock is flagged with the call chain (a_into -> helper -> Instant::now); the harness profiler types themselves are barriers (they are the sanctioned channel).",
         "hot-alloc" => "hot-alloc: heap allocation (Vec::new, vec!, .to_vec(), .collect(), Box::new, .clone()) inside a hot span: *_into/process_batch/flush fns, ring-producer fns in crates/trace, lane kernels in crates/simd, *Scratch impls (constructors new/default/with_* exempt), and step fns on *Instance/*State impls (the stepped kernel lifecycle's per-tick path; instantiate/finish may allocate). Fires transitively: a hot entry point whose resolved callees allocate is flagged with the call chain. Pool::par_chunks_mut is a barrier: its clones/collects are per-region fan-out scaffolding, not per-item work.",
-        "unsafe-hygiene" => "unsafe-hygiene: every crate root must carry an unconditional #![forbid(unsafe_code)], and any unsafe token is a finding outright: the workspace is safe code throughout, with no per-crate exceptions.",
         "par-rng" => "par-rng: inside par_map/par_chunks_mut argument spans, RNG constructors (seed_from, thread_rng, from_entropy) must derive their seed via chunk_seed so parallel runs stay bit-identical at any thread count.",
         "layering" => "layering: the cache simulator (rtr_archsim) named in the simulator-agnostic layer (algorithm crates, their manifests, and crates/core/src/kernels/). Kernel code emits into the MemTrace sink; only crates/core/src/trace.rs wires the simulator up.",
         "atomic-ordering" => "atomic-ordering: every Ordering::{Relaxed,Acquire,Release,AcqRel,SeqCst} token in crates/trace/src/{ring,sync}.rs and crates/harness/src/collector.rs must sit in a fn whose span carries a // ORDERING: rationale comment (mirroring // SAFETY:). Ordering::SeqCst is deny-by-default: justify it with an allow or weaken the ordering.",
@@ -996,16 +930,6 @@ mod tests {
     fn crate_classification() {
         assert_eq!(crate_of("crates/geom/src/kdtree.rs"), Some("geom"));
         assert_eq!(crate_of("src/lib.rs"), None);
-        assert!(is_crate_root("crates/lint/src/lib.rs"));
-        assert!(is_crate_root("crates/lint/src/main.rs"));
-        assert!(!is_crate_root("crates/lint/src/rules.rs"));
-    }
-
-    #[test]
-    fn hashmap_flagged_in_kernel_not_in_harness() {
-        let src = "use std::collections::HashMap;\n";
-        assert_eq!(kernel(src).len(), 1);
-        assert!(lint_source("crates/harness/src/x.rs", src).is_empty());
     }
 
     #[test]
@@ -1042,12 +966,12 @@ mod tests {
 
     #[test]
     fn allow_suppresses_and_requires_reason() {
-        let ok = "// rtr-lint: allow(nondet-iter) -- lookups only, never iterated\nuse std::collections::HashMap;\n";
+        let ok = "// rtr-lint: allow(wall-clock) -- a one-off calibration read\nlet t = std::time::Instant::now();\n";
         let f = kernel(ok);
         assert_eq!(f.len(), 1);
         assert!(f[0].allowed.is_some());
 
-        let bad = "use std::collections::HashMap; // rtr-lint: allow(nondet-iter)\n";
+        let bad = "let t = std::time::Instant::now(); // rtr-lint: allow(wall-clock)\n";
         let f = kernel(bad);
         assert_eq!(f.len(), 2, "{f:?}");
         assert!(f
@@ -1066,36 +990,16 @@ mod tests {
 
     #[test]
     fn unknown_rule_in_allow_is_flagged() {
-        let f = kernel("let x = 1; // rtr-lint: allow(made-up) -- because\n");
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].rule, "allow-syntax");
-    }
-
-    #[test]
-    fn missing_forbid_flagged_on_crate_roots_only() {
-        let f = lint_source("crates/geom/src/lib.rs", "pub mod x;\n");
-        assert!(f.iter().any(|x| x.message.contains("forbid(unsafe_code)")));
-        let f = lint_source("crates/geom/src/x.rs", "pub mod y;\n");
-        assert!(f.is_empty());
-    }
-
-    #[test]
-    fn unsafe_is_flagged_in_every_crate_even_with_a_safety_comment() {
-        let src = "#![forbid(unsafe_code)]\n// SAFETY: documented, but no crate may use unsafe\nfn f() { unsafe { g() } }\n";
-        for root in ["crates/geom/src/lib.rs", "crates/simd/src/lib.rs"] {
-            let f = lint_source(root, src);
-            assert_eq!(f.len(), 1, "{f:?}");
-            assert_eq!(f[0].rule, "unsafe-hygiene");
-            assert_eq!(f[0].line, 3);
+        // The two rules rustc and clippy took over are unknown too, so a
+        // leftover annotation naming one cannot go unnoticed.
+        for rule in ["made-up", "nondet-iter", "unsafe-hygiene"] {
+            let f = kernel(&format!(
+                "let x = 1; // rtr-lint: allow({rule}) -- because\n"
+            ));
+            assert_eq!(f.len(), 1, "{rule}: {f:?}");
+            assert_eq!(f[0].rule, "allow-syntax");
+            assert!(f[0].message.contains("unknown rule"), "{f:?}");
         }
-    }
-
-    #[test]
-    fn feature_gated_forbid_is_not_a_forbid() {
-        let gated = "#![cfg_attr(not(feature = \"fast\"), forbid(unsafe_code))]\npub fn f() {}\n";
-        let f = lint_source("crates/simd/src/lib.rs", gated);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert!(f[0].message.contains("forbid(unsafe_code)"));
     }
 
     #[test]
@@ -1456,6 +1360,8 @@ mod tests {
             assert!(explain(rule).is_some(), "{rule}");
         }
         assert!(explain("allow-syntax").is_some());
-        assert!(explain("made-up").is_none());
+        for unknown in ["made-up", "nondet-iter", "unsafe-hygiene"] {
+            assert!(explain(unknown).is_none(), "{unknown}");
+        }
     }
 }

@@ -1,5 +1,6 @@
-//! The `rtr-lint` binary's baseline contract: a stale baseline fails the
-//! run and stays as it was, even when it sits at the default report path.
+//! The `rtr-lint` binary's contracts: a stale baseline fails the run and
+//! stays as it was, even when it sits at the default report path, and
+//! `--explain` exits 2 for a rule it does not check.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -16,7 +17,7 @@ fn scratch_root(name: &str) -> PathBuf {
     .unwrap();
     std::fs::write(
         src.join("lib.rs"),
-        "//! Demo.\n#![forbid(unsafe_code)]\n\n/// Adds one.\npub fn inc(x: u32) -> u32 {\n    x + 1\n}\n",
+        "//! Demo.\n\n/// Adds one.\npub fn inc(x: u32) -> u32 {\n    x + 1\n}\n",
     )
     .unwrap();
     root
@@ -63,4 +64,16 @@ fn a_fresh_baseline_matches() {
         String::from_utf8_lossy(&out.stderr)
     );
     assert!(String::from_utf8_lossy(&out.stdout).contains("baseline match"));
+}
+
+#[test]
+fn rules_left_to_the_compiler_are_unknown() {
+    for rule in ["nondet-iter", "unsafe-hygiene"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_rtr-lint"))
+            .args(["--explain", rule])
+            .output()
+            .expect("rtr-lint runs");
+        assert_eq!(out.status.code(), Some(2), "--explain {rule}");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("unknown rule"));
+    }
 }

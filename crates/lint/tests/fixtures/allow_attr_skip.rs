@@ -2,9 +2,7 @@
 //! decorate: the annotation sits above `#[inline]`, the violation two
 //! lines further down.
 
-// rtr-lint: allow(nondet-iter) -- keys are sorted into a Vec before any iteration
+// rtr-lint: allow(wall-clock) -- a one-off calibration stamp, never on a kernel path
 #[inline]
-#[allow(clippy::implicit_hasher)]
-pub fn lookup(m: &std::collections::HashMap<u32, u32>, k: u32) -> Option<u32> {
-    m.get(&k).copied()
-}
+#[must_use]
+pub fn stamp() -> std::time::Instant { std::time::Instant::now() }

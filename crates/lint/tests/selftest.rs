@@ -17,29 +17,6 @@ fn violations(findings: &[Finding]) -> Vec<&Finding> {
 }
 
 #[test]
-fn r1_bad_fixture_is_flagged() {
-    let f = kernel(include_str!("fixtures/r1_nondet_iter_bad.rs"));
-    let v = violations(&f);
-    assert!(v.len() >= 4, "expected HashMap+HashSet uses flagged: {f:?}");
-    assert!(v.iter().all(|x| x.rule == "nondet-iter"));
-    assert!(v.iter().any(|x| x.message.contains("HashMap")));
-    assert!(v.iter().any(|x| x.message.contains("HashSet")));
-}
-
-#[test]
-fn r1_allowed_fixture_passes_deny() {
-    let f = kernel(include_str!("fixtures/r1_nondet_iter_allowed.rs"));
-    assert!(!f.is_empty(), "findings should still be reported");
-    assert!(
-        violations(&f).is_empty(),
-        "all findings must be allowed: {f:?}"
-    );
-    assert!(f
-        .iter()
-        .all(|x| x.allowed.as_deref().is_some_and(|r| !r.is_empty())));
-}
-
-#[test]
 fn r2_bad_fixture_is_flagged() {
     let f = kernel(include_str!("fixtures/r2_wall_clock_bad.rs"));
     let v = violations(&f);
@@ -140,23 +117,6 @@ fn r3_ring_producer_fixture_is_flagged_only_in_the_trace_crate() {
     assert!(!v.iter().any(|x| x.line == 34), "{v:?}");
     // Outside the trace crate these fn names are not ring producers.
     assert!(kernel(src).is_empty(), "only hot in crates/trace");
-}
-
-#[test]
-fn r4_bad_fixture_flags_missing_forbid_and_every_unsafe_block() {
-    let src = include_str!("fixtures/r4_unsafe_bad.rs");
-    // No crate is exempt, and a SAFETY comment (line 9) excuses nothing.
-    for root in ["crates/simd/src/lib.rs", "crates/planning/src/lib.rs"] {
-        let f = lint_source(root, src);
-        let v = violations(&f);
-        assert!(v.iter().all(|x| x.rule == "unsafe-hygiene"), "{v:?}");
-        assert!(v
-            .iter()
-            .any(|x| x.message.contains("forbid(unsafe_code)") && x.line == 1));
-        assert!(v.iter().any(|x| x.line == 5), "{root}: {v:?}");
-        assert!(v.iter().any(|x| x.line == 10), "{root}: {v:?}");
-        assert_eq!(v.len(), 3, "{root}: {v:?}");
-    }
 }
 
 /// The hot-alloc chain through `.apply(..)` may only resolve into crates
@@ -270,8 +230,8 @@ fn tokens_in_strings_and_comments_are_ignored() {
 #[test]
 fn fixture_findings_reach_the_report() {
     let mut findings = Vec::new();
-    findings.extend(kernel(include_str!("fixtures/r1_nondet_iter_bad.rs")));
-    findings.extend(kernel(include_str!("fixtures/r1_nondet_iter_allowed.rs")));
+    findings.extend(kernel(include_str!("fixtures/r3_hot_alloc_bad.rs")));
+    findings.extend(kernel(include_str!("fixtures/r2_wall_clock_allowed.rs")));
     findings.extend(kernel(include_str!("fixtures/r2_wall_clock_bad.rs")));
     findings.extend(kernel(include_str!("fixtures/r6_layering_bad.rs")));
     findings.extend(kernel(include_str!("fixtures/r6_layering_allowed.rs")));
@@ -385,8 +345,8 @@ fn r8_allowed_fixture_passes_deny() {
 fn allow_comment_reaches_past_attribute_lines() {
     let f = kernel(include_str!("fixtures/allow_attr_skip.rs"));
     assert_eq!(f.len(), 1, "{f:?}");
-    assert_eq!(f[0].rule, "nondet-iter");
-    assert_eq!(f[0].line, 8, "the HashMap token two attributes below");
+    assert_eq!(f[0].rule, "wall-clock");
+    assert_eq!(f[0].line, 8, "the Instant::now two attributes below");
     assert!(f[0].allowed.is_some(), "{f:?}");
 }
 

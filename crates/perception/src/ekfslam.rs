@@ -326,7 +326,10 @@ impl EkfSlam {
     /// and `(+0.0) + (±0.0) == +0.0`), and adding `±0.0` to a
     /// non-negative-zero float never changes its bits. A proptest in
     /// `rtr-bench` holds this filter bit-identical to a dense reference.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "the caller's per-observation scalars, passed as computed; one private call site"
+    )]
     fn update_sparse(
         &mut self,
         lx_idx: usize,

@@ -17,7 +17,6 @@
 //! takes a [`rtr_harness::Profiler`] for region accounting, and an optional
 //! traced variant feeding the cache simulator.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ekfslam;

@@ -20,7 +20,6 @@
 //! - [`symbolic`] (`11.sym-blkw`, `12.sym-fext`) — a STRIPS-style symbolic
 //!   planner with the blocks-world and firefighting domains.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod movtar;

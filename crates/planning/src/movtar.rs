@@ -11,7 +11,10 @@
 //! to 62 % of the end-to-end latency, which the `heuristic_calc` region
 //! exposes.
 
-// rtr-lint: allow(nondet-iter) -- heuristic table is read by key, never iterated
+#[expect(
+    clippy::disallowed_types,
+    reason = "the heuristic table is read by key, never iterated"
+)]
 use std::collections::HashMap;
 
 use rtr_harness::Profiler;
@@ -118,7 +121,10 @@ const MOVES: [(i64, i64); 9] = [
 struct TimeSpace<'a> {
     field: &'a CostField,
     trajectory: &'a [(usize, usize)],
-    // rtr-lint: allow(nondet-iter) -- get()-only lookups, order never observed
+    #[expect(
+        clippy::disallowed_types,
+        reason = "get()-only lookups, order never observed"
+    )]
     heuristic: &'a HashMap<(i64, i64), f64, FxBuildHasher>,
     epsilon_floor: f64,
 }
@@ -460,24 +466,26 @@ mod tests {
     fn heuristic_fraction_grows_in_small_envs() {
         // The paper: "in small environments ... the contribution of the
         // heuristic calculation latency to the end-to-end latency grows".
+        // Counted, not timed, so load cannot flip the order: the share of
+        // the heuristic's labeled cells in all cells and nodes the two
+        // phases process. Seed 7 reads 0.810 at side 24 and 0.661 at side
+        // 96; the assertion asks for a gap of at least 0.1 of the 0.149.
         let frac = |size: usize| {
             let (field, start, trajectory) = synthetic_scenario(size, size * 2, 7);
-            let mut profiler = Profiler::new();
-            MovingTarget::new(MovtarConfig {
+            let r = MovingTarget::new(MovtarConfig {
                 start,
                 target_trajectory: trajectory,
                 epsilon: 2.0,
             })
-            .plan(&field, &mut profiler, &mut NullTrace)
+            .plan(&field, &mut Profiler::new(), &mut NullTrace)
             .expect("catchable");
-            let h = profiler.region_total("heuristic_calc").as_secs_f64();
-            let s = profiler.region_total("graph_search").as_secs_f64();
-            h / (h + s)
+            let h = r.heuristic_cells as f64;
+            h / (h + r.expanded as f64)
         };
         let small = frac(24);
         let large = frac(96);
         assert!(
-            small > large,
+            small > large + 0.1,
             "heuristic share should shrink with size: small {small}, large {large}"
         );
     }

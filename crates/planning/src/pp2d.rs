@@ -336,14 +336,22 @@ mod tests {
 
     #[test]
     fn collision_detection_dominates_profile_on_city_map() {
+        // Counted, not timed, so load cannot flip it: the grid probes of
+        // an expansion's footprint checks, against its one pop and one
+        // record lookup and push per successor. This map reads 2,141,264
+        // probes over 15,950 expansions, 134 per expansion; the floor of
+        // 100 leaves a 25 % margin. EXP-T1 and `exp_pp2d` measure the
+        // timed collision share itself.
         let map = maps::city_blocks(256, 1.0, 3);
         let config = Pp2dConfig::car((4, 1), (241, 241));
-        let mut profiler = Profiler::timed();
-        let r = Pp2d::new(config).plan(&map, &mut profiler, &mut NullTrace);
-        assert!(r.is_some(), "city map should be traversable on streets");
-        profiler.freeze_total();
-        let frac = profiler.fraction("collision_detection");
-        assert!(frac > 0.5, "collision fraction only {frac}");
+        let r = Pp2d::new(config)
+            .plan(&map, &mut Profiler::new(), &mut NullTrace)
+            .expect("city map should be traversable on streets");
+        let per_expansion = r.cells_probed as f64 / r.expanded as f64;
+        assert!(
+            per_expansion > 100.0,
+            "only {per_expansion} probes per expansion"
+        );
     }
 
     #[test]

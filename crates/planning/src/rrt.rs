@@ -324,7 +324,10 @@ impl Rrt {
         let mut nn_queries = 0u64;
         let mut collision_checks = 0u64;
 
-        #[allow(clippy::explicit_counter_loop)] // nn_queries also counts goal checks below
+        #[allow(
+            clippy::explicit_counter_loop,
+            reason = "nn_queries also counts goal checks below"
+        )]
         for sample_idx in 0..self.config.max_samples {
             let sample_start = profiler.hot_start();
             let target = if rng.chance(self.config.goal_bias) {

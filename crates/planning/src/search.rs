@@ -10,7 +10,10 @@
 
 use std::cmp::Ordering;
 use std::collections::hash_map::Entry;
-// rtr-lint: allow(nondet-iter) -- maps below are keyed-lookup only, never iterated
+#[expect(
+    clippy::disallowed_types,
+    reason = "maps below are keyed-lookup only, never iterated"
+)]
 use std::collections::{BinaryHeap, HashMap};
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 
@@ -277,7 +280,10 @@ fn weighted_astar_impl<S: SearchSpace, T: MemTrace + ?Sized>(
     let mut open = BinaryHeap::new();
     // The one bookkeeping map, node → (best g, parent, closed). Accessed by
     // key only; iteration order never reaches the search result.
-    // rtr-lint: allow(nondet-iter) -- keyed get/insert only, order never observed
+    #[expect(
+        clippy::disallowed_types,
+        reason = "keyed get/insert only, order never observed"
+    )]
     let mut best: HashMap<S::Node, Record<S::Node>, FxBuildHasher> = HashMap::default();
     let mut succ_buf: Vec<(S::Node, f64)> = Vec::new();
     let mut expanded = 0u64;
@@ -397,7 +403,10 @@ struct Record<N> {
 /// This is the *backward Dijkstra* heuristic precomputation of `06.movtar`:
 /// seeded from the goal set, it labels the whole reachable space with exact
 /// goal distances in one sweep.
-// rtr-lint: allow(nondet-iter) -- callers read the table by key, never by order
+#[expect(
+    clippy::disallowed_types,
+    reason = "callers read the table by key, never by order"
+)]
 pub fn dijkstra_flood<N, F>(sources: &[N], successors: F) -> HashMap<N, f64, FxBuildHasher>
 where
     N: Copy + Eq + Hash,
@@ -409,20 +418,21 @@ where
 /// Like [`dijkstra_flood`], emitting the sweep's open-list operations and
 /// distance-table probes into a [`MemTrace`] sink (see
 /// [`weighted_astar_traced`] for the emission model).
-// rtr-lint: allow(nondet-iter) -- callers read the table by key, never by order
+#[expect(
+    clippy::disallowed_types,
+    reason = "callers read the table by key, never by order; the fill does keyed get/insert only"
+)]
 pub fn dijkstra_flood_traced<N, F, T>(
     sources: &[N],
     mut successors: F,
     trace: &mut T,
     node_addr: &mut dyn FnMut(&N) -> u64,
-    // rtr-lint: allow(nondet-iter) -- callers read the table by key, never by order
 ) -> HashMap<N, f64, FxBuildHasher>
 where
     N: Copy + Eq + Hash,
     F: FnMut(N, &mut Vec<(N, f64)>),
     T: MemTrace + ?Sized,
 {
-    // rtr-lint: allow(nondet-iter) -- keyed get/insert only, order never observed
     let mut dist: HashMap<N, f64, FxBuildHasher> = HashMap::default();
     let mut open = BinaryHeap::new();
     for &s in sources {

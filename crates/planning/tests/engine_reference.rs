@@ -15,6 +15,10 @@ use proptest::prelude::*;
 use rtr_planning::search::{dijkstra_flood_traced, weighted_astar_traced, SearchSpace};
 use rtr_trace::RecordingTrace;
 
+#[expect(
+    clippy::disallowed_types,
+    reason = "the test-side SipHash reference: the engine's former best map and closed set"
+)]
 mod reference {
     //! The two-map engine, with its trace emission, as it stood before
     //! the bookkeeping became one map.

@@ -5,10 +5,14 @@
 //! and prints the human summary, the latency percentile table, and the
 //! byte-stable golden. `--golden FILE` additionally writes the golden to
 //! `FILE` (CI byte-compares runs at different `--threads` settings).
+//!
+//! Exit status: 0 on success, 1 when the run fails after its arguments
+//! were accepted, and 2 on a usage error: a malformed command line, an
+//! undeclared option, or a bad option value.
 
 use std::process::ExitCode;
 
-use rtr_harness::{Args, CliError, Collector, OptionSpec};
+use rtr_harness::{usage_error, Args, CliError, Collector, OptionSpec};
 use rtr_scenario::{latency_table, LocalizerKind, ScenarioConfig, ScenarioState};
 use rtr_trace::{metric_channel, MetricMap};
 
@@ -68,18 +72,13 @@ fn count_arg(
 }
 
 fn main() -> ExitCode {
-    let args = match Args::parse_env() {
-        Ok(args) => args,
-        Err(e) => {
-            eprintln!("scenario: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let args = Args::parse_env().unwrap_or_else(|e| usage_error("scenario", e));
     if args.wants_help() {
         println!("{}", Args::usage("scenario", OPTIONS));
         return ExitCode::SUCCESS;
     }
-    match run(&args) {
+    let config = config_from(&args).unwrap_or_else(|e| usage_error("scenario", e));
+    match run(&config, &args.get_str("golden", "")) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("scenario: {e}");
@@ -88,13 +87,14 @@ fn main() -> ExitCode {
     }
 }
 
-fn run(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
+/// Checks every option before the run sizes anything from it.
+fn config_from(args: &Args) -> Result<ScenarioConfig, Box<dyn std::error::Error>> {
     args.reject_undeclared(OPTIONS, &[])?;
     let localizer_raw = args.get_str("localizer", "pfl");
     let localizer: LocalizerKind = localizer_raw
         .parse()
         .map_err(|()| format!("unknown localizer {localizer_raw:?} (expected pfl|ekfslam)"))?;
-    let config = ScenarioConfig {
+    Ok(ScenarioConfig {
         max_ticks: count_arg(
             args,
             "ticks",
@@ -112,9 +112,11 @@ fn run(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
             "a particle count of at most 1000000",
         )?,
         threads: args.get_usize("threads", 1)?,
-    };
+    })
+}
 
-    let mut state = ScenarioState::begin(&config)?;
+fn run(config: &ScenarioConfig, golden_path: &str) -> Result<(), Box<dyn std::error::Error>> {
+    let mut state = ScenarioState::begin(config)?;
     let (publisher, reader) = metric_channel(1 << 14);
     let collector = Collector::spawn(reader, MetricMap::new());
     state.publish_to(publisher);
@@ -131,9 +133,8 @@ fn run(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     println!();
     print!("{}", report.golden());
 
-    let golden_path = args.get_str("golden", "");
     if !golden_path.is_empty() {
-        std::fs::write(&golden_path, report.golden())?;
+        std::fs::write(golden_path, report.golden())?;
     }
     Ok(())
 }

@@ -49,7 +49,6 @@
 //! assert_eq!(report.ticks, 40);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::fmt;

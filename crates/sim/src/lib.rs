@@ -34,7 +34,6 @@
 //! assert_eq!(scan.len(), 90);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod arm;

@@ -90,7 +90,10 @@ impl DifferentialDrive {
     /// one step. Waypoints are considered reached within 2× the step size.
     /// The robot never checks collisions — callers supply waypoints in free
     /// space (the simulated building's corridors).
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "each input is an independent part of the drive: map, route, sensors, budget, noise stream"
+    )]
     pub fn drive(
         &self,
         map: &GridMap2D,

@@ -25,8 +25,6 @@
 //! final rounding; the suite bounds that distance in ULP and checks that
 //! NaN and ∞ propagate identically.
 
-#![forbid(unsafe_code)]
-
 /// Lane width of the safe accumulator loops: four f64 values, one AVX2
 /// (or two SSE2) vector registers.
 pub const LANES: usize = 4;

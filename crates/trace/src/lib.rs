@@ -30,7 +30,6 @@
 //! assert_eq!((counts.reads, counts.writes), (4, 1));
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod metric;

@@ -9,10 +9,10 @@
 //! with an acquire load — the classic single-producer/single-consumer
 //! protocol. Unlike upstream SPSC queues the slots themselves are plain
 //! relaxed [`AtomicU64`] words rather than `UnsafeCell`s, which keeps
-//! the whole module inside `#![forbid(unsafe_code)]`: the release/
-//! acquire edge on the cursors is what orders the relaxed slot accesses,
-//! and on x86-64 a relaxed atomic store compiles to the same `mov` a
-//! plain store would.
+//! the whole module safe code, as the workspace's `unsafe_code = "forbid"`
+//! requires: the release/acquire edge on the cursors is what orders the
+//! relaxed slot accesses, and on x86-64 a relaxed atomic store compiles
+//! to the same `mov` a plain store would.
 //!
 //! **Overflow contract.** The ring never blocks the producer: when the
 //! consumer falls behind, [`RingProducer::push_batch`] (and

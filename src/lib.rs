@@ -34,7 +34,6 @@
 //! assert!(report.roi_seconds >= 0.0);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use rtr_archsim as archsim;
