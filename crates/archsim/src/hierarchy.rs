@@ -127,16 +127,6 @@ impl MemorySim {
         self
     }
 
-    /// Returns `true` when a prefetcher is attached.
-    pub fn has_prefetcher(&self) -> bool {
-        self.prefetcher.is_some()
-    }
-
-    /// Number of cache levels.
-    pub fn level_count(&self) -> usize {
-        self.levels.len()
-    }
-
     /// Stats for level `i` (0 = L1).
     ///
     /// # Panics
@@ -373,21 +363,6 @@ impl rtr_trace::MemTrace for MemorySim {
             }
             i += 1;
         }
-    }
-}
-
-/// Collector-side consumption for the ring telemetry transport: a
-/// drained `TraceOp` batch is replayed through the monomorphic
-/// [`process_batch`](rtr_trace::MemTrace::process_batch) fast path.
-///
-/// `process_batch` is batch-size invariant (pinned by the equivalence
-/// proptests), so the racy batch boundaries produced by the collector's
-/// drain loop cannot change the final [`HierarchyReport`] — which is
-/// what makes the ring-transported cache characterization byte-identical
-/// to the inline path.
-impl rtr_trace::RingConsumer<rtr_trace::TraceOp> for MemorySim {
-    fn consume_batch(&mut self, batch: &[rtr_trace::TraceOp]) {
-        rtr_trace::MemTrace::process_batch(self, batch);
     }
 }
 

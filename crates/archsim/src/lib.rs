@@ -30,8 +30,6 @@
 //! assert!(stats.miss_ratio() < 0.2);
 //! ```
 
-#![warn(missing_docs)]
-
 mod cache;
 mod hierarchy;
 mod prefetch;

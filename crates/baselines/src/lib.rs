@@ -20,18 +20,6 @@
 //! Both remain *correct* A* implementations — tests cross-check their
 //! paths against the tuned planner — so the Fig. 21 experiment measures
 //! implementation quality, not algorithmic differences.
-//!
-//! The [`spatial`] module extends the comparison to the suite's spatial
-//! queries: [`PRobIcp`] (brute-force-correspondence ICP) and [`PRobKnn`]
-//! (sort-everything roadmap k-NN), each with a `threads` knob so the §VII
-//! regenerator can show the tuned, k-d-indexed kernels winning at every
-//! thread count.
-
-#![warn(missing_docs)]
-
-mod spatial;
-
-pub use spatial::{NaiveAlignResult, PRobIcp, PRobKnn};
 
 use std::collections::HashMap;
 

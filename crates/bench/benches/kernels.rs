@@ -71,24 +71,24 @@ fn bench_archsim_throughput(c: &mut Criterion) {
     group.finish();
 }
 
-/// Per-access cost of the lock-free ring transport, on the same 256 KiB
-/// byte-scan stream as `archsim_throughput`.
+/// Per-access cost of the off-thread trace transport, on the same
+/// 256 KiB byte-scan stream as `archsim_throughput`.
 ///
 /// - `null-dyn`: per-op dynamic dispatch into a do-nothing sink — the
 ///   floor's denominator.
-/// - `ring-attached`: per-op dispatch into `RingTrace` with a collector
-///   attached — the *producer-side* transport cost (encode, slot store,
-///   batched tail publish), which is exactly what the "never block
-///   the hot loop" claim is about. The ring is sized to the stream and
-///   publication deferred to one flush so that on a host with few CPUs
-///   the parked consumer cannot have its drain time
-///   scheduler-interleaved into the producer's window; the drain itself
-///   runs in the un-timed teardown (`iter_batched` drops routine
-///   outputs outside the measurement). CI guards ring-attached ≤ 2×
-///   null-dyn.
+/// - `ring-attached`: per-op dispatch into a `TraceSender` with a
+///   collector attached — the *producer-side* transport cost (pack the
+///   op, push it into the batch buffer), which is exactly what the
+///   "never block the hot loop" claim is about. The batch is sized to
+///   the stream, so no batch is delivered inside the timed window: on a
+///   host with few CPUs the collector's wake-up and drain cannot be
+///   scheduler-interleaved into the producer's time. Delivery, drain
+///   and join run in the un-timed teardown (`iter_batched` drops
+///   routine outputs outside the measurement). CI guards ring-attached
+///   ≤ 2× null-dyn; the entry keeps the name CI's floor step reads.
 fn bench_ring_transport(c: &mut Criterion) {
     use rtr_harness::Collector;
-    use rtr_trace::{ring, MemTrace, RingConsumer, RingTrace, TraceOp};
+    use rtr_trace::{trace_channel, MemTrace, TraceSender};
 
     let mut group = c.benchmark_group("ring_transport");
     group.sample_size(10);
@@ -126,12 +126,6 @@ fn bench_ring_transport(c: &mut Criterion) {
     // Matches the scan's access count: 2 passes x 256 Ki bytes.
     let stream_len = 2 * buf.len();
 
-    /// Consumes and discards; isolates transport cost from consumer cost.
-    struct Discard;
-    impl RingConsumer<TraceOp> for Discard {
-        fn consume_batch(&mut self, _batch: &[TraceOp]) {}
-    }
-
     group.bench_function("null-dyn", |b| {
         b.iter(|| {
             let mut null = NullTrace;
@@ -140,41 +134,35 @@ fn bench_ring_transport(c: &mut Criterion) {
             black_box(acc)
         })
     });
-    /// Un-timed teardown: completes the drain and joins the collector
-    /// when `iter_batched` drops the routine's output after stopping
-    /// the clock.
+    /// Un-timed teardown: delivers the batch and joins the collector
+    /// (a `NullTrace` consumer, so only the transport is timed) when
+    /// `iter_batched` drops the routine's output after stopping the
+    /// clock.
     struct Teardown {
-        producer: Option<rtr_trace::RingProducer<TraceOp>>,
-        collector: Option<Collector<Discard>>,
+        trace: Option<TraceSender>,
+        collector: Option<Collector<NullTrace>>,
     }
     impl Drop for Teardown {
         fn drop(&mut self) {
-            drop(self.producer.take());
+            drop(self.trace.take());
             if let Some(collector) = self.collector.take() {
                 collector.finish();
             }
         }
     }
 
-    // Capacity covering the whole stream: the producer never waits on
-    // the consumer, so the timed window holds producer work only.
-    let stream_capacity = stream_len.next_power_of_two();
     group.bench_function("ring-attached", |b| {
         b.iter_batched(
             || {
-                let (tx, rx) = ring::<TraceOp>(stream_capacity);
-                (
-                    RingTrace::with_batch(tx, stream_capacity),
-                    Collector::spawn(rx, Discard),
-                )
+                let (trace, reader) = trace_channel(stream_len, 2);
+                (trace, Collector::spawn(reader, NullTrace))
             },
             |(mut trace, collector)| {
                 let mut acc = 0u64;
                 scan(opaque(&mut trace), &buf, &mut acc);
                 black_box(acc);
-                let producer = trace.into_producer();
                 black_box(Teardown {
-                    producer: Some(producer),
+                    trace: Some(trace),
                     collector: Some(collector),
                 })
             },

@@ -21,10 +21,10 @@
 //! worker per core). `--out FILE` additionally writes the table as a
 //! machine-readable JSON artifact.
 //!
-//! `--telemetry ring` routes every cell's op stream through the lock-free
-//! SPSC ring to a collector-thread simulator instead of simulating
-//! inline; the artifact is byte-identical either way (CI asserts this),
-//! the knob only moves where the simulation time is spent.
+//! `--telemetry ring` sends every cell's op stream in batches over a
+//! channel to a collector-thread simulator instead of simulating inline;
+//! the artifact is byte-identical either way (CI asserts this), the knob
+//! only moves where the simulation time is spent.
 
 use rtr_bench::characterization::{collect_with, CharReport};
 use rtr_bench::parse_args;

@@ -12,14 +12,12 @@
 //! cargo run --release -p rtr-bench --bin exp_librarycomp [--max-scale 64]
 //! ```
 
-use rtr_baselines::{CRobAstar, PRobAstar, PRobIcp, PRobKnn};
+use rtr_baselines::{CRobAstar, PRobAstar};
 use rtr_bench::parse_args;
 use rtr_bench::{eng, time_once};
-use rtr_geom::{maps, Footprint, KdTree, Point3, RigidTransform};
-use rtr_harness::{usage_error, OptionSpec, Pool, Profiler, Table};
-use rtr_perception::{Icp, IcpConfig};
+use rtr_geom::{maps, Footprint};
+use rtr_harness::{usage_error, OptionSpec, Profiler, Table};
 use rtr_planning::{Pp2d, Pp2dConfig};
-use rtr_sim::{scene, SimRng};
 use rtr_trace::NullTrace;
 
 const BIN: &str = "exp_librarycomp";
@@ -103,100 +101,5 @@ fn main() {
         "\npaper's Fig. 21-b: RTRBench 357x-3469x over P-Rob (with the Python\n\
          interpreter) and 74x-13576x over C-Rob; reproduced shape: the tuned\n\
          implementation wins by orders of magnitude and the gap grows with scale."
-    );
-
-    spatial_comparison();
-}
-
-/// §VII extended to the spatial queries: brute-force baselines against the
-/// bucketed k-d kernels, across thread counts. Parallelism does not rescue
-/// a bad algorithm — the tuned side wins at every thread count.
-fn spatial_comparison() {
-    println!("\n§VII extension: threaded spatial queries (baseline vs k-d indexed)\n");
-
-    // --- ICP correspondence search on synthetic living-room scans.
-    let mut rng = SimRng::seed_from(6);
-    let room = scene::living_room(12_000, &mut rng);
-    let motion = RigidTransform::from_yaw_translation(0.04, Point3::new(0.06, -0.04, 0.01));
-    let scan1 = scene::scan_from(&room, &RigidTransform::identity(), 0.5, 0.002, &mut rng);
-    let scan2 = scene::scan_from(&room, &motion, 0.5, 0.002, &mut rng);
-    println!(
-        "ICP alignment, {} x {} point scans, 10 iterations:",
-        scan1.len(),
-        scan2.len()
-    );
-    let mut icp_table = Table::new(&["threads", "P-Rob brute (s)", "RTRBench k-d (s)", "speedup"]);
-    for threads in [1usize, 4] {
-        let (_, naive_t) = time_once(|| {
-            PRobIcp {
-                max_iterations: 10,
-                threads,
-                ..Default::default()
-            }
-            .align(&scan1, &scan2)
-        });
-        let (_, tuned_t) = time_once(|| {
-            let mut profiler = Profiler::timed();
-            Icp::new(IcpConfig {
-                max_iterations: 10,
-                threads,
-                ..Default::default()
-            })
-            .align(&scan1, &scan2, &mut profiler, &mut NullTrace)
-        });
-        let n = naive_t.as_secs_f64();
-        let t = tuned_t.as_secs_f64().max(1e-9);
-        icp_table.row_owned(vec![
-            threads.to_string(),
-            eng(n),
-            eng(t),
-            format!("{:.0}x", n / t),
-        ]);
-    }
-    print!("{icp_table}");
-
-    // --- Roadmap k-NN candidate generation over a 5-D configuration set.
-    let mut rng = SimRng::seed_from(9);
-    let nodes: Vec<[f64; 5]> = (0..3_000)
-        .map(|_| {
-            let mut c = [0.0; 5];
-            for v in &mut c {
-                *v = rng.uniform(-std::f64::consts::PI, std::f64::consts::PI);
-            }
-            c
-        })
-        .collect();
-    let k = 10;
-    println!(
-        "\nPRM k-NN candidate generation, {} nodes, k = {k}:",
-        nodes.len()
-    );
-    let mut knn_table = Table::new(&[
-        "threads",
-        "P-Rob sort-all (s)",
-        "RTRBench k-d (s)",
-        "speedup",
-    ]);
-    for threads in [1usize, 4] {
-        let (_, naive_t) = time_once(|| PRobKnn { threads }.k_nearest_all(&nodes, k));
-        let (_, tuned_t) = time_once(|| {
-            let items: Vec<([f64; 5], usize)> =
-                nodes.iter().enumerate().map(|(i, n)| (*n, i)).collect();
-            let tree = KdTree::<5>::build_balanced(&items);
-            tree.batch_k_nearest(&nodes, k + 1, &Pool::new(threads))
-        });
-        let n = naive_t.as_secs_f64();
-        let t = tuned_t.as_secs_f64().max(1e-9);
-        knn_table.row_owned(vec![
-            threads.to_string(),
-            eng(n),
-            eng(t),
-            format!("{:.0}x", n / t),
-        ]);
-    }
-    print!("{knn_table}");
-    println!(
-        "\nthe tuned kernels win at every thread count; threading the brute-force\n\
-         baselines narrows nothing — the §VII lesson, extended to spatial queries."
     );
 }

@@ -39,7 +39,7 @@ pub fn small_args(kernel: &str) -> &'static [&'static str] {
 /// Looks the kernel up by name in a freshly built registry so the
 /// function is self-contained and `Sync`-free — exactly what a pool
 /// worker needs (`Box<dyn Kernel>` is neither `Send` nor `Sync`).
-/// `Telemetry::Ring` streams the ops through the SPSC ring to a
+/// `Telemetry::Ring` sends the ops in batches over a channel to a
 /// collector-thread simulator instead of simulating inline; reports are
 /// byte-identical either way (the trace-identity suite pins this).
 ///
@@ -101,7 +101,7 @@ pub fn collect_with(full: bool, vldp: usize, threads: usize, telemetry: Telemetr
 /// [`collect_with`] over an explicit kernel subset, in the given order;
 /// the identity suites use this to pin `--threads` invariance on a cheap
 /// slice of the table. Each pool worker runs its cell's whole transport
-/// (with `Telemetry::Ring`, its own ring and collector thread), so cells
+/// (with `Telemetry::Ring`, its own channel and collector thread), so cells
 /// stay independent and rows stay byte-identical across thread counts
 /// and transports.
 pub fn collect_kernels_with(

@@ -19,8 +19,6 @@
 //! | `exp_rl` | Figs. 17–19 + §V.15–§V.16 |
 //! | `exp_librarycomp` | Fig. 21 (§VII) |
 
-#![warn(missing_docs)]
-
 pub mod characterization;
 
 use std::time::{Duration, Instant};

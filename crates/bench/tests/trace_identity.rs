@@ -14,7 +14,7 @@ use rtr_control::mpc::winding_reference;
 use rtr_control::{Dmp, DmpConfig, Mpc, MpcConfig};
 use rtr_core::{registry, Telemetry, TraceSession};
 use rtr_harness::{Args, Collector, Profiler};
-use rtr_trace::{ring, BufferedTrace, MemTrace, RingTrace, TraceOp};
+use rtr_trace::{trace_channel, BufferedTrace, MemTrace};
 
 /// Small per-kernel arguments so the traced replays stay fast; mirrors
 /// the `exp_characterization` reduced inputset.
@@ -173,12 +173,13 @@ fn buffered_transport_matches_per_op_simulation_on_kernel_streams() {
     });
 }
 
-/// The ring transport end-to-end on real kernel streams: the kernel
-/// thread publishes through `RingTrace` while a `Collector` thread runs
-/// the simulation concurrently, and the final report must be
-/// byte-identical to the inline `BufferedTrace` path — the lossless
-/// order-preserving ring plus batch-size-invariant `process_batch` leave
-/// the simulator no way to tell the transports apart.
+/// The off-thread transport end-to-end on real kernel streams: the
+/// kernel thread sends batches through a `TraceSender` while a
+/// `Collector` thread runs the simulation concurrently, and the final
+/// report must be byte-identical to the inline `BufferedTrace` path —
+/// the lossless order-preserving channel plus batch-size-invariant
+/// `process_batch` leave the simulator no way to tell the transports
+/// apart.
 #[test]
 fn ring_transport_matches_inline_simulation_on_kernel_streams() {
     let (demo, duration) = wheeled_robot_demo(200);
@@ -192,18 +193,17 @@ fn ring_transport_matches_inline_simulation_on_kernel_streams() {
             let mut inline = BufferedTrace::new(sim.clone());
             run(&mut inline);
             let expected = inline.into_inner().report();
-            // A deliberately small ring (forcing wrap-around and
-            // backpressure mid-stream) and a roomy one.
-            for capacity in [1usize << 6, 1 << 14] {
-                let (tx, rx) = ring::<TraceOp>(capacity);
-                let collector = Collector::spawn(rx, sim.clone());
-                let mut trace = RingTrace::new(tx);
+            // Tiny batches in a pool of two (the producer waits on the
+            // collector for nearly every batch) and a roomy pool.
+            for (batch, buffers) in [(7usize, 2usize), (4096, 16)] {
+                let (mut trace, reader) = trace_channel(batch, buffers);
+                let collector = Collector::spawn(reader, sim.clone());
                 run(&mut trace);
-                drop(trace.into_producer());
+                drop(trace);
                 assert_eq!(
                     collector.finish().report(),
                     expected,
-                    "{label}: variant {variant} diverged at ring capacity {capacity}"
+                    "{label}: variant {variant} diverged at {buffers} batches of {batch}"
                 );
             }
         }
@@ -219,8 +219,8 @@ fn ring_transport_matches_inline_simulation_on_kernel_streams() {
     });
 }
 
-/// The registry-level transport choice: a ring session on real kernels
-/// must reproduce the inline cache report exactly — the guarantee behind
+/// The registry-level transport choice: an off-thread session on real
+/// kernels must reproduce the inline cache report exactly — the guarantee behind
 /// the CI leg that byte-compares the two `CHAR_report.json` artifacts.
 #[test]
 fn telemetry_ring_kernel_runs_match_inline_reports() {
@@ -239,7 +239,7 @@ fn telemetry_ring_kernel_runs_match_inline_reports() {
             .unwrap();
         assert_eq!(
             inline.cache, ringed.cache,
-            "{name}: ring transport changed the cache report"
+            "{name}: the off-thread transport changed the cache report"
         );
         // Observation-only still holds: result metrics are untouched.
         let shared = inline
@@ -255,7 +255,7 @@ fn telemetry_ring_kernel_runs_match_inline_reports() {
     }
 }
 
-/// The sharded table on the ring transport equals the inline table —
+/// The sharded table on the off-thread transport equals the inline table —
 /// every digit of every row, across thread counts.
 #[test]
 fn ring_characterization_table_matches_inline() {
@@ -265,7 +265,7 @@ fn ring_characterization_table_matches_inline() {
         assert_eq!(
             collect_kernels_with(&names, false, 2, threads, Telemetry::Ring),
             inline,
-            "ring table diverged at --threads {threads}"
+            "off-thread table diverged at --threads {threads}"
         );
     }
 }

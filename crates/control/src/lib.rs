@@ -16,8 +16,6 @@
 //!   Gaussian process and a UCB acquisition function; far more compute,
 //!   with a correspondingly heavier sort.
 
-#![warn(missing_docs)]
-
 pub mod bo;
 pub mod cem;
 pub mod dmp;

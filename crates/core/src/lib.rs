@@ -20,8 +20,6 @@
 //! assert_eq!(pfl.stage(), Stage::Perception);
 //! ```
 
-#![warn(missing_docs)]
-
 pub mod kernels;
 pub mod trace;
 

@@ -11,7 +11,7 @@
 //! `exp_characterization --telemetry` exposes it.
 
 use rtr_harness::{Args, Collector, OptionSpec};
-use rtr_trace::{BufferedTrace, MemTrace, NullTrace, RingTrace};
+use rtr_trace::{trace_channel, BufferedTrace, MemTrace, NullTrace, TraceSender};
 
 use crate::KernelError;
 
@@ -66,10 +66,10 @@ pub enum Telemetry {
     /// `MemorySim`) — the default.
     #[default]
     Inline,
-    /// Stream ops through the lock-free SPSC ring to a collector thread
-    /// that owns the simulator ([`RingTrace`] + [`Collector`]). The op
-    /// stream is unchanged, so the final report is byte-identical; the
-    /// kernel thread only pays the producer cost.
+    /// Send op batches over a channel to a collector thread that owns
+    /// the simulator ([`TraceSender`] + [`Collector`]). The op stream is
+    /// unchanged, so the final report is byte-identical; the kernel
+    /// thread only pays the producer cost.
     Ring,
 }
 
@@ -94,21 +94,29 @@ impl Telemetry {
     }
 }
 
-/// Capacity (ops) of the trace ring: 64 Ki ops × 16 B/op = 1 MiB,
-/// enough slack that the collector's simulation pace, not the ring size,
-/// sets the backpressure.
-const TRACE_RING_CAPACITY: usize = 1 << 16;
+/// Ops per batch on the off-thread transport. A batch that finds the
+/// other side parked costs it a thread wake-up, so batches are large
+/// next to one: with 4096-op batches the `--full` sweep ran a median
+/// 5-10 % slower than with 32 Ki (EXPERIMENTS.md "Telemetry transport
+/// cost").
+const TRACE_BATCH: usize = 1 << 15;
+
+/// Batch buffers in the off-thread transport's pool: the kernel fills
+/// one while the collector simulates the other (2 × 32 Ki ops × 8 B =
+/// 512 KiB in flight).
+const TRACE_BUFFERS: usize = 2;
 
 /// The attached transport: the sink the kernel writes plus whatever owns
 /// the simulator.
 #[derive(Debug)]
 enum Transport {
-    /// Simulator wrapped in the batching adapter, on the kernel thread.
-    Inline(BufferedTrace<rtr_archsim::MemorySim>),
+    /// Simulator wrapped in the batching adapter, on the kernel thread
+    /// (boxed: the simulator's inline state dwarfs the other variant).
+    Inline(Box<BufferedTrace<rtr_archsim::MemorySim>>),
     /// Producer sink on the kernel thread; the simulator lives in the
     /// collector thread and is recovered (with its report) at `finish`.
     Ring {
-        trace: RingTrace,
+        trace: TraceSender,
         collector: Collector<rtr_archsim::MemorySim>,
     },
 }
@@ -124,12 +132,12 @@ enum Transport {
 ///   pays one virtual dispatch per buffer (4096 ops) instead of one per
 ///   access; the flush lands in `MemorySim::process_batch`, the
 ///   monomorphic fast path.
-/// - **ring**: the kernel thread writes a [`RingTrace`] producer (same
-///   batching, then a lock-free SPSC publish) and a [`Collector`]
-///   thread runs the simulation concurrently. The transport is lossless
-///   and order-preserving and `process_batch` is batch-size invariant,
-///   so the report is byte-identical to the inline path's — only where
-///   the simulation time is spent changes.
+/// - **ring**: the kernel thread writes a [`TraceSender`] (one word per
+///   op, each full batch of 32 Ki ops sent over a channel) and a
+///   [`Collector`] thread runs the simulation concurrently. The
+///   transport is lossless and order-preserving and `process_batch` is
+///   batch-size invariant, so the report is byte-identical to the inline
+///   path's — only where the simulation time is spent changes.
 ///
 /// [`finish`](TraceSession::finish) drains the transport tail (and
 /// joins the collector), so reports are identical to an unbuffered
@@ -194,12 +202,12 @@ impl TraceSession {
             sim
         };
         let transport = match telemetry {
-            Telemetry::Inline => Transport::Inline(BufferedTrace::new(sim)),
+            Telemetry::Inline => Transport::Inline(Box::new(BufferedTrace::new(sim))),
             Telemetry::Ring => {
-                let (tx, rx) = rtr_trace::ring::<rtr_trace::TraceOp>(TRACE_RING_CAPACITY);
+                let (trace, reader) = trace_channel(TRACE_BATCH, TRACE_BUFFERS);
                 Transport::Ring {
-                    trace: RingTrace::new(tx),
-                    collector: Collector::spawn(rx, sim),
+                    trace,
+                    collector: Collector::spawn(reader, sim),
                 }
             }
         };
@@ -213,7 +221,7 @@ impl TraceSession {
     /// do-nothing sink otherwise.
     pub fn sink(&mut self) -> &mut dyn MemTrace {
         match &mut self.transport {
-            Some(Transport::Inline(sim)) => sim,
+            Some(Transport::Inline(sim)) => &mut **sim,
             Some(Transport::Ring { trace, .. }) => trace,
             None => &mut self.null,
         }
@@ -221,14 +229,14 @@ impl TraceSession {
 
     /// Consumes the session into the cache report (`None` when
     /// untraced), flushing any ops still buffered in the transport and,
-    /// on the ring transport, joining the collector thread.
+    /// on the off-thread transport, joining the collector thread.
     pub fn finish(self) -> Option<CacheReport> {
         match self.transport? {
-            Transport::Inline(buffered) => Some(buffered.into_inner().report()),
+            Transport::Inline(buffered) => Some((*buffered).into_inner().report()),
             Transport::Ring { trace, collector } => {
-                // Publish the producer tail before stopping the drain
-                // loop; the collector's post-stop drain picks it up.
-                drop(trace.into_producer());
+                // Dropping the sender delivers its partial batch ahead of
+                // the collector's stop message.
+                drop(trace);
                 Some(collector.finish().report())
             }
         }

@@ -162,11 +162,6 @@ impl<const DIM: usize> KdTree<DIM> {
         tree
     }
 
-    /// Leaf bucket size of the index.
-    pub fn bucket_size(&self) -> usize {
-        self.bucket
-    }
-
     /// How many times incremental inserts have triggered a full
     /// rebuild-on-imbalance of the bucketed index.
     pub fn rebuilds(&self) -> u64 {
@@ -396,12 +391,6 @@ impl<const DIM: usize> KdTree<DIM> {
     /// canonical: independent of insertion order and tree shape.
     pub fn nearest(&self, query: &[f64; DIM]) -> Option<(usize, f64)> {
         self.nearest_with(query, |_| {})
-    }
-
-    /// [`KdTree::nearest`] writing through a caller slot; pairs with the
-    /// other `_into` variants for scratch-reusing call sites.
-    pub fn nearest_into(&self, query: &[f64; DIM], out: &mut Option<(usize, f64)>) {
-        *out = self.nearest(query);
     }
 
     /// Like [`KdTree::nearest`], invoking `visit(payload)` on every point

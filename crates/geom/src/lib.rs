@@ -31,8 +31,6 @@
 //! assert!((hit.distance - 3.0).abs() < 0.1);
 //! ```
 
-#![warn(missing_docs)]
-
 mod aabb;
 mod cloud;
 mod footprint;

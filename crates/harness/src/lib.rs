@@ -19,9 +19,9 @@
 //!   loops: fixed chunk decomposition, order-preserving `par_map`, and
 //!   per-chunk seed streams, so parallel runs stay bit-identical to
 //!   sequential runs at any thread count.
-//! - [`Collector`] — the consumer thread of the lock-free telemetry
-//!   transport: drains an `rtr-trace` SPSC ring into an owned
-//!   [`RingConsumer`](rtr_trace::ring::RingConsumer) (the cache
+//! - [`Collector`] — the consumer thread of the off-thread telemetry
+//!   transport: feeds the batches an `rtr-trace` channel delivers into an
+//!   owned [`BatchConsumer`](rtr_trace::BatchConsumer) (the cache
 //!   simulator, a metric map) off the hot thread.
 //!
 //! # Example
@@ -34,8 +34,6 @@
 //! assert_eq!(value, 499_500);
 //! assert!(profiler.region_calls("compute") == 1);
 //! ```
-
-#![warn(missing_docs)]
 
 mod cli;
 mod collector;

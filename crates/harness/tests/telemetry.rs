@@ -1,9 +1,133 @@
-//! End-to-end telemetry transport: measurements published through the
-//! SPSC ring to an off-thread `Collector` aggregating a `MetricMap`,
-//! with quantile sanity on the result.
+//! End-to-end telemetry transport: records sent through a batch channel
+//! to an off-thread `Collector`, on both streams. The trace stream must
+//! arrive intact and in order under any backpressure; the metric stream
+//! must account for every record as delivered or dropped.
 
+use std::collections::BTreeSet;
+use std::sync::mpsc;
+use std::time::Duration;
+
+use proptest::prelude::*;
 use rtr_harness::Collector;
-use rtr_trace::{metric_channel, MetricMap};
+use rtr_trace::{
+    metric_channel, trace_channel, BatchConsumer, MemTrace, MetricMap, PackedOp, RecordingTrace,
+    TraceOp,
+};
+
+/// The op at position `i` of a synthetic stream.
+fn op(i: u64) -> TraceOp {
+    TraceOp {
+        addr: i.wrapping_mul(0x9e37_79b9) >> 4,
+        is_write: i.is_multiple_of(3),
+    }
+}
+
+/// Emits ops `0..len` through a sink, one call per op.
+fn emit(sink: &mut dyn MemTrace, len: u64) {
+    for i in 0..len {
+        let op = op(i);
+        if op.is_write {
+            sink.write(op.addr);
+        } else {
+            sink.read(op.addr);
+        }
+    }
+}
+
+/// Records which buffers the collector saw, by address.
+#[derive(Default)]
+struct BufferLog {
+    buffers: BTreeSet<usize>,
+    ops: usize,
+}
+
+impl BatchConsumer for BufferLog {
+    type Item = PackedOp;
+
+    fn consume_batch(&mut self, batch: &[PackedOp]) {
+        self.buffers.insert(batch.as_ptr() as usize);
+        self.ops += batch.len();
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Forced backpressure: tiny batches in a pool of two make the
+    /// producer wait on the collector for nearly every batch, and the
+    /// stream still arrives whole and in order.
+    #[test]
+    fn trace_stream_survives_backpressure_intact_and_in_order(
+        len in 0u64..20_000,
+        batch in 1usize..9,
+    ) {
+        let (mut trace, reader) = trace_channel(batch, 2);
+        let collector = Collector::spawn(reader, RecordingTrace::default());
+        emit(&mut trace, len);
+        drop(trace);
+        let recorded = collector.finish();
+        let expected: Vec<TraceOp> = (0..len).map(op).collect();
+        prop_assert_eq!(recorded.ops, expected);
+    }
+
+    /// Count-and-drop accounting on the metric path: every published
+    /// record is either delivered to the map or counted as dropped.
+    #[test]
+    fn metric_records_are_delivered_or_counted_as_dropped(
+        records in 0u64..5_000,
+        capacity in 2usize..16,
+    ) {
+        let (mut publisher, reader) = metric_channel(capacity);
+        let collector = Collector::spawn(reader, MetricMap::new());
+        let id = publisher.metric_id("m");
+        let mut accepted = 0u64;
+        for v in 0..records {
+            accepted += u64::from(publisher.publish(id, v));
+        }
+        let dropped = publisher.dropped();
+        prop_assert_eq!(accepted + dropped, records);
+        drop(publisher);
+        let metrics = collector.finish();
+        let delivered = metrics.get(id).map_or(0, |m| m.hist.count());
+        prop_assert_eq!(delivered + dropped, records);
+    }
+}
+
+#[test]
+fn finish_returns_while_the_producer_lives_and_absorbs_delivered_batches() {
+    let (mut trace, reader) = trace_channel(4, 4);
+    let collector = Collector::spawn(reader, RecordingTrace::default());
+    // Ten ops in batches of four: two batches are delivered, the last
+    // two ops wait in the producer's buffer.
+    emit(&mut trace, 10);
+    let (done_tx, done_rx) = mpsc::channel();
+    let finisher = std::thread::spawn(move || {
+        let _ = done_tx.send(collector.finish());
+    });
+    let recorded = done_rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("finish must not wait for the live producer");
+    finisher.join().expect("finishing thread");
+    let expected: Vec<TraceOp> = (0..8).map(op).collect();
+    assert_eq!(recorded.ops, expected);
+    drop(trace);
+}
+
+#[test]
+fn the_same_pool_buffers_serve_a_long_stream() {
+    let (batch, buffers) = (64, 3);
+    let (mut trace, reader) = trace_channel(batch, buffers);
+    let collector = Collector::spawn(reader, BufferLog::default());
+    emit(&mut trace, 200_000);
+    drop(trace);
+    let log = collector.finish();
+    assert_eq!(log.ops, 200_000);
+    assert!(
+        log.buffers.len() <= buffers,
+        "{} distinct buffers for a pool of {buffers}",
+        log.buffers.len()
+    );
+}
 
 #[test]
 fn published_measurements_stream_into_an_off_thread_metric_map() {
@@ -25,7 +149,7 @@ fn published_measurements_stream_into_an_off_thread_metric_map() {
     assert!(publisher.publish(setup_id, 500));
 
     assert_eq!(publisher.names(), ["solve", "setup"]);
-    assert_eq!(publisher.dropped(), 0, "ring sized for the stream");
+    assert_eq!(publisher.dropped(), 0, "channel sized for the stream");
     drop(publisher);
 
     let metrics = collector.finish();

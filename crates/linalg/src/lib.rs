@@ -33,8 +33,6 @@
 //! # }
 //! ```
 
-#![warn(missing_docs)]
-
 mod cholesky;
 mod eigen;
 mod error;

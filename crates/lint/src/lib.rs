@@ -16,10 +16,6 @@
 //!   subtree of `core`) never name `rtr_archsim`, in source or manifest:
 //!   kernels emit into the `MemTrace` sink and the simulator is wired up
 //!   once in `crates/core/src/trace.rs`.
-//! - **`atomic-ordering`** — every memory-ordering token in the
-//!   lock-free files (`trace/src/ring.rs`, `trace/src/sync.rs`,
-//!   `harness/src/collector.rs`) sits in a fn carrying a `// ORDERING:`
-//!   rationale comment; `Ordering::SeqCst` is deny-by-default.
 //! - **`trace-gated`** — kernel `MemTrace` emissions are dominated by
 //!   a `trace.enabled()` check, lexically or through the call graph.
 //!

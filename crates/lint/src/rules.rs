@@ -1,14 +1,13 @@
-//! The rule engine: six rules, each the static form of a ROADMAP
+//! The rule engine: five rules, each the static form of a ROADMAP
 //! contract that rustc and clippy cannot check, plus the `allow-syntax`
 //! meta rule.
 //!
 //! | id | contract |
 //! |------------------|-----------------------------------------------|
 //! | `wall-clock`     | kernels never read the wall clock directly; collector `consume_batch` callbacks never do, even in the measurement crates |
-//! | `hot-alloc`      | `*_into` / `process_batch` / `flush` / ring-producer (`push`/`push_batch`/`publish`) / `*Scratch` / `step` on `*Instance`/`*State` steady state is heap-free |
+//! | `hot-alloc`      | `*_into` / `process_batch` / `flush` / batch-producer (`push`/`try_push`/`swap`/`try_swap`/`publish`) / `*Scratch` / `step` on `*Instance`/`*State` steady state is heap-free |
 //! | `par-rng`        | parallel closures derive RNG via `chunk_seed` |
 //! | `layering`       | kernel-layer code never names the cache simulator |
-//! | `atomic-ordering`| every memory-ordering token in the lock-free files sits in a fn with a `// ORDERING:` rationale; `SeqCst` is deny-by-default |
 //! | `trace-gated`    | kernel `MemTrace` emissions are dominated by a `trace.enabled()` check |
 //!
 //! Rules are scoped by crate (see [`crate_of`]): `wall-clock` guards
@@ -82,29 +81,19 @@ pub const SIMD_HOT_FNS: [&str; 8] = [
     "squared_distances_dyn",
 ];
 
-/// Ring-producer entry points in `crates/trace` whose bodies `hot-alloc`
-/// scans like any `*_into` span: they run once per telemetry record (or
-/// per batch) on the kernel's hot thread, and the transport's whole
-/// point is that this path never touches the allocator.
-pub const RING_HOT_FNS: [&str; 7] = [
-    "push",
-    "push_batch",
-    "try_push_batch",
-    "publish",
-    // RingTrace's amortized fast/slow split and the producer internals
-    // they lean on run on the same hot thread as the entry points.
-    "push_unpublished",
-    "push_slow",
-    "refresh_free",
-];
+/// Batch-producer fns in `crates/trace` whose bodies `hot-alloc` scans
+/// like any `*_into` span: the per-record pushes, the buffer swaps and
+/// the metric publish run on the kernel's hot thread, and the
+/// transport's whole point is that this path never touches the
+/// allocator.
+pub const PRODUCER_HOT_FNS: [&str; 5] = ["push", "try_push", "swap", "try_swap", "publish"];
 
 /// All rule identifiers, as used in `allow(<rule>)` annotations.
-pub const RULES: [&str; 6] = [
+pub const RULES: [&str; 5] = [
     "wall-clock",
     "hot-alloc",
     "par-rng",
     "layering",
-    "atomic-ordering",
     "trace-gated",
 ];
 
@@ -157,13 +146,6 @@ pub const CLOCK_BARRIERS: [Barrier; 3] = [
         impl_type: Some("Roi"),
         name: None,
     },
-];
-
-/// The files `atomic-ordering` audits: the hand-rolled lock-free code.
-pub const ATOMIC_SCOPE: [&str; 3] = [
-    "crates/trace/src/ring.rs",
-    "crates/trace/src/sync.rs",
-    "crates/harness/src/collector.rs",
 ];
 
 /// Extracts the crate name from a workspace-relative path like
@@ -245,7 +227,6 @@ fn per_file_rules(fa: &FileAnalysis, out: &mut Vec<Finding>) {
         }
         rule_hot_alloc(fa, out);
         rule_par_rng(fa, out);
-        rule_atomic_ordering(fa, out);
     }
     if is_layered(&fa.path) {
         rule_layering(fa, out);
@@ -337,7 +318,7 @@ fn rule_wall_clock(fa: &FileAnalysis, out: &mut Vec<Finding>) {
 
 /// R2b — `wall-clock` inside the measurement crates: the crates are
 /// exempt as a whole (they own timing), but `consume_batch` bodies are
-/// not — a `RingConsumer` callback runs on the collector thread, where
+/// not — a `BatchConsumer` callback runs on the collector thread, where
 /// the telemetry contract is "producer times, collector aggregates". A
 /// clock read there would silently re-time records that were already
 /// timed at the source.
@@ -354,7 +335,7 @@ fn rule_wall_clock_consumer(fa: &FileAnalysis, out: &mut Vec<Finding>) {
                     item.span.start + rel,
                     format!(
                         "{needle} inside a consume_batch collector callback: \
-                         timing belongs to the producer side of the ring"
+                         timing belongs to the producer side of the channel"
                     ),
                 );
             }
@@ -365,8 +346,8 @@ fn rule_wall_clock_consumer(fa: &FileAnalysis, out: &mut Vec<Finding>) {
 /// R3 — `hot-alloc`: allocation inside the span of a `*_into` function,
 /// a `process_batch`/`flush` function (the batched trace transport: one
 /// of these runs per buffer flush on every traced access stream), a
-/// ring-producer entry point in `crates/trace` ([`RING_HOT_FNS`]: the
-/// telemetry publish path runs on the kernel's hot thread), a
+/// batch-producer fn in `crates/trace` ([`PRODUCER_HOT_FNS`]: the
+/// telemetry push and publish path runs on the kernel's hot thread), a
 /// `*Scratch` impl, or a `step` fn on a `*Instance`/`*State` impl (the
 /// stepped kernel lifecycle: `step` is the per-tick hot path; the
 /// `instantiate`/`finish` ends may allocate). Constructors (`fn new`,
@@ -375,7 +356,7 @@ fn rule_wall_clock_consumer(fa: &FileAnalysis, out: &mut Vec<Finding>) {
 fn rule_hot_alloc(fa: &FileAnalysis, out: &mut Vec<Finding>) {
     let text = &fa.scrubbed.text;
     // In the SIMD crate the lane-kernel entry points are hot spans too;
-    // in the trace crate, the ring-producer entry points.
+    // in the trace crate, the batch-producer fns.
     let simd_crate = fa.krate == "simd";
     let trace_crate = fa.krate == "trace";
     let mut hot: Vec<Span> = fa
@@ -386,7 +367,7 @@ fn rule_hot_alloc(fa: &FileAnalysis, out: &mut Vec<Finding>) {
             n.ends_with("_into")
                 || n == "process_batch"
                 || n == "flush"
-                || (trace_crate && RING_HOT_FNS.contains(&n))
+                || (trace_crate && PRODUCER_HOT_FNS.contains(&n))
                 || (simd_crate && SIMD_HOT_FNS.contains(&n))
         })
         .map(|f| f.span)
@@ -540,71 +521,6 @@ fn rule_layering(fa: &FileAnalysis, out: &mut Vec<Finding>) {
     }
 }
 
-/// R7 — `atomic-ordering`: every `Ordering::<variant>` token in the
-/// lock-free files ([`ATOMIC_SCOPE`]) must sit inside a fn whose item
-/// span carries a `// ORDERING:` rationale comment, mirroring the
-/// `// SAFETY:` convention. `SeqCst` is deny-by-default regardless: a
-/// sequentially-consistent fence in an SPSC transport is either a bug or
-/// a deliberate choice that deserves a justified allow.
-fn rule_atomic_ordering(fa: &FileAnalysis, out: &mut Vec<Finding>) {
-    if !ATOMIC_SCOPE.contains(&fa.path.as_str()) {
-        return;
-    }
-    let s = &fa.scrubbed;
-    let bytes = s.text.as_bytes();
-    for at in token_positions(&s.text, "Ordering") {
-        let after = at + "Ordering".len();
-        if !s.text[after..].starts_with("::") {
-            continue;
-        }
-        let vstart = after + 2;
-        let mut vend = vstart;
-        while vend < bytes.len() && (bytes[vend] == b'_' || bytes[vend].is_ascii_alphanumeric()) {
-            vend += 1;
-        }
-        let variant = &s.text[vstart..vend];
-        if !["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"].contains(&variant) {
-            continue;
-        }
-        let enclosing = fa
-            .fns
-            .iter()
-            .filter(|f| f.span.contains(at))
-            .min_by_key(|f| f.span.end - f.span.start);
-        match enclosing {
-            None => push(
-                out,
-                "atomic-ordering",
-                fa,
-                at,
-                format!("Ordering::{variant} outside any fn: atomic operations in the lock-free files belong inside documented fns"),
-            ),
-            Some(item) => {
-                if variant == "SeqCst" {
-                    push(
-                        out,
-                        "atomic-ordering",
-                        fa,
-                        at,
-                        "Ordering::SeqCst is deny-by-default in the lock-free files: justify with an allow or weaken the ordering".to_owned(),
-                    );
-                }
-                let documented =
-                    s.original[item.span.start..item.span.end].contains("ORDERING:");
-                if !documented {
-                    push(
-                        out,
-                        "atomic-ordering",
-                        fa,
-                        at,
-                        format!("Ordering::{variant} in fn `{}` without a // ORDERING: rationale comment", item.name),
-                    );
-                }
-            }
-        }
-    }
-}
-
 /// Method names whose calls count as `MemTrace` emissions for R8.
 const TRACE_EMIT_METHODS: [&str; 3] = ["read", "write", "process_batch"];
 
@@ -621,7 +537,7 @@ fn is_alloc_hot_entry(index: &WorkspaceIndex, f: FnId) -> bool {
     let name_hot = n.ends_with("_into")
         || n == "process_batch"
         || n == "flush"
-        || (fa.krate == "trace" && RING_HOT_FNS.contains(&n))
+        || (fa.krate == "trace" && PRODUCER_HOT_FNS.contains(&n))
         || (fa.krate == "simd" && SIMD_HOT_FNS.contains(&n));
     let scratch_hot = info
         .impl_type
@@ -908,10 +824,9 @@ fn guard_spans(text: &str, info: &crate::index::FnInfo) -> Vec<Span> {
 pub fn explain(rule: &str) -> Option<&'static str> {
     Some(match rule {
         "wall-clock" => "wall-clock: Instant::now/SystemTime outside the measurement crates (bench, harness, lint, scenario), and inside consume_batch collector callbacks anywhere. Kernels take timing through the harness profiler hooks. Fires transitively: a hot entry point whose resolved callees read the clock is flagged with the call chain (a_into -> helper -> Instant::now); the harness profiler types themselves are barriers (they are the sanctioned channel).",
-        "hot-alloc" => "hot-alloc: heap allocation (Vec::new, vec!, .to_vec(), .collect(), Box::new, .clone()) inside a hot span: *_into/process_batch/flush fns, ring-producer fns in crates/trace, lane kernels in crates/simd, *Scratch impls (constructors new/default/with_* exempt), and step fns on *Instance/*State impls (the stepped kernel lifecycle's per-tick path; instantiate/finish may allocate). Fires transitively: a hot entry point whose resolved callees allocate is flagged with the call chain. Pool::par_chunks_mut is a barrier: its clones/collects are per-region fan-out scaffolding, not per-item work.",
+        "hot-alloc" => "hot-alloc: heap allocation (Vec::new, vec!, .to_vec(), .collect(), Box::new, .clone()) inside a hot span: *_into/process_batch/flush fns, batch-producer fns in crates/trace (push, try_push, swap, try_swap, publish), lane kernels in crates/simd, *Scratch impls (constructors new/default/with_* exempt), and step fns on *Instance/*State impls (the stepped kernel lifecycle's per-tick path; instantiate/finish may allocate). Fires transitively: a hot entry point whose resolved callees allocate is flagged with the call chain. Pool::par_chunks_mut is a barrier: its clones/collects are per-region fan-out scaffolding, not per-item work.",
         "par-rng" => "par-rng: inside par_map/par_chunks_mut argument spans, RNG constructors (seed_from, thread_rng, from_entropy) must derive their seed via chunk_seed so parallel runs stay bit-identical at any thread count.",
         "layering" => "layering: the cache simulator (rtr_archsim) named in the simulator-agnostic layer (algorithm crates, their manifests, and crates/core/src/kernels/). Kernel code emits into the MemTrace sink; only crates/core/src/trace.rs wires the simulator up.",
-        "atomic-ordering" => "atomic-ordering: every Ordering::{Relaxed,Acquire,Release,AcqRel,SeqCst} token in crates/trace/src/{ring,sync}.rs and crates/harness/src/collector.rs must sit in a fn whose span carries a // ORDERING: rationale comment (mirroring // SAFETY:). Ordering::SeqCst is deny-by-default: justify it with an allow or weaken the ordering.",
         "trace-gated" => "trace-gated: in kernel crates, MemTrace emissions (.read/.write/.process_batch on a trace receiver) must be dominated by a trace.enabled() check: inside an `if trace.enabled()` block (or after an `if !enabled { return }` early-out, or under a bound guard variable), or in a fn whose every workspace caller calls it from a guarded position. crates/core/src/trace.rs is exempt (it is the simulator wiring).",
         "allow-syntax" => "allow-syntax: a `// rtr-lint: allow(<rule>) -- <reason>` annotation must name a known rule and carry a non-empty reason. An annotation covers its own line and the next non-attribute line below it.",
         _ => return None,
@@ -1020,11 +935,11 @@ mod tests {
     }
 
     #[test]
-    fn ring_producer_fns_are_hot_alloc_spans_in_trace_crate() {
-        let src = "pub fn push_batch(&mut self, items: &[T]) -> usize { let v = items.to_vec(); v.len() }\npub fn publish(&mut self, id: u32, v: u64) -> bool { let b = Box::new(v); true }\nfn helper(items: &[u64]) -> Vec<u64> { items.to_vec() }\n";
+    fn producer_fns_are_hot_alloc_spans_in_trace_crate() {
+        let src = "pub fn swap(&mut self) { self.batch = Vec::new(); }\npub fn publish(&mut self, id: u32, v: u64) -> bool { let b = Box::new(v); true }\nfn helper(items: &[u64]) -> Vec<u64> { items.to_vec() }\n";
         let f = lint_source("crates/trace/src/other.rs", src);
         let hot: Vec<_> = f.iter().filter(|x| x.rule == "hot-alloc").collect();
-        assert_eq!(hot.len(), 2, "push_batch and publish, not helper: {f:?}");
+        assert_eq!(hot.len(), 2, "swap and publish, not helper: {f:?}");
         // The same names outside the trace crate stay cold.
         assert!(lint_source("crates/harness/src/x.rs", src)
             .iter()
@@ -1259,40 +1174,6 @@ mod tests {
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].file, "crates/geom/src/hot.rs");
         assert_eq!(f[0].chain, ["icp_into", "prepare", "Vec::new"]);
-    }
-
-    // ---- atomic-ordering ----
-
-    #[test]
-    fn ordering_without_rationale_is_flagged_in_scope_only() {
-        let bad = "fn load_head(&self) -> u64 { self.head.load(Ordering::Acquire) }\n";
-        let f = lint_source("crates/trace/src/ring.rs", bad);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].rule, "atomic-ordering");
-        assert!(f[0].message.contains("ORDERING:"));
-        // The same code outside the audited files is not atomic-ordering's
-        // business.
-        assert!(lint_source("crates/harness/src/roi.rs", bad)
-            .iter()
-            .all(|x| x.rule != "atomic-ordering"));
-    }
-
-    #[test]
-    fn ordering_with_rationale_is_clean() {
-        let good = "fn load_head(&self) -> u64 {\n    // ORDERING: Acquire pairs with the producer's Release store of tail.\n    self.head.load(Ordering::Acquire)\n}\n";
-        assert!(lint_source("crates/trace/src/ring.rs", good).is_empty());
-    }
-
-    #[test]
-    fn seqcst_denied_even_with_rationale() {
-        let src = "fn fence(&self) {\n    // ORDERING: full fence on shutdown.\n    self.flag.store(true, Ordering::SeqCst);\n}\n";
-        let f = lint_source("crates/harness/src/collector.rs", src);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert!(f[0].message.contains("SeqCst"));
-        let allowed = "fn fence(&self) {\n    // ORDERING: full fence on shutdown.\n    // rtr-lint: allow(atomic-ordering) -- shutdown is cold; SeqCst keeps the proof trivial\n    self.flag.store(true, Ordering::SeqCst);\n}\n";
-        let f = lint_source("crates/harness/src/collector.rs", allowed);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert!(f[0].allowed.is_some());
     }
 
     // ---- trace-gated ----

@@ -1,5 +1,5 @@
 //! R2 consumer-callback fixture: the measurement crates (harness,
-//! bench) may read wall clocks freely — except inside a ring consumer's
+//! bench) may read wall clocks freely — except inside a batch consumer's
 //! `consume_batch` callback, where a clock read would time the racy
 //! drain schedule instead of the producer's work.
 

@@ -17,8 +17,6 @@
 //! takes a [`rtr_harness::Profiler`] for region accounting, and an optional
 //! traced variant feeding the cache simulator.
 
-#![warn(missing_docs)]
-
 pub mod ekfslam;
 pub mod pfl;
 pub mod srec;

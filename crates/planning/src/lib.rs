@@ -20,8 +20,6 @@
 //! - [`symbolic`] (`11.sym-blkw`, `12.sym-fext`) — a STRIPS-style symbolic
 //!   planner with the blocks-world and firefighting domains.
 
-#![warn(missing_docs)]
-
 pub mod movtar;
 pub mod pp2d;
 pub mod pp3d;

@@ -19,9 +19,10 @@
 //! Steady-state ticks are allocation-free: every stage runs through the
 //! persistent scratch the stepped kernel APIs maintain, and the growth
 //! counters ([`ScenarioState::allocation_counters`]) plateau after
-//! warmup. Per-stage latencies stream through the lock-free
+//! warmup. Per-stage latencies stream through a
 //! [`rtr_trace::MetricPublisher`] channel to an off-thread collector for
-//! p50/p99/p99.9 reporting.
+//! p50/p99/p99.9 reporting: publishing pushes into a preallocated batch
+//! and never blocks, and a record with no room is counted and dropped.
 //!
 //! # Determinism
 //!
@@ -48,8 +49,6 @@
 //! let (report, _) = state.finish();
 //! assert_eq!(report.ticks, 40);
 //! ```
-
-#![warn(missing_docs)]
 
 use std::fmt;
 use std::time::{Duration, Instant};

@@ -34,8 +34,6 @@
 //! assert_eq!(scan.len(), 90);
 //! ```
 
-#![warn(missing_docs)]
-
 mod arm;
 mod lidar;
 mod odometry;

@@ -30,15 +30,13 @@
 //! assert_eq!((counts.reads, counts.writes), (4, 1));
 //! ```
 
-#![warn(missing_docs)]
-
+pub mod channel;
 pub mod metric;
-pub mod ring;
-pub mod sync;
 
+pub use channel::{
+    trace_channel, BatchConsumer, BatchReader, BatchSender, PackedOp, Stopper, TraceSender,
+};
 pub use metric::{metric_channel, Histogram, Metric, MetricMap, MetricPublisher, MetricRecord};
-pub use ring::{ring, RingConsumer, RingItem, RingProducer, RingReader, RingTrace};
-pub use sync::CachePadded;
 
 /// A sink for a kernel's synthetic memory-access stream.
 ///

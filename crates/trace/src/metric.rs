@@ -1,13 +1,14 @@
-//! Metric layer for the ring transport: HDR-style fixed-bucket latency
-//! histograms.
+//! Metric layer for the off-thread transport: HDR-style fixed-bucket
+//! latency histograms.
 //!
 //! The producer side publishes [`MetricRecord`]s (a `u32` metric id and
-//! a `u64` value, typically nanoseconds) through the SPSC ring under the
-//! count-and-drop contract — a measurement stream tolerates loss, a hot
-//! loop does not tolerate stalls. The collector side aggregates into a
-//! [`MetricMap`]: per metric id, a [`Histogram`] with bounded relative
-//! error for p50/p99/p99.9 queries. Nothing here reads the wall clock:
-//! values are timed by the producer, the collector only counts.
+//! a `u64` value, typically nanoseconds) through a [`metric_channel`]
+//! under the count-and-drop contract: a measurement stream tolerates
+//! loss, a hot loop does not tolerate stalls. The collector side
+//! aggregates into a [`MetricMap`]: per metric id, a [`Histogram`] with
+//! bounded relative error for p50/p99/p99.9 queries. Nothing here reads
+//! the wall clock: values are timed by the producer, the collector only
+//! counts.
 //!
 //! The histogram follows the HDR scheme (exact unit buckets for small
 //! values, then 32 logarithmic sub-buckets per power of two), which
@@ -16,34 +17,16 @@
 
 use std::collections::BTreeMap;
 
-use crate::ring::{ring, RingConsumer, RingItem, RingProducer, RingReader};
+use crate::channel::{channel, BatchConsumer, BatchReader, BatchSender};
 
 /// One telemetry sample: a metric id and a value (usually nanoseconds).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MetricRecord {
     /// Which metric this sample belongs to; ids are interned by the
     /// producer-side [`MetricPublisher`].
     pub id: u32,
     /// The sampled value.
     pub value: u64,
-}
-
-impl RingItem for MetricRecord {
-    const WORDS: usize = 2;
-
-    #[inline]
-    fn encode(self, words: &mut [u64]) {
-        words[0] = u64::from(self.id);
-        words[1] = self.value;
-    }
-
-    #[inline]
-    fn decode(words: &[u64]) -> Self {
-        MetricRecord {
-            id: words[0] as u32,
-            value: words[1],
-        }
-    }
 }
 
 /// Exact unit buckets for values below this threshold.
@@ -172,9 +155,9 @@ pub struct Metric {
 /// Collector-side aggregation of [`MetricRecord`] streams: one
 /// [`Metric`] per id, created on first sight.
 ///
-/// Implements [`RingConsumer`], so a `Collector` can drain a metric ring
-/// straight into it. Iteration order is by id (via `BTreeMap`), which
-/// keeps report output deterministic.
+/// Implements [`BatchConsumer`], so a `Collector` can feed a metric
+/// channel straight into it. Iteration order is by id (via `BTreeMap`),
+/// which keeps report output deterministic.
 #[derive(Debug, Clone, Default)]
 pub struct MetricMap {
     metrics: BTreeMap<u32, Metric>,
@@ -218,7 +201,9 @@ impl MetricMap {
     }
 }
 
-impl RingConsumer<MetricRecord> for MetricMap {
+impl BatchConsumer for MetricMap {
+    type Item = MetricRecord;
+
     fn consume_batch(&mut self, batch: &[MetricRecord]) {
         for record in batch {
             self.record(record.id, record.value);
@@ -227,27 +212,22 @@ impl RingConsumer<MetricRecord> for MetricMap {
 }
 
 /// Producer-side handle for publishing metrics: interns metric names to
-/// ids and pushes records under the ring's count-and-drop contract.
+/// ids and batches records under the count-and-drop contract.
 ///
 /// Interning ([`metric_id`](MetricPublisher::metric_id)) allocates on
 /// first sight of a name and is meant for setup or amortized first-use;
 /// [`publish`](MetricPublisher::publish) is the hot-path entry point and
-/// is allocation-free (pinned by `rtr-lint`'s `hot-alloc` rule).
+/// never blocks or allocates (pinned by `rtr-lint`'s `hot-alloc` rule).
+/// Dropping the publisher, or [`into_names`](MetricPublisher::into_names),
+/// delivers its partial batch.
 #[derive(Debug)]
 pub struct MetricPublisher {
-    producer: RingProducer<MetricRecord>,
+    sender: BatchSender<MetricRecord>,
     names: Vec<String>,
+    dropped: u64,
 }
 
 impl MetricPublisher {
-    /// Wraps a ring producer.
-    pub fn new(producer: RingProducer<MetricRecord>) -> Self {
-        MetricPublisher {
-            producer,
-            names: Vec::new(),
-        }
-    }
-
     /// Returns the id for `name`, interning it on first sight.
     pub fn metric_id(&mut self, name: &str) -> u32 {
         if let Some(idx) = self.names.iter().position(|n| n == name) {
@@ -258,15 +238,18 @@ impl MetricPublisher {
     }
 
     /// Publishes one sample under the count-and-drop contract; `false`
-    /// means the ring was full and the sample was dropped (and counted).
+    /// means the batch was full with no emptied buffer to swap in, and
+    /// the sample was dropped (and counted).
     #[inline]
     pub fn publish(&mut self, id: u32, value: u64) -> bool {
-        self.producer.push(MetricRecord { id, value })
+        let sent = self.sender.try_push(MetricRecord { id, value });
+        self.dropped += u64::from(!sent);
+        sent
     }
 
-    /// Samples dropped so far because the ring was full.
+    /// Samples dropped so far because no buffer had room.
     pub fn dropped(&self) -> u64 {
-        self.producer.dropped()
+        self.dropped
     }
 
     /// Interned names, indexed by metric id.
@@ -274,43 +257,37 @@ impl MetricPublisher {
         &self.names
     }
 
-    /// Releases the handle, returning the interned name table so the
-    /// caller can label ids in the collected [`MetricMap`].
+    /// Releases the handle, delivering its partial batch, and returns
+    /// the interned name table so the caller can label ids in the
+    /// collected [`MetricMap`].
     pub fn into_names(self) -> Vec<String> {
         self.names
     }
 }
 
-/// Builds a metric channel: a publisher for the hot thread and a reader
+/// Builds a metric channel with room for `capacity` records in flight,
+/// split over two buffers: a publisher for the hot thread and a reader
 /// for the collector.
 ///
 /// # Panics
 ///
-/// Panics when `capacity` is not a power of two.
-pub fn metric_channel(capacity: usize) -> (MetricPublisher, RingReader<MetricRecord>) {
-    let (tx, rx) = ring::<MetricRecord>(capacity);
-    (MetricPublisher::new(tx), rx)
+/// Panics when `capacity` is below 2.
+pub fn metric_channel(capacity: usize) -> (MetricPublisher, BatchReader<MetricRecord>) {
+    assert!(capacity >= 2, "a metric channel holds at least two records");
+    let (sender, reader) = channel(capacity / 2, 2);
+    (
+        MetricPublisher {
+            sender,
+            names: Vec::new(),
+            dropped: 0,
+        },
+        reader,
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn metric_record_encoding_round_trips() {
-        for case in [
-            MetricRecord { id: 0, value: 0 },
-            MetricRecord {
-                id: u32::MAX,
-                value: u64::MAX,
-            },
-            MetricRecord { id: 7, value: 1234 },
-        ] {
-            let mut words = [0u64; MetricRecord::WORDS];
-            case.encode(&mut words);
-            assert_eq!(MetricRecord::decode(&words), case);
-        }
-    }
 
     #[test]
     fn small_values_are_exact() {
@@ -408,37 +385,23 @@ mod tests {
     }
 
     #[test]
-    fn publisher_interns_names_and_publishes() {
-        let (mut publisher, mut rx) = metric_channel(8);
+    fn publisher_interns_names() {
+        let (mut publisher, _reader) = metric_channel(8);
         let a = publisher.metric_id("kernel.step");
         let b = publisher.metric_id("kernel.plan");
         assert_eq!(publisher.metric_id("kernel.step"), a);
         assert_ne!(a, b);
-        assert!(publisher.publish(a, 100));
-        assert!(publisher.publish(b, 200));
-        assert_eq!(publisher.dropped(), 0);
-        let mut out = Vec::new();
-        rx.pop_batch(&mut out, 8);
-        assert_eq!(
-            out,
-            vec![
-                MetricRecord { id: a, value: 100 },
-                MetricRecord { id: b, value: 200 }
-            ]
-        );
-        assert_eq!(publisher.names(), ["kernel.step", "kernel.plan"]);
+        assert_eq!(publisher.into_names(), ["kernel.step", "kernel.plan"]);
     }
 
     #[test]
-    fn publisher_counts_drops_when_full() {
-        let (mut publisher, mut rx) = metric_channel(2);
+    fn publisher_counts_drops_when_no_buffer_is_free() {
+        // Two buffers of one record; nothing drains them.
+        let (mut publisher, _reader) = metric_channel(2);
         let id = publisher.metric_id("m");
         assert!(publisher.publish(id, 1));
-        assert!(publisher.publish(id, 2));
-        assert!(!publisher.publish(id, 3), "full ring drops");
+        assert!(publisher.publish(id, 2), "swaps in the second buffer");
+        assert!(!publisher.publish(id, 3), "no emptied buffer: dropped");
         assert_eq!(publisher.dropped(), 1);
-        let mut out = Vec::new();
-        rx.pop_batch(&mut out, 8);
-        assert_eq!(out.len(), 2, "accepted records survive");
     }
 }

@@ -34,8 +34,6 @@
 //! assert!(report.roi_seconds >= 0.0);
 //! ```
 
-#![warn(missing_docs)]
-
 pub use rtr_archsim as archsim;
 pub use rtr_baselines as baselines;
 pub use rtr_control as control;
