@@ -132,9 +132,7 @@ fn main() {
     let seeds = args
         .get_u64("seeds", 5)
         .unwrap_or_else(|e| usage_error(BIN, e));
-    let threads = args
-        .get_usize("threads", 0)
-        .unwrap_or_else(|e| usage_error(BIN, e));
+    let threads = args.get_threads(0).unwrap_or_else(|e| usage_error(BIN, e));
     println!("EXP-F8..12: arm planners on Map-F / Map-C, averaged over {seeds} seeds\n");
 
     for (map_name, make) in [

@@ -130,9 +130,7 @@ fn main() {
     let vldp = vldp_arg(&args, 4)
         .unwrap_or_else(|e| usage_error(BIN, e))
         .max(1);
-    let threads = args
-        .get_usize("threads", 0)
-        .unwrap_or_else(|e| usage_error(BIN, e));
+    let threads = args.get_threads(0).unwrap_or_else(|e| usage_error(BIN, e));
     let out = args.get_str("out", "");
     let telemetry = Telemetry::from_args(&args).unwrap_or_else(|e| usage_error(BIN, e));
 

@@ -22,9 +22,7 @@ const OPTIONS: &[OptionSpec] = &[OptionSpec {
 
 fn main() {
     let args = parse_args(BIN, OPTIONS);
-    let threads = args
-        .get_usize("threads", 0)
-        .unwrap_or_else(|e| usage_error(BIN, e));
+    let threads = args.get_threads(0).unwrap_or_else(|e| usage_error(BIN, e));
     println!("EXP-PFL: particle-filter localization across five map regions\n");
     let map = maps::indoor_floor_plan(256, 0.1, 7);
     let mut table = Table::new(&[

@@ -24,9 +24,7 @@ const OPTIONS: &[OptionSpec] = &[OptionSpec {
 
 fn main() {
     let args = parse_args(BIN, OPTIONS);
-    let threads = args
-        .get_usize("threads", 0)
-        .unwrap_or_else(|e| usage_error(BIN, e));
+    let threads = args.get_threads(0).unwrap_or_else(|e| usage_error(BIN, e));
     println!("EXP-F17/18/19: ball-throwing reinforcement learning\n");
     let sim = ThrowSim::new(2.0);
     println!(

@@ -24,9 +24,7 @@ const OPTIONS: &[OptionSpec] = &[OptionSpec {
 
 fn main() {
     let args = parse_args(BIN, OPTIONS);
-    let threads = args
-        .get_usize("threads", 0)
-        .unwrap_or_else(|e| usage_error(BIN, e));
+    let threads = args.get_threads(0).unwrap_or_else(|e| usage_error(BIN, e));
     println!("EXP-F4: ICP scene reconstruction of the synthetic living room\n");
     let mut rng = SimRng::seed_from(6);
     let room = scene::living_room(60_000, &mut rng);

@@ -1,7 +1,7 @@
 //! Every experiment binary checks its command line against the options
-//! it declares: a mistyped option exits 2 naming it before any work
-//! starts, and every option CI, README.md and EXPERIMENTS.md pass is
-//! declared.
+//! it declares: a mistyped option, or a thread count above the pool's
+//! cap, exits 2 naming it before any work starts, and every option CI,
+//! README.md and EXPERIMENTS.md pass is declared.
 
 use std::process::Command;
 
@@ -40,6 +40,25 @@ fn undeclared_options_exit_2_naming_the_option() {
         assert_eq!(out.status.code(), Some(2), "{binary}: {err}");
         assert!(err.contains("--bogus"), "{binary}: {err}");
         assert!(out.stdout.is_empty(), "{binary} started its experiment");
+    }
+}
+
+#[test]
+fn thread_counts_above_the_cap_exit_2_naming_threads() {
+    for &(binary, options) in BINARIES {
+        if !options.contains(&"threads") {
+            continue;
+        }
+        for count in ["257", "1000000000000"] {
+            let out = Command::new(binary)
+                .args(["--threads", count])
+                .output()
+                .expect("binary runs");
+            let err = String::from_utf8(out.stderr).unwrap();
+            assert_eq!(out.status.code(), Some(2), "{binary} {count}: {err}");
+            assert!(err.contains("--threads"), "{binary}: {err}");
+            assert!(out.stdout.is_empty(), "{binary} started its experiment");
+        }
     }
 }
 

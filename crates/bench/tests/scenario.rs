@@ -44,7 +44,9 @@ fn small_args(kernel: &str) -> &'static [&'static str] {
 }
 
 /// Drives the stepped lifecycle by hand, outside `Kernel::run`, counting
-/// the steps taken.
+/// the steps taken up to `Done`. Two more steps follow `Done`: each must
+/// return `Done` again and leave the result alone, so callers compare
+/// the report with `Kernel::run`'s.
 fn drive_by_hand(kernel: &dyn Kernel, args: &Args) -> (rtr_core::KernelReport, usize) {
     let mut session = TraceSession::from_args(args).expect("session");
     let mut instance = kernel.instantiate(args).expect("instantiate");
@@ -53,6 +55,14 @@ fn drive_by_hand(kernel: &dyn Kernel, args: &Args) -> (rtr_core::KernelReport, u
         steps += 1;
     }
     steps += 1; // the Done-returning call is a step too
+    for _ in 0..2 {
+        let again = instance.step(session.sink());
+        assert!(
+            matches!(again, Ok(StepStatus::Done)),
+            "{}: step after Done returned {again:?}",
+            kernel.name()
+        );
+    }
     let report = instance.finish(0.0, session).expect("finish");
     (report, steps)
 }
@@ -87,6 +97,21 @@ fn stepped_lifecycle_matches_run_for_every_kernel() {
         assert_eq!(names(&oneshot), names(&stepped), "{}", kernel.name());
         assert!(steps >= 1, "{}: no steps taken", kernel.name());
     }
+}
+
+#[test]
+fn steps_after_a_converged_icp_run_change_nothing() {
+    // The small arguments stop `03.srec` at its iteration budget; with
+    // the default budget it stops earlier, on convergence, which is the
+    // state a further step must not resume.
+    let kernel = rtr_core::kernels::registry_lookup("03.srec").expect("registered");
+    let args = Args::parse_tokens(&["--points", "1500", "--threads", "1"]).expect("valid tokens");
+    let (stepped, steps) = drive_by_hand(kernel.as_ref(), &args);
+    assert!(
+        steps < 30,
+        "converged before the 30-iteration budget: {steps}"
+    );
+    assert_eq!(stepped.metrics, kernel.run(&args).expect("run").metrics);
 }
 
 #[test]

@@ -9,7 +9,7 @@ use rtr_harness::{Args, OptionSpec, Profiler};
 use rtr_sim::ThrowSim;
 use rtr_trace::MemTrace;
 
-use super::{bad_value, count_arg, report, OneShotInstance};
+use super::{bad_value, report, OneShotInstance};
 use crate::{Kernel, KernelError, KernelInstance, KernelReport, Stage, StepStatus, TraceSession};
 
 /// Most rollout steps (`--duration / --dt`) `13.dmp` accepts: 250x the
@@ -58,14 +58,9 @@ impl Kernel for DmpKernel {
     }
 
     fn instantiate(&self, args: &Args) -> Result<Box<dyn KernelInstance>, KernelError> {
-        let basis = count_arg(
-            args,
-            "basis",
-            30,
-            MAX_BASIS,
-            "a basis count of at most 10000",
-        )?
-        .max(2);
+        let basis = args
+            .get_count("basis", 30, MAX_BASIS, "a basis count of at most 10000")?
+            .max(2);
         let dt = args.get_f64("dt", 0.0005)?;
         let duration = args.get_f64("duration", 2.0)?;
         if !(duration.is_finite() && duration >= 0.0) {
@@ -205,14 +200,14 @@ impl Kernel for MpcKernel {
 
     fn instantiate(&self, args: &Args) -> Result<Box<dyn KernelInstance>, KernelError> {
         // The run sizes its trajectory and solver buffers from these two.
-        let length = count_arg(
-            args,
-            "length",
-            200,
-            MAX_REFERENCE_SAMPLES,
-            "a reference of at most 100000 samples",
-        )?
-        .max(2);
+        let length = args
+            .get_count(
+                "length",
+                200,
+                MAX_REFERENCE_SAMPLES,
+                "a reference of at most 100000 samples",
+            )?
+            .max(2);
         let horizon = args.get_usize("horizon", 12)?.max(1);
         let iterations = args.get_usize("iterations", 40)?.max(1);
         if horizon > length {
@@ -349,23 +344,22 @@ impl Kernel for CemKernel {
 
     fn instantiate(&self, args: &Args) -> Result<Box<dyn KernelInstance>, KernelError> {
         let config = CemConfig {
-            iterations: count_arg(
-                args,
-                "iterations",
-                5,
-                MAX_CEM_ITERATIONS,
-                "an iteration count of at most 10000",
-            )?
-            .max(1),
-            samples_per_iteration: count_arg(
-                args,
+            iterations: args
+                .get_count(
+                    "iterations",
+                    5,
+                    MAX_CEM_ITERATIONS,
+                    "an iteration count of at most 10000",
+                )?
+                .max(1),
+            samples_per_iteration: args.get_count(
                 "samples",
                 15,
                 MAX_CEM_SAMPLES,
                 "a sample count of at most 1000000",
             )?,
             seed: args.get_u64("seed", 0)?,
-            threads: super::threads_arg(args)?,
+            threads: args.get_threads(0)?,
             ..Default::default()
         };
         if config.samples_per_iteration < config.elites {
@@ -456,22 +450,22 @@ impl Kernel for BoKernel {
 
     fn instantiate(&self, args: &Args) -> Result<Box<dyn KernelInstance>, KernelError> {
         let config = BoConfig {
-            iterations: count_arg(
-                args,
-                "iterations",
-                45,
-                MAX_BO_ITERATIONS,
-                "an iteration count of at most 200",
-            )?
-            .max(1),
-            candidates: count_arg(
-                args,
-                "candidates",
-                500,
-                MAX_CANDIDATES,
-                "a candidate count of at most 1000000",
-            )?
-            .max(1),
+            iterations: args
+                .get_count(
+                    "iterations",
+                    45,
+                    MAX_BO_ITERATIONS,
+                    "an iteration count of at most 200",
+                )?
+                .max(1),
+            candidates: args
+                .get_count(
+                    "candidates",
+                    500,
+                    MAX_CANDIDATES,
+                    "a candidate count of at most 1000000",
+                )?
+                .max(1),
             kappa: args.get_f64("kappa", 2.0)?,
             seed: args.get_u64("seed", 0)?,
             ..Default::default()

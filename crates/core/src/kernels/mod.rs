@@ -5,7 +5,7 @@ pub mod perception;
 pub mod planning;
 
 use crate::{Kernel, KernelError, KernelInstance, KernelReport, Stage, StepStatus, TraceSession};
-use rtr_harness::{Args, CliError, OptionSpec, Profiler};
+use rtr_harness::{CliError, OptionSpec, Profiler};
 use rtr_trace::MemTrace;
 
 /// The typed error for a `--option` value that parses but is out of the
@@ -25,31 +25,6 @@ pub(crate) fn threads_option() -> OptionSpec {
         name: "threads",
         help: "Worker threads (0 = all hardware threads, 1 = sequential)",
     }
-}
-
-/// Parses `--threads`; the default `0` means one worker per available
-/// hardware thread. Results are bit-identical for every setting.
-pub(crate) fn threads_arg(args: &Args) -> Result<usize, KernelError> {
-    Ok(args.get_usize("threads", 0)?)
-}
-
-/// Parses a count option and rejects a value above `max`. Kernels size
-/// inputs and buffers from their counts before running, so each count
-/// carries a named cap (`MAX_*`, its bound in the comment) that an
-/// adapter checks before it generates any input: a huge count then
-/// names the option instead of aborting the process on allocation.
-pub(crate) fn count_arg(
-    args: &Args,
-    option: &str,
-    default: usize,
-    max: usize,
-    expected: &'static str,
-) -> Result<usize, KernelError> {
-    let count = args.get_usize(option, default)?;
-    if count > max {
-        return Err(bad_value(option, count, expected));
-    }
-    Ok(count)
 }
 
 /// Returns all sixteen kernels in paper order (`01.pfl` … `16.bo`).
@@ -209,7 +184,10 @@ impl OneShotInstance {
 
 impl KernelInstance for OneShotInstance {
     fn step(&mut self, trace: &mut dyn MemTrace) -> Result<StepStatus, KernelError> {
-        let body = self.body.take().expect("step called again after Done");
+        // A step after `Done` does nothing and reports `Done` again.
+        let Some(body) = self.body.take() else {
+            return Ok(StepStatus::Done);
+        };
         self.metrics = Some(body(&mut self.profiler, trace)?);
         Ok(StepStatus::Done)
     }
@@ -236,6 +214,7 @@ impl KernelInstance for OneShotInstance {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rtr_harness::Args;
 
     #[test]
     fn registry_names_match_paper_order() {
@@ -369,6 +348,10 @@ mod tests {
             ("rrtpp", &["--passes", "1000000000000"], "passes"),
             ("rrtpp", &["--passes", "4294967296"], "passes"),
             ("dmp", &["--trace", "--vldp", "1000000000000"], "vldp"),
+            ("pfl", &["--threads", "257"], "threads"),
+            ("srec", &["--threads", "257"], "threads"),
+            ("prm", &["--threads", "257"], "threads"),
+            ("cem", &["--threads", "1000000000000"], "threads"),
         ];
         for &(kernel, argv, option) in rows {
             let args = Args::parse_tokens(argv).unwrap();

@@ -8,7 +8,7 @@ use rtr_perception::{
 use rtr_sim::{scene, DifferentialDrive, Lidar, OdometryModel, SimRng, SlamStep, SlamWorld};
 use rtr_trace::MemTrace;
 
-use super::{bad_value, count_arg, report};
+use super::{bad_value, report};
 use crate::{Kernel, KernelError, KernelInstance, KernelReport, Stage, StepStatus, TraceSession};
 
 /// Most particles `01.pfl` accepts: 2000x the default 500. The filter
@@ -99,8 +99,7 @@ impl Kernel for PflKernel {
     }
 
     fn instantiate(&self, args: &Args) -> Result<Box<dyn KernelInstance>, KernelError> {
-        let particles = count_arg(
-            args,
+        let particles = args.get_count(
             "particles",
             500,
             MAX_PARTICLES,
@@ -116,6 +115,7 @@ impl Kernel for PflKernel {
         let region = args.get_usize("region", 0)?;
         let beam_stride = (60 / args.get_usize("beams", 60)?.clamp(1, 60)).max(1);
         let seed = args.get_u64("seed", 0)?;
+        let threads = args.get_threads(0)?;
 
         let map = maps::indoor_floor_plan(256, 0.1, 7);
         let steps = Self::drive_region(&map, region, seed);
@@ -124,7 +124,7 @@ impl Kernel for PflKernel {
                 particles,
                 seed,
                 beam_stride,
-                threads: super::threads_arg(args)?,
+                threads,
                 init: PflInit::AroundPose {
                     pose: steps[0].true_pose,
                     pos_std: 0.8,
@@ -251,15 +251,13 @@ impl Kernel for EkfSlamKernel {
     }
 
     fn instantiate(&self, args: &Args) -> Result<Box<dyn KernelInstance>, KernelError> {
-        let steps = count_arg(
-            args,
+        let steps = args.get_count(
             "steps",
             300,
             MAX_SLAM_STEPS,
             "a step count of at most 100000",
         )?;
-        let n_landmarks = count_arg(
-            args,
+        let n_landmarks = args.get_count(
             "landmarks",
             6,
             MAX_LANDMARKS,
@@ -400,8 +398,7 @@ impl Kernel for SrecKernel {
     }
 
     fn instantiate(&self, args: &Args) -> Result<Box<dyn KernelInstance>, KernelError> {
-        let points = count_arg(
-            args,
+        let points = args.get_count(
             "points",
             40_000,
             MAX_POINTS,
@@ -409,6 +406,7 @@ impl Kernel for SrecKernel {
         )?;
         let iterations = args.get_usize("iterations", 30)?;
         let seed = args.get_u64("seed", 6)?;
+        let threads = args.get_threads(0)?;
 
         let mut rng = SimRng::seed_from(seed);
         let room = scene::living_room(points, &mut rng);
@@ -426,13 +424,14 @@ impl Kernel for SrecKernel {
         let mut profiler = Profiler::timed();
         let mut icp = Icp::new(IcpConfig {
             max_iterations: iterations,
-            threads: super::threads_arg(args)?,
+            threads,
             ..Default::default()
         });
         let run = icp.begin(&scan2, &scan1, &mut profiler);
         Ok(Box::new(SrecInstance {
             icp,
             run,
+            done: false,
             scan1,
             scan2,
             profiler,
@@ -446,6 +445,9 @@ impl Kernel for SrecKernel {
 struct SrecInstance {
     icp: Icp,
     run: IcpRun,
+    /// Set once a step returned `Done`: `Icp::iterate` re-checks only
+    /// the iteration budget, so a converged run would iterate again.
+    done: bool,
     /// Target scan (the tree's source).
     scan1: PointCloud,
     /// Source scan aligned onto the target.
@@ -455,13 +457,15 @@ struct SrecInstance {
 
 impl KernelInstance for SrecInstance {
     fn step(&mut self, trace: &mut dyn MemTrace) -> Result<StepStatus, KernelError> {
-        let more = self.icp.iterate(
-            &mut self.run,
-            &self.scan2,
-            &self.scan1,
-            &mut self.profiler,
-            trace,
-        );
+        let more = !self.done
+            && self.icp.iterate(
+                &mut self.run,
+                &self.scan2,
+                &self.scan1,
+                &mut self.profiler,
+                trace,
+            );
+        self.done = !more;
         Ok(if more {
             StepStatus::Running
         } else {

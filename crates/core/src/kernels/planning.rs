@@ -11,7 +11,7 @@ use rtr_planning::{
 use rtr_planning::RrtStarRun;
 use rtr_trace::MemTrace;
 
-use super::{bad_value, count_arg, report, OneShotInstance};
+use super::{bad_value, report, OneShotInstance};
 use crate::{Kernel, KernelError, KernelInstance, KernelReport, Stage, StepStatus, TraceSession};
 
 /// Parses `--weight`, the heuristic weight of the graph-search kernels
@@ -146,14 +146,9 @@ impl Kernel for Pp2dKernel {
     }
 
     fn instantiate(&self, args: &Args) -> Result<Box<dyn KernelInstance>, KernelError> {
-        let size = count_arg(
-            args,
-            "size",
-            512,
-            MAX_CITY_SIDE,
-            "a side of at most 4096 cells",
-        )?
-        .max(64);
+        let size = args
+            .get_count("size", 512, MAX_CITY_SIDE, "a side of at most 4096 cells")?
+            .max(64);
         let weight = weight_arg(args)?;
         let seed = args.get_u64("seed", 3)?;
 
@@ -273,22 +268,17 @@ impl Kernel for Pp3dKernel {
     }
 
     fn instantiate(&self, args: &Args) -> Result<Box<dyn KernelInstance>, KernelError> {
-        let size = count_arg(
-            args,
-            "size",
-            128,
-            MAX_CAMPUS_SIDE,
-            "a side of at most 1024 cells",
-        )?
-        .max(16);
-        let height = count_arg(
-            args,
-            "height",
-            16,
-            MAX_AIRSPACE_HEIGHT,
-            "a height of at most 1024 cells",
-        )?
-        .max(4);
+        let size = args
+            .get_count("size", 128, MAX_CAMPUS_SIDE, "a side of at most 1024 cells")?
+            .max(16);
+        let height = args
+            .get_count(
+                "height",
+                16,
+                MAX_AIRSPACE_HEIGHT,
+                "a height of at most 1024 cells",
+            )?
+            .max(4);
         let weight = weight_arg(args)?;
         let seed = args.get_u64("seed", 11)?;
 
@@ -373,16 +363,10 @@ impl Kernel for MovtarKernel {
     }
 
     fn instantiate(&self, args: &Args) -> Result<Box<dyn KernelInstance>, KernelError> {
-        let size = count_arg(
-            args,
-            "size",
-            96,
-            MAX_FIELD_SIDE,
-            "a side of at most 1024 cells",
-        )?
-        .max(8);
-        let horizon = count_arg(
-            args,
+        let size = args
+            .get_count("size", 96, MAX_FIELD_SIDE, "a side of at most 1024 cells")?
+            .max(8);
+        let horizon = args.get_count(
             "horizon",
             size * 2,
             MAX_HORIZON,
@@ -475,22 +459,20 @@ impl Kernel for PrmKernel {
 
     fn instantiate(&self, args: &Args) -> Result<Box<dyn KernelInstance>, KernelError> {
         let config = PrmConfig {
-            roadmap_size: count_arg(
-                args,
+            roadmap_size: args.get_count(
                 "roadmap",
                 1200,
                 MAX_ROADMAP,
                 "a roadmap of at most 100000 vertices",
             )?,
-            neighbors: count_arg(
-                args,
+            neighbors: args.get_count(
                 "neighbors",
                 12,
                 MAX_NEIGHBORS,
                 "a neighbor count of at most 1000",
             )?,
             seed: args.get_u64("seed", 2)?,
-            threads: super::threads_arg(args)?,
+            threads: args.get_threads(0)?,
         };
         let problem = arm_problem(args)?;
         // The offline roadmap construction runs at instantiation, outside
@@ -691,8 +673,7 @@ impl Kernel for RrtPpKernel {
     fn instantiate(&self, args: &Args) -> Result<Box<dyn KernelInstance>, KernelError> {
         let problem = arm_problem(args)?;
         let config = rrt_config(args, 50_000)?;
-        let passes = count_arg(
-            args,
+        let passes = args.get_count(
             "passes",
             6,
             MAX_SHORTCUT_PASSES,
@@ -798,8 +779,9 @@ impl Kernel for SymBlkwKernel {
     }
 
     fn instantiate(&self, args: &Args) -> Result<Box<dyn KernelInstance>, KernelError> {
-        let blocks =
-            count_arg(args, "blocks", 6, MAX_BLOCKS, "a block count of at most 64")?.max(1);
+        let blocks = args
+            .get_count("blocks", 6, MAX_BLOCKS, "a block count of at most 64")?
+            .max(1);
         symbolic_instance(self.name(), self.stage(), blocks_world(blocks), args)
     }
 }

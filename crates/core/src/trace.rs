@@ -9,6 +9,10 @@
 //! kernel. The transport is a library choice, not a kernel option:
 //! [`TraceSession::enabled_with`] picks it, and
 //! `exp_characterization --telemetry` exposes it.
+#![expect(
+    clippy::disallowed_types,
+    reason = "the one module that wires the simulator"
+)]
 
 use rtr_harness::{Args, Collector, OptionSpec};
 use rtr_trace::{trace_channel, BufferedTrace, MemTrace, NullTrace, TraceSender};
@@ -50,13 +54,12 @@ pub const MAX_VLDP_DEGREE: usize = 64;
 /// Returns [`KernelError::Cli`] naming `vldp` when the value is malformed
 /// or above the cap.
 pub fn vldp_arg(args: &Args, default: usize) -> Result<usize, KernelError> {
-    crate::kernels::count_arg(
-        args,
+    Ok(args.get_count(
         "vldp",
         default,
         MAX_VLDP_DEGREE,
         "a prefetch degree of at most 64",
-    )
+    )?)
 }
 
 /// Which transport carries the traced op stream to the simulator.

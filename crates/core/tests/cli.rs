@@ -129,6 +129,10 @@ fn symbolic_search_stops_at_its_budget_within_time_and_memory() {
     // Each run is a child under a 1 GiB address-space limit, killed after
     // 10 s: an unbounded search aborts or times out instead of growing.
     for blocks in ["16", "64"] {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the test bounds its child process's run time"
+        )]
         let start = Instant::now();
         let mut child = Command::new("sh")
             .args([

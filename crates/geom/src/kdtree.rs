@@ -615,7 +615,7 @@ impl<const DIM: usize> KdTree<DIM> {
     ) {
         out.clear();
         out.resize(queries.len(), None);
-        pool.par_chunks_mut(out, |_, start, chunk| {
+        pool.par_chunks_mut(out, |start, chunk| {
             for (off, slot) in chunk.iter_mut().enumerate() {
                 *slot = self.nearest(&queries[start + off]);
             }
@@ -650,7 +650,7 @@ impl<const DIM: usize> KdTree<DIM> {
         while out.len() < queries.len() {
             out.push(Vec::with_capacity(k));
         }
-        pool.par_chunks_mut(out, |_, start, chunk| {
+        pool.par_chunks_mut(out, |start, chunk| {
             for (off, buf) in chunk.iter_mut().enumerate() {
                 self.k_nearest_into(&queries[start + off], k, buf);
             }

@@ -229,6 +229,49 @@ impl Args {
         self.get_parsed(name, default, "a non-negative integer")
     }
 
+    /// Count option with a default and an upper bound. Callers size
+    /// inputs, buffers or threads from their counts, so each count has a
+    /// named cap (its bound in the cap's comment) checked here, before
+    /// anything is sized from it: a huge value names the option instead
+    /// of aborting the process on allocation.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CliError::BadValue`] with `expected` when the value is
+    /// above `max`, and the [`Args::get_usize`] errors otherwise.
+    pub fn get_count(
+        &self,
+        name: &str,
+        default: usize,
+        max: usize,
+        expected: &'static str,
+    ) -> Result<usize, CliError> {
+        let count = self.get_usize(name, default)?;
+        if count > max {
+            return Err(CliError::BadValue {
+                option: name.to_owned(),
+                value: count.to_string(),
+                expected,
+            });
+        }
+        Ok(count)
+    }
+
+    /// The `--threads` worker count for a [`Pool`](crate::Pool) (`0` =
+    /// one per hardware thread), capped at [`Pool::MAX_THREADS`](crate::Pool::MAX_THREADS).
+    ///
+    /// # Errors
+    ///
+    /// As [`Args::get_count`], naming `threads`.
+    pub fn get_threads(&self, default: usize) -> Result<usize, CliError> {
+        self.get_count(
+            "threads",
+            default,
+            crate::Pool::MAX_THREADS,
+            "a thread count of at most 256",
+        )
+    }
+
     /// `u64` option with a default.
     ///
     /// # Errors
@@ -317,6 +360,30 @@ mod tests {
         let err = args.get_usize("samples", 1).unwrap_err();
         assert!(matches!(err, CliError::BadValue { .. }));
         assert!(err.to_string().contains("samples"));
+    }
+
+    #[test]
+    fn counts_above_their_cap_name_the_option() {
+        let args = Args::parse_tokens(&["--points", "10", "--threads", "256"]).unwrap();
+        assert_eq!(args.get_count("points", 1, 10, "at most 10"), Ok(10));
+        assert_eq!(args.get_count("absent", 7, 10, "at most 10"), Ok(7));
+        assert_eq!(args.get_threads(0), Ok(crate::Pool::MAX_THREADS));
+        let over = Args::parse_tokens(&["--points", "11", "--threads", "257"]).unwrap();
+        assert_eq!(
+            over.get_count("points", 1, 10, "at most 10"),
+            Err(CliError::BadValue {
+                option: "points".into(),
+                value: "11".into(),
+                expected: "at most 10",
+            })
+        );
+        let err = over.get_threads(0).unwrap_err();
+        assert!(err.to_string().contains("--threads"), "{err}");
+        let missing = Args::parse_tokens(&["--threads"]).unwrap();
+        assert_eq!(
+            missing.get_threads(1),
+            Err(CliError::MissingValue("threads".into()))
+        );
     }
 
     #[test]

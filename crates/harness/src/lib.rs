@@ -16,9 +16,9 @@
 //!   `--help` output in the style of the paper's Fig. 20.
 //! - [`Table`] — plain-text report tables for the experiment binaries.
 //! - [`Pool`] — deterministic scoped worker pool for the kernel hot
-//!   loops: fixed chunk decomposition, order-preserving `par_map`, and
-//!   per-chunk seed streams, so parallel runs stay bit-identical to
-//!   sequential runs at any thread count.
+//!   loops: closures compute each element from its index and shared
+//!   read-only inputs, and `par_map` keeps input order, so parallel runs
+//!   stay bit-identical to sequential runs at any thread count.
 //! - [`Collector`] — the consumer thread of the off-thread telemetry
 //!   transport: feeds the batches an `rtr-trace` channel delivers into an
 //!   owned [`BatchConsumer`](rtr_trace::BatchConsumer) (the cache
@@ -44,7 +44,7 @@ mod table;
 
 pub use cli::{usage_error, Args, CliError, OptionSpec};
 pub use collector::Collector;
-pub use pool::{chunk_boundaries, chunk_seed, Pool};
+pub use pool::Pool;
 pub use profiler::{HotRegion, Profiler, RegionReport};
 pub use roi::Roi;
 pub use table::Table;

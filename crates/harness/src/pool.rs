@@ -5,9 +5,11 @@
 //! PRM, per-point correspondence search in ICP, per-sample rollouts in
 //! CEM). This module parallelizes them **without changing results**:
 //!
-//! - **Fixed chunk decomposition.** [`chunk_boundaries`] derives chunk
-//!   ranges purely from `(len, parts)` — never from runtime load — so a
-//!   given input always decomposes the same way.
+//! - **Element-wise closures.** A parallel closure computes each element
+//!   from its index and the shared read-only inputs it captures, so no
+//!   element depends on which chunk, or how many chunks, it falls in.
+//!   That includes randomness: a closure never builds its own RNG, whose
+//!   stream would follow the chunk decomposition and so the thread count.
 //! - **Order-preserving assembly.** [`Pool::par_map`] evaluates a pure
 //!   function element-wise and reassembles outputs in input order, so the
 //!   result `Vec` is identical to a sequential `map`. Any floating-point
@@ -15,42 +17,24 @@
 //!   legacy order; f64 addition is not associative, and keeping reductions
 //!   linear is what makes parallel runs bit-identical to sequential runs
 //!   for **any** thread count.
-//! - **Per-chunk seed streams.** For workloads that need randomness inside
-//!   a parallel region, [`chunk_seed`] derives an independent stream seed
-//!   from `(base_seed, chunk_index)`. Because chunk boundaries are fixed,
-//!   the streams — and therefore the results — do not depend on how many
-//!   threads execute the chunks.
 //!
-//! A pool with one thread (see [`Pool::sequential`]) runs the caller's
-//! closure inline without spawning, which is the exact legacy code path.
+//! The determinism suite (`crates/bench/tests/determinism.rs`) and CI's
+//! thread matrix check this contract. A pool with one thread (see
+//! [`Pool::sequential`]) runs the caller's closure inline without
+//! spawning, which is the exact legacy code path.
 
 use std::num::NonZeroUsize;
 use std::ops::Range;
 use std::panic::resume_unwind;
 
 /// Returns the fixed chunk decomposition of `0..len` into `parts` balanced
-/// contiguous ranges (sizes differ by at most one; empty ranges are kept so
-/// chunk indices are stable).
-///
-/// The decomposition depends only on `(len, parts)`: it is the anchor for
-/// every determinism guarantee in this module.
-pub fn chunk_boundaries(len: usize, parts: usize) -> Vec<Range<usize>> {
+/// contiguous ranges (sizes differ by at most one; empty ranges are kept).
+/// It depends only on `(len, parts)`, never on runtime load.
+fn chunk_boundaries(len: usize, parts: usize) -> Vec<Range<usize>> {
     let parts = parts.max(1);
     (0..parts)
         .map(|c| (c * len / parts)..((c + 1) * len / parts))
         .collect()
-}
-
-/// Derives the RNG stream seed for one chunk of a decomposed loop.
-///
-/// SplitMix64-style mixing of `(base_seed, chunk_index)`: well-spread,
-/// deterministic, and independent of thread count because chunk indices
-/// come from [`chunk_boundaries`].
-pub fn chunk_seed(base_seed: u64, chunk_index: u64) -> u64 {
-    let mut z = base_seed ^ chunk_index.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// A scoped worker pool with a fixed thread count.
@@ -70,6 +54,14 @@ impl Default for Pool {
 }
 
 impl Pool {
+    /// Most workers a command line may ask for: 8x the largest count any
+    /// test, CI step or document uses (32). Each parallel call spawns one
+    /// scoped OS thread per non-empty chunk, up to the item count, so an
+    /// unbounded `--threads` would start a thread per item: about 18 000
+    /// per ICP iteration at `03.srec`'s defaults. Parsed by
+    /// [`Args::get_threads`](crate::Args::get_threads).
+    pub const MAX_THREADS: usize = 256;
+
     /// Creates a pool with `threads` workers; `0` means one worker per
     /// available hardware thread.
     pub fn new(threads: usize) -> Self {
@@ -162,7 +154,7 @@ impl Pool {
             }
             return;
         }
-        self.par_chunks_mut(out, |_, start, chunk| {
+        self.par_chunks_mut(out, |start, chunk| {
             for (off, slot) in chunk.iter_mut().enumerate() {
                 let i = start + off;
                 *slot = f(i, &items[i]);
@@ -172,39 +164,40 @@ impl Pool {
 
     /// Runs `f` over disjoint mutable chunks of `data` in parallel.
     ///
-    /// The decomposition comes from [`chunk_boundaries`]`(data.len(),
-    /// threads)`; `f` receives `(chunk_index, chunk_start, chunk)`. Pair
-    /// with [`chunk_seed`] when the chunk body needs its own RNG stream.
+    /// `data` splits into one balanced contiguous chunk per thread (fewer
+    /// when it is shorter), and `f` receives `(chunk_start, chunk)`. The
+    /// split follows the thread count, so `f` must compute each element
+    /// from its index `chunk_start + offset` and shared read-only inputs.
     pub fn par_chunks_mut<T, F>(&self, data: &mut [T], f: F)
     where
         T: Send,
-        F: Fn(usize, usize, &mut [T]) + Sync,
+        F: Fn(usize, &mut [T]) + Sync,
     {
         let bounds = chunk_boundaries(data.len(), self.threads.min(data.len().max(1)));
         if self.threads == 1 || data.len() <= 1 {
-            for (c, r) in bounds.iter().enumerate() {
-                f(c, r.start, &mut data[r.clone()]);
+            for r in &bounds {
+                f(r.start, &mut data[r.clone()]);
             }
             return;
         }
         // Carve `data` into the chunk slices up front; the scoped workers
         // then each own exactly one disjoint `&mut [T]`.
-        let mut chunks: Vec<(usize, usize, &mut [T])> = Vec::with_capacity(bounds.len());
+        let mut chunks: Vec<(usize, &mut [T])> = Vec::with_capacity(bounds.len());
         let mut rest = data;
         let mut consumed = 0usize;
-        for (c, r) in bounds.iter().enumerate() {
+        for r in &bounds {
             let (head, tail) = rest.split_at_mut(r.end - consumed);
             consumed = r.end;
             rest = tail;
             if !head.is_empty() {
-                chunks.push((c, r.start, head));
+                chunks.push((r.start, head));
             }
         }
         let f = &f;
         let result = crossbeam::thread::scope(|scope| {
             let handles: Vec<_> = chunks
                 .into_iter()
-                .map(|(c, start, chunk)| scope.spawn(move |_| f(c, start, chunk)))
+                .map(|(start, chunk)| scope.spawn(move |_| f(start, chunk)))
                 .collect();
             for handle in handles {
                 if let Err(payload) = handle.join() {
@@ -286,7 +279,7 @@ mod tests {
     fn par_chunks_mut_covers_every_element_once() {
         for threads in [1usize, 2, 4, 7] {
             let mut data = vec![0u32; 103];
-            Pool::new(threads).par_chunks_mut(&mut data, |_, start, chunk| {
+            Pool::new(threads).par_chunks_mut(&mut data, |start, chunk| {
                 for (off, v) in chunk.iter_mut().enumerate() {
                     *v += (start + off) as u32 + 1;
                 }
@@ -299,23 +292,12 @@ mod tests {
     }
 
     #[test]
-    fn par_chunks_mut_chunk_indices_match_boundaries() {
+    fn par_chunks_mut_chunk_starts_match_boundaries() {
         let mut data = vec![usize::MAX; 64];
-        Pool::new(4).par_chunks_mut(&mut data, |c, _, chunk| chunk.fill(c));
-        let bounds = chunk_boundaries(64, 4);
-        for (c, r) in bounds.iter().enumerate() {
-            assert!(data[r.clone()].iter().all(|&v| v == c));
+        Pool::new(4).par_chunks_mut(&mut data, |start, chunk| chunk.fill(start));
+        for r in chunk_boundaries(64, 4) {
+            assert!(data[r.clone()].iter().all(|&v| v == r.start));
         }
-    }
-
-    #[test]
-    fn chunk_seeds_are_stable_and_spread() {
-        assert_eq!(chunk_seed(42, 3), chunk_seed(42, 3));
-        let seeds: Vec<u64> = (0..64).map(|c| chunk_seed(7, c)).collect();
-        let mut unique = seeds.clone();
-        unique.sort_unstable();
-        unique.dedup();
-        assert_eq!(unique.len(), seeds.len());
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! depends on) so a `helper()` call binds to the nearest plausible
 //! definition and never to a crate the caller cannot name. Anything unresolved
 //! stays a leaf: it contributes no transitive facts, but qualified
-//! external names (`Vec::new`, `Instant::now`) are still caught by the
+//! external names (`Vec::new`, `Box::new`) are still caught by the
 //! direct token seeds in [`crate::facts`].
 
 use crate::index::{CallSite, FnId, WorkspaceIndex};

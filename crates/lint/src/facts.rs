@@ -1,16 +1,15 @@
-//! Phase 2 of the interprocedural analysis: transitive facts over the
-//! call graph.
+//! Phase 2 of the interprocedural analysis: the transitive `allocates`
+//! fact over the call graph.
 //!
-//! Two boolean facts are computed per workspace fn — `allocates` and
-//! `reads-clock` — each seeded by token patterns in the fn's own body
-//! (the same needles the lexical rules use) and propagated caller-ward over resolved call edges to a fixpoint: a fn
-//! holds a fact iff its body matches a seed or any resolved callee holds
-//! it. Every derived fact keeps a *witness* (the seeding token, or the
-//! call site + callee it came through), so a finding can print the full
-//! offending chain (`a_into -> helper -> Vec::new`). Witnesses form a
-//! DAG by construction — a `Via` witness always points at a fn whose
-//! fact was established strictly earlier — so chain reconstruction
-//! terminates.
+//! The fact is seeded per workspace fn by token patterns in the fn's own
+//! body (the needles the lexical `hot-alloc` scan uses) and propagated
+//! caller-ward over resolved call edges to a fixpoint: a fn holds it iff
+//! its body matches a seed or any resolved callee holds it. Every derived
+//! fact keeps a *witness* (the seeding token, or the call site + callee
+//! it came through), so a finding can print the full offending chain
+//! (`a_into -> helper -> Vec::new`). Witnesses form a DAG by
+//! construction — a `Via` witness always points at a fn whose fact was
+//! established strictly earlier — so chain reconstruction terminates.
 
 use crate::callgraph::CallGraph;
 use crate::index::{FnId, WorkspaceIndex};
@@ -42,10 +41,9 @@ pub type Fact = Vec<Option<Origin>>;
 /// assigns them an inherited origin, so nothing propagates through them
 /// to callers. Barriers express "this fn's needle hits are machinery,
 /// not steady-state work": the thread-pool fan-out that clones a range
-/// and collects join handles once per parallel region, or the profiler
-/// types that *are* the sanctioned timing channel. A barrier masks the
-/// whole fn, including any genuinely-hot callees below it, so keep the
-/// list short and the match as specific as possible.
+/// and collects join handles once per parallel region. A barrier masks
+/// the whole fn, including any genuinely-hot callees below it, so keep
+/// the list short and the match as specific as possible.
 pub struct Barrier {
     /// Workspace crate the fn must live in (`crate_of` name).
     pub krate: &'static str,
@@ -64,33 +62,24 @@ impl Barrier {
     }
 }
 
-/// Needle lists seeding each fact; kept as parameters so the rule layer
-/// owns the single source of truth for token patterns.
-pub struct Seeds<'a> {
-    /// Token patterns seeding the `allocates` fact.
-    pub alloc: &'a [&'static str],
-    /// Token patterns seeding the `reads-clock` fact.
-    pub clock: &'a [&'static str],
-    /// Structural barriers for the `allocates` fact.
-    pub alloc_barriers: &'a [Barrier],
-    /// Structural barriers for the `reads-clock` fact.
-    pub clock_barriers: &'a [Barrier],
-}
-
-/// The computed transitive facts for every workspace fn.
+/// The computed transitive fact for every workspace fn.
 pub struct Facts {
     /// Fn may allocate on the heap, directly or through a callee.
     pub allocates: Fact,
-    /// Fn may read the wall clock, directly or through a callee.
-    pub reads_clock: Fact,
 }
 
 impl Facts {
-    /// Computes both facts over the resolved call graph.
-    pub fn compute(index: &WorkspaceIndex, graph: &CallGraph, seeds: &Seeds) -> Facts {
+    /// Computes the fact over the resolved call graph. The needles and
+    /// barriers are parameters so the rule layer owns the single source
+    /// of truth for token patterns.
+    pub fn compute(
+        index: &WorkspaceIndex,
+        graph: &CallGraph,
+        alloc_needles: &[&'static str],
+        alloc_barriers: &[Barrier],
+    ) -> Facts {
         Facts {
-            allocates: propagate(index, graph, seeds.alloc, seeds.alloc_barriers),
-            reads_clock: propagate(index, graph, seeds.clock, seeds.clock_barriers),
+            allocates: propagate(index, graph, alloc_needles, alloc_barriers),
         }
     }
 }
@@ -195,18 +184,11 @@ mod tests {
     use crate::index::FileAnalysis;
 
     const ALLOC: [&str; 3] = ["Vec::new(", "vec!", ".clone()"];
-    const CLOCK: [&str; 2] = ["Instant::now", "SystemTime"];
 
     fn facts_with_barriers(src: &str, alloc_barriers: &[Barrier]) -> (WorkspaceIndex, Facts) {
         let idx = WorkspaceIndex::build(vec![FileAnalysis::new("crates/geom/src/x.rs", src)]);
         let graph = CallGraph::build(&idx);
-        let seeds = Seeds {
-            alloc: &ALLOC,
-            clock: &CLOCK,
-            alloc_barriers,
-            clock_barriers: &[],
-        };
-        let facts = Facts::compute(&idx, &graph, &seeds);
+        let facts = Facts::compute(&idx, &graph, &ALLOC, alloc_barriers);
         (idx, facts)
     }
 
@@ -229,12 +211,12 @@ mod tests {
 
     #[test]
     fn facts_do_not_leak_without_edges() {
-        let src = "fn clean(x: u32) -> u32 { x + 1 }\nfn dirty() { std::time::Instant::now(); }\n";
+        let src = "fn clean(x: u32) -> u32 { x + 1 }\nfn dirty() { vec![1]; }\n";
         let (idx, facts) = facts_for(src);
         let clean = idx.fns.iter().position(|f| f.name == "clean").unwrap();
         let dirty = idx.fns.iter().position(|f| f.name == "dirty").unwrap();
-        assert!(facts.reads_clock[clean].is_none());
-        assert!(facts.reads_clock[dirty].is_some());
+        assert!(facts.allocates[clean].is_none());
+        assert!(facts.allocates[dirty].is_some());
     }
 
     #[test]
@@ -279,11 +261,10 @@ mod tests {
         assert!(!b.matches("harness", Some("Pool"), "par_map"));
         let whole_impl = Barrier {
             krate: "harness",
-            impl_type: Some("Profiler"),
+            impl_type: Some("Pool"),
             name: None,
         };
-        assert!(whole_impl.matches("harness", Some("Profiler"), "hot_start"));
-        assert!(whole_impl.matches("harness", Some("Profiler"), "span"));
+        assert!(whole_impl.matches("harness", Some("Pool"), "par_map"));
         assert!(!whole_impl.matches("harness", Some("Roi"), "enter"));
     }
 
@@ -293,6 +274,5 @@ mod tests {
         assert_eq!(pretty_needle(".clone()"), "clone()");
         assert_eq!(pretty_needle(".collect::<"), "collect");
         assert_eq!(pretty_needle("vec!"), "vec");
-        assert_eq!(pretty_needle("Instant::now"), "Instant::now");
     }
 }

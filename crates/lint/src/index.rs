@@ -26,7 +26,7 @@ pub struct FileAnalysis {
     pub path: String,
     /// Crate name under `crates/`, or empty.
     pub krate: String,
-    /// `true` for `.rs` sources (manifests only join the `layering` rule).
+    /// `true` for `.rs` sources (manifests only scope cross-crate calls).
     pub is_rust: bool,
     /// Scrubbed text + harvested allow annotations.
     pub scrubbed: Scrubbed,

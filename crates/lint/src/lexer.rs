@@ -1,13 +1,13 @@
 //! A small purpose-built Rust lexer.
 //!
-//! The rules in this crate are lexical: they match tokens like `HashMap`
-//! or `Instant::now` against source text. Doing that on raw source would
-//! misfire on comments (`// the legacy HashMap path`) and string literals
-//! (`"Instant::now"`), so every file is first *scrubbed*: comment and
-//! literal bytes are blanked to spaces (newlines preserved, so byte
+//! The rules in this crate are lexical: they match tokens like `Vec::new`
+//! or `.enabled()` against source text. Doing that on raw source would
+//! misfire on comments (`// the legacy Vec::new path`) and string
+//! literals (`".to_vec()"`), so every file is first *scrubbed*: comment
+//! and literal bytes are blanked to spaces (newlines preserved, so byte
 //! offsets and line numbers stay true to the original file). Brace and
 //! parenthesis matching on the scrubbed text is then reliable, which is
-//! what the span-scoped rules (`hot-alloc`, `par-rng`) build on.
+//! what the span-scoped rules (`hot-alloc`, `trace-gated`) build on.
 //!
 //! The lexer deliberately does **not** build an AST: the suite builds
 //! fully offline and must not grow a parser dependency. The trade-off is
@@ -481,7 +481,7 @@ mod tests {
 
     #[test]
     fn allow_without_reason_has_empty_reason() {
-        let s = scrub("let x = 1; // rtr-lint: allow(wall-clock)\n");
+        let s = scrub("let x = 1; // rtr-lint: allow(hot-alloc)\n");
         assert_eq!(s.allows.len(), 1);
         assert!(s.allows[0].reason.is_empty());
     }

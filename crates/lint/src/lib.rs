@@ -1,40 +1,40 @@
 //! `rtr-lint`: workspace invariant checker for the RTRBench suite.
 //!
-//! Statically enforces the determinism and allocation-free contracts
-//! recorded in `ROADMAP.md` that rustc and clippy cannot check, using a
+//! Statically enforces the two allocation and tracing contracts recorded
+//! in `ROADMAP.md` that need a workspace call graph, using a
 //! purpose-built lexical scrubber (no external parser dependencies — the
 //! build stays offline):
 //!
-//! - **`wall-clock`** — `Instant::now`/`SystemTime` belong to the
-//!   `harness`/`bench` crates only; kernels must not read the clock.
-//! - **`hot-alloc`** — inside `*_into` functions and `*Scratch`
-//!   impls, heap allocation (`Vec::new`, `vec!`, `.to_vec()`,
-//!   `.collect()`, `Box::new`, `.clone()`) is forbidden.
-//! - **`par-rng`** — closures passed to `par_map`/`par_chunks_mut`
-//!   may only derive RNG state via `chunk_seed`.
-//! - **`layering`** — the algorithm crates (and the kernel-adapter
-//!   subtree of `core`) never name `rtr_archsim`, in source or manifest:
-//!   kernels emit into the `MemTrace` sink and the simulator is wired up
-//!   once in `crates/core/src/trace.rs`.
+//! - **`hot-alloc`** — inside `*_into` functions, `*Scratch` impls and
+//!   the other hot spans, heap allocation (`Vec::new`, `vec!`,
+//!   `.to_vec()`, `.collect()`, `Box::new`, `.clone()`) is forbidden,
+//!   directly or through any chain of workspace calls.
 //! - **`trace-gated`** — kernel `MemTrace` emissions are dominated by
 //!   a `trace.enabled()` check, lexically or through the call graph.
 //!
-//! Two contracts are the compiler's: `unsafe_code = "forbid"` in the
-//! root manifest's `[workspace.lints.rust]` keeps every target safe
-//! code, and each crate in [`KERNEL_CRATES`] has a `clippy.toml` whose
+//! The other contracts are the compiler's. `unsafe_code = "forbid"` in
+//! the root manifest's `[workspace.lints.rust]` keeps every target safe
+//! code. Each crate in [`KERNEL_CRATES`] has a `clippy.toml` whose
 //! `disallowed-types` rejects `HashMap`/`HashSet`, so hash iteration
-//! order cannot reach a kernel output. CI's `cargo clippy --workspace
-//! --all-targets -- -D warnings` fails on either; `tests/workspace_lints.rs`
-//! checks that the configuration stays in place.
+//! order cannot reach a kernel output. Every crate under `crates/`
+//! outside the measurement crates (`bench`, `harness`, `lint`,
+//! `scenario`) has a `clippy.toml` whose `disallowed-methods` rejects
+//! `Instant::now` and `SystemTime::now`: kernels take time through the
+//! harness profiler. Core's `clippy.toml` disallows the cache
+//! simulator's types, which only `crates/core/src/trace.rs` may name,
+//! and the algorithm crates cannot name them because their manifests do
+//! not depend on `rtr-archsim`. CI's `cargo clippy --workspace
+//! --all-targets -- -D warnings` fails on any of these;
+//! `tests/workspace_lints.rs` checks that the configuration stays in
+//! place.
 //!
 //! Beyond the per-file lexical pass, the engine is *interprocedural*:
 //! [`index`] builds a workspace-wide fn/call index over the lexer's
 //! token stream (every file is lexed exactly once), [`callgraph`]
 //! resolves call sites name-best-effort within the workspace, and
-//! [`facts`] propagates `allocates` / `reads-clock` facts to a fixpoint
-//! — so `hot-alloc` and `wall-clock` fire on hot entry points whose
-//! *callees* violate the contract, with the offending call chain
-//! attached to the finding.
+//! [`facts`] propagates the `allocates` fact to a fixpoint — so
+//! `hot-alloc` fires on hot entry points whose *callees* allocate, with
+//! the offending call chain attached to the finding.
 //!
 //! Findings can be suppressed with an annotation carrying a written
 //! reason:
@@ -56,11 +56,8 @@ pub mod report;
 pub mod rules;
 
 pub use callgraph::CallGraph;
-pub use facts::{Facts, Seeds};
+pub use facts::Facts;
 pub use index::{FileAnalysis, WorkspaceIndex};
 pub use lexer::{scrub, Allow, Scrubbed, Span};
 pub use report::{Finding, Report};
-pub use rules::{
-    crate_of, explain, is_layered, lint_source, lint_workspace, CLOCK_CRATES, KERNEL_CRATES,
-    LAYERED_CRATES, RULES,
-};
+pub use rules::{crate_of, explain, lint_source, lint_workspace, KERNEL_CRATES, RULES};

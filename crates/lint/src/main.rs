@@ -92,8 +92,8 @@ fn parse_args() -> Result<Args, String> {
 }
 
 /// Collects every `.rs` file under `crates/*/src/` plus each crate's
-/// `Cargo.toml` (the `layering` rule checks manifests too), sorted so
-/// output and the JSON report are stable across filesystems.
+/// `Cargo.toml` (manifests scope the call graph's cross-crate edges),
+/// sorted so output and the JSON report are stable across filesystems.
 fn collect_sources(root: &Path) -> std::io::Result<Vec<PathBuf>> {
     let mut out = Vec::new();
     let crates_dir = root.join("crates");

@@ -1,32 +1,24 @@
-//! The rule engine: five rules, each the static form of a ROADMAP
-//! contract that rustc and clippy cannot check, plus the `allow-syntax`
+//! The rule engine: two rules, each the static form of a ROADMAP
+//! contract that needs rtr-lint's call graph, plus the `allow-syntax`
 //! meta rule.
 //!
 //! | id | contract |
 //! |------------------|-----------------------------------------------|
-//! | `wall-clock`     | kernels never read the wall clock directly; collector `consume_batch` callbacks never do, even in the measurement crates |
 //! | `hot-alloc`      | `*_into` / `process_batch` / `flush` / batch-producer (`push`/`try_push`/`swap`/`try_swap`/`publish`) / `*Scratch` / `step` on `*Instance`/`*State` steady state is heap-free |
-//! | `par-rng`        | parallel closures derive RNG via `chunk_seed` |
-//! | `layering`       | kernel-layer code never names the cache simulator |
 //! | `trace-gated`    | kernel `MemTrace` emissions are dominated by a `trace.enabled()` check |
 //!
-//! Rules are scoped by crate (see [`crate_of`]): `wall-clock` guards
-//! everything except the measurement crates (`harness`, `bench`,
-//! `scenario` — which times its pipeline stages — and `lint` itself,
-//! which times its own pass) — where only `consume_batch` spans are
-//! scanned — `trace-gated` the kernel crates, `layering` the algorithm
-//! crates plus the adapter subtree in `core` (see [`is_layered`]), the
-//! rest the whole workspace.
-//!
-//! `hot-alloc` and `wall-clock` additionally fire *transitively*: a hot
-//! entry point whose resolved callees allocate or read the clock is a
-//! finding even when its own body is clean, with the offending call
-//! chain attached (see [`crate::facts`]). The entry point for a whole
-//! workspace is [`lint_workspace`]; [`lint_source`] lints one file by
-//! wrapping it in a single-file workspace.
+//! `trace-gated` is scoped to the kernel crates (see [`crate_of`]),
+//! `hot-alloc` to the whole workspace. Both need the call graph:
+//! `hot-alloc` also fires *transitively* (a hot entry point whose
+//! resolved callees allocate is a finding even when its own body is
+//! clean, with the offending call chain attached, see
+//! [`crate::facts`]), and `trace-gated` accepts an emission in a helper
+//! whose every caller is guarded. The entry point for a whole workspace
+//! is [`lint_workspace`]; [`lint_source`] lints one file by wrapping it
+//! in a single-file workspace.
 
 use crate::callgraph::CallGraph;
-use crate::facts::{chain, Barrier, Facts, Seeds};
+use crate::facts::{chain, Barrier, Facts};
 use crate::index::{FileAnalysis, FnId, WorkspaceIndex};
 use crate::lexer::{line_of, matching_delim, token_positions, Span};
 use crate::report::Finding;
@@ -40,25 +32,6 @@ use crate::report::Finding;
 pub const KERNEL_CRATES: [&str; 7] = [
     "control",
     "core",
-    "geom",
-    "perception",
-    "planning",
-    "scenario",
-    "sim",
-];
-
-/// Crates that own measurement: the only places wall-clock reads live.
-/// `lint` is here because `rtr-lint` times its own workspace pass and
-/// reports the wall time in `LINT_report.json`; `scenario` because the
-/// closed-loop runner times its pipeline stages at the harness layer
-/// (per-tick latencies streamed through the metric channel).
-pub const CLOCK_CRATES: [&str; 4] = ["bench", "harness", "lint", "scenario"];
-
-/// Crates whose algorithm code is generic over the `MemTrace` sink and
-/// must never name the cache simulator directly (PR 5 layering
-/// inversion); `crates/core/src/kernels/` joins them via [`is_layered`].
-pub const LAYERED_CRATES: [&str; 6] = [
-    "control",
     "geom",
     "perception",
     "planning",
@@ -89,13 +62,7 @@ pub const SIMD_HOT_FNS: [&str; 8] = [
 pub const PRODUCER_HOT_FNS: [&str; 5] = ["push", "try_push", "swap", "try_swap", "publish"];
 
 /// All rule identifiers, as used in `allow(<rule>)` annotations.
-pub const RULES: [&str; 5] = [
-    "wall-clock",
-    "hot-alloc",
-    "par-rng",
-    "layering",
-    "trace-gated",
-];
+pub const RULES: [&str; 2] = ["hot-alloc", "trace-gated"];
 
 /// Heap-allocating expressions forbidden inside hot spans; these also
 /// seed the transitive `allocates` fact.
@@ -108,9 +75,6 @@ pub const ALLOC_NEEDLES: [&str; 7] = [
     "Box::new",
     ".clone()",
 ];
-
-/// Wall-clock reads; these also seed the transitive `reads-clock` fact.
-pub const CLOCK_NEEDLES: [&str; 2] = ["Instant::now", "SystemTime"];
 
 /// Structural barriers for the transitive `allocates` fact.
 /// `Pool::par_chunks_mut` is fan-out machinery: its needle hits (the
@@ -125,44 +89,11 @@ pub const ALLOC_BARRIERS: [Barrier; 1] = [Barrier {
     name: Some("par_chunks_mut"),
 }];
 
-/// Structural barriers for the transitive `reads-clock` fact: the
-/// harness profiler types *are* the sanctioned timing channel the
-/// wall-clock rule tells kernels to route through, so a hot entry that
-/// calls `Profiler::hot_start`/`HotRegion`/`Roi` must not inherit a
-/// clock fact from them.
-pub const CLOCK_BARRIERS: [Barrier; 3] = [
-    Barrier {
-        krate: "harness",
-        impl_type: Some("Profiler"),
-        name: None,
-    },
-    Barrier {
-        krate: "harness",
-        impl_type: Some("HotRegion"),
-        name: None,
-    },
-    Barrier {
-        krate: "harness",
-        impl_type: Some("Roi"),
-        name: None,
-    },
-];
-
 /// Extracts the crate name from a workspace-relative path like
 /// `crates/planning/src/rrtstar.rs`.
 pub fn crate_of(path: &str) -> Option<&str> {
     let rest = path.strip_prefix("crates/")?;
     rest.split('/').next()
-}
-
-/// Returns `true` when `path` belongs to the simulator-agnostic layer:
-/// the algorithm crates ([`LAYERED_CRATES`], sources and manifest alike)
-/// plus the kernel-adapter subtree of `core`. The only `core` module
-/// allowed to name `rtr_archsim` is `src/trace.rs`, which owns the
-/// `--trace` wiring.
-pub fn is_layered(path: &str) -> bool {
-    crate_of(path).is_some_and(|k| LAYERED_CRATES.contains(&k))
-        || path.starts_with("crates/core/src/kernels/")
 }
 
 /// Lints one file. `path` must be workspace-relative (it selects which
@@ -174,27 +105,23 @@ pub fn lint_source(path: &str, source: &str) -> Vec<Finding> {
 }
 
 /// Lints a whole workspace: each file is lexed exactly once into a
-/// [`FileAnalysis`] shared by every rule, the per-file lexical rules
-/// run, then the interprocedural phase (index → call graph → transitive
+/// [`FileAnalysis`] shared by every rule, the lexical `hot-alloc` scan
+/// runs, then the interprocedural phase (index → call graph → transitive
 /// facts) adds the graph-backed findings. Allow suppression is applied
 /// per file at the end.
 pub fn lint_workspace(files: &[(String, String)]) -> Vec<Finding> {
     let analyses: Vec<FileAnalysis> = files.iter().map(|(p, s)| FileAnalysis::new(p, s)).collect();
 
     let mut raw: Vec<Finding> = Vec::new();
-    for fa in &analyses {
-        per_file_rules(fa, &mut raw);
+    // Manifests (`Cargo.toml`) only scope the call graph's cross-crate
+    // edges; the rules read `.rs` files.
+    for fa in analyses.iter().filter(|fa| fa.is_rust) {
+        rule_hot_alloc(fa, &mut raw);
     }
 
     let index = WorkspaceIndex::build(analyses);
     let graph = CallGraph::build(&index);
-    let seeds = Seeds {
-        alloc: &ALLOC_NEEDLES,
-        clock: &CLOCK_NEEDLES,
-        alloc_barriers: &ALLOC_BARRIERS,
-        clock_barriers: &CLOCK_BARRIERS,
-    };
-    let facts = Facts::compute(&index, &graph, &seeds);
+    let facts = Facts::compute(&index, &graph, &ALLOC_NEEDLES, &ALLOC_BARRIERS);
     rule_transitive(&index, &graph, &facts, &mut raw);
     rule_trace_gated(&index, &graph, &mut raw);
 
@@ -213,24 +140,6 @@ pub fn lint_workspace(files: &[(String, String)]) -> Vec<Finding> {
         out.extend(apply_allows(fa, file_findings));
     }
     out
-}
-
-/// Runs every per-file lexical rule applicable to `fa`.
-fn per_file_rules(fa: &FileAnalysis, out: &mut Vec<Finding>) {
-    // Manifests (`Cargo.toml`) only participate in the layering rule;
-    // the Rust-syntax rules read `.rs` files.
-    if fa.is_rust {
-        if !CLOCK_CRATES.contains(&fa.krate.as_str()) {
-            rule_wall_clock(fa, out);
-        } else {
-            rule_wall_clock_consumer(fa, out);
-        }
-        rule_hot_alloc(fa, out);
-        rule_par_rng(fa, out);
-    }
-    if is_layered(&fa.path) {
-        rule_layering(fa, out);
-    }
 }
 
 /// Marks findings covered by an allow annotation and emits
@@ -294,53 +203,6 @@ fn push(out: &mut Vec<Finding>, rule: &str, fa: &FileAnalysis, offset: usize, me
         allowed: None,
         chain: Vec::new(),
     });
-}
-
-/// R2 — `wall-clock`: `Instant::now` / `SystemTime` outside the
-/// measurement crates. Kernels must take timing through the harness
-/// profiler hooks (`Profiler::hot_start`/`hot_add`, `Profiler::span`,
-/// `HotRegion`), which the measurement knob can turn off.
-fn rule_wall_clock(fa: &FileAnalysis, out: &mut Vec<Finding>) {
-    for needle in CLOCK_NEEDLES {
-        for at in token_positions(&fa.scrubbed.text, needle) {
-            push(
-                out,
-                "wall-clock",
-                fa,
-                at,
-                format!(
-                    "{needle} in a kernel crate: route timing through the harness profiler hooks"
-                ),
-            );
-        }
-    }
-}
-
-/// R2b — `wall-clock` inside the measurement crates: the crates are
-/// exempt as a whole (they own timing), but `consume_batch` bodies are
-/// not — a `BatchConsumer` callback runs on the collector thread, where
-/// the telemetry contract is "producer times, collector aggregates". A
-/// clock read there would silently re-time records that were already
-/// timed at the source.
-fn rule_wall_clock_consumer(fa: &FileAnalysis, out: &mut Vec<Finding>) {
-    let text = &fa.scrubbed.text;
-    for item in fa.fns.iter().filter(|f| f.name == "consume_batch") {
-        let body = &text[item.span.start..item.span.end];
-        for needle in CLOCK_NEEDLES {
-            for rel in token_positions(body, needle) {
-                push(
-                    out,
-                    "wall-clock",
-                    fa,
-                    item.span.start + rel,
-                    format!(
-                        "{needle} inside a consume_batch collector callback: \
-                         timing belongs to the producer side of the channel"
-                    ),
-                );
-            }
-        }
-    }
 }
 
 /// R3 — `hot-alloc`: allocation inside the span of a `*_into` function,
@@ -449,78 +311,6 @@ fn find_all(text: &str, needle: &str) -> Vec<usize> {
     out
 }
 
-/// R5 — `par-rng`: inside the argument span of a
-/// `par_map(...)`/`par_chunks_mut(...)` call, RNG state may only be
-/// derived via `chunk_seed` (ROADMAP threading contract: per-chunk seed
-/// streams keep parallel runs bit-identical at any thread count).
-fn rule_par_rng(fa: &FileAnalysis, out: &mut Vec<Finding>) {
-    let s = &fa.scrubbed;
-    let bytes = s.text.as_bytes();
-    for entry in ["par_map", "par_chunks_mut"] {
-        for at in token_positions(&s.text, entry) {
-            // Find the call's opening paren.
-            let mut j = at + entry.len();
-            while j < bytes.len() && (bytes[j] == b' ' || bytes[j] == b'\n' || bytes[j] == b'\r') {
-                j += 1;
-            }
-            if j >= bytes.len() || bytes[j] != b'(' {
-                continue;
-            }
-            let Some(close) = matching_delim(&s.text, j, b'(', b')') else {
-                continue;
-            };
-            let call = &s.text[j..close];
-            for ctor in ["seed_from", "thread_rng", "from_entropy"] {
-                for rel in token_positions(call, ctor) {
-                    // The constructor's own argument span may launder the
-                    // seed through `chunk_seed` — that is the contract.
-                    let abs = j + rel;
-                    let arg_open = abs + ctor.len();
-                    let justified = bytes.get(arg_open) == Some(&b'(')
-                        && matching_delim(&s.text, arg_open, b'(', b')')
-                            .is_some_and(|end| s.text[arg_open..end].contains("chunk_seed"));
-                    if !justified {
-                        push(
-                            out,
-                            "par-rng",
-                            fa,
-                            abs,
-                            format!("{ctor} inside a {entry} closure must derive its seed via chunk_seed"),
-                        );
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// R6 — `layering`: the cache simulator named in the simulator-agnostic
-/// layer. Kernel code emits into the `MemTrace` sink from `rtr-trace`;
-/// only `crates/core/src/trace.rs` (and the measurement crates above it)
-/// may mention `rtr_archsim`. Applies to manifests too, so a kernel
-/// crate cannot even declare the dependency.
-fn rule_layering(fa: &FileAnalysis, out: &mut Vec<Finding>) {
-    let s = &fa.scrubbed;
-    for needle in ["rtr_archsim", "rtr-archsim"] {
-        let hits = if needle.contains('-') {
-            find_all(&s.text, needle)
-        } else {
-            token_positions(&s.text, needle)
-        };
-        for at in hits {
-            push(
-                out,
-                "layering",
-                fa,
-                at,
-                format!(
-                    "{needle} named in the simulator-agnostic layer: emit into the MemTrace sink (rtr-trace); the simulator is wired up in crates/core/src/trace.rs"
-                ),
-            );
-        }
-    }
-}
-
 /// Method names whose calls count as `MemTrace` emissions for R8.
 const TRACE_EMIT_METHODS: [&str; 3] = ["read", "write", "process_batch"];
 
@@ -552,90 +342,40 @@ fn is_alloc_hot_entry(index: &WorkspaceIndex, f: FnId) -> bool {
     name_hot || scratch_hot || step_hot
 }
 
-/// True when the wall-clock contract applies transitively to `f`. In the
-/// measurement crates only `consume_batch` callbacks are constrained
-/// (the crates otherwise own timing), mirroring the lexical scoping.
-fn is_clock_hot_entry(index: &WorkspaceIndex, f: FnId) -> bool {
-    let info = &index.fns[f];
-    let fa = &index.files[info.file];
-    if CLOCK_CRATES.contains(&fa.krate.as_str()) {
-        info.name == "consume_batch"
-    } else {
-        info.name == "consume_batch" || is_alloc_hot_entry(index, f)
-    }
-}
-
-/// R3t/R2t — transitive `hot-alloc` and `wall-clock`: a hot entry point
-/// whose resolved callee holds the `allocates` (resp. `reads-clock`)
-/// fact is a finding at the call site, with the full chain down to the
-/// seeding token attached. Edges into fns that are themselves hot
-/// entries are skipped — those fns get their own findings, and fixing
-/// the callee fixes every caller.
+/// R3t — transitive `hot-alloc`: a hot entry point whose resolved
+/// callee holds the `allocates` fact is a finding at the call site, with
+/// the full chain down to the seeding token attached. Edges into fns
+/// that are themselves hot entries are skipped — those fns get their own
+/// findings, and fixing the callee fixes every caller.
 fn rule_transitive(
     index: &WorkspaceIndex,
     graph: &CallGraph,
     facts: &Facts,
     out: &mut Vec<Finding>,
 ) {
-    for f in 0..index.fns.len() {
-        let alloc_hot = is_alloc_hot_entry(index, f);
-        let clock_hot = is_clock_hot_entry(index, f);
-        if !alloc_hot && !clock_hot {
-            continue;
-        }
+    for f in (0..index.fns.len()).filter(|&f| is_alloc_hot_entry(index, f)) {
         let fa = &index.files[index.fns[f].file];
-        let n_sites = index.calls[f].len();
-        for site_idx in 0..n_sites {
-            let site = &index.calls[f][site_idx];
-            let candidates = graph.outgoing[f]
+        for (site_idx, site) in index.calls[f].iter().enumerate() {
+            let callee = graph.outgoing[f]
                 .iter()
                 .map(|&e| graph.edges[e])
-                .filter(|e| e.site == site_idx);
-            let mut flagged_alloc = false;
-            let mut flagged_clock = false;
-            for edge in candidates {
-                let c = edge.callee;
-                if alloc_hot
-                    && !flagged_alloc
-                    && !is_alloc_hot_entry(index, c)
-                    && facts.allocates[c].is_some()
-                {
-                    flagged_alloc = true;
-                    let mut full = vec![index.fns[f].qualified_name()];
-                    full.extend(chain(index, &facts.allocates, c));
-                    out.push(Finding {
-                        rule: "hot-alloc".to_owned(),
-                        file: fa.path.clone(),
-                        line: line_of(&fa.scrubbed.text, site.offset),
-                        message: format!(
-                            "transitive allocation in an allocation-free hot span: {}",
-                            full.join(" -> ")
-                        ),
-                        allowed: None,
-                        chain: full,
-                    });
-                }
-                if clock_hot
-                    && !flagged_clock
-                    && !is_clock_hot_entry(index, c)
-                    && facts.reads_clock[c].is_some()
-                {
-                    flagged_clock = true;
-                    let mut full = vec![index.fns[f].qualified_name()];
-                    full.extend(chain(index, &facts.reads_clock, c));
-                    out.push(Finding {
-                        rule: "wall-clock".to_owned(),
-                        file: fa.path.clone(),
-                        line: line_of(&fa.scrubbed.text, site.offset),
-                        message: format!(
-                            "transitive wall-clock read from a hot entry point: {}",
-                            full.join(" -> ")
-                        ),
-                        allowed: None,
-                        chain: full,
-                    });
-                }
-            }
+                .filter(|e| e.site == site_idx)
+                .map(|e| e.callee)
+                .find(|&c| !is_alloc_hot_entry(index, c) && facts.allocates[c].is_some());
+            let Some(c) = callee else { continue };
+            let mut full = vec![index.fns[f].qualified_name()];
+            full.extend(chain(index, &facts.allocates, c));
+            out.push(Finding {
+                rule: "hot-alloc".to_owned(),
+                file: fa.path.clone(),
+                line: line_of(&fa.scrubbed.text, site.offset),
+                message: format!(
+                    "transitive allocation in an allocation-free hot span: {}",
+                    full.join(" -> ")
+                ),
+                allowed: None,
+                chain: full,
+            });
         }
     }
 }
@@ -647,7 +387,7 @@ fn rule_transitive(
 /// approximation), or the whole fn is only ever called from guarded
 /// positions (greatest-fixpoint over the workspace call graph).
 /// `crates/core/src/trace.rs` is exempt — it is the deliberate
-/// simulator wiring, the same carve-out the layering rule makes.
+/// simulator wiring.
 fn rule_trace_gated(index: &WorkspaceIndex, graph: &CallGraph, out: &mut Vec<Finding>) {
     let in_scope = |f: FnId| {
         let fa = &index.files[index.fns[f].file];
@@ -823,10 +563,7 @@ fn guard_spans(text: &str, info: &crate::index::FnInfo) -> Vec<Span> {
 /// The one-paragraph specification printed by `--explain <rule>`.
 pub fn explain(rule: &str) -> Option<&'static str> {
     Some(match rule {
-        "wall-clock" => "wall-clock: Instant::now/SystemTime outside the measurement crates (bench, harness, lint, scenario), and inside consume_batch collector callbacks anywhere. Kernels take timing through the harness profiler hooks. Fires transitively: a hot entry point whose resolved callees read the clock is flagged with the call chain (a_into -> helper -> Instant::now); the harness profiler types themselves are barriers (they are the sanctioned channel).",
         "hot-alloc" => "hot-alloc: heap allocation (Vec::new, vec!, .to_vec(), .collect(), Box::new, .clone()) inside a hot span: *_into/process_batch/flush fns, batch-producer fns in crates/trace (push, try_push, swap, try_swap, publish), lane kernels in crates/simd, *Scratch impls (constructors new/default/with_* exempt), and step fns on *Instance/*State impls (the stepped kernel lifecycle's per-tick path; instantiate/finish may allocate). Fires transitively: a hot entry point whose resolved callees allocate is flagged with the call chain. Pool::par_chunks_mut is a barrier: its clones/collects are per-region fan-out scaffolding, not per-item work.",
-        "par-rng" => "par-rng: inside par_map/par_chunks_mut argument spans, RNG constructors (seed_from, thread_rng, from_entropy) must derive their seed via chunk_seed so parallel runs stay bit-identical at any thread count.",
-        "layering" => "layering: the cache simulator (rtr_archsim) named in the simulator-agnostic layer (algorithm crates, their manifests, and crates/core/src/kernels/). Kernel code emits into the MemTrace sink; only crates/core/src/trace.rs wires the simulator up.",
         "trace-gated" => "trace-gated: in kernel crates, MemTrace emissions (.read/.write/.process_batch on a trace receiver) must be dominated by a trace.enabled() check: inside an `if trace.enabled()` block (or after an `if !enabled { return }` early-out, or under a bound guard variable), or in a fn whose every workspace caller calls it from a guarded position. crates/core/src/trace.rs is exempt (it is the simulator wiring).",
         "allow-syntax" => "allow-syntax: a `// rtr-lint: allow(<rule>) -- <reason>` annotation must name a known rule and carry a non-empty reason. An annotation covers its own line and the next non-attribute line below it.",
         _ => return None,
@@ -845,19 +582,6 @@ mod tests {
     fn crate_classification() {
         assert_eq!(crate_of("crates/geom/src/kdtree.rs"), Some("geom"));
         assert_eq!(crate_of("src/lib.rs"), None);
-    }
-
-    #[test]
-    fn wall_clock_flagged_outside_measurement_crates() {
-        let src = "let t = std::time::Instant::now();\n";
-        let f = kernel(src);
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].rule, "wall-clock");
-        assert!(lint_source("crates/bench/src/x.rs", src).is_empty());
-        assert!(lint_source("crates/harness/src/x.rs", src).is_empty());
-        assert!(lint_source("crates/lint/src/timing.rs", src).is_empty());
-        // The scenario runner times its pipeline stages directly.
-        assert!(lint_source("crates/scenario/src/runner.rs", src).is_empty());
     }
 
     #[test]
@@ -881,12 +605,12 @@ mod tests {
 
     #[test]
     fn allow_suppresses_and_requires_reason() {
-        let ok = "// rtr-lint: allow(wall-clock) -- a one-off calibration read\nlet t = std::time::Instant::now();\n";
+        let ok = "fn warm_into(v: &mut V) {\n  // rtr-lint: allow(hot-alloc) -- a one-off warm-up fill\n  let t = Vec::new();\n}\n";
         let f = kernel(ok);
         assert_eq!(f.len(), 1);
         assert!(f[0].allowed.is_some());
 
-        let bad = "let t = std::time::Instant::now(); // rtr-lint: allow(wall-clock)\n";
+        let bad = "fn warm_into(v: &mut V) { let t = Vec::new(); } // rtr-lint: allow(hot-alloc)\n";
         let f = kernel(bad);
         assert_eq!(f.len(), 2, "{f:?}");
         assert!(f
@@ -905,9 +629,16 @@ mod tests {
 
     #[test]
     fn unknown_rule_in_allow_is_flagged() {
-        // The two rules rustc and clippy took over are unknown too, so a
-        // leftover annotation naming one cannot go unnoticed.
-        for rule in ["made-up", "nondet-iter", "unsafe-hygiene"] {
+        // Retired rules are unknown too, so a leftover annotation naming
+        // one cannot go unnoticed.
+        for rule in [
+            "made-up",
+            "nondet-iter",
+            "unsafe-hygiene",
+            "wall-clock",
+            "layering",
+            "par-rng",
+        ] {
             let f = kernel(&format!(
                 "let x = 1; // rtr-lint: allow({rule}) -- because\n"
             ));
@@ -946,83 +677,7 @@ mod tests {
             .all(|x| x.rule != "hot-alloc"));
     }
 
-    #[test]
-    fn consume_batch_clock_reads_flagged_even_in_clock_crates() {
-        let bad = "fn consume_batch(&mut self, batch: &[TraceOp]) { let t = Instant::now(); }\n";
-        let f = lint_source("crates/harness/src/metrics.rs", bad);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].rule, "wall-clock");
-        assert!(f[0].message.contains("consume_batch"));
-        // Clock reads elsewhere in the measurement crates stay legal...
-        let ok = "fn drain(&mut self) { let t = Instant::now(); }\n";
-        assert!(lint_source("crates/harness/src/metrics.rs", ok).is_empty());
-        // ...and consume_batch in a non-clock crate is already covered by
-        // the blanket rule (exactly one finding, not two).
-        let f = lint_source("crates/archsim/src/x.rs", bad);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].rule, "wall-clock");
-    }
-
-    #[test]
-    fn par_rng_requires_chunk_seed() {
-        let bad = "pool.par_map(&xs, |i, x| { let mut rng = SimRng::seed_from(7); x })\n";
-        let f = kernel(bad);
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].rule, "par-rng");
-        let good =
-            "pool.par_map(&xs, |i, x| { let mut rng = SimRng::seed_from(chunk_seed(s, i as u64)); x })\n";
-        assert!(kernel(good).is_empty());
-    }
-
-    #[test]
-    fn rng_outside_parallel_closures_is_fine() {
-        assert!(kernel("let mut rng = SimRng::seed_from(self.config.seed);\n").is_empty());
-    }
-
-    #[test]
-    fn layering_scope_covers_kernel_crates_and_core_adapters() {
-        assert!(is_layered("crates/control/src/mpc.rs"));
-        assert!(is_layered("crates/perception/Cargo.toml"));
-        assert!(is_layered("crates/core/src/kernels/planning.rs"));
-        assert!(!is_layered("crates/core/src/trace.rs"));
-        assert!(!is_layered("crates/bench/src/lib.rs"));
-        assert!(!is_layered("crates/archsim/src/hierarchy.rs"));
-    }
-
-    #[test]
-    fn simulator_named_in_kernel_source_is_flagged() {
-        let src = "let report = rtr_archsim::MemorySim::i3_8109u().report();\n";
-        let f = kernel(src);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].rule, "layering");
-        assert!(lint_source("crates/core/src/trace.rs", src).is_empty());
-        assert!(lint_source("crates/bench/src/x.rs", src).is_empty());
-    }
-
-    #[test]
-    fn simulator_dependency_in_kernel_manifest_is_flagged() {
-        let toml = "[dependencies]\nrtr-trace.workspace = true\nrtr-archsim.workspace = true\n";
-        let f = lint_source("crates/planning/Cargo.toml", toml);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].rule, "layering");
-        assert_eq!(f[0].line, 3);
-        assert!(lint_source("crates/core/Cargo.toml", toml).is_empty());
-    }
-
-    #[test]
-    fn simulator_in_comments_or_core_adapter_subtree() {
-        // Comments are scrubbed before matching: prose pointers to the
-        // simulator remain legal in kernel crates.
-        assert!(kernel("// measured via rtr_archsim, see bench\n").is_empty());
-        let f = lint_source(
-            "crates/core/src/kernels/perception.rs",
-            "use rtr_archsim::MemorySim;\n",
-        );
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].rule, "layering");
-    }
-
-    // ---- interprocedural: transitive hot-alloc / wall-clock ----
+    // ---- interprocedural: transitive hot-alloc ----
 
     #[test]
     fn two_hop_transitive_alloc_chain_is_flagged() {
@@ -1035,24 +690,6 @@ mod tests {
         assert!(f[0]
             .message
             .contains("mul_into -> helper -> grow -> Vec::new"));
-    }
-
-    #[test]
-    fn two_hop_transitive_clock_chain_is_flagged() {
-        let src = "fn step_into(o: &mut V) { helper(); }\nfn helper() { stamp(); }\nfn stamp() -> u64 { std::time::Instant::now(); 0 }\n";
-        let f = kernel(src);
-        // Direct wall-clock on stamp's own token, plus the transitive
-        // finding at the hot entry's call site.
-        let trans: Vec<_> = f
-            .iter()
-            .filter(|x| x.message.contains("transitive"))
-            .collect();
-        assert_eq!(trans.len(), 1, "{f:?}");
-        assert_eq!(trans[0].rule, "wall-clock");
-        assert_eq!(
-            trans[0].chain,
-            ["step_into", "helper", "stamp", "Instant::now"]
-        );
     }
 
     #[test]
@@ -1129,33 +766,6 @@ mod tests {
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].rule, "hot-alloc");
         assert!(f[0].message.contains("transitive"));
-    }
-
-    #[test]
-    fn profiler_barrier_keeps_the_sanctioned_timing_channel_legal() {
-        let files = vec![
-            (
-                "crates/harness/src/profiler.rs".to_owned(),
-                "impl Profiler {\n  pub fn hot_start(&mut self) { self.t = Instant::now(); }\n}\n"
-                    .to_owned(),
-            ),
-            (
-                "crates/geom/src/hot.rs".to_owned(),
-                "pub fn icp_into(o: &mut V, p: &mut Profiler) { p.hot_start(); }\n".to_owned(),
-            ),
-        ];
-        let f = lint_workspace(&files);
-        assert!(f.is_empty(), "profiler calls from hot entries: {f:?}");
-    }
-
-    #[test]
-    fn consume_batch_transitive_clock_read_is_flagged() {
-        let src = "fn consume_batch(&mut self, b: &[Op]) { self.stamp(); }\nfn stamp(&mut self) { let t = Instant::now(); }\n";
-        let f = lint_source("crates/harness/src/metrics.rs", src);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].rule, "wall-clock");
-        assert!(f[0].message.contains("transitive"));
-        assert_eq!(f[0].chain, ["consume_batch", "stamp", "Instant::now"]);
     }
 
     #[test]
@@ -1241,7 +851,13 @@ mod tests {
             assert!(explain(rule).is_some(), "{rule}");
         }
         assert!(explain("allow-syntax").is_some());
-        for unknown in ["made-up", "nondet-iter", "unsafe-hygiene"] {
+        for unknown in [
+            "made-up",
+            "nondet-iter",
+            "wall-clock",
+            "layering",
+            "par-rng",
+        ] {
             assert!(explain(unknown).is_none(), "{unknown}");
         }
     }

@@ -66,11 +66,19 @@ fn a_fresh_baseline_matches() {
     assert!(String::from_utf8_lossy(&out.stdout).contains("baseline match"));
 }
 
-/// Retired rules: two left to the compiler, and `atomic-ordering`, whose
-/// lock-free files the channel transport replaced.
+/// Retired rules: four left to the compiler, `atomic-ordering`, whose
+/// lock-free files the channel transport replaced, and `par-rng`, whose
+/// `chunk_seed` remedy the pool no longer offers.
 #[test]
 fn retired_rules_are_unknown() {
-    for rule in ["nondet-iter", "unsafe-hygiene", "atomic-ordering"] {
+    for rule in [
+        "nondet-iter",
+        "unsafe-hygiene",
+        "atomic-ordering",
+        "wall-clock",
+        "layering",
+        "par-rng",
+    ] {
         let out = Command::new(env!("CARGO_BIN_EXE_rtr-lint"))
             .args(["--explain", rule])
             .output()

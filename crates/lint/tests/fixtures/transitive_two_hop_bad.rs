@@ -1,6 +1,6 @@
-//! Two-hop transitive violations: every hot entry point below is
-//! lexically clean — the allocation / clock read hides two calls away,
-//! so only the interprocedural pass can see it.
+//! A two-hop transitive violation: the hot entry point below is
+//! lexically clean — the allocation hides two calls away, so only the
+//! interprocedural pass can see it.
 
 pub fn mul_into(out: &mut Acc) {
     stage(out);
@@ -12,16 +12,4 @@ fn stage(out: &mut Acc) {
 
 fn grow(out: &mut Acc) {
     out.data = Vec::new();
-}
-
-pub fn step_into(state: &mut Acc) {
-    refresh(state);
-}
-
-fn refresh(state: &mut Acc) {
-    state.t = stamp();
-}
-
-fn stamp() -> std::time::Instant {
-    std::time::Instant::now()
 }

@@ -12,7 +12,7 @@
 
 use std::process::ExitCode;
 
-use rtr_harness::{usage_error, Args, CliError, Collector, OptionSpec};
+use rtr_harness::{usage_error, Args, Collector, OptionSpec};
 use rtr_scenario::{latency_table, LocalizerKind, ScenarioConfig, ScenarioState};
 use rtr_trace::{metric_channel, MetricMap};
 
@@ -51,26 +51,6 @@ const MAX_TICKS: usize = 1_000_000;
 /// filter keeps about 90 B per particle, under 100 MB at the cap.
 const MAX_PARTICLES: usize = 1_000_000;
 
-/// Parses a count option, rejecting a value above `max` before the run
-/// sizes anything from it.
-fn count_arg(
-    args: &Args,
-    option: &str,
-    default: usize,
-    max: usize,
-    expected: &'static str,
-) -> Result<usize, CliError> {
-    let count = args.get_usize(option, default)?;
-    if count > max {
-        return Err(CliError::BadValue {
-            option: option.to_owned(),
-            value: count.to_string(),
-            expected,
-        });
-    }
-    Ok(count)
-}
-
 fn main() -> ExitCode {
     let args = Args::parse_env().unwrap_or_else(|e| usage_error("scenario", e));
     if args.wants_help() {
@@ -95,23 +75,16 @@ fn config_from(args: &Args) -> Result<ScenarioConfig, Box<dyn std::error::Error>
         .parse()
         .map_err(|()| format!("unknown localizer {localizer_raw:?} (expected pfl|ekfslam)"))?;
     Ok(ScenarioConfig {
-        max_ticks: count_arg(
-            args,
-            "ticks",
-            600,
-            MAX_TICKS,
-            "a tick budget of at most 1000000",
-        )?,
+        max_ticks: args.get_count("ticks", 600, MAX_TICKS, "a tick budget of at most 1000000")?,
         seed: args.get_u64("seed", 7)?,
         localizer,
-        particles: count_arg(
-            args,
+        particles: args.get_count(
             "particles",
             300,
             MAX_PARTICLES,
             "a particle count of at most 1000000",
         )?,
-        threads: args.get_usize("threads", 1)?,
+        threads: args.get_threads(1)?,
     })
 }
 

@@ -18,7 +18,7 @@ fn scenario(argv: &[&str]) -> (Option<i32>, String) {
 
 #[test]
 fn huge_counts_exit_2_naming_the_option() {
-    for option in ["ticks", "particles"] {
+    for option in ["ticks", "particles", "threads"] {
         let flag = format!("--{option}");
         let (code, stderr) = scenario(&[flag.as_str(), "1000000000000"]);
         assert_eq!(code, Some(2), "{flag}: {stderr}");

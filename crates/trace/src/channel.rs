@@ -36,9 +36,9 @@ enum Delivery<T> {
 /// The collector-side contract: absorbs delivered batches, in production
 /// order, on the collector thread.
 ///
-/// Callbacks must not read the wall clock (`rtr-lint`'s `wall-clock` rule
-/// scans `consume_batch` bodies in every crate, the measurement crates
-/// included): the producer times, the collector only aggregates.
+/// Callbacks must not read the wall clock: the producer times, the
+/// collector only aggregates. Both implementations live in this crate,
+/// whose `clippy.toml` disallows `Instant::now` and `SystemTime::now`.
 pub trait BatchConsumer: Send {
     /// The record type the consumer absorbs.
     type Item;
