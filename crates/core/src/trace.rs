@@ -9,10 +9,9 @@
 //! kernel. The transport is a library choice, not a kernel option:
 //! [`TraceSession::enabled_with`] picks it, and
 //! `exp_characterization --telemetry` exposes it.
-#![expect(
-    clippy::disallowed_types,
-    reason = "the one module that wires the simulator"
-)]
+//!
+//! Core's `clippy.toml` keeps the simulator's types out of the kernel
+//! layer; each item here that names one expects that lint.
 
 use rtr_harness::{Args, Collector, OptionSpec};
 use rtr_trace::{trace_channel, BufferedTrace, MemTrace, NullTrace, TraceSender};
@@ -20,6 +19,10 @@ use rtr_trace::{trace_channel, BufferedTrace, MemTrace, NullTrace, TraceSender};
 use crate::KernelError;
 
 /// The cache report type surfaced on [`crate::KernelReport`].
+#[expect(
+    clippy::disallowed_types,
+    reason = "this module wires the simulator behind --trace"
+)]
 pub type CacheReport = rtr_archsim::HierarchyReport;
 
 /// The shared `--trace` CLI option.
@@ -115,11 +118,19 @@ const TRACE_BUFFERS: usize = 2;
 enum Transport {
     /// Simulator wrapped in the batching adapter, on the kernel thread
     /// (boxed: the simulator's inline state dwarfs the other variant).
+    #[expect(
+        clippy::disallowed_types,
+        reason = "this module wires the simulator behind --trace"
+    )]
     Inline(Box<BufferedTrace<rtr_archsim::MemorySim>>),
     /// Producer sink on the kernel thread; the simulator lives in the
     /// collector thread and is recovered (with its report) at `finish`.
     Ring {
         trace: TraceSender,
+        #[expect(
+            clippy::disallowed_types,
+            reason = "this module wires the simulator behind --trace"
+        )]
         collector: Collector<rtr_archsim::MemorySim>,
     },
 }
@@ -198,6 +209,10 @@ impl TraceSession {
 
     /// A traced session on an explicit transport.
     pub fn enabled_with(telemetry: Telemetry, vldp_degree: usize) -> Self {
+        #[expect(
+            clippy::disallowed_types,
+            reason = "this module wires the simulator behind --trace"
+        )]
         let sim = rtr_archsim::MemorySim::i3_8109u();
         let sim = if vldp_degree > 0 {
             sim.with_vldp(vldp_degree)

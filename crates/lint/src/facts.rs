@@ -62,34 +62,14 @@ impl Barrier {
     }
 }
 
-/// The computed transitive fact for every workspace fn.
-pub struct Facts {
-    /// Fn may allocate on the heap, directly or through a callee.
-    pub allocates: Fact,
-}
-
-impl Facts {
-    /// Computes the fact over the resolved call graph. The needles and
-    /// barriers are parameters so the rule layer owns the single source
-    /// of truth for token patterns.
-    pub fn compute(
-        index: &WorkspaceIndex,
-        graph: &CallGraph,
-        alloc_needles: &[&'static str],
-        alloc_barriers: &[Barrier],
-    ) -> Facts {
-        Facts {
-            allocates: propagate(index, graph, alloc_needles, alloc_barriers),
-        }
-    }
-}
-
 /// Seeds one fact from body tokens, then iterates the edge list to a
 /// fixpoint. Facts only ever flip `None` → `Some` and the edge order is
 /// fixed, so the result (including witnesses) is deterministic. Fns
 /// covered by a [`Barrier`] are held at `None` throughout: not seeded,
-/// never assigned by the fixpoint, hence opaque to their callers.
-fn propagate(
+/// never assigned by the fixpoint, hence opaque to their callers. The
+/// needles and barriers are parameters so the rule layer owns the single
+/// source of truth for token patterns.
+pub fn propagate(
     index: &WorkspaceIndex,
     graph: &CallGraph,
     needles: &[&'static str],
@@ -185,26 +165,26 @@ mod tests {
 
     const ALLOC: [&str; 3] = ["Vec::new(", "vec!", ".clone()"];
 
-    fn facts_with_barriers(src: &str, alloc_barriers: &[Barrier]) -> (WorkspaceIndex, Facts) {
+    fn fact_with_barriers(src: &str, barriers: &[Barrier]) -> (WorkspaceIndex, Fact) {
         let idx = WorkspaceIndex::build(vec![FileAnalysis::new("crates/geom/src/x.rs", src)]);
         let graph = CallGraph::build(&idx);
-        let facts = Facts::compute(&idx, &graph, &ALLOC, alloc_barriers);
-        (idx, facts)
+        let allocates = propagate(&idx, &graph, &ALLOC, barriers);
+        (idx, allocates)
     }
 
-    fn facts_for(src: &str) -> (WorkspaceIndex, Facts) {
-        facts_with_barriers(src, &[])
+    fn fact_for(src: &str) -> (WorkspaceIndex, Fact) {
+        fact_with_barriers(src, &[])
     }
     use crate::callgraph::CallGraph;
 
     #[test]
     fn two_hop_chain_is_reconstructed() {
         let src = "fn entry() { middle(); }\nfn middle() { leaf(); }\nfn leaf() -> Vec<u32> { Vec::new() }\n";
-        let (idx, facts) = facts_for(src);
+        let (idx, allocates) = fact_for(src);
         let entry = idx.fns.iter().position(|f| f.name == "entry").unwrap();
-        assert!(facts.allocates[entry].is_some());
+        assert!(allocates[entry].is_some());
         assert_eq!(
-            chain(&idx, &facts.allocates, entry),
+            chain(&idx, &allocates, entry),
             ["entry", "middle", "leaf", "Vec::new"]
         );
     }
@@ -212,40 +192,40 @@ mod tests {
     #[test]
     fn facts_do_not_leak_without_edges() {
         let src = "fn clean(x: u32) -> u32 { x + 1 }\nfn dirty() { vec![1]; }\n";
-        let (idx, facts) = facts_for(src);
+        let (idx, allocates) = fact_for(src);
         let clean = idx.fns.iter().position(|f| f.name == "clean").unwrap();
         let dirty = idx.fns.iter().position(|f| f.name == "dirty").unwrap();
-        assert!(facts.allocates[clean].is_none());
-        assert!(facts.allocates[dirty].is_some());
+        assert!(allocates[clean].is_none());
+        assert!(allocates[dirty].is_some());
     }
 
     #[test]
     fn recursive_fns_terminate() {
         let src = "fn a() { b(); }\nfn b() { a(); vec![1]; }\n";
-        let (idx, facts) = facts_for(src);
+        let (idx, allocates) = fact_for(src);
         let a = idx.fns.iter().position(|f| f.name == "a").unwrap();
-        assert_eq!(chain(&idx, &facts.allocates, a), ["a", "b", "vec"]);
+        assert_eq!(chain(&idx, &allocates, a), ["a", "b", "vec"]);
     }
 
     #[test]
     fn barred_fns_never_hold_or_propagate_the_fact() {
         let src = "impl Pool {\n  fn fan_out(&self) { self.spawn_all(); }\n}\nimpl Pool {\n  fn spawn_all(&self) { let h = self.handles.clone(); }\n}\n";
-        let (idx, plain) = facts_with_barriers(src, &[]);
+        let (idx, plain) = fact_with_barriers(src, &[]);
         let fan_out = idx.fns.iter().position(|f| f.name == "fan_out").unwrap();
         let spawn_all = idx.fns.iter().position(|f| f.name == "spawn_all").unwrap();
-        assert!(plain.allocates[fan_out].is_some());
-        assert!(plain.allocates[spawn_all].is_some());
+        assert!(plain[fan_out].is_some());
+        assert!(plain[spawn_all].is_some());
 
         let barrier = [Barrier {
             krate: "geom",
             impl_type: Some("Pool"),
             name: Some("spawn_all"),
         }];
-        let (idx, barred) = facts_with_barriers(src, &barrier);
+        let (idx, barred) = fact_with_barriers(src, &barrier);
         let fan_out = idx.fns.iter().position(|f| f.name == "fan_out").unwrap();
         let spawn_all = idx.fns.iter().position(|f| f.name == "spawn_all").unwrap();
-        assert!(barred.allocates[spawn_all].is_none(), "seeding masked");
-        assert!(barred.allocates[fan_out].is_none(), "nothing to inherit");
+        assert!(barred[spawn_all].is_none(), "seeding masked");
+        assert!(barred[fan_out].is_none(), "nothing to inherit");
     }
 
     #[test]

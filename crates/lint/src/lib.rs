@@ -56,7 +56,6 @@ pub mod report;
 pub mod rules;
 
 pub use callgraph::CallGraph;
-pub use facts::Facts;
 pub use index::{FileAnalysis, WorkspaceIndex};
 pub use lexer::{scrub, Allow, Scrubbed, Span};
 pub use report::{Finding, Report};

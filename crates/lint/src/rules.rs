@@ -18,7 +18,7 @@
 //! in a single-file workspace.
 
 use crate::callgraph::CallGraph;
-use crate::facts::{chain, Barrier, Facts};
+use crate::facts::{chain, propagate, Barrier, Fact};
 use crate::index::{FileAnalysis, FnId, WorkspaceIndex};
 use crate::lexer::{line_of, matching_delim, token_positions, Span};
 use crate::report::Finding;
@@ -121,8 +121,8 @@ pub fn lint_workspace(files: &[(String, String)]) -> Vec<Finding> {
 
     let index = WorkspaceIndex::build(analyses);
     let graph = CallGraph::build(&index);
-    let facts = Facts::compute(&index, &graph, &ALLOC_NEEDLES, &ALLOC_BARRIERS);
-    rule_transitive(&index, &graph, &facts, &mut raw);
+    let allocates = propagate(&index, &graph, &ALLOC_NEEDLES, &ALLOC_BARRIERS);
+    rule_transitive(&index, &graph, &allocates, &mut raw);
     rule_trace_gated(&index, &graph, &mut raw);
 
     // Dedup overlapping-span double reports.
@@ -350,7 +350,7 @@ fn is_alloc_hot_entry(index: &WorkspaceIndex, f: FnId) -> bool {
 fn rule_transitive(
     index: &WorkspaceIndex,
     graph: &CallGraph,
-    facts: &Facts,
+    allocates: &Fact,
     out: &mut Vec<Finding>,
 ) {
     for f in (0..index.fns.len()).filter(|&f| is_alloc_hot_entry(index, f)) {
@@ -361,10 +361,10 @@ fn rule_transitive(
                 .map(|&e| graph.edges[e])
                 .filter(|e| e.site == site_idx)
                 .map(|e| e.callee)
-                .find(|&c| !is_alloc_hot_entry(index, c) && facts.allocates[c].is_some());
+                .find(|&c| !is_alloc_hot_entry(index, c) && allocates[c].is_some());
             let Some(c) = callee else { continue };
             let mut full = vec![index.fns[f].qualified_name()];
-            full.extend(chain(index, &facts.allocates, c));
+            full.extend(chain(index, allocates, c));
             out.push(Finding {
                 rule: "hot-alloc".to_owned(),
                 file: fa.path.clone(),
@@ -854,6 +854,7 @@ mod tests {
         for unknown in [
             "made-up",
             "nondet-iter",
+            "unsafe-hygiene",
             "wall-clock",
             "layering",
             "par-rng",
