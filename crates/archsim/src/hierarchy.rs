@@ -289,12 +289,12 @@ impl MemorySim {
 
 impl rtr_trace::MemTrace for MemorySim {
     #[inline]
-    fn read(&mut self, addr: u64) {
+    fn read(&mut self, addr: u64, _: rtr_trace::Gated) {
         MemorySim::read(self, addr);
     }
 
     #[inline]
-    fn write(&mut self, addr: u64) {
+    fn write(&mut self, addr: u64, _: rtr_trace::Gated) {
         MemorySim::write(self, addr);
     }
 
@@ -315,7 +315,7 @@ impl rtr_trace::MemTrace for MemorySim {
     ///   access before it, whose prefetch tail filled nothing, repeats
     ///   that tail's counters instead of re-walking the prefetcher
     ///   (`MemorySim::hit_tail`).
-    fn process_batch(&mut self, ops: &[rtr_trace::TraceOp]) {
+    fn process_batch(&mut self, ops: &[rtr_trace::TraceOp], _: rtr_trace::Gated) {
         let mut memo: Option<(u64, usize)> = None;
         // With no prefetcher attached, a run of consecutive ops on the
         // memoized line commits in one step (`touch_resident_run` is
@@ -565,12 +565,12 @@ mod tests {
         use rtr_trace::MemTrace;
 
         fn emit<T: MemTrace + ?Sized>(trace: &mut T) {
-            trace.read(0x40);
-            trace.write(0x40);
+            let g = trace.gate().expect("the simulator is enabled");
+            trace.read(0x40, g);
+            trace.write(0x40, g);
         }
 
         let mut sim = MemorySim::i3_8109u();
-        assert!(MemTrace::enabled(&sim));
         emit(&mut sim);
         let dynamic: &mut dyn MemTrace = &mut sim;
         emit(dynamic);

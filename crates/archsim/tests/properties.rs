@@ -34,11 +34,12 @@ fn hierarchy_variants() -> Vec<MemorySim> {
 /// Replays `ops` through the legacy per-op dyn path.
 fn per_op_reference(mut sim: MemorySim, ops: &[TraceOp]) -> rtr_archsim::HierarchyReport {
     let sink: &mut dyn MemTrace = &mut sim;
+    let g = sink.gate().expect("the simulator is enabled");
     for op in ops {
         if op.is_write {
-            sink.write(op.addr);
+            sink.write(op.addr, g);
         } else {
-            sink.read(op.addr);
+            sink.read(op.addr, g);
         }
     }
     sim.report()
@@ -184,16 +185,17 @@ proptest! {
             let want = per_op_reference(reference.clone(), &ops);
             // One-shot batch through the monomorphic fast path.
             let mut batched = reference.clone();
-            batched.process_batch(&ops);
+            batched.process_batch(&ops, batched.gate().expect("the simulator is enabled"));
             prop_assert_eq!(&batched.report(), &want);
             // Buffered transport across flush-boundary-hostile capacities.
             for cap in [1usize, 7, 4096] {
                 let mut buffered = BufferedTrace::with_capacity(reference.clone(), cap);
+                let g = buffered.gate().expect("the simulator is enabled");
                 for op in &ops {
                     if op.is_write {
-                        buffered.write(op.addr);
+                        buffered.write(op.addr, g);
                     } else {
-                        buffered.read(op.addr);
+                        buffered.read(op.addr, g);
                     }
                 }
                 prop_assert_eq!(&buffered.into_inner().report(), &want, "capacity {}", cap);
@@ -219,7 +221,7 @@ proptest! {
         for reference in hierarchy_variants() {
             let want = per_op_reference(reference.clone(), &ops);
             let mut batched = reference.clone();
-            batched.process_batch(&ops);
+            batched.process_batch(&ops, batched.gate().expect("the simulator is enabled"));
             prop_assert_eq!(&batched.report(), &want);
         }
     }

@@ -272,7 +272,7 @@ proptest! {
         for sim in hierarchies(degree) {
             let want = per_op(sim.clone(), &ops);
             let mut batched = sim;
-            batched.process_batch(&ops);
+            batched.process_batch(&ops, batched.gate().expect("the simulator is enabled"));
             prop_assert_eq!(&batched.report(), &want, "degree {}", degree);
         }
     }
@@ -294,7 +294,7 @@ fn a_filling_tail_is_replayed_on_the_next_same_line_hit() {
     let sim = hierarchies(3).pop().expect("one-set L2 hierarchy");
     let want = per_op(sim.clone(), &ops);
     let mut batched = sim;
-    batched.process_batch(&ops);
+    batched.process_batch(&ops, batched.gate().expect("the simulator is enabled"));
     assert_eq!(batched.report(), want);
     let stats = want.prefetch.expect("prefetcher attached");
     assert!(

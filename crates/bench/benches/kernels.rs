@@ -46,11 +46,12 @@ fn bench_archsim_throughput(c: &mut Criterion) {
             MemorySim::i3_8109u,
             |sim| {
                 let sink: &mut dyn MemTrace = sim;
+                let g = sink.gate().expect("the simulator is enabled");
                 for op in &ops {
                     if op.is_write {
-                        sink.write(op.addr);
+                        sink.write(op.addr, g);
                     } else {
-                        sink.read(op.addr);
+                        sink.read(op.addr, g);
                     }
                 }
                 black_box(sim.report())
@@ -62,7 +63,8 @@ fn bench_archsim_throughput(c: &mut Criterion) {
         b.iter_batched_ref(
             MemorySim::i3_8109u,
             |sim| {
-                sim.process_batch(&ops);
+                let g = sim.gate().expect("the simulator is enabled");
+                sim.process_batch(&ops, g);
                 black_box(sim.report())
             },
             BatchSize::LargeInput,
@@ -86,9 +88,14 @@ fn bench_archsim_throughput(c: &mut Criterion) {
 ///   and join run in the un-timed teardown (`iter_batched` drops
 ///   routine outputs outside the measurement). CI guards ring-attached
 ///   ≤ 2× null-dyn; the entry keeps the name CI's floor step reads.
+///
+/// Both emit every op through `&mut dyn MemTrace` with one token. A
+/// `NullTrace` never hands one out (its `gate` is `None`), so the token
+/// comes from an enabled sink: the floor prices per-op dispatch, not a
+/// gate the null sink would close.
 fn bench_ring_transport(c: &mut Criterion) {
     use rtr_harness::Collector;
-    use rtr_trace::{trace_channel, MemTrace, TraceSender};
+    use rtr_trace::{trace_channel, CountingTrace, Gated, MemTrace, TraceSender};
 
     let mut group = c.benchmark_group("ring_transport");
     group.sample_size(10);
@@ -101,15 +108,15 @@ fn bench_ring_transport(c: &mut Criterion) {
     // so the null baseline measures what tracing actually rides on.
     let buf: Vec<u8> = (0..256 * 1024).map(|i| (i % 251) as u8).collect();
 
-    fn scan(sink: &mut dyn MemTrace, buf: &[u8], acc: &mut u64) {
+    fn scan(sink: &mut dyn MemTrace, buf: &[u8], acc: &mut u64, g: Gated) {
         for pass in 0..2u64 {
             for (i, byte) in buf.iter().enumerate() {
                 *acc = acc.wrapping_add(u64::from(*byte));
                 let addr = i as u64;
                 if addr % 16 == 8 && pass == 0 {
-                    sink.write(addr);
+                    sink.write(addr, g);
                 } else {
-                    sink.read(addr);
+                    sink.read(addr, g);
                 }
             }
         }
@@ -125,12 +132,15 @@ fn bench_ring_transport(c: &mut Criterion) {
 
     // Matches the scan's access count: 2 passes x 256 Ki bytes.
     let stream_len = 2 * buf.len();
+    let g = CountingTrace::default()
+        .gate()
+        .expect("a counting sink is enabled");
 
     group.bench_function("null-dyn", |b| {
         b.iter(|| {
             let mut null = NullTrace;
             let mut acc = 0u64;
-            scan(opaque(&mut null), &buf, &mut acc);
+            scan(opaque(&mut null), &buf, &mut acc, g);
             black_box(acc)
         })
     });
@@ -159,7 +169,7 @@ fn bench_ring_transport(c: &mut Criterion) {
             },
             |(mut trace, collector)| {
                 let mut acc = 0u64;
-                scan(opaque(&mut trace), &buf, &mut acc);
+                scan(opaque(&mut trace), &buf, &mut acc, g);
                 black_box(acc);
                 black_box(Teardown {
                     trace: Some(trace),

@@ -1,7 +1,7 @@
 //! The stepped-lifecycle and closed-loop scenario contracts, at the
 //! registry level.
 //!
-//! Three contracts pinned here (the ones `rtr_core::KernelInstance`'s
+//! Four contracts pinned here (the ones `rtr_core::KernelInstance`'s
 //! docs promise on behalf of this suite):
 //!
 //! 1. **Stepped ≡ one-shot** — for every kernel in the registry,
@@ -15,8 +15,11 @@
 //! 3. **Allocation plateau** — once warm, further scenario ticks grow no
 //!    scratch buffer: the growth counters at tick 40 equal the counters
 //!    at the end of the run.
+//! 4. **Misuse never panics** — a `step` after `Done` returns `Done`
+//!    again and changes nothing, and `finish` before any step returns a
+//!    report or a typed error.
 
-use rtr_core::{registry, Kernel, StepStatus, TraceSession};
+use rtr_core::{registry, Kernel, KernelError, StepStatus, TraceSession};
 use rtr_harness::Args;
 use rtr_scenario::{LocalizerKind, ScenarioConfig, ScenarioState};
 
@@ -112,6 +115,44 @@ fn steps_after_a_converged_icp_run_change_nothing() {
         "converged before the 30-iteration budget: {steps}"
     );
     assert_eq!(stepped.metrics, kernel.run(&args).expect("run").metrics);
+}
+
+/// The kernels whose whole solve is one step (core's `OneShotInstance`).
+const ONE_SHOT_KERNELS: [&str; 10] = [
+    "04.pp2d",
+    "05.pp3d",
+    "06.movtar",
+    "07.prm",
+    "08.rrt",
+    "10.rrtpp",
+    "11.sym-blkw",
+    "12.sym-fext",
+    "15.cem",
+    "16.bo",
+];
+
+#[test]
+fn finish_before_any_step_never_panics() {
+    for kernel in registry() {
+        let name = kernel.name();
+        let args = Args::parse_tokens(small_args(name)).expect("valid tokens");
+        let session = TraceSession::from_args(&args).expect("session");
+        let instance = kernel.instantiate(&args).expect("instantiate");
+        match instance.finish(0.0, session) {
+            Err(KernelError::NotDone(which)) => {
+                assert!(ONE_SHOT_KERNELS.contains(&name), "{name}");
+                assert_eq!(which, name);
+            }
+            // RRT* has drawn no sample, so it never connected the goal.
+            Err(KernelError::Unsolvable(_)) => assert_eq!(name, "09.rrtstar"),
+            Err(other) => panic!("{name}: unexpected error {other}"),
+            // The other stepped kernels report the work done so far.
+            Ok(report) => {
+                assert!(!ONE_SHOT_KERNELS.contains(&name), "{name}");
+                assert_eq!(report.name, name);
+            }
+        }
+    }
 }
 
 #[test]

@@ -189,12 +189,12 @@ impl BayesOpt {
         for _ in 0..self.config.iterations {
             // Refit the GP on everything observed so far.
             let gp = profiler.time("gp_fit", || {
-                if tr.enabled() {
+                if let Some(g) = tr.gate() {
                     let n = xs.len() as u64;
                     for i in 0..n {
-                        tr.read(XS_REGION + i * 24);
+                        tr.read(XS_REGION + i * 24, g);
                         for j in 0..=i {
-                            tr.write(K_REGION + (i * n + j) * 8);
+                            tr.write(K_REGION + (i * n + j) * 8, g);
                         }
                     }
                 }
@@ -211,13 +211,13 @@ impl BayesOpt {
                     .map(|c| {
                         let x = sample_point(&mut rng);
                         normalize_into(&x, &mut unit);
-                        if tr.enabled() {
+                        if let Some(g) = tr.gate() {
                             // The posterior conditions on every training
                             // point; the scored row is then stored.
                             for j in 0..xs.len() as u64 {
-                                tr.read(XS_REGION + j * 24);
+                                tr.read(XS_REGION + j * 24, g);
                             }
-                            tr.write(CAND_REGION + c as u64 * 32);
+                            tr.write(CAND_REGION + c as u64 * 32, g);
                         }
                         let (mu, var) = gp.predict_with(&unit, &mut ws);
                         candidates_scored += 1;
@@ -228,11 +228,11 @@ impl BayesOpt {
 
             // Rank by acquisition value.
             profiler.time("sort", || {
-                if tr.enabled() {
+                if let Some(g) = tr.gate() {
                     // The in-place sort reads and rewrites every row.
                     for c in 0..scored.len() as u64 {
-                        tr.read(CAND_REGION + c * 32);
-                        tr.write(CAND_REGION + c * 32);
+                        tr.read(CAND_REGION + c * 32, g);
+                        tr.write(CAND_REGION + c * 32, g);
                     }
                 }
                 scored.sort_by(|a, b| b.3.total_cmp(&a.3));

@@ -149,8 +149,8 @@ impl Cem {
             let population: Vec<ThrowParams> = profiler.time("sample", || {
                 (0..self.config.samples_per_iteration)
                     .map(|i| {
-                        if tr.enabled() {
-                            tr.write(POP_REGION + i as u64 * 24);
+                        if let Some(g) = tr.gate() {
+                            tr.write(POP_REGION + i as u64 * 24, g);
                         }
                         ThrowParams {
                             shoulder: rng.gaussian(mean[0], std[0]),
@@ -167,12 +167,12 @@ impl Cem {
             let mut scored: Vec<(f64, ThrowParams)> = profiler.time("simulate", || {
                 pool.par_map(&population, |_, p| (sim.reward(p), *p))
             });
-            if tr.enabled() {
+            if let Some(g) = tr.gate() {
                 // Emitted after the (possibly pooled) rollouts, in draw
                 // order, so the stream is thread-count independent.
                 for i in 0..scored.len() as u64 {
-                    tr.read(POP_REGION + i * 24);
-                    tr.write(SCORED_REGION + i * 32);
+                    tr.read(POP_REGION + i * 24, g);
+                    tr.write(SCORED_REGION + i * 32, g);
                 }
             }
             evaluations += scored.len() as u64;
@@ -187,11 +187,11 @@ impl Cem {
 
             // Elite selection: the sort the paper singles out.
             profiler.time("sort", || {
-                if tr.enabled() {
+                if let Some(g) = tr.gate() {
                     // The in-place sort reads and rewrites every entry.
                     for i in 0..scored.len() as u64 {
-                        tr.read(SCORED_REGION + i * 32);
-                        tr.write(SCORED_REGION + i * 32);
+                        tr.read(SCORED_REGION + i * 32, g);
+                        tr.write(SCORED_REGION + i * 32, g);
                     }
                 }
                 scored.sort_by(|a, b| b.0.total_cmp(&a.0));
@@ -199,11 +199,11 @@ impl Cem {
 
             // Refit the sampling distribution to the elites.
             profiler.time("update", || {
-                if tr.enabled() {
+                if let Some(g) = tr.gate() {
                     // Mean pass then variance pass over the elite prefix.
                     for _ in 0..2 {
                         for i in 0..self.config.elites as u64 {
-                            tr.read(SCORED_REGION + i * 32);
+                            tr.read(SCORED_REGION + i * 32, g);
                         }
                     }
                 }

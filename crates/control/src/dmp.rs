@@ -326,19 +326,19 @@ impl Dmp {
         let mut a_row = Vec::with_capacity(ndim);
         let mut v_row = Vec::with_capacity(ndim);
         for (d, model) in self.dims.iter().enumerate() {
-            if tr.enabled() {
+            if let Some(g) = tr.gate() {
                 // The forcing term sweeps every basis function:
                 // center, width, and this dimension's weight.
                 let nb = self.centers.len() as u64;
                 for b in 0..nb {
-                    tr.read(b * 8);
-                    tr.read(WIDTHS_REGION + b * 8);
-                    tr.read(WEIGHTS_REGION + (d as u64 * nb + b) * 8);
+                    tr.read(b * 8, g);
+                    tr.read(WIDTHS_REGION + b * 8, g);
+                    tr.read(WEIGHTS_REGION + (d as u64 * nb + b) * 8, g);
                 }
-                tr.read(STATE_REGION + d as u64 * 16);
-                tr.write(STATE_REGION + d as u64 * 16);
+                tr.read(STATE_REGION + d as u64 * 16, g);
+                tr.write(STATE_REGION + d as u64 * 16, g);
                 let row = (step * ndim + d) as u64;
-                tr.write(ROLLOUT_REGION + row * 24);
+                tr.write(ROLLOUT_REGION + row * 24, g);
             }
             let f = self.forcing(model, run.x);
             // τ ż = αz(βz(g − y) − z) + f;  τ ẏ = z.

@@ -361,10 +361,10 @@ impl Mpc {
             self.roll_out(s0, controls, refs, &mut scratch.rollout);
             let slots = &scratch.rollout;
             for k in 0..n {
-                if trace.enabled() {
-                    trace.read(CTRL_REGION + k as u64 * 16);
-                    trace.read(REF_REGION + k as u64 * 16);
-                    trace.write(GRAD_REGION + k as u64 * 16);
+                if let Some(g) = trace.gate() {
+                    trace.read(CTRL_REGION + k as u64 * 16, g);
+                    trace.read(REF_REGION + k as u64 * 16, g);
+                    trace.write(GRAD_REGION + k as u64 * 16, g);
                 }
                 let (a, omega) = controls[k];
                 let up = self.replay_accel(slots, k, a + h, controls, refs);
@@ -388,9 +388,9 @@ impl Mpc {
             let cost = self.horizon_cost(s0, &scratch.proposal, refs);
             if cost < best {
                 best = cost;
-                if trace.enabled() {
+                if let Some(g) = trace.gate() {
                     for k in 0..n {
-                        trace.write(CTRL_REGION + k as u64 * 16);
+                        trace.write(CTRL_REGION + k as u64 * 16, g);
                     }
                 }
                 controls.copy_from_slice(&scratch.proposal);
@@ -596,10 +596,10 @@ mod tests {
             // Numerical gradient over the 2H control variables.
             let mut grad = vec![(0.0f64, 0.0f64); controls.len()];
             for k in 0..controls.len() {
-                if trace.enabled() {
-                    trace.read(CTRL_REGION + k as u64 * 16);
-                    trace.read(REF_REGION + k as u64 * 16);
-                    trace.write(GRAD_REGION + k as u64 * 16);
+                if let Some(g) = trace.gate() {
+                    trace.read(CTRL_REGION + k as u64 * 16, g);
+                    trace.read(REF_REGION + k as u64 * 16, g);
+                    trace.write(GRAD_REGION + k as u64 * 16, g);
                 }
                 let orig = controls[k];
                 controls[k].0 = orig.0 + h;
@@ -630,9 +630,9 @@ mod tests {
             let cost = mpc.horizon_cost(s0, &proposal, refs);
             if cost < best {
                 best = cost;
-                if trace.enabled() {
+                if let Some(g) = trace.gate() {
                     for k in 0..proposal.len() {
-                        trace.write(CTRL_REGION + k as u64 * 16);
+                        trace.write(CTRL_REGION + k as u64 * 16, g);
                     }
                 }
                 *controls = proposal;

@@ -91,7 +91,7 @@ impl Kernel for DmpKernel {
         let run = dmp.begin_rollout(duration);
         Ok(Box::new(DmpInstance {
             dmp,
-            run: Some(run),
+            run,
             profiler: Profiler::timed(),
         }))
     }
@@ -102,13 +102,13 @@ impl Kernel for DmpKernel {
 /// primitive with sensing and planning at its own control rate.
 struct DmpInstance {
     dmp: Dmp,
-    run: Option<RolloutRun>,
+    run: RolloutRun,
     profiler: Profiler,
 }
 
 impl KernelInstance for DmpInstance {
     fn step(&mut self, trace: &mut dyn MemTrace) -> Result<StepStatus, KernelError> {
-        let run = self.run.as_mut().expect("step called after finish");
+        let run = &mut self.run;
         // rtr-lint: allow(hot-alloc) -- step_inner's basis-weight clone is the DMP kernel's own measured behavior; the stepped adapter must stay bit-identical to the monolithic run
         let more = self.dmp.integrate_step(run, &mut self.profiler, trace);
         Ok(if more {
@@ -119,12 +119,11 @@ impl KernelInstance for DmpInstance {
     }
 
     fn finish(
-        mut self: Box<Self>,
+        self: Box<Self>,
         roi_seconds: f64,
         session: TraceSession,
     ) -> Result<KernelReport, KernelError> {
-        let run = self.run.take().expect("finish called twice");
-        let rollout = self.dmp.finish_rollout(run);
+        let rollout = self.dmp.finish_rollout(self.run);
         let end = rollout.position.last().cloned().unwrap_or_default();
         let goal_error = self
             .dmp
@@ -229,7 +228,7 @@ impl Kernel for MpcKernel {
         Ok(Box::new(MpcInstance {
             mpc,
             reference,
-            run: Some(run),
+            run,
             profiler: Profiler::timed(),
         }))
     }
@@ -241,16 +240,15 @@ impl Kernel for MpcKernel {
 struct MpcInstance {
     mpc: Mpc,
     reference: Vec<Point2>,
-    run: Option<TrackRun>,
+    run: TrackRun,
     profiler: Profiler,
 }
 
 impl KernelInstance for MpcInstance {
     fn step(&mut self, trace: &mut dyn MemTrace) -> Result<StepStatus, KernelError> {
-        let run = self.run.as_mut().expect("step called after finish");
         let more = self
             .mpc
-            .tick(run, &self.reference, &mut self.profiler, trace);
+            .tick(&mut self.run, &self.reference, &mut self.profiler, trace);
         Ok(if more {
             StepStatus::Running
         } else {
@@ -259,12 +257,11 @@ impl KernelInstance for MpcInstance {
     }
 
     fn finish(
-        mut self: Box<Self>,
+        self: Box<Self>,
         roi_seconds: f64,
         session: TraceSession,
     ) -> Result<KernelReport, KernelError> {
-        let run = self.run.take().expect("finish called twice");
-        let result = self.mpc.finish_track(run);
+        let result = self.mpc.finish_track(self.run);
         Ok(report(
             "14.mpc",
             Stage::Control,

@@ -197,9 +197,7 @@ impl KernelInstance for OneShotInstance {
         roi_seconds: f64,
         session: TraceSession,
     ) -> Result<KernelReport, KernelError> {
-        let metrics = self
-            .metrics
-            .expect("finish called before step reached Done");
+        let metrics = self.metrics.ok_or(KernelError::NotDone(self.name))?;
         Ok(report(
             self.name,
             self.stage,

@@ -431,7 +431,6 @@ impl Kernel for SrecKernel {
         Ok(Box::new(SrecInstance {
             icp,
             run,
-            done: false,
             scan1,
             scan2,
             profiler,
@@ -445,9 +444,6 @@ impl Kernel for SrecKernel {
 struct SrecInstance {
     icp: Icp,
     run: IcpRun,
-    /// Set once a step returned `Done`: `Icp::iterate` re-checks only
-    /// the iteration budget, so a converged run would iterate again.
-    done: bool,
     /// Target scan (the tree's source).
     scan1: PointCloud,
     /// Source scan aligned onto the target.
@@ -457,15 +453,13 @@ struct SrecInstance {
 
 impl KernelInstance for SrecInstance {
     fn step(&mut self, trace: &mut dyn MemTrace) -> Result<StepStatus, KernelError> {
-        let more = !self.done
-            && self.icp.iterate(
-                &mut self.run,
-                &self.scan2,
-                &self.scan1,
-                &mut self.profiler,
-                trace,
-            );
-        self.done = !more;
+        let more = self.icp.iterate(
+            &mut self.run,
+            &self.scan2,
+            &self.scan1,
+            &mut self.profiler,
+            trace,
+        );
         Ok(if more {
             StepStatus::Running
         } else {

@@ -574,7 +574,7 @@ impl Kernel for RrtStarKernel {
         let run = star.begin(&problem);
         Ok(Box::new(RrtStarInstance {
             star,
-            run: Some(run),
+            run,
             problem,
             profiler: Profiler::timed(),
         }))
@@ -587,18 +587,17 @@ impl Kernel for RrtStarKernel {
 /// harvest the best plan found so far.
 struct RrtStarInstance {
     star: RrtStar,
-    run: Option<RrtStarRun>,
+    run: RrtStarRun,
     problem: ArmProblem,
     profiler: Profiler,
 }
 
 impl KernelInstance for RrtStarInstance {
     fn step(&mut self, trace: &mut dyn MemTrace) -> Result<StepStatus, KernelError> {
-        let run = self.run.as_mut().expect("step called after finish");
         let more = self
             .star
             // rtr-lint: allow(hot-alloc) -- rewiring's cost propagation snapshots the children list per accepted sample; tree growth is the RRT* kernel's own measured behavior
-            .sample_step(run, &self.problem, &mut self.profiler, trace);
+            .sample_step(&mut self.run, &self.problem, &mut self.profiler, trace);
         Ok(if more {
             StepStatus::Running
         } else {
@@ -607,14 +606,13 @@ impl KernelInstance for RrtStarInstance {
     }
 
     fn finish(
-        mut self: Box<Self>,
+        self: Box<Self>,
         roi_seconds: f64,
         session: TraceSession,
     ) -> Result<KernelReport, KernelError> {
-        let run = self.run.take().expect("finish called twice");
         let result = self
             .star
-            .finish_plan(run, &self.problem)
+            .finish_plan(self.run, &self.problem)
             .ok_or(KernelError::Unsolvable("rrtstar never connected the goal"))?;
         let metrics = vec![
             ("path cost (rad)".into(), format!("{:.2}", result.base.cost)),

@@ -108,6 +108,9 @@ pub enum KernelError {
         /// to be a plausible typo.
         suggestion: Option<&'static str>,
     },
+    /// `finish` came before the named kernel's work was done: a one-shot
+    /// kernel whose single step never ran has no result to report.
+    NotDone(&'static str),
 }
 
 impl fmt::Display for KernelError {
@@ -130,6 +133,9 @@ impl fmt::Display for KernelError {
                     write!(f, " (did you mean {s:?}?)")?;
                 }
                 Ok(())
+            }
+            KernelError::NotDone(kernel) => {
+                write!(f, "{kernel}: finish called before step reached Done")
             }
         }
     }
@@ -182,14 +188,16 @@ pub trait KernelInstance {
     /// mid-run that the configured problem admits no solution.
     fn step(&mut self, trace: &mut dyn MemTrace) -> Result<StepStatus, KernelError>;
 
-    /// Consumes the instance and assembles its report. Must only be
-    /// called after [`step`](KernelInstance::step) returned
-    /// [`StepStatus::Done`].
+    /// Consumes the instance and assembles its report. Called after
+    /// [`step`](KernelInstance::step) returned [`StepStatus::Done`], the
+    /// report matches the one-shot run. Called earlier, it never panics:
+    /// stepped kernels report the work done so far, or a typed error.
     ///
     /// # Errors
     ///
     /// Returns [`KernelError::Unsolvable`] when the finished run found
-    /// no solution to report.
+    /// no solution to report, and [`KernelError::NotDone`] when a
+    /// one-shot kernel's single step never ran.
     fn finish(
         self: Box<Self>,
         roi_seconds: f64,

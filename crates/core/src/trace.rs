@@ -165,7 +165,10 @@ enum Transport {
 ///
 /// let args = Args::parse_tokens(&["--trace"]).unwrap();
 /// let mut session = TraceSession::from_args(&args).unwrap();
-/// session.sink().read(0x40);
+/// let sink = session.sink();
+/// if let Some(g) = sink.gate() {
+///     sink.read(0x40, g);
+/// }
 /// let report = session.finish().expect("--trace attaches the simulator");
 /// assert_eq!(report.accesses, 1);
 /// ```
@@ -296,17 +299,16 @@ mod tests {
     #[test]
     fn untraced_session_uses_null_sink_and_yields_no_report() {
         let mut session = TraceSession::from_args(&args(&[])).unwrap();
-        assert!(!session.sink().enabled());
-        session.sink().read(0);
+        assert!(session.sink().gate().is_none());
         assert!(session.finish().is_none());
     }
 
     #[test]
     fn traced_session_counts_accesses() {
         let mut session = TraceSession::from_args(&args(&["--trace"])).unwrap();
-        assert!(session.sink().enabled());
-        session.sink().read(0);
-        session.sink().write(64);
+        let g = session.sink().gate().expect("--trace enables the sink");
+        session.sink().read(0, g);
+        session.sink().write(64, g);
         let report = session.finish().unwrap();
         assert_eq!(report.accesses, 2);
         assert_eq!(report.writes, 1);
@@ -316,8 +318,9 @@ mod tests {
     #[test]
     fn vldp_flag_attaches_prefetcher() {
         let mut session = TraceSession::from_args(&args(&["--trace", "--vldp", "2"])).unwrap();
+        let g = session.sink().gate().expect("--trace enables the sink");
         for i in 0..64u64 {
-            session.sink().read(i * 64);
+            session.sink().read(i * 64, g);
         }
         let report = session.finish().unwrap();
         assert!(report.prefetch.is_some());
@@ -366,13 +369,13 @@ mod tests {
     fn ring_transport_report_matches_inline() {
         let emit = |session: &mut TraceSession| {
             let sink = session.sink();
-            assert!(sink.enabled());
+            let g = sink.gate().expect("both transports enable the sink");
             // A stream with hits, misses and writes across several lines.
             for pass in 0..3u64 {
                 for i in 0..512u64 {
-                    sink.read(i * 64);
+                    sink.read(i * 64, g);
                     if (i + pass) % 7 == 0 {
-                        sink.write(i * 64 + 8);
+                        sink.write(i * 64 + 8, g);
                     }
                 }
             }
@@ -387,7 +390,8 @@ mod tests {
     #[test]
     fn cache_metric_rows_cover_all_levels() {
         let mut session = TraceSession::enabled(0);
-        session.sink().read(0);
+        let g = session.sink().gate().expect("an enabled session");
+        session.sink().read(0, g);
         let report = session.finish().unwrap();
         let mut metrics = Vec::new();
         push_cache_metrics(&mut metrics, &report);

@@ -24,12 +24,13 @@ fn op(i: u64) -> TraceOp {
 
 /// Emits ops `0..len` through a sink, one call per op.
 fn emit(sink: &mut dyn MemTrace, len: u64) {
+    let g = sink.gate().expect("a trace sender is enabled");
     for i in 0..len {
         let op = op(i);
         if op.is_write {
-            sink.write(op.addr);
+            sink.write(op.addr, g);
         } else {
-            sink.read(op.addr);
+            sink.read(op.addr, g);
         }
     }
 }

@@ -99,8 +99,6 @@ pub struct CallGraph {
     pub edges: Vec<Edge>,
     /// `outgoing[f]` = indices into `edges` whose caller is `f`.
     pub outgoing: Vec<Vec<usize>>,
-    /// `incoming[f]` = indices into `edges` whose callee is `f`.
-    pub incoming: Vec<Vec<usize>>,
 }
 
 impl CallGraph {
@@ -123,16 +121,10 @@ impl CallGraph {
             }
         }
         let mut outgoing = vec![Vec::new(); index.fns.len()];
-        let mut incoming = vec![Vec::new(); index.fns.len()];
         for (i, e) in edges.iter().enumerate() {
             outgoing[e.caller].push(i);
-            incoming[e.callee].push(i);
         }
-        CallGraph {
-            edges,
-            outgoing,
-            incoming,
-        }
+        CallGraph { edges, outgoing }
     }
 }
 

@@ -26,8 +26,6 @@ pub struct FileAnalysis {
     pub path: String,
     /// Crate name under `crates/`, or empty.
     pub krate: String,
-    /// `true` for `.rs` sources (manifests only scope cross-crate calls).
-    pub is_rust: bool,
     /// Scrubbed text + harvested allow annotations.
     pub scrubbed: Scrubbed,
     /// Every `fn` item with a body, in source order.
@@ -40,8 +38,9 @@ impl FileAnalysis {
     /// Lexes `source` once; `path` must be workspace-relative.
     pub fn new(path: &str, source: &str) -> Self {
         let scrubbed = scrub(source);
-        let is_rust = path.ends_with(".rs");
-        let (fns, impls) = if is_rust {
+        // Manifests (`Cargo.toml`) only scope cross-crate calls: they
+        // have no items.
+        let (fns, impls) = if path.ends_with(".rs") {
             (all_fns(&scrubbed.text), all_impls(&scrubbed.text))
         } else {
             (Vec::new(), Vec::new())
@@ -49,7 +48,6 @@ impl FileAnalysis {
         FileAnalysis {
             path: path.to_owned(),
             krate: crate::rules::crate_of(path).unwrap_or("").to_owned(),
-            is_rust,
             scrubbed,
             fns,
             impls,
@@ -99,10 +97,6 @@ pub struct CallSite {
     pub qualifier: Option<String>,
     /// `true` for `.name(..)` method calls.
     pub is_method: bool,
-    /// For method calls, the identifier immediately left of the dot when
-    /// there is one (`trace` in `trace.read(..)`, `producer` in
-    /// `self.producer.push(..)`); `None` for computed receivers.
-    pub receiver: Option<String>,
     /// Byte offset of the called name in the file's scrubbed text.
     pub offset: usize,
 }
@@ -374,35 +368,21 @@ fn extract_calls(text: &str, from: usize, to: usize) -> Vec<CallSite> {
         if p >= 2 && &text[p - 2..p] == "fn" && (p < 3 || !is_ident(bytes[p - 3])) {
             continue;
         }
-        let (qualifier, is_method, receiver) = if p >= 2 && &text[p - 2..p] == "::" {
+        let (qualifier, is_method) = if p >= 2 && &text[p - 2..p] == "::" {
             let q_end = p - 2;
             let mut q_start = q_end;
             while q_start > 0 && is_ident(bytes[q_start - 1]) {
                 q_start -= 1;
             }
-            if q_start == q_end {
-                // `<T as Trait>::name` or similar: treat as unqualified
-                // external (no resolution).
-                (Some(String::new()), false, None)
-            } else {
-                (Some(text[q_start..q_end].to_owned()), false, None)
-            }
-        } else if p >= 1 && bytes[p - 1] == b'.' {
-            let r_end = p - 1;
-            let mut r_start = r_end;
-            while r_start > 0 && is_ident(bytes[r_start - 1]) {
-                r_start -= 1;
-            }
-            let receiver = (r_start < r_end).then(|| text[r_start..r_end].to_owned());
-            (None, true, receiver)
+            // `<T as Trait>::name` or similar leaves the qualifier empty.
+            (Some(text[q_start..q_end].to_owned()), false)
         } else {
-            (None, false, None)
+            (None, p >= 1 && bytes[p - 1] == b'.')
         };
         out.push(CallSite {
             name: name.to_owned(),
             qualifier,
             is_method,
-            receiver,
             offset: start,
         });
     }
@@ -455,9 +435,7 @@ mod tests {
         assert_eq!(names, ["helper", "new", "reset", "push", "read", "free"]);
         assert_eq!(calls[1].qualifier.as_deref(), Some("Vec"));
         assert_eq!(calls[2].qualifier.as_deref(), Some("Self"));
-        assert!(calls[3].is_method);
-        assert_eq!(calls[3].receiver.as_deref(), Some("v"));
-        assert_eq!(calls[4].receiver.as_deref(), Some("trace"));
+        assert!(calls[3].is_method && calls[4].is_method);
         assert_eq!(calls[5].qualifier.as_deref(), Some("mod_a"));
     }
 

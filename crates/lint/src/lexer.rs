@@ -1,13 +1,13 @@
 //! A small purpose-built Rust lexer.
 //!
 //! The rules in this crate are lexical: they match tokens like `Vec::new`
-//! or `.enabled()` against source text. Doing that on raw source would
+//! or `.clone()` against source text. Doing that on raw source would
 //! misfire on comments (`// the legacy Vec::new path`) and string
 //! literals (`".to_vec()"`), so every file is first *scrubbed*: comment
 //! and literal bytes are blanked to spaces (newlines preserved, so byte
 //! offsets and line numbers stay true to the original file). Brace and
 //! parenthesis matching on the scrubbed text is then reliable, which is
-//! what the span-scoped rules (`hot-alloc`, `trace-gated`) build on.
+//! what the span-scoped `hot-alloc` rule builds on.
 //!
 //! The lexer deliberately does **not** build an AST: the suite builds
 //! fully offline and must not grow a parser dependency. The trade-off is
@@ -337,8 +337,8 @@ pub struct FnItem {
     pub name: String,
     /// Span from the `fn` keyword to one past the closing brace.
     pub span: Span,
-    /// Byte offset of the body's opening `{` — call extraction and guard
-    /// analysis scan from here so the signature never matches.
+    /// Byte offset of the body's opening `{` — call extraction and the
+    /// needle scans start here so the signature never matches.
     pub body_start: usize,
     /// `true` when the first parameter is a `self` receiver (the index's
     /// method-vs-free-function distinction).
@@ -358,9 +358,8 @@ pub struct ImplItem {
 /// Enumerates every `fn` item that has a body, in source order.
 ///
 /// Signatures without bodies (trait method declarations) are skipped.
-/// This is the single lex-derived item walk the whole rule engine shares:
-/// per-rule span selections ([`fn_spans`]) and the interprocedural index
-/// are both filters over its result.
+/// This is the single lex-derived item walk the whole rule engine
+/// shares: the interprocedural index is built over its result.
 pub fn all_fns(text: &str) -> Vec<FnItem> {
     let mut out = Vec::new();
     let bytes = text.as_bytes();
@@ -398,16 +397,6 @@ pub fn all_fns(text: &str) -> Vec<FnItem> {
     out
 }
 
-/// Brace-matched spans of every `fn` item whose name satisfies `select`,
-/// paired with the function name. Filter over [`all_fns`].
-pub fn fn_spans(text: &str, select: impl Fn(&str) -> bool) -> Vec<(String, Span)> {
-    all_fns(text)
-        .into_iter()
-        .filter(|f| select(&f.name))
-        .map(|f| (f.name, f.span))
-        .collect()
-}
-
 /// Enumerates every `impl` block, in source order.
 pub fn all_impls(text: &str) -> Vec<ImplItem> {
     let mut out = Vec::new();
@@ -431,16 +420,6 @@ pub fn all_impls(text: &str) -> Vec<ImplItem> {
         }
     }
     out
-}
-
-/// Brace-matched spans of every `impl` block whose header (the text
-/// between `impl` and `{`) satisfies `select`. Filter over [`all_impls`].
-pub fn impl_spans(text: &str, select: impl Fn(&str) -> bool) -> Vec<Span> {
-    all_impls(text)
-        .into_iter()
-        .filter(|i| select(&i.header))
-        .map(|i| i.span)
-        .collect()
 }
 
 #[cfg(test)]
@@ -495,27 +474,28 @@ mod tests {
     }
 
     #[test]
-    fn fn_spans_find_into_functions() {
+    fn fn_spans_end_at_the_closing_brace() {
         let text = "fn mul_into(a: &A) -> B { inner() } fn other() { vec![] }";
-        let spans = fn_spans(text, |n| n.ends_with("_into"));
-        assert_eq!(spans.len(), 1);
-        assert_eq!(spans[0].0, "mul_into");
-        assert!(text[spans[0].1.start..spans[0].1.end].contains("inner"));
-        assert!(!text[spans[0].1.start..spans[0].1.end].contains("vec!"));
+        let fns = all_fns(text);
+        assert_eq!(fns.len(), 2);
+        assert_eq!(fns[0].name, "mul_into");
+        assert!(text[fns[0].span.start..fns[0].span.end].contains("inner"));
+        assert!(!text[fns[0].span.start..fns[0].span.end].contains("vec!"));
     }
 
     #[test]
     fn trait_declarations_without_bodies_are_skipped() {
         let text = "trait T { fn solve_into(&self, out: &mut V); } ";
-        assert!(fn_spans(text, |n| n.ends_with("_into")).is_empty());
+        assert!(all_fns(text).is_empty());
     }
 
     #[test]
-    fn impl_spans_match_scratch_headers() {
+    fn impl_spans_carry_their_headers() {
         let text = "impl IcpScratch { fn step(&mut self) {} } impl Other { }";
-        let spans = impl_spans(text, |h| h.contains("Scratch"));
-        assert_eq!(spans.len(), 1);
-        assert!(text[spans[0].start..spans[0].end].contains("step"));
+        let impls = all_impls(text);
+        assert_eq!(impls.len(), 2);
+        assert_eq!(impls[0].header.trim(), "IcpScratch");
+        assert!(text[impls[0].span.start..impls[0].span.end].contains("step"));
     }
 
     #[test]

@@ -1,40 +1,39 @@
 //! `rtr-lint`: workspace invariant checker for the RTRBench suite.
 //!
-//! Statically enforces the two allocation and tracing contracts recorded
-//! in `ROADMAP.md` that need a workspace call graph, using a
-//! purpose-built lexical scrubber (no external parser dependencies — the
-//! build stays offline):
+//! Statically enforces the one contract recorded in `ROADMAP.md` that
+//! needs a workspace call graph, using a purpose-built lexical scrubber
+//! (no external parser dependencies — the build stays offline):
 //!
 //! - **`hot-alloc`** — inside `*_into` functions, `*Scratch` impls and
 //!   the other hot spans, heap allocation (`Vec::new`, `vec!`,
 //!   `.to_vec()`, `.collect()`, `Box::new`, `.clone()`) is forbidden,
 //!   directly or through any chain of workspace calls.
-//! - **`trace-gated`** — kernel `MemTrace` emissions are dominated by
-//!   a `trace.enabled()` check, lexically or through the call graph.
 //!
 //! The other contracts are the compiler's. `unsafe_code = "forbid"` in
 //! the root manifest's `[workspace.lints.rust]` keeps every target safe
-//! code. Each crate in [`KERNEL_CRATES`] has a `clippy.toml` whose
-//! `disallowed-types` rejects `HashMap`/`HashSet`, so hash iteration
-//! order cannot reach a kernel output. Every crate under `crates/`
-//! outside the measurement crates (`bench`, `harness`, `lint`,
-//! `scenario`) has a `clippy.toml` whose `disallowed-methods` rejects
-//! `Instant::now` and `SystemTime::now`: kernels take time through the
-//! harness profiler. Core's `clippy.toml` disallows the cache
-//! simulator's types, which only `crates/core/src/trace.rs` may name,
-//! and the algorithm crates cannot name them because their manifests do
-//! not depend on `rtr-archsim`. CI's `cargo clippy --workspace
-//! --all-targets -- -D warnings` fails on any of these;
-//! `tests/workspace_lints.rs` checks that the configuration stays in
-//! place.
+//! code. Each kernel crate has a `clippy.toml` whose `disallowed-types`
+//! rejects `HashMap`/`HashSet`, so hash iteration order cannot reach a
+//! kernel output. Every crate under `crates/` outside the measurement
+//! crates (`bench`, `harness`, `lint`, `scenario`) has a `clippy.toml`
+//! whose `disallowed-methods` rejects `Instant::now` and
+//! `SystemTime::now`: kernels take time through the harness profiler.
+//! Core's `clippy.toml` disallows the cache simulator's types, which
+//! only `crates/core/src/trace.rs` may name, and the algorithm crates
+//! cannot name them because their manifests do not depend on
+//! `rtr-archsim`. CI's `cargo clippy --workspace --all-targets -- -D
+//! warnings` fails on any of these; `tests/workspace_lints.rs` checks
+//! that the configuration stays in place. Trace gating is a type:
+//! `rtr_trace::MemTrace`'s emission methods take a `Gated` token that
+//! only a sink's `gate()` hands out, so rustc rejects an ungated
+//! emission in every crate.
 //!
-//! Beyond the per-file lexical pass, the engine is *interprocedural*:
-//! [`index`] builds a workspace-wide fn/call index over the lexer's
-//! token stream (every file is lexed exactly once), [`callgraph`]
-//! resolves call sites name-best-effort within the workspace, and
-//! [`facts`] propagates the `allocates` fact to a fixpoint — so
-//! `hot-alloc` fires on hot entry points whose *callees* allocate, with
-//! the offending call chain attached to the finding.
+//! The engine is *interprocedural*: [`index`] builds a workspace-wide
+//! fn/call index over the lexer's token stream (every file is lexed
+//! exactly once), [`callgraph`] resolves call sites name-best-effort
+//! within the workspace, and [`facts`] propagates the `allocates` fact
+//! to a fixpoint — so `hot-alloc` fires on hot entry points whose
+//! *callees* allocate, with the offending call chain attached to the
+//! finding.
 //!
 //! Findings can be suppressed with an annotation carrying a written
 //! reason:
@@ -59,4 +58,4 @@ pub use callgraph::CallGraph;
 pub use index::{FileAnalysis, WorkspaceIndex};
 pub use lexer::{scrub, Allow, Scrubbed, Span};
 pub use report::{Finding, Report};
-pub use rules::{crate_of, explain, lint_source, lint_workspace, KERNEL_CRATES, RULES};
+pub use rules::{crate_of, explain, lint_source, lint_workspace, RULES};

@@ -66,8 +66,9 @@ fn a_fresh_baseline_matches() {
     assert!(String::from_utf8_lossy(&out.stdout).contains("baseline match"));
 }
 
-/// Retired rules: four left to the compiler, `atomic-ordering`, whose
-/// lock-free files the channel transport replaced, and `par-rng`, whose
+/// Retired rules: five left to the compiler (`trace-gated` to the
+/// `Gated` token emission takes), `atomic-ordering`, whose lock-free
+/// files the channel transport replaced, and `par-rng`, whose
 /// `chunk_seed` remedy the pool no longer offers.
 #[test]
 fn retired_rules_are_unknown() {
@@ -78,6 +79,7 @@ fn retired_rules_are_unknown() {
         "wall-clock",
         "layering",
         "par-rng",
+        "trace-gated",
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_rtr-lint"))
             .args(["--explain", rule])

@@ -15,6 +15,21 @@ use std::path::{Path, PathBuf};
 /// runner times its pipeline stages.
 const CLOCK_CRATES: [&str; 4] = ["bench", "harness", "lint", "scenario"];
 
+/// Crates whose outputs are benchmark kernel results: hash-iteration
+/// order must never reach them (ROADMAP determinism contract), so each
+/// one's `clippy.toml` disallows `HashMap`/`HashSet`. `scenario` is here
+/// because its golden replay is the same contract at closed-loop scale:
+/// byte-identical at any thread count.
+const KERNEL_CRATES: [&str; 7] = [
+    "control",
+    "core",
+    "geom",
+    "perception",
+    "planning",
+    "scenario",
+    "sim",
+];
+
 /// Crates whose code is generic over the `MemTrace` sink and never names
 /// the cache simulator; `rtr-core` wires it up in `src/trace.rs` alone.
 const LAYERED_CRATES: [&str; 6] = [
@@ -154,7 +169,7 @@ fn every_suite_crate_inherits_the_workspace_lints() {
 
 #[test]
 fn kernel_crates_disallow_hash_ordered_containers() {
-    for krate in rtr_lint::KERNEL_CRATES {
+    for krate in KERNEL_CRATES {
         let (path, config) = clippy_config(krate);
         let types = ["HashMap", "HashSet"].map(|ty| format!("std::collections::{ty}"));
         assert_disallows(&path, &config, "disallowed-types", &types);

@@ -14,7 +14,7 @@ use rtr_geom::{normalize_angle, Point2, Pose2};
 use rtr_harness::Profiler;
 use rtr_linalg::{Matrix, Vector, Workspace};
 use rtr_sim::SlamStep;
-use rtr_trace::MemTrace;
+use rtr_trace::{Gated, MemTrace};
 
 /// Configuration for [`EkfSlam`].
 #[derive(Debug, Clone)]
@@ -68,13 +68,19 @@ pub struct EkfSlamResult {
 const STATE_REGION: u64 = 1 << 38;
 
 /// Emits one access per 64-byte line of the span `[base, base + bytes)`.
-fn trace_span<T: MemTrace + ?Sized>(trace: &mut T, base: u64, bytes: u64, is_write: bool) {
+fn trace_span<T: MemTrace + ?Sized>(
+    trace: &mut T,
+    base: u64,
+    bytes: u64,
+    is_write: bool,
+    g: Gated,
+) {
     let mut off = 0;
     while off < bytes {
         if is_write {
-            trace.write(base + off);
+            trace.write(base + off, g);
         } else {
-            trace.read(base + off);
+            trace.read(base + off, g);
         }
         off += 64;
     }
@@ -192,20 +198,20 @@ impl EkfSlam {
         profiler: &mut Profiler,
         trace: &mut T,
     ) {
-        if trace.enabled() {
+        if let Some(g) = trace.gate() {
             let dim = self.dim() as u64;
             let row_bytes = dim * 8;
             for i in 0..3u64 {
-                trace_span(trace, i * row_bytes, row_bytes, false);
-                trace_span(trace, i * row_bytes, row_bytes, true);
+                trace_span(trace, i * row_bytes, row_bytes, false, g);
+                trace_span(trace, i * row_bytes, row_bytes, true, g);
             }
             for i in 3..dim {
-                trace.read(i * row_bytes);
-                trace.write(i * row_bytes);
+                trace.read(i * row_bytes, g);
+                trace.write(i * row_bytes, g);
             }
             // Pose entries of the mean vector.
-            trace.read(STATE_REGION);
-            trace.write(STATE_REGION);
+            trace.read(STATE_REGION, g);
+            trace.write(STATE_REGION, g);
         }
         let theta = self.state[2];
         // Mean propagation (cheap, scalar).
@@ -264,23 +270,23 @@ impl EkfSlam {
         assert!(id < self.config.max_landmarks, "landmark id out of range");
         let lx_idx = 3 + 2 * id;
         let ly_idx = lx_idx + 1;
-        if trace.enabled() {
+        if let Some(g) = trace.gate() {
             let dim = self.dim() as u64;
             let row_bytes = dim * 8;
-            trace.read(STATE_REGION);
-            trace.read(STATE_REGION + lx_idx as u64 * 8);
+            trace.read(STATE_REGION, g);
+            trace.read(STATE_REGION + lx_idx as u64 * 8, g);
             // H·P: the five active rows in full.
             for &r in &[0usize, 1, 2, lx_idx, ly_idx] {
-                trace_span(trace, r as u64 * row_bytes, row_bytes, false);
+                trace_span(trace, r as u64 * row_bytes, row_bytes, false, g);
             }
             for i in 0..dim {
                 // P·Hᵀ: pose and landmark columns of every row.
-                trace.read(i * row_bytes);
-                trace.read(i * row_bytes + lx_idx as u64 * 8);
+                trace.read(i * row_bytes, g);
+                trace.read(i * row_bytes + lx_idx as u64 * 8, g);
                 // (I − KH)·P rebuild writes every row.
-                trace_span(trace, i * row_bytes, row_bytes, true);
+                trace_span(trace, i * row_bytes, row_bytes, true, g);
             }
-            trace_span(trace, STATE_REGION, dim * 8, true);
+            trace_span(trace, STATE_REGION, dim * 8, true, g);
         }
 
         if !self.seen[id] {

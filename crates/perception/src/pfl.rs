@@ -313,7 +313,7 @@ impl<'m> ParticleFilter<'m> {
         let width = self.map.width() as u64;
         let map = self.map.as_ref();
 
-        if trace.enabled() {
+        if let Some(g) = trace.gate() {
             for (i, pose) in self.poses.iter().enumerate() {
                 let mut log_w = 0.0;
                 for (angle, range) in scan.angles.iter().zip(scan.ranges.iter()).step_by(stride) {
@@ -326,7 +326,7 @@ impl<'m> ParticleFilter<'m> {
                         |ix, iy| {
                             // Grid cells are 1 byte each in a row-major Vec.
                             let addr = (iy.max(0) as u64) * width + ix.max(0) as u64;
-                            trace.read(addr);
+                            trace.read(addr, g);
                         },
                     );
                     self.cells_probed += hit.cells_visited as u64;
@@ -336,7 +336,7 @@ impl<'m> ParticleFilter<'m> {
                 // Particles inside obstacles predict 0 for every beam and
                 // decay.
                 self.weights[i] *= log_w.exp().max(1e-300);
-                trace.write(WEIGHT_TRACE_BASE + 8 * i as u64);
+                trace.write(WEIGHT_TRACE_BASE + 8 * i as u64, g);
             }
         } else {
             // The scoring pass writes into the persistent `scores` buffer
@@ -374,10 +374,10 @@ impl<'m> ParticleFilter<'m> {
         } else {
             rtr_simd::div_assign(&mut self.weights, total);
         }
-        if trace.enabled() {
+        if let Some(g) = trace.gate() {
             // Every weight is stored once more by the normalization pass.
             for i in 0..self.weights.len() {
-                trace.write(WEIGHT_TRACE_BASE + 8 * i as u64);
+                trace.write(WEIGHT_TRACE_BASE + 8 * i as u64, g);
             }
         }
     }

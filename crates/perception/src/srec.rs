@@ -103,6 +103,9 @@ pub struct IcpRun {
     last_error: f64,
     iterations: usize,
     max_iterations: usize,
+    /// Set once an iteration converged or found too few pairs: the run
+    /// has ended, and [`Icp::iterate`] does no further work.
+    ended: bool,
 }
 
 /// The ICP scene-reconstruction kernel.
@@ -205,6 +208,7 @@ impl Icp {
             last_error: f64::INFINITY,
             iterations: 0,
             max_iterations: config.max_iterations,
+            ended: false,
         }
     }
 
@@ -212,8 +216,9 @@ impl Icp {
     /// search (the `nn_search` region), convergence check, and Horn
     /// transform update (`matrix_ops`). Returns `true` while more
     /// iterations remain — `false` once converged, starved of pairs, or
-    /// out of iterations. Steady-state calls are allocation-free
-    /// (persistent scratch, recycled Horn buffers).
+    /// out of iterations, and from then on `false` without doing any
+    /// work. Steady-state calls are allocation-free (persistent scratch,
+    /// recycled Horn buffers).
     pub fn iterate<T: MemTrace + ?Sized>(
         &mut self,
         run: &mut IcpRun,
@@ -222,7 +227,7 @@ impl Icp {
         profiler: &mut Profiler,
         trace: &mut T,
     ) -> bool {
-        if run.iterations >= run.max_iterations {
+        if run.ended || run.iterations >= run.max_iterations {
             return false;
         }
         let config = &self.config;
@@ -236,7 +241,7 @@ impl Icp {
         let start = profiler.hot_start();
         scratch.pairs.clear();
         let mut error_sum = 0.0;
-        if trace.enabled() {
+        if let Some(g) = trace.gate() {
             // Traced runs share one sink and must replay point visits
             // in query order, so they stay sequential.
             for p in scratch.moved.iter() {
@@ -244,7 +249,7 @@ impl Icp {
                 let found = tree.nearest_with(&p.to_array(), |payload| {
                     // Point records are ~32 bytes in an
                     // insertion-order arena.
-                    trace.read(payload as u64 * 32);
+                    trace.read(payload as u64 * 32, g);
                 });
                 let (idx, d2) = found.expect("target cloud is non-empty");
                 let dist = d2.sqrt();
@@ -255,7 +260,7 @@ impl Icp {
                     // records) per accepted pair, in a region far
                     // above the 32-byte point arena so the stream is
                     // no longer read-only.
-                    trace.write(PAIR_TRACE_BASE + scratch.pairs.len() as u64 * 48);
+                    trace.write(PAIR_TRACE_BASE + scratch.pairs.len() as u64 * 48, g);
                     scratch.pairs.push((*p, target.points()[idx]));
                 }
             }
@@ -286,12 +291,12 @@ impl Icp {
         if run.error_before.is_none() {
             run.error_before = Some(mean_error);
         }
-        if (run.last_error - mean_error).abs() < config.convergence_epsilon {
-            return false;
-        }
+        let converged = (run.last_error - mean_error).abs() < config.convergence_epsilon;
         run.last_error = mean_error;
-        if scratch.pairs.len() < 3 {
-            return false; // Not enough constraints to estimate a transform.
+        // Converged, or too few pairs to constrain a transform.
+        run.ended = converged || scratch.pairs.len() < 3;
+        if run.ended {
+            return false;
         }
 
         // Closed-form rigid alignment (Horn): the matrix-op bottleneck.
@@ -597,6 +602,40 @@ mod tests {
         );
         assert_eq!(result.iterations, plain.iterations);
         assert_eq!(result.nn_queries, plain.nn_queries);
+    }
+
+    #[test]
+    fn iterate_after_the_run_ends_does_no_work() {
+        // The `03.srec --points 1500` scans: the run converges after 9
+        // iterations, well inside the budget.
+        let mut rng = SimRng::seed_from(6);
+        let room = scene::living_room(1_500, &mut rng);
+        let motion = RigidTransform::from_yaw_translation(0.04, Point3::new(0.06, -0.04, 0.01));
+        let scan1 = scene::scan_from(&room, &RigidTransform::identity(), 0.5, 0.002, &mut rng);
+        let scan2 = scene::scan_from(&room, &motion, 0.5, 0.002, &mut rng);
+        let finish_after = |extra_calls: usize| {
+            let mut profiler = Profiler::new();
+            let mut icp = Icp::new(IcpConfig::default());
+            let mut run = icp.begin(&scan2, &scan1, &mut profiler);
+            while icp.iterate(&mut run, &scan2, &scan1, &mut profiler, &mut NullTrace) {}
+            for _ in 0..extra_calls {
+                assert!(!icp.iterate(&mut run, &scan2, &scan1, &mut profiler, &mut NullTrace));
+            }
+            icp.finish_run(&mut run, &scan2)
+        };
+        let ended = finish_after(0);
+        assert!(ended.iterations < IcpConfig::default().max_iterations);
+        let called_again = finish_after(2);
+        assert_eq!(called_again.iterations, ended.iterations);
+        assert_eq!(called_again.nn_queries, ended.nn_queries);
+        let bits = |t: &RigidTransform| {
+            let p = t.translation;
+            (
+                t.rotation.map(|row| row.map(f64::to_bits)),
+                [p.x, p.y, p.z].map(f64::to_bits),
+            )
+        };
+        assert_eq!(bits(&called_again.transform), bits(&ended.transform));
     }
 
     #[test]

@@ -301,8 +301,8 @@ impl Prm {
                 .enumerate()
                 .map(|(j, n)| {
                     l2.set(l2.get() + 1);
-                    if trace.enabled() {
-                        trace.read(j as u64 * 40);
+                    if let Some(g) = trace.gate() {
+                        trace.read(j as u64 * 40, g);
                     }
                     (j, config_distance(config, n))
                 })

@@ -340,10 +340,10 @@ impl Rrt {
             // Nearest neighbor in the tree.
             let nn_start = profiler.hot_start();
             nn_queries += 1;
-            let (nearest_id, _) = if trace.enabled() {
+            let (nearest_id, _) = if let Some(g) = trace.gate() {
                 tree.index
                     .nearest_with(&target, |payload| {
-                        trace.read(payload as u64 * 40); // 5 × f64 per config
+                        trace.read(payload as u64 * 40, g); // 5 × f64 per config
                     })
                     .expect("tree is non-empty")
             } else {
@@ -361,8 +361,8 @@ impl Rrt {
                 continue;
             }
             let new_id = tree.add(new_config, nearest_id);
-            if trace.enabled() {
-                trace.write(new_id as u64 * 40);
+            if let Some(g) = trace.gate() {
+                trace.write(new_id as u64 * 40, g);
             }
 
             // Goal connection test.
@@ -373,8 +373,8 @@ impl Rrt {
                 profiler.hot_add("collision_detection", col_start);
                 if free {
                     let goal_id = tree.add(problem.goal, new_id);
-                    if trace.enabled() {
-                        trace.write(goal_id as u64 * 40);
+                    if let Some(g) = trace.gate() {
+                        trace.write(goal_id as u64 * 40, g);
                     }
                     let path = tree.path_to(goal_id);
                     return Some(RrtResult {

@@ -125,9 +125,9 @@ fn shortcut_pass<T: MemTrace + ?Sized>(
         let mut j = i + 1;
         for candidate in ((i + 2)..path.len()).rev() {
             checks += 1;
-            if trace.enabled() {
-                trace.read(i as u64 * 40);
-                trace.read(candidate as u64 * 40);
+            if let Some(g) = trace.gate() {
+                trace.read(i as u64 * 40, g);
+                trace.read(candidate as u64 * 40, g);
             }
             if problem.motion_free(&path[i], &path[candidate]) {
                 j = candidate;

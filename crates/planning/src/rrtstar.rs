@@ -220,8 +220,8 @@ impl RrtStar {
             }
         }
         let new_id = tree.add(new_config, parent);
-        if trace.enabled() {
-            trace.write(new_id as u64 * 40);
+        if let Some(g) = trace.gate() {
+            trace.write(new_id as u64 * 40, g);
         }
 
         // Rewire neighbors through the new node when cheaper.
@@ -240,9 +240,9 @@ impl RrtStar {
                     tree.reparent(neighbor, new_id);
                     propagate_cost_reduction(tree, neighbor, delta);
                     run.rewirings += 1;
-                    if trace.enabled() {
+                    if let Some(g) = trace.gate() {
                         // Parent-pointer update in the rewired node.
-                        trace.write(neighbor as u64 * 40);
+                        trace.write(neighbor as u64 * 40, g);
                     }
                 }
             }
@@ -293,9 +293,9 @@ impl RrtStar {
 }
 
 fn nearest<T: MemTrace + ?Sized>(tree: &Tree, target: &Config, trace: &mut T) -> (usize, f64) {
-    if trace.enabled() {
+    if let Some(g) = trace.gate() {
         tree.index
-            .nearest_with(target, |payload| trace.read(payload as u64 * 40))
+            .nearest_with(target, |payload| trace.read(payload as u64 * 40, g))
             .expect("tree non-empty")
     } else {
         tree.index.nearest(target).expect("tree non-empty")
@@ -313,9 +313,9 @@ fn neighborhood_into<T: MemTrace + ?Sized>(
     out: &mut Vec<(usize, f64)>,
 ) {
     tree.index.within_radius_into(center, radius, out);
-    if trace.enabled() {
+    if let Some(g) = trace.gate() {
         for &(payload, _) in out.iter() {
-            trace.read(payload as u64 * 40);
+            trace.read(payload as u64 * 40, g);
         }
     }
 }

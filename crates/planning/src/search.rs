@@ -17,7 +17,7 @@ use std::collections::hash_map::Entry;
 use std::collections::{BinaryHeap, HashMap};
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 
-use rtr_trace::{MemTrace, NullTrace};
+use rtr_trace::{Gated, MemTrace, NullTrace};
 
 /// Synthetic base address of the open-list entry array (32 B entries).
 const OPEN_REGION: u64 = 1 << 40;
@@ -43,12 +43,12 @@ fn probe_addr(key: u64) -> u64 {
 /// Replays a binary-heap push at slot `len`: the appended entry is written,
 /// then the parent chain is read on the way up (sift-up).
 #[inline]
-fn trace_heap_push<T: MemTrace + ?Sized>(trace: &mut T, len: usize) {
+fn trace_heap_push<T: MemTrace + ?Sized>(trace: &mut T, len: usize, gate: Gated) {
     let mut idx = len as u64;
-    trace.write(OPEN_REGION + idx * OPEN_ENTRY_BYTES);
+    trace.write(OPEN_REGION + idx * OPEN_ENTRY_BYTES, gate);
     while idx > 0 {
         idx = (idx - 1) / 2;
-        trace.read(OPEN_REGION + idx * OPEN_ENTRY_BYTES);
+        trace.read(OPEN_REGION + idx * OPEN_ENTRY_BYTES, gate);
     }
 }
 
@@ -56,19 +56,19 @@ fn trace_heap_push<T: MemTrace + ?Sized>(trace: &mut T, len: usize) {
 /// read, the tail entry moves into its slot, and the child chain is read on
 /// the way down (sift-down).
 #[inline]
-fn trace_heap_pop<T: MemTrace + ?Sized>(trace: &mut T, len_after: usize) {
-    trace.read(OPEN_REGION);
+fn trace_heap_pop<T: MemTrace + ?Sized>(trace: &mut T, len_after: usize, gate: Gated) {
+    trace.read(OPEN_REGION, gate);
     let len = len_after as u64;
     if len == 0 {
         return;
     }
-    trace.read(OPEN_REGION + len * OPEN_ENTRY_BYTES);
-    trace.write(OPEN_REGION);
+    trace.read(OPEN_REGION + len * OPEN_ENTRY_BYTES, gate);
+    trace.write(OPEN_REGION, gate);
     let mut k = 0u64;
     while 2 * k + 1 < len {
-        trace.read(OPEN_REGION + (2 * k + 1) * OPEN_ENTRY_BYTES);
+        trace.read(OPEN_REGION + (2 * k + 1) * OPEN_ENTRY_BYTES, gate);
         if 2 * k + 2 < len {
-            trace.read(OPEN_REGION + (2 * k + 2) * OPEN_ENTRY_BYTES);
+            trace.read(OPEN_REGION + (2 * k + 2) * OPEN_ENTRY_BYTES, gate);
         }
         k = 2 * k + 1;
     }
@@ -297,9 +297,9 @@ fn weighted_astar_impl<S: SearchSpace, T: MemTrace + ?Sized>(
             closed: false,
         },
     );
-    if trace.enabled() {
-        trace.write(probe_addr(node_addr(&start)));
-        trace_heap_push(trace, 0);
+    if let Some(gate) = trace.gate() {
+        trace.write(probe_addr(node_addr(&start)), gate);
+        trace_heap_push(trace, 0, gate);
     }
     open.push(OpenEntry {
         f: weight * space.heuristic(start),
@@ -308,9 +308,9 @@ fn weighted_astar_impl<S: SearchSpace, T: MemTrace + ?Sized>(
     });
 
     while let Some(OpenEntry { g, node, .. }) = open.pop() {
-        if trace.enabled() {
-            trace_heap_pop(trace, open.len());
-            trace.read(probe_addr(node_addr(&node)));
+        if let Some(gate) = trace.gate() {
+            trace_heap_pop(trace, open.len(), gate);
+            trace.read(probe_addr(node_addr(&node)), gate);
         }
         // Every queued node has a record. Skip stale entries (lazy
         // decrease-key) and nodes already expanded.
@@ -320,10 +320,10 @@ fn weighted_astar_impl<S: SearchSpace, T: MemTrace + ?Sized>(
         }
         record.closed = true;
         expanded += 1;
-        if trace.enabled() {
+        if let Some(gate) = trace.gate() {
             let addr = node_addr(&node);
-            trace.write(probe_addr(addr)); // mark closed
-            trace.read(addr); // the node's own record (grid cell, vertex, …)
+            trace.write(probe_addr(addr), gate); // mark closed
+            trace.read(addr, gate); // the node's own record (grid cell, vertex, …)
         }
 
         if space.is_goal(node) {
@@ -352,8 +352,8 @@ fn weighted_astar_impl<S: SearchSpace, T: MemTrace + ?Sized>(
         for &(next, edge_cost) in &succ_buf {
             debug_assert!(edge_cost >= 0.0, "negative edge cost");
             generated += 1;
-            if trace.enabled() {
-                trace.read(probe_addr(node_addr(&next))); // closed/best probe
+            if let Some(gate) = trace.gate() {
+                trace.read(probe_addr(node_addr(&next)), gate); // closed/best probe
             }
             let tentative = g + edge_cost;
             match best.entry(next) {
@@ -374,9 +374,9 @@ fn weighted_astar_impl<S: SearchSpace, T: MemTrace + ?Sized>(
                     });
                 }
             }
-            if trace.enabled() {
-                trace.write(probe_addr(node_addr(&next)));
-                trace_heap_push(trace, open.len());
+            if let Some(gate) = trace.gate() {
+                trace.write(probe_addr(node_addr(&next)), gate);
+                trace_heap_push(trace, open.len(), gate);
             }
             open.push(OpenEntry {
                 f: tentative + weight * space.heuristic(next),
@@ -437,9 +437,9 @@ where
     let mut open = BinaryHeap::new();
     for &s in sources {
         dist.insert(s, 0.0);
-        if trace.enabled() {
-            trace.write(probe_addr(node_addr(&s)));
-            trace_heap_push(trace, open.len());
+        if let Some(gate) = trace.gate() {
+            trace.write(probe_addr(node_addr(&s)), gate);
+            trace_heap_push(trace, open.len(), gate);
         }
         open.push(OpenEntry {
             f: 0.0,
@@ -449,9 +449,9 @@ where
     }
     let mut buf = Vec::new();
     while let Some(OpenEntry { g, node, .. }) = open.pop() {
-        if trace.enabled() {
-            trace_heap_pop(trace, open.len());
-            trace.read(probe_addr(node_addr(&node)));
+        if let Some(gate) = trace.gate() {
+            trace_heap_pop(trace, open.len(), gate);
+            trace.read(probe_addr(node_addr(&node)), gate);
         }
         if let Some(&d) = dist.get(&node) {
             if g > d {
@@ -473,13 +473,13 @@ where
                     true
                 }
             };
-            if trace.enabled() {
-                trace.read(probe_addr(node_addr(&next)));
+            if let Some(gate) = trace.gate() {
+                trace.read(probe_addr(node_addr(&next)), gate);
             }
             if improved {
-                if trace.enabled() {
-                    trace.write(probe_addr(node_addr(&next)));
-                    trace_heap_push(trace, open.len());
+                if let Some(gate) = trace.gate() {
+                    trace.write(probe_addr(node_addr(&next)), gate);
+                    trace_heap_push(trace, open.len(), gate);
                 }
                 open.push(OpenEntry {
                     f: tentative,

@@ -258,20 +258,20 @@ impl<'a, 'c, 'd, T: MemTrace + ?Sized> SymbolicSpace<'a, 'c, 'd, T> {
 
     fn intern(&self, state: State) -> usize {
         let state = Rc::new(state);
-        let traced = self.trace.borrow().enabled();
+        let gate = self.trace.borrow().gate();
         let mut h = 0u64;
-        if traced {
+        if let Some(g) = gate {
             let mut t = self.trace.borrow_mut();
             for fact in state.iter() {
                 let fh = fnv1a(fact.as_bytes());
-                t.read(FACT_REGION + (fh & 0xFFFF) * 64);
+                t.read(FACT_REGION + (fh & 0xFFFF) * 64, g);
                 h = h.rotate_left(5) ^ fh;
             }
             // One 16 B node probe per level of the interning index.
             let levels = u64::from(self.ids.borrow().len().max(1).ilog2()) + 1;
             for lvl in 0..levels {
                 let node = h.rotate_left(7 * lvl as u32) & 0xF_FFFF;
-                t.read(IDS_REGION + node * IDS_NODE_BYTES);
+                t.read(IDS_REGION + node * IDS_NODE_BYTES, g);
             }
         }
         if let Some(&id) = self.ids.borrow().get(&state) {
@@ -281,10 +281,10 @@ impl<'a, 'c, 'd, T: MemTrace + ?Sized> SymbolicSpace<'a, 'c, 'd, T> {
         let id = arena.len();
         arena.push(state.clone());
         self.ids.borrow_mut().insert(state, id);
-        if traced {
+        if let Some(g) = gate {
             let mut t = self.trace.borrow_mut();
-            t.write(id as u64 * ARENA_SLOT_BYTES);
-            t.write(IDS_REGION + (h & 0xF_FFFF) * IDS_NODE_BYTES);
+            t.write(id as u64 * ARENA_SLOT_BYTES, g);
+            t.write(IDS_REGION + (h & 0xF_FFFF) * IDS_NODE_BYTES, g);
         }
         id
     }

@@ -28,7 +28,7 @@ mod reference {
     use std::hash::Hash;
 
     use rtr_planning::search::{SearchResult, SearchSpace};
-    use rtr_trace::MemTrace;
+    use rtr_trace::{Gated, MemTrace};
 
     const OPEN_REGION: u64 = 1 << 40;
     const BEST_REGION: u64 = 1 << 41;
@@ -43,28 +43,28 @@ mod reference {
         BEST_REGION + (z & ((1 << 20) - 1)) * BEST_BUCKET_BYTES
     }
 
-    fn trace_heap_push<T: MemTrace + ?Sized>(trace: &mut T, len: usize) {
+    fn trace_heap_push<T: MemTrace + ?Sized>(trace: &mut T, len: usize, gate: Gated) {
         let mut idx = len as u64;
-        trace.write(OPEN_REGION + idx * OPEN_ENTRY_BYTES);
+        trace.write(OPEN_REGION + idx * OPEN_ENTRY_BYTES, gate);
         while idx > 0 {
             idx = (idx - 1) / 2;
-            trace.read(OPEN_REGION + idx * OPEN_ENTRY_BYTES);
+            trace.read(OPEN_REGION + idx * OPEN_ENTRY_BYTES, gate);
         }
     }
 
-    fn trace_heap_pop<T: MemTrace + ?Sized>(trace: &mut T, len_after: usize) {
-        trace.read(OPEN_REGION);
+    fn trace_heap_pop<T: MemTrace + ?Sized>(trace: &mut T, len_after: usize, gate: Gated) {
+        trace.read(OPEN_REGION, gate);
         let len = len_after as u64;
         if len == 0 {
             return;
         }
-        trace.read(OPEN_REGION + len * OPEN_ENTRY_BYTES);
-        trace.write(OPEN_REGION);
+        trace.read(OPEN_REGION + len * OPEN_ENTRY_BYTES, gate);
+        trace.write(OPEN_REGION, gate);
         let mut k = 0u64;
         while 2 * k + 1 < len {
-            trace.read(OPEN_REGION + (2 * k + 1) * OPEN_ENTRY_BYTES);
+            trace.read(OPEN_REGION + (2 * k + 1) * OPEN_ENTRY_BYTES, gate);
             if 2 * k + 2 < len {
-                trace.read(OPEN_REGION + (2 * k + 2) * OPEN_ENTRY_BYTES);
+                trace.read(OPEN_REGION + (2 * k + 2) * OPEN_ENTRY_BYTES, gate);
             }
             k = 2 * k + 1;
         }
@@ -111,9 +111,9 @@ mod reference {
         let mut generated = 0u64;
 
         best.insert(start, (0.0, None));
-        if trace.enabled() {
-            trace.write(probe_addr(node_addr(&start)));
-            trace_heap_push(trace, 0);
+        if let Some(gate) = trace.gate() {
+            trace.write(probe_addr(node_addr(&start)), gate);
+            trace_heap_push(trace, 0, gate);
         }
         open.push(OpenEntry {
             f: weight * space.heuristic(start),
@@ -122,9 +122,9 @@ mod reference {
         });
 
         while let Some(OpenEntry { g, node, .. }) = open.pop() {
-            if trace.enabled() {
-                trace_heap_pop(trace, open.len());
-                trace.read(probe_addr(node_addr(&node)));
+            if let Some(gate) = trace.gate() {
+                trace_heap_pop(trace, open.len(), gate);
+                trace.read(probe_addr(node_addr(&node)), gate);
             }
             match best.get(&node) {
                 Some(&(best_g, _)) if g > best_g => continue,
@@ -135,10 +135,10 @@ mod reference {
             }
             closed.insert(node, ());
             expanded += 1;
-            if trace.enabled() {
+            if let Some(gate) = trace.gate() {
                 let addr = node_addr(&node);
-                trace.write(probe_addr(addr));
-                trace.read(addr);
+                trace.write(probe_addr(addr), gate);
+                trace.read(addr, gate);
             }
 
             if space.is_goal(node) {
@@ -161,8 +161,8 @@ mod reference {
             space.successors(node, &mut succ_buf);
             for &(next, edge_cost) in &succ_buf {
                 generated += 1;
-                if trace.enabled() {
-                    trace.read(probe_addr(node_addr(&next)));
+                if let Some(gate) = trace.gate() {
+                    trace.read(probe_addr(node_addr(&next)), gate);
                 }
                 if closed.contains_key(&next) {
                     continue;
@@ -174,9 +174,9 @@ mod reference {
                 };
                 if improved {
                     best.insert(next, (tentative, Some(node)));
-                    if trace.enabled() {
-                        trace.write(probe_addr(node_addr(&next)));
-                        trace_heap_push(trace, open.len());
+                    if let Some(gate) = trace.gate() {
+                        trace.write(probe_addr(node_addr(&next)), gate);
+                        trace_heap_push(trace, open.len(), gate);
                     }
                     open.push(OpenEntry {
                         f: tentative + weight * space.heuristic(next),
@@ -204,9 +204,9 @@ mod reference {
         let mut open = BinaryHeap::new();
         for &s in sources {
             dist.insert(s, 0.0);
-            if trace.enabled() {
-                trace.write(probe_addr(node_addr(&s)));
-                trace_heap_push(trace, open.len());
+            if let Some(gate) = trace.gate() {
+                trace.write(probe_addr(node_addr(&s)), gate);
+                trace_heap_push(trace, open.len(), gate);
             }
             open.push(OpenEntry {
                 f: 0.0,
@@ -216,9 +216,9 @@ mod reference {
         }
         let mut buf = Vec::new();
         while let Some(OpenEntry { g, node, .. }) = open.pop() {
-            if trace.enabled() {
-                trace_heap_pop(trace, open.len());
-                trace.read(probe_addr(node_addr(&node)));
+            if let Some(gate) = trace.gate() {
+                trace_heap_pop(trace, open.len(), gate);
+                trace.read(probe_addr(node_addr(&node)), gate);
             }
             if let Some(&d) = dist.get(&node) {
                 if g > d {
@@ -230,14 +230,14 @@ mod reference {
             for &(next, cost) in &buf {
                 let tentative = g + cost;
                 let improved = dist.get(&next).is_none_or(|&d| tentative < d);
-                if trace.enabled() {
-                    trace.read(probe_addr(node_addr(&next)));
+                if let Some(gate) = trace.gate() {
+                    trace.read(probe_addr(node_addr(&next)), gate);
                 }
                 if improved {
                     dist.insert(next, tentative);
-                    if trace.enabled() {
-                        trace.write(probe_addr(node_addr(&next)));
-                        trace_heap_push(trace, open.len());
+                    if let Some(gate) = trace.gate() {
+                        trace.write(probe_addr(node_addr(&next)), gate);
+                        trace_heap_push(trace, open.len(), gate);
                     }
                     open.push(OpenEntry {
                         f: tentative,

@@ -226,7 +226,7 @@ pub struct ScenarioState {
     localizer: Localizer,
     mpc: Mpc,
     reference: Vec<Point2>,
-    run: Option<TrackRun>,
+    run: TrackRun,
     goal: Point2,
     prev_pose: Pose2,
     active_waypoint: usize,
@@ -380,7 +380,7 @@ impl ScenarioState {
             localizer,
             mpc,
             reference,
-            run: Some(run),
+            run,
             goal,
             prev_pose: start_pose,
             active_waypoint: 0,
@@ -429,9 +429,7 @@ impl ScenarioState {
         if self.goal_reached || self.tick_index >= self.max_ticks {
             return false;
         }
-        let Some(run) = self.run.as_mut() else {
-            return false;
-        };
+        let run = &mut self.run;
         let tick_start = Instant::now();
         let pose = run.pose();
 
@@ -555,7 +553,7 @@ impl ScenarioState {
                 Localizer::Pfl { filter, .. } => filter.resample_scratch_allocations(),
                 Localizer::Ekf { filter, .. } => filter.workspace_allocations() as u64,
             },
-            control: self.run.as_ref().map_or(0, TrackRun::workspace_allocations),
+            control: self.run.workspace_allocations(),
             sense: self.sense_growths,
         }
     }
@@ -565,8 +563,7 @@ impl ScenarioState {
     /// interned metric names after the collector drains.
     pub fn finish(mut self) -> (ScenarioReport, Option<MetricPublisher>) {
         let counters = self.allocation_counters();
-        let run = self.run.take().expect("finish called twice");
-        let tracking = self.mpc.finish_track(run);
+        let tracking = self.mpc.finish_track(self.run);
         self.profiler.freeze_total();
 
         let mut checksum = FNV_OFFSET;

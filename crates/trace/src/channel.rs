@@ -25,7 +25,7 @@
 
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 
-use crate::{MemTrace, TraceOp};
+use crate::{Gated, MemTrace, TraceOp};
 
 /// What travels down the full channel.
 enum Delivery<T> {
@@ -244,7 +244,8 @@ const UNPACK_CHUNK: usize = 1024;
 /// unpacked in chunks and replayed through `process_batch`, the
 /// simulator's monomorphic fast path. `process_batch` is batch-size
 /// invariant (the simulator's equivalence tests pin it), so where the
-/// batch boundaries fall cannot change what the sink computes.
+/// batch boundaries fall cannot change what the sink computes. Every
+/// delivered op was emitted with a token, so the replay mints its own.
 impl<S: MemTrace + Send> BatchConsumer for S {
     type Item = PackedOp;
 
@@ -257,7 +258,7 @@ impl<S: MemTrace + Send> BatchConsumer for S {
             for (op, packed) in ops.iter_mut().zip(chunk) {
                 *op = packed.unpack();
             }
-            self.process_batch(&ops[..chunk.len()]);
+            self.process_batch(&ops[..chunk.len()], Gated(()));
         }
     }
 }
@@ -272,7 +273,7 @@ pub type TraceSender = BatchSender<PackedOp>;
 
 impl MemTrace for TraceSender {
     #[inline]
-    fn read(&mut self, addr: u64) {
+    fn read(&mut self, addr: u64, _: Gated) {
         self.push(PackedOp::pack(TraceOp {
             addr,
             is_write: false,
@@ -280,7 +281,7 @@ impl MemTrace for TraceSender {
     }
 
     #[inline]
-    fn write(&mut self, addr: u64) {
+    fn write(&mut self, addr: u64, _: Gated) {
         self.push(PackedOp::pack(TraceOp {
             addr,
             is_write: true,
@@ -330,7 +331,7 @@ mod tests {
         let (mut tx, rx) = trace_channel(2, 2);
         drop(rx);
         for i in 0..16u64 {
-            tx.read(i * 64);
+            tx.read(i * 64, Gated(()));
         }
     }
 

@@ -7,10 +7,15 @@
 //! crates depend only on `rtr-trace`, and `rtr-archsim::MemorySim`
 //! implements [`MemTrace`] to plug itself underneath them.
 //!
-//! The default sink is [`NullTrace`], whose methods are empty `#[inline]`
-//! bodies: a kernel generic over `T: MemTrace + ?Sized` monomorphizes the
-//! untraced path to exactly the code it had before tracing existed — no
-//! allocation, no branch, no call.
+//! Emission is gated by type: [`MemTrace::read`], [`write`](MemTrace::write)
+//! and [`process_batch`](MemTrace::process_batch) take a [`Gated`] token,
+//! and outside this crate only [`MemTrace::gate`] hands one out, `Some`
+//! exactly when the sink is [`enabled`](MemTrace::enabled). A kernel
+//! therefore cannot emit without asking first. The default sink is
+//! [`NullTrace`], whose `gate` is a constant `None`: a kernel generic
+//! over `T: MemTrace + ?Sized` monomorphizes the untraced path to
+//! exactly the code it had before tracing existed — no allocation, no
+//! branch, no call.
 //!
 //! # Example
 //!
@@ -18,10 +23,12 @@
 //! use rtr_trace::{CountingTrace, MemTrace, NullTrace};
 //!
 //! fn kernel<T: MemTrace + ?Sized>(trace: &mut T) {
-//!     for i in 0..4u64 {
-//!         trace.read(i * 64);
+//!     if let Some(g) = trace.gate() {
+//!         for i in 0..4u64 {
+//!             trace.read(i * 64, g);
+//!         }
+//!         trace.write(0, g);
 //!     }
-//!     trace.write(0);
 //! }
 //!
 //! kernel(&mut NullTrace); // compiles to nothing
@@ -38,6 +45,34 @@ pub use channel::{
 };
 pub use metric::{metric_channel, Histogram, Metric, MetricMap, MetricPublisher, MetricRecord};
 
+/// The token every emission takes: proof that the code emitting asked
+/// a sink's [`MemTrace::gate`] and was told yes.
+///
+/// Zero-sized and [`Copy`], so passing it costs nothing. Its only field
+/// is private: outside this crate, [`MemTrace::gate`] is the one way to
+/// get one, and this crate mints one only where it drains ops that were
+/// emitted with a token (the [`BufferedTrace`] flush and the collector's
+/// [`BatchConsumer`] replay). The type rules out a forgotten gate, not a
+/// deliberate bypass: a token from one enabled sink opens any other.
+///
+/// Minting one outside this crate does not compile:
+///
+/// ```compile_fail,E0423
+/// use rtr_trace::Gated;
+///
+/// let _ = Gated(());
+/// ```
+///
+/// Nor does emitting without one:
+///
+/// ```compile_fail,E0061
+/// use rtr_trace::{CountingTrace, MemTrace};
+///
+/// CountingTrace::default().read(64);
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct Gated(());
+
 /// A sink for a kernel's synthetic memory-access stream.
 ///
 /// Addresses are byte addresses in a flat synthetic space; each kernel
@@ -47,37 +82,47 @@ pub use metric::{metric_channel, Histogram, Metric, MetricMap, MetricPublisher, 
 /// generic (`T: MemTrace + ?Sized`) so the [`NullTrace`] path folds away.
 pub trait MemTrace {
     /// Records a load of the line containing `addr`.
-    fn read(&mut self, addr: u64);
+    fn read(&mut self, addr: u64, g: Gated);
 
     /// Records a store to the line containing `addr`.
-    fn write(&mut self, addr: u64);
+    fn write(&mut self, addr: u64, g: Gated);
 
     /// `false` only for sinks that discard the stream ([`NullTrace`]).
-    ///
-    /// Kernels with a parallel untraced hot loop use this to select the
-    /// sequential emission path when a real sink is attached; outputs are
-    /// bit-identical either way (the suite's determinism contract).
+    /// Sinks override this, never [`gate`](MemTrace::gate).
     #[inline]
     fn enabled(&self) -> bool {
         true
     }
 
+    /// The token emission takes: `Some` exactly when
+    /// [`enabled`](MemTrace::enabled). Kernels gate each emission block on
+    /// it (`if let Some(g) = trace.gate() { trace.read(addr, g) }`); on a
+    /// `&mut dyn MemTrace` that is one virtual call per block, for a
+    /// generic [`NullTrace`] caller it folds away. Kernels with a parallel
+    /// untraced hot loop also use it to select the sequential emission
+    /// path when a real sink is attached; outputs are bit-identical either
+    /// way (the suite's determinism contract).
+    #[inline]
+    fn gate(&self) -> Option<Gated> {
+        self.enabled().then_some(Gated(()))
+    }
+
     /// Consumes an ordered batch of recorded ops.
     ///
     /// The contract is strict equivalence: a sink's observable state after
-    /// `process_batch(ops)` must be identical to replaying each op through
-    /// [`read`](MemTrace::read)/[`write`](MemTrace::write) in order — the
-    /// default body does exactly that. Sinks with a cheaper bulk path
+    /// `process_batch(ops, g)` must be identical to replaying each op
+    /// through [`read`](MemTrace::read)/[`write`](MemTrace::write) in order
+    /// — the default body does exactly that. Sinks with a cheaper bulk path
     /// (bulk counters, a monomorphic simulation loop) override it; callers
     /// like [`BufferedTrace`] use it to amortize virtual dispatch on a
     /// `&mut dyn MemTrace` into one call per buffer.
     #[inline]
-    fn process_batch(&mut self, ops: &[TraceOp]) {
+    fn process_batch(&mut self, ops: &[TraceOp], g: Gated) {
         for op in ops {
             if op.is_write {
-                self.write(op.addr);
+                self.write(op.addr, g);
             } else {
-                self.read(op.addr);
+                self.read(op.addr, g);
             }
         }
     }
@@ -85,13 +130,13 @@ pub trait MemTrace {
 
 impl<T: MemTrace + ?Sized> MemTrace for &mut T {
     #[inline]
-    fn read(&mut self, addr: u64) {
-        (**self).read(addr);
+    fn read(&mut self, addr: u64, g: Gated) {
+        (**self).read(addr, g);
     }
 
     #[inline]
-    fn write(&mut self, addr: u64) {
-        (**self).write(addr);
+    fn write(&mut self, addr: u64, g: Gated) {
+        (**self).write(addr, g);
     }
 
     #[inline]
@@ -100,25 +145,25 @@ impl<T: MemTrace + ?Sized> MemTrace for &mut T {
     }
 
     #[inline]
-    fn process_batch(&mut self, ops: &[TraceOp]) {
-        (**self).process_batch(ops);
+    fn process_batch(&mut self, ops: &[TraceOp], g: Gated) {
+        (**self).process_batch(ops, g);
     }
 }
 
 /// The do-nothing sink: the default for untraced runs.
 ///
 /// Every method is an empty `#[inline]` body and [`MemTrace::enabled`]
-/// returns `false`, so monomorphized call sites vanish entirely in
-/// release builds.
+/// returns `false`, so [`MemTrace::gate`] is `None` and monomorphized
+/// emission blocks vanish entirely in release builds.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NullTrace;
 
 impl MemTrace for NullTrace {
     #[inline]
-    fn read(&mut self, _addr: u64) {}
+    fn read(&mut self, _addr: u64, _: Gated) {}
 
     #[inline]
-    fn write(&mut self, _addr: u64) {}
+    fn write(&mut self, _addr: u64, _: Gated) {}
 
     #[inline]
     fn enabled(&self) -> bool {
@@ -126,7 +171,7 @@ impl MemTrace for NullTrace {
     }
 
     #[inline]
-    fn process_batch(&mut self, _ops: &[TraceOp]) {}
+    fn process_batch(&mut self, _ops: &[TraceOp], _: Gated) {}
 }
 
 /// A sink that counts reads and writes; for tests and overhead probes.
@@ -147,17 +192,17 @@ impl CountingTrace {
 
 impl MemTrace for CountingTrace {
     #[inline]
-    fn read(&mut self, _addr: u64) {
+    fn read(&mut self, _addr: u64, _: Gated) {
         self.reads += 1;
     }
 
     #[inline]
-    fn write(&mut self, _addr: u64) {
+    fn write(&mut self, _addr: u64, _: Gated) {
         self.writes += 1;
     }
 
     #[inline]
-    fn process_batch(&mut self, ops: &[TraceOp]) {
+    fn process_batch(&mut self, ops: &[TraceOp], _: Gated) {
         let writes = ops.iter().filter(|op| op.is_write).count() as u64;
         self.writes += writes;
         self.reads += ops.len() as u64 - writes;
@@ -194,13 +239,13 @@ impl<T: MemTrace + ?Sized> Copy for SharedTrace<'_, '_, T> {}
 
 impl<T: MemTrace + ?Sized> MemTrace for SharedTrace<'_, '_, T> {
     #[inline]
-    fn read(&mut self, addr: u64) {
-        self.inner.borrow_mut().read(addr);
+    fn read(&mut self, addr: u64, g: Gated) {
+        self.inner.borrow_mut().read(addr, g);
     }
 
     #[inline]
-    fn write(&mut self, addr: u64) {
-        self.inner.borrow_mut().write(addr);
+    fn write(&mut self, addr: u64, g: Gated) {
+        self.inner.borrow_mut().write(addr, g);
     }
 
     #[inline]
@@ -209,8 +254,8 @@ impl<T: MemTrace + ?Sized> MemTrace for SharedTrace<'_, '_, T> {
     }
 
     #[inline]
-    fn process_batch(&mut self, ops: &[TraceOp]) {
-        self.inner.borrow_mut().process_batch(ops);
+    fn process_batch(&mut self, ops: &[TraceOp], g: Gated) {
+        self.inner.borrow_mut().process_batch(ops, g);
     }
 }
 
@@ -252,7 +297,7 @@ impl RecordingTrace {
 }
 
 impl MemTrace for RecordingTrace {
-    fn read(&mut self, addr: u64) {
+    fn read(&mut self, addr: u64, _: Gated) {
         self.read_count += 1;
         self.ops.push(TraceOp {
             addr,
@@ -260,7 +305,7 @@ impl MemTrace for RecordingTrace {
         });
     }
 
-    fn write(&mut self, addr: u64) {
+    fn write(&mut self, addr: u64, _: Gated) {
         self.write_count += 1;
         self.ops.push(TraceOp {
             addr,
@@ -268,7 +313,7 @@ impl MemTrace for RecordingTrace {
         });
     }
 
-    fn process_batch(&mut self, ops: &[TraceOp]) {
+    fn process_batch(&mut self, ops: &[TraceOp], _: Gated) {
         let writes = ops.iter().filter(|op| op.is_write).count() as u64;
         self.write_count += writes;
         self.read_count += ops.len() as u64 - writes;
@@ -298,9 +343,10 @@ impl MemTrace for RecordingTrace {
 /// use rtr_trace::{BufferedTrace, CountingTrace, MemTrace};
 ///
 /// let mut buffered = BufferedTrace::with_capacity(CountingTrace::default(), 2);
-/// buffered.read(0);
-/// buffered.read(64); // buffer full: flushes one batch of 2
-/// buffered.write(128); // still pending
+/// let g = buffered.gate().expect("a counting sink is enabled");
+/// buffered.read(0, g);
+/// buffered.read(64, g); // buffer full: flushes one batch of 2
+/// buffered.write(128, g); // still pending
 /// let counts = buffered.into_inner(); // flushes the tail
 /// assert_eq!((counts.reads, counts.writes), (2, 1));
 /// ```
@@ -341,10 +387,11 @@ impl<S: MemTrace> BufferedTrace<S> {
         self.buf.len()
     }
 
-    /// Delivers all buffered ops to the inner sink as one batch.
+    /// Delivers all buffered ops to the inner sink as one batch. Every
+    /// buffered op was emitted with a token, so the drain mints its own.
     pub fn flush(&mut self) {
         if !self.buf.is_empty() {
-            self.inner.process_batch(&self.buf);
+            self.inner.process_batch(&self.buf, Gated(()));
             self.buf.clear();
         }
     }
@@ -366,7 +413,7 @@ impl<S: MemTrace> BufferedTrace<S> {
 
 impl<S: MemTrace> MemTrace for BufferedTrace<S> {
     #[inline]
-    fn read(&mut self, addr: u64) {
+    fn read(&mut self, addr: u64, _: Gated) {
         self.push(TraceOp {
             addr,
             is_write: false,
@@ -374,7 +421,7 @@ impl<S: MemTrace> MemTrace for BufferedTrace<S> {
     }
 
     #[inline]
-    fn write(&mut self, addr: u64) {
+    fn write(&mut self, addr: u64, _: Gated) {
         self.push(TraceOp {
             addr,
             is_write: true,
@@ -389,11 +436,11 @@ impl<S: MemTrace> MemTrace for BufferedTrace<S> {
     }
 
     #[inline]
-    fn process_batch(&mut self, ops: &[TraceOp]) {
+    fn process_batch(&mut self, ops: &[TraceOp], g: Gated) {
         // Preserve stream order: drain what's pending, then hand the
         // caller's batch through without copying it into the buffer.
         self.flush();
-        self.inner.process_batch(ops);
+        self.inner.process_batch(ops, g);
     }
 }
 
@@ -402,14 +449,20 @@ mod tests {
     use super::*;
 
     fn emit<T: MemTrace + ?Sized>(trace: &mut T) {
-        trace.read(0);
-        trace.read(64);
-        trace.write(128);
+        if let Some(g) = trace.gate() {
+            trace.read(0, g);
+            trace.read(64, g);
+            trace.write(128, g);
+        }
     }
+
+    /// Tests mint tokens directly, as only this crate can.
+    const G: Gated = Gated(());
 
     #[test]
     fn null_trace_is_disabled() {
         assert!(!NullTrace.enabled());
+        assert!(NullTrace.gate().is_none());
         emit(&mut NullTrace); // must compile and do nothing
     }
 
@@ -420,7 +473,7 @@ mod tests {
         assert_eq!(t.reads, 2);
         assert_eq!(t.writes, 1);
         assert_eq!(t.total(), 3);
-        assert!(t.enabled());
+        assert!(t.gate().is_some());
     }
 
     #[test]
@@ -455,9 +508,9 @@ mod tests {
             let cell = core::cell::RefCell::new(&mut counts);
             let mut side_a = SharedTrace::new(&cell);
             let mut side_b = side_a; // Copy
-            assert!(side_a.enabled());
-            side_a.read(0);
-            side_b.write(64);
+            let g = side_a.gate().expect("a counting sink is enabled");
+            side_a.read(0, g);
+            side_b.write(64, g);
         }
         assert_eq!((counts.reads, counts.writes), (1, 1));
     }
@@ -479,20 +532,20 @@ mod tests {
             },
         ];
         let mut batched = RecordingTrace::default();
-        batched.process_batch(&ops);
+        batched.process_batch(&ops, G);
         let mut per_op = RecordingTrace::default();
         for op in &ops {
             if op.is_write {
-                per_op.write(op.addr);
+                per_op.write(op.addr, G);
             } else {
-                per_op.read(op.addr);
+                per_op.read(op.addr, G);
             }
         }
         assert_eq!(batched, per_op);
         assert_eq!((batched.reads(), batched.writes()), (2, 1));
 
         let mut counts = CountingTrace::default();
-        counts.process_batch(&ops);
+        counts.process_batch(&ops, G);
         assert_eq!((counts.reads, counts.writes), (2, 1));
     }
 
@@ -512,13 +565,16 @@ mod tests {
     #[test]
     fn buffered_trace_flush_is_idempotent_and_batch_drains_first() {
         let mut buffered = BufferedTrace::with_capacity(RecordingTrace::default(), 8);
-        buffered.read(0);
+        buffered.read(0, G);
         buffered.flush();
         buffered.flush(); // empty flush must not emit a batch
-        buffered.process_batch(&[TraceOp {
-            addr: 64,
-            is_write: true,
-        }]);
+        buffered.process_batch(
+            &[TraceOp {
+                addr: 64,
+                is_write: true,
+            }],
+            G,
+        );
         assert_eq!(buffered.pending(), 0);
         let recorded = buffered.into_inner();
         assert_eq!(
@@ -538,8 +594,10 @@ mod tests {
 
     #[test]
     fn buffered_trace_enabled_delegates_to_inner() {
-        assert!(!BufferedTrace::new(NullTrace).enabled());
-        assert!(BufferedTrace::new(CountingTrace::default()).enabled());
+        assert!(BufferedTrace::new(NullTrace).gate().is_none());
+        assert!(BufferedTrace::new(CountingTrace::default())
+            .gate()
+            .is_some());
     }
 
     #[test]
@@ -552,6 +610,5 @@ mod tests {
         let mut borrowed = &mut counts;
         emit(&mut borrowed);
         assert_eq!(counts.total(), 6);
-        assert!(counts.enabled());
     }
 }
