@@ -74,28 +74,12 @@ impl CacheStats {
         self.accesses - self.writes
     }
 
-    /// Demand read misses.
-    pub fn read_misses(&self) -> u64 {
-        self.misses - self.write_misses
-    }
-
     /// Miss ratio in `[0, 1]`; `0.0` when no accesses occurred.
     pub fn miss_ratio(&self) -> f64 {
         if self.accesses == 0 {
             0.0
         } else {
             self.misses as f64 / self.accesses as f64
-        }
-    }
-
-    /// Misses per kilo-access (a stand-in for MPKI when instruction counts
-    /// are unavailable; the traced kernels report accesses, not
-    /// instructions).
-    pub fn mpka(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            self.misses as f64 * 1000.0 / self.accesses as f64
         }
     }
 }
@@ -570,7 +554,6 @@ mod tests {
         assert_eq!(s.reads(), 1);
         assert_eq!(s.misses, 2);
         assert_eq!(s.write_misses, 1);
-        assert_eq!(s.read_misses(), 1);
     }
 
     #[test]
@@ -609,7 +592,6 @@ mod tests {
         let s = c.stats();
         assert_eq!(s.hits(), 1);
         assert_eq!(s.miss_ratio(), 0.5);
-        assert_eq!(s.mpka(), 500.0);
         assert_eq!(CacheStats::default().miss_ratio(), 0.0);
     }
 }

@@ -29,7 +29,7 @@
 use rtr_bench::characterization::{collect_with, CharReport};
 use rtr_bench::parse_args;
 use rtr_core::{vldp_arg, Telemetry};
-use rtr_harness::{usage_error, OptionSpec, Table};
+use rtr_harness::{usage_error, CliError, OptionSpec, Table};
 
 /// Formats an off→on pair of percentages.
 fn pair(off: f64, on: f64) -> String {
@@ -127,9 +127,18 @@ const OPTIONS: &[OptionSpec] = &[
 fn main() {
     let args = parse_args(BIN, OPTIONS);
     let full = args.get_flag("full");
-    let vldp = vldp_arg(&args, 4)
-        .unwrap_or_else(|e| usage_error(BIN, e))
-        .max(1);
+    let vldp = vldp_arg(&args, 4).unwrap_or_else(|e| usage_error(BIN, e));
+    if vldp == 0 {
+        // Degree 0 is the "off" column; the "on" column needs a prefetcher.
+        usage_error(
+            BIN,
+            CliError::BadValue {
+                option: "vldp".into(),
+                value: "0".into(),
+                expected: "a prefetch degree from 1 to 64",
+            },
+        );
+    }
     let threads = args.get_threads(0).unwrap_or_else(|e| usage_error(BIN, e));
     let out = args.get_str("out", "");
     let telemetry = Telemetry::from_args(&args).unwrap_or_else(|e| usage_error(BIN, e));

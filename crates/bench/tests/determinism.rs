@@ -260,7 +260,6 @@ proptest! {
             Icp::new(IcpConfig {
                 max_iterations: 10,
                 threads,
-                ..Default::default()
             })
             .align(&scan2, &scan1, &mut profiler, &mut NullTrace)
         };
@@ -308,7 +307,6 @@ proptest! {
                 elites: 4.min(samples),
                 seed,
                 threads,
-                ..Default::default()
             })
             .learn(&sim, &mut profiler, &mut NullTrace)
         };

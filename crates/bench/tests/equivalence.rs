@@ -15,6 +15,7 @@ use rtr_control::GaussianProcess;
 use rtr_geom::{normalize_angle, Point2};
 use rtr_harness::Profiler;
 use rtr_linalg::{Matrix, Vector, Workspace};
+use rtr_perception::ekfslam::{Q_ROT, Q_TRANS, R_BEARING, R_RANGE};
 use rtr_perception::{EkfSlam, EkfSlamConfig, EkfSlamResult};
 use rtr_sim::{SimRng, SlamStep, SlamWorld};
 use rtr_trace::NullTrace;
@@ -76,9 +77,9 @@ impl DenseEkf {
         f[(0, 2)] = -v * theta.sin();
         f[(1, 2)] = v * theta.cos();
         let mut q = Matrix::zeros(dim, dim);
-        q[(0, 0)] = self.config.q_trans;
-        q[(1, 1)] = self.config.q_trans;
-        q[(2, 2)] = self.config.q_rot;
+        q[(0, 0)] = Q_TRANS;
+        q[(1, 1)] = Q_TRANS;
+        q[(2, 2)] = Q_ROT;
         let mut p = f.congruence(&self.cov).expect("shape");
         p += &q;
         p.symmetrize_mut();
@@ -116,7 +117,7 @@ impl DenseEkf {
         h[(1, 2)] = -1.0;
         h[(1, lx_idx)] = -dy / q;
         h[(1, ly_idx)] = dx / q;
-        let r = Matrix::from_diagonal(&[self.config.r_range, self.config.r_bearing]);
+        let r = Matrix::from_diagonal(&[R_RANGE, R_BEARING]);
 
         let cov = &self.cov;
         let s = &h.congruence(cov).expect("shape") + &r;

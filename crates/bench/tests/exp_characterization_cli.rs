@@ -10,6 +10,7 @@ fn bad_values_exit_2_naming_the_option() {
         (["--vldp", "bogus"], "--vldp"),
         (["--vldp", "65"], "--vldp"),
         (["--vldp", "1000000000000"], "--vldp"),
+        (["--vldp", "0"], "--vldp"),
         (["--threads", "bogus"], "--threads"),
         (["--threads", "-1"], "--threads"),
     ] {

@@ -68,6 +68,24 @@ impl<const D: usize> Scan<D> {
     }
 }
 
+/// The tree's `k_nearest_into` into a fresh buffer.
+fn tree_k_nearest<const D: usize>(tree: &KdTree<D>, q: &[f64; D], k: usize) -> Vec<(usize, f64)> {
+    let mut out = Vec::new();
+    tree.k_nearest_into(q, k, &mut out);
+    out
+}
+
+/// The tree's `within_radius_into` into a fresh buffer.
+fn tree_within_radius<const D: usize>(
+    tree: &KdTree<D>,
+    q: &[f64; D],
+    radius: f64,
+) -> Vec<(usize, f64)> {
+    let mut out = Vec::new();
+    tree.within_radius_into(q, radius, &mut out);
+    out
+}
+
 fn random_point(rng: &mut SimRng, half: f64) -> [f64; 3] {
     [
         rng.uniform(-half, half),
@@ -116,9 +134,9 @@ proptest! {
         for _ in 0..8 {
             let q = random_point(&mut rng, 12.0);
             assert_same_nearest(tree.nearest(&q), scan.nearest(&q));
-            assert_same_pairs(&tree.k_nearest(&q, k), &scan.k_nearest(&q, k), "k_nearest");
+            assert_same_pairs(&tree_k_nearest(&tree, &q, k), &scan.k_nearest(&q, k), "k_nearest");
             assert_same_pairs(
-                &tree.within_radius(&q, radius),
+                &tree_within_radius(&tree, &q, radius),
                 &scan.within_radius(&q, radius),
                 "within_radius",
             );
@@ -139,8 +157,8 @@ proptest! {
         for _ in 0..8 {
             let q = random_point(&mut rng, 12.0);
             assert_same_nearest(tree.nearest(&q), scan.nearest(&q));
-            assert_same_pairs(&tree.k_nearest(&q, k), &scan.k_nearest(&q, k), "k_nearest");
-            assert_same_pairs(&tree.within_radius(&q, 3.0), &scan.within_radius(&q, 3.0), "within_radius");
+            assert_same_pairs(&tree_k_nearest(&tree, &q, k), &scan.k_nearest(&q, k), "k_nearest");
+            assert_same_pairs(&tree_within_radius(&tree, &q, 3.0), &scan.within_radius(&q, 3.0), "within_radius");
         }
     }
 
@@ -163,7 +181,7 @@ proptest! {
             }
             let q = random_point(&mut rng, 6.0);
             assert_same_nearest(tree.nearest(&q), scan.nearest(&q));
-            assert_same_pairs(&tree.k_nearest(&q, 5), &scan.k_nearest(&q, 5), "k_nearest");
+            assert_same_pairs(&tree_k_nearest(&tree, &q, 5), &scan.k_nearest(&q, 5), "k_nearest");
         }
     }
 
@@ -186,7 +204,7 @@ proptest! {
         for q in [-1.0, 0.0, 3.3, n as f64 * 0.125, n as f64 * 0.25 + 1.0] {
             assert_same_nearest(tree.nearest(&[q]), scan.nearest(&[q]));
             assert_same_pairs(
-                &tree.within_radius(&[q], 2.0),
+                &tree_within_radius(&tree, &[q], 2.0),
                 &scan.within_radius(&[q], 2.0),
                 "within_radius",
             );
@@ -206,10 +224,11 @@ proptest! {
         let tree = KdTree::<3>::build_balanced(&items);
         let qs: Vec<[f64; 3]> = (0..queries).map(|_| random_point(&mut rng, 12.0)).collect();
         let seq_nearest: Vec<Option<(usize, f64)>> = qs.iter().map(|q| tree.nearest(q)).collect();
-        let seq_knn: Vec<Vec<(usize, f64)>> = qs.iter().map(|q| tree.k_nearest(q, k)).collect();
+        let seq_knn: Vec<Vec<(usize, f64)>> = qs.iter().map(|q| tree_k_nearest(&tree, q, k)).collect();
         for threads in [1usize, 2, 4, 8] {
             let pool = Pool::new(threads);
-            let batch_nearest = tree.batch_nearest(&qs, &pool);
+            let mut batch_nearest = Vec::new();
+            tree.batch_nearest_into(&qs, &pool, &mut batch_nearest);
             prop_assert_eq!(batch_nearest.len(), seq_nearest.len());
             for (a, b) in batch_nearest.iter().zip(seq_nearest.iter()) {
                 assert_same_nearest(*a, *b);
@@ -233,18 +252,11 @@ fn batch_into_reuses_buffers_across_repeated_fanouts() {
     let qs: Vec<[f64; 3]> = (0..64).map(|_| random_point(&mut rng, 10.0)).collect();
     let pool = Pool::new(4);
     let mut nn = Vec::new();
-    let mut knn = Vec::new();
     tree.batch_nearest_into(&qs, &pool, &mut nn);
-    tree.batch_k_nearest_into(&qs, 6, &pool, &mut knn);
     let nn_cap = nn.capacity();
-    let knn_caps: Vec<usize> = knn.iter().map(|v| v.capacity()).collect();
     for _ in 0..5 {
         tree.batch_nearest_into(&qs, &pool, &mut nn);
-        tree.batch_k_nearest_into(&qs, 6, &pool, &mut knn);
     }
     assert_eq!(nn.capacity(), nn_cap, "batch_nearest_into must reuse");
-    for (v, cap) in knn.iter().zip(knn_caps.iter()) {
-        assert!(v.capacity() <= *cap, "inner k-NN buffers must be reused");
-    }
     assert_eq!(nn, qs.iter().map(|q| tree.nearest(q)).collect::<Vec<_>>());
 }

@@ -25,21 +25,22 @@ const CAND_REGION: u64 = 1 << 34;
 
 use crate::GaussianProcess;
 
+/// Random evaluations used to seed the GP.
+const SEED_POINTS: usize = 5;
+/// GP RBF length scale.
+const LENGTH_SCALE: f64 = 0.8;
+/// GP observation-noise/jitter term.
+const NOISE: f64 = 1e-4;
+
 /// Configuration for [`BayesOpt`].
 #[derive(Debug, Clone, Copy)]
 pub struct BoConfig {
     /// Learning iterations after seeding (the paper's Fig. 19 uses 45).
     pub iterations: usize,
-    /// Random evaluations used to seed the GP.
-    pub seed_points: usize,
     /// Candidate points scored by the acquisition per iteration.
     pub candidates: usize,
     /// UCB exploration coefficient κ (`μ + κ·σ`).
     pub kappa: f64,
-    /// GP RBF length scale.
-    pub length_scale: f64,
-    /// GP observation-noise/jitter term.
-    pub noise: f64,
     /// RNG seed.
     pub seed: u64,
 }
@@ -48,11 +49,8 @@ impl Default for BoConfig {
     fn default() -> Self {
         BoConfig {
             iterations: 45,
-            seed_points: 5,
             candidates: 500,
             kappa: 2.0,
-            length_scale: 0.8,
-            noise: 1e-4,
             seed: 0,
         }
     }
@@ -131,7 +129,6 @@ impl BayesOpt {
     /// Panics when the configuration is degenerate.
     pub fn new(config: BoConfig) -> Self {
         assert!(config.iterations > 0, "need at least one iteration");
-        assert!(config.seed_points >= 2, "need at least two seed points");
         assert!(config.candidates > 0, "need candidates to score");
         BayesOpt { config }
     }
@@ -176,7 +173,7 @@ impl BayesOpt {
         };
 
         // Seed evaluations.
-        for _ in 0..self.config.seed_points {
+        for _ in 0..SEED_POINTS {
             let x = sample_point(&mut rng);
             let reward = profiler.time("simulate", || sim.reward(&to_params(&x)));
             xs_raw.push(x);
@@ -198,7 +195,7 @@ impl BayesOpt {
                         }
                     }
                 }
-                GaussianProcess::fit(&xs, &ys, self.config.length_scale, 1.0, self.config.noise)
+                GaussianProcess::fit(&xs, &ys, LENGTH_SCALE, 1.0, NOISE)
                     .expect("jittered kernel is SPD")
             });
 
@@ -390,7 +387,7 @@ mod tests {
         let mut expect_reads = 0u64;
         let mut expect_writes = 0u64;
         for t in 0..config.iterations as u64 {
-            let n = config.seed_points as u64 + t;
+            let n = SEED_POINTS as u64 + t;
             expect_reads += n; // gp_fit training loads
             expect_writes += n * (n + 1) / 2; // triangular factor stores
             expect_reads += cands * n; // acquisition conditioning
@@ -400,14 +397,5 @@ mod tests {
         }
         assert_eq!(counts.reads, expect_reads);
         assert_eq!(counts.writes, expect_writes);
-    }
-
-    #[test]
-    #[should_panic(expected = "seed points")]
-    fn too_few_seeds_panics() {
-        let _ = BayesOpt::new(BoConfig {
-            seed_points: 1,
-            ..Default::default()
-        });
     }
 }

@@ -18,6 +18,11 @@ use rtr_trace::MemTrace;
 const POP_REGION: u64 = 0;
 const SCORED_REGION: u64 = 1 << 20;
 
+/// Initial sampling std dev per parameter.
+const INITIAL_STD: [f64; 3] = [0.6, 0.6, 2.0];
+/// Std-dev floor to keep exploring.
+const MIN_STD: f64 = 0.01;
+
 /// Configuration for [`Cem`].
 #[derive(Debug, Clone, Copy)]
 pub struct CemConfig {
@@ -27,10 +32,6 @@ pub struct CemConfig {
     pub samples_per_iteration: usize,
     /// Elite count kept per iteration.
     pub elites: usize,
-    /// Initial sampling std dev per parameter.
-    pub initial_std: [f64; 3],
-    /// Std-dev floor to keep exploring.
-    pub min_std: f64,
     /// RNG seed.
     pub seed: u64,
     /// Worker threads for rollout evaluation (`1` = sequential legacy
@@ -46,8 +47,6 @@ impl Default for CemConfig {
             iterations: 5,
             samples_per_iteration: 15,
             elites: 4,
-            initial_std: [0.6, 0.6, 2.0],
-            min_std: 0.01,
             seed: 0,
             threads: 1,
         }
@@ -131,7 +130,7 @@ impl Cem {
         // Policy distribution: mean/std per parameter. Start centered on a
         // generic overhand throw.
         let mut mean = [0.8f64, -0.2, sim.max_speed() * 0.5];
-        let mut std = self.config.initial_std;
+        let mut std = INITIAL_STD;
 
         let mut reward_trace = Vec::new();
         let mut iteration_means = Vec::new();
@@ -226,7 +225,7 @@ impl Cem {
                 }
                 mean = new_mean;
                 for d in 0..3 {
-                    std[d] = new_std[d].sqrt().max(self.config.min_std);
+                    std[d] = new_std[d].sqrt().max(MIN_STD);
                 }
             });
         }

@@ -22,17 +22,18 @@ const STATE_REGION: u64 = 1 << 24;
 /// Output rows `(pos, vel, acc)` per `(step, dim)`, 24 bytes each.
 const ROLLOUT_REGION: u64 = 1 << 30;
 
+/// Spring constant α_z of the transformation system.
+const ALPHA_Z: f64 = 25.0;
+/// Damping β_z (critically damped at α_z/4).
+const BETA_Z: f64 = 6.25;
+/// Canonical-system decay rate α_x.
+const ALPHA_X: f64 = 4.0;
+
 /// Configuration for [`Dmp`].
 #[derive(Debug, Clone, Copy)]
 pub struct DmpConfig {
     /// Number of Gaussian basis functions per dimension.
     pub basis_count: usize,
-    /// Spring constant α_z of the transformation system.
-    pub alpha_z: f64,
-    /// Damping β_z (critically damped at α_z/4).
-    pub beta_z: f64,
-    /// Canonical-system decay rate α_x.
-    pub alpha_x: f64,
     /// Integration time step (seconds).
     pub dt: f64,
 }
@@ -41,9 +42,6 @@ impl Default for DmpConfig {
     fn default() -> Self {
         DmpConfig {
             basis_count: 30,
-            alpha_z: 25.0,
-            beta_z: 6.25,
-            alpha_x: 4.0,
             dt: 0.002,
         }
     }
@@ -164,7 +162,7 @@ impl Dmp {
         let centers: Vec<f64> = (0..config.basis_count)
             .map(|i| {
                 let t = i as f64 / (config.basis_count - 1).max(1) as f64;
-                (-config.alpha_x * t).exp()
+                (-ALPHA_X * t).exp()
             })
             .collect();
         let widths: Vec<f64> = (0..config.basis_count)
@@ -203,9 +201,9 @@ impl Dmp {
             let mut den = vec![1e-10; config.basis_count];
             for t in 0..steps {
                 let time = t as f64 * demo_dt;
-                let x = (-config.alpha_x * time / tau).exp();
-                let f_target = tau * tau * ydd[t]
-                    - config.alpha_z * (config.beta_z * (goal - y[t]) - tau * yd[t]);
+                let x = (-ALPHA_X * time / tau).exp();
+                let f_target =
+                    tau * tau * ydd[t] - ALPHA_Z * (BETA_Z * (goal - y[t]) - tau * yd[t]);
                 // Locally weighted regression against ξ = x·(g − y0).
                 let xi = x * scale;
                 if xi.abs() < 1e-12 {
@@ -228,11 +226,6 @@ impl Dmp {
             widths,
             tau,
         }
-    }
-
-    /// Number of trajectory dimensions.
-    pub fn dimensions(&self) -> usize {
-        self.dims.len()
     }
 
     /// The goal position the primitive converges to, per dimension.
@@ -342,17 +335,14 @@ impl Dmp {
             }
             let f = self.forcing(model, run.x);
             // τ ż = αz(βz(g − y) − z) + f;  τ ẏ = z.
-            let zd = (self.config.alpha_z
-                * (self.config.beta_z * (model.goal - run.y[d]) - run.z[d])
-                + f)
-                / self.tau;
+            let zd = (ALPHA_Z * (BETA_Z * (model.goal - run.y[d]) - run.z[d]) + f) / self.tau;
             run.z[d] += zd * dt;
             let yd = run.z[d] / self.tau;
             run.y[d] += yd * dt;
             v_row.push(yd);
             a_row.push(zd / self.tau);
         }
-        run.x += -self.config.alpha_x * run.x / self.tau * dt;
+        run.x += -ALPHA_X * run.x / self.tau * dt;
         run.rollout.t.push(step as f64 * dt);
         run.rollout.position.push(run.y.clone());
         run.rollout.velocity.push(v_row);
@@ -464,7 +454,7 @@ mod tests {
     fn two_dimensional_demo_learns_both_dims() {
         let (demo, dur) = wheeled_robot_demo(300);
         let dmp = Dmp::learn(&demo, dur, DmpConfig::default());
-        assert_eq!(dmp.dimensions(), 2);
+        assert_eq!(dmp.dims.len(), 2);
         let goals = dmp.goals();
         assert!((goals[0] - 15.0).abs() < 1e-9);
         let mut profiler = Profiler::new();
@@ -528,7 +518,7 @@ mod tests {
         // table (3 arrays) and reads its integrator state; the Euler
         // update stores the state and one rollout row.
         let steps = (dur / config.dt).ceil() as u64;
-        let ndim = dmp.dimensions() as u64;
+        let ndim = dmp.dims.len() as u64;
         let nb = config.basis_count as u64;
         assert_eq!(counts.reads, steps * ndim * (3 * nb + 1));
         assert_eq!(counts.writes, steps * ndim * 2);

@@ -21,6 +21,13 @@ const CTRL_REGION: u64 = 0;
 const GRAD_REGION: u64 = 1 << 20;
 const REF_REGION: u64 = 1 << 24;
 
+/// Maximum |steering rate| (rad/s).
+const STEER_MAX: f64 = 0.8;
+/// Weight on deviation from the reference position.
+const W_TRACKING: f64 = 1.0;
+/// Weight on control effort (the "state change" penalty).
+const W_EFFORT: f64 = 0.05;
+
 /// Configuration for [`Mpc`].
 #[derive(Debug, Clone, Copy)]
 pub struct MpcConfig {
@@ -32,14 +39,8 @@ pub struct MpcConfig {
     pub v_max: f64,
     /// Maximum |acceleration| (m/s²) — the acceleration constraint.
     pub a_max: f64,
-    /// Maximum |steering rate| (rad/s).
-    pub steer_max: f64,
     /// Gradient-descent iterations per control step.
     pub opt_iterations: usize,
-    /// Weight on deviation from the reference position.
-    pub w_tracking: f64,
-    /// Weight on control effort (the "state change" penalty).
-    pub w_effort: f64,
 }
 
 impl Default for MpcConfig {
@@ -49,10 +50,7 @@ impl Default for MpcConfig {
             dt: 0.1,
             v_max: 8.0,
             a_max: 3.0,
-            steer_max: 0.8,
             opt_iterations: 40,
-            w_tracking: 1.0,
-            w_effort: 0.05,
         }
     }
 }
@@ -227,8 +225,7 @@ impl Mpc {
         refs: &[Point2],
     ) -> f64 {
         let target = refs[k.min(refs.len() - 1)];
-        cost + self.config.w_tracking * position.distance_squared(target)
-            + self.config.w_effort * (a * a + omega * omega)
+        cost + W_TRACKING * position.distance_squared(target) + W_EFFORT * (a * a + omega * omega)
     }
 
     /// Horizon cost of a control sequence from state `s0` against the
@@ -239,8 +236,8 @@ impl Mpc {
         for (k, &(a, omega)) in controls.iter().enumerate() {
             s = self.step(s, a, omega);
             let target = refs[k.min(refs.len() - 1)];
-            cost += self.config.w_tracking * s.pose.position().distance_squared(target);
-            cost += self.config.w_effort * (a * a + omega * omega);
+            cost += W_TRACKING * s.pose.position().distance_squared(target);
+            cost += W_EFFORT * (a * a + omega * omega);
         }
         cost
     }
@@ -381,8 +378,7 @@ impl Mpc {
                 .extend(controls.iter().enumerate().map(|(k, &(a, w))| {
                     (
                         (a - step_size * grad[2 * k]).clamp(-self.config.a_max, self.config.a_max),
-                        (w - step_size * grad[2 * k + 1])
-                            .clamp(-self.config.steer_max, self.config.steer_max),
+                        (w - step_size * grad[2 * k + 1]).clamp(-STEER_MAX, STEER_MAX),
                     )
                 }));
             let cost = self.horizon_cost(s0, &scratch.proposal, refs);
@@ -623,7 +619,7 @@ mod tests {
                 .map(|(&(a, w), &(ga, gw))| {
                     (
                         (a - step_size * ga).clamp(-mpc.config.a_max, mpc.config.a_max),
-                        (w - step_size * gw).clamp(-mpc.config.steer_max, mpc.config.steer_max),
+                        (w - step_size * gw).clamp(-STEER_MAX, STEER_MAX),
                     )
                 })
                 .collect();

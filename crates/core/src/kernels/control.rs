@@ -83,7 +83,6 @@ impl Kernel for DmpKernel {
         let config = DmpConfig {
             basis_count: basis,
             dt,
-            ..Default::default()
         };
         // Learning from the demonstration is the offline phase; only the
         // rollout integration runs inside the region of interest.
@@ -288,6 +287,20 @@ impl KernelInstance for MpcInstance {
     }
 }
 
+/// Parses `--goal`, the throw distance of `15.cem` and `16.bo` (default
+/// 2 m). A goal under 0.1 m, NaN or infinite is an error, not a rewrite.
+fn goal_arg(args: &Args) -> Result<f64, KernelError> {
+    let goal = args.get_f64("goal", 2.0)?;
+    if !(goal.is_finite() && goal >= 0.1) {
+        return Err(bad_value(
+            "goal",
+            goal,
+            "a finite goal distance of at least 0.1 (m)",
+        ));
+    }
+    Ok(goal)
+}
+
 /// Most iterations `15.cem --iterations` accepts: 2000x the paper's 5.
 /// Time grows linearly with the count: 1.2 s at the cap (default
 /// samples, release build, 2-vCPU x86-64 host).
@@ -366,7 +379,7 @@ impl Kernel for CemKernel {
                 "a sample count no smaller than the elite count (4)",
             ));
         }
-        let sim = ThrowSim::new(args.get_f64("goal", 2.0)?.max(0.1));
+        let sim = ThrowSim::new(goal_arg(args)?);
         Ok(OneShotInstance::boxed(
             self.name(),
             self.stage(),
@@ -465,9 +478,8 @@ impl Kernel for BoKernel {
                 .max(1),
             kappa: args.get_f64("kappa", 2.0)?,
             seed: args.get_u64("seed", 0)?,
-            ..Default::default()
         };
-        let sim = ThrowSim::new(args.get_f64("goal", 2.0)?.max(0.1));
+        let sim = ThrowSim::new(goal_arg(args)?);
         Ok(OneShotInstance::boxed(
             self.name(),
             self.stage(),

@@ -350,6 +350,14 @@ mod tests {
             ("srec", &["--threads", "257"], "threads"),
             ("prm", &["--threads", "257"], "threads"),
             ("cem", &["--threads", "1000000000000"], "threads"),
+            ("pfl", &["--region", "5"], "region"),
+            ("movtar", &["--epsilon", "0.5"], "epsilon"),
+            ("movtar", &["--epsilon", "nan"], "epsilon"),
+            ("cem", &["--goal", "nan"], "goal"),
+            ("cem", &["--goal", "0.05"], "goal"),
+            ("cem", &["--goal", "inf"], "goal"),
+            ("bo", &["--goal", "nan"], "goal"),
+            ("bo", &["--goal", "0.05"], "goal"),
         ];
         for &(kernel, argv, option) in rows {
             let args = Args::parse_tokens(argv).unwrap();

@@ -25,6 +25,10 @@ impl PflKernel {
     /// indoor map, returning its sensor log. The five regions are the four
     /// room quadrants plus the center, mirroring the paper's "five
     /// different parts of the building".
+    ///
+    /// # Panics
+    ///
+    /// Panics if `region` is 5 or more.
     pub fn drive_region(
         map: &rtr_geom::GridMap2D,
         region: usize,
@@ -40,7 +44,7 @@ impl PflKernel {
             (1.0 + 12.8, 1.0 + 12.8),
             (1.0 + 6.4, 1.0 + 6.4),
         ];
-        let (ox, oy) = offsets[region % offsets.len()];
+        let (ox, oy) = offsets[region];
         let lidar = Lidar::new(60, std::f64::consts::PI, 10.0, 0.02);
         let odo = OdometryModel::new(0.03, 0.02);
         let robot = DifferentialDrive::new(0.15, 1.5);
@@ -112,7 +116,7 @@ impl Kernel for PflKernel {
                 "a particle count of at least 1",
             ));
         }
-        let region = args.get_usize("region", 0)?;
+        let region = args.get_count("region", 0, 4, "a map region from 0 to 4")?;
         let beam_stride = (60 / args.get_usize("beams", 60)?.clamp(1, 60)).max(1);
         let seed = args.get_u64("seed", 0)?;
         let threads = args.get_threads(0)?;
@@ -425,7 +429,6 @@ impl Kernel for SrecKernel {
         let mut icp = Icp::new(IcpConfig {
             max_iterations: iterations,
             threads,
-            ..Default::default()
         });
         let run = icp.begin(&scan2, &scan1, &mut profiler);
         Ok(Box::new(SrecInstance {

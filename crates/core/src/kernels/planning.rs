@@ -379,7 +379,14 @@ impl Kernel for MovtarKernel {
                 "a horizon of at least 1 step",
             ));
         }
-        let epsilon = args.get_f64("epsilon", 2.0)?.max(1.0);
+        let epsilon = args.get_f64("epsilon", 2.0)?;
+        if epsilon.is_nan() || epsilon < 1.0 {
+            return Err(bad_value(
+                "epsilon",
+                epsilon,
+                "a heuristic weight of at least 1",
+            ));
+        }
         let seed = args.get_u64("seed", 3)?;
 
         let (field, start, trajectory) = movtar::synthetic_scenario(size, horizon, seed);

@@ -43,15 +43,6 @@ impl Aabb2 {
         p.x >= self.min.x && p.x <= self.max.x && p.y >= self.min.y && p.y <= self.max.y
     }
 
-    /// Returns `true` when the two boxes overlap (boundary contact counts).
-    #[inline]
-    pub fn intersects(&self, other: &Aabb2) -> bool {
-        self.min.x <= other.max.x
-            && self.max.x >= other.min.x
-            && self.min.y <= other.max.y
-            && self.max.y >= other.min.y
-    }
-
     /// Width along x.
     #[inline]
     pub fn width(&self) -> f64 {
@@ -62,15 +53,6 @@ impl Aabb2 {
     #[inline]
     pub fn height(&self) -> f64 {
         self.max.y - self.min.y
-    }
-
-    /// Center point.
-    #[inline]
-    pub fn center(&self) -> Point2 {
-        Point2::new(
-            0.5 * (self.min.x + self.max.x),
-            0.5 * (self.min.y + self.max.y),
-        )
     }
 
     /// Returns `true` when the segment `a`–`b` intersects the box.
@@ -148,17 +130,6 @@ impl Aabb3 {
             && p.z >= self.min.z
             && p.z <= self.max.z
     }
-
-    /// Returns `true` when the two boxes overlap.
-    #[inline]
-    pub fn intersects(&self, other: &Aabb3) -> bool {
-        self.min.x <= other.max.x
-            && self.max.x >= other.min.x
-            && self.min.y <= other.max.y
-            && self.max.y >= other.min.y
-            && self.min.z <= other.max.z
-            && self.max.z >= other.min.z
-    }
 }
 
 #[cfg(test)]
@@ -177,7 +148,8 @@ mod tests {
         let b = Aabb2::from_center(Point2::new(1.0, 1.0), 2.0, 4.0);
         assert_eq!(b.width(), 2.0);
         assert_eq!(b.height(), 4.0);
-        assert_eq!(b.center(), Point2::new(1.0, 1.0));
+        assert_eq!(b.min, Point2::new(0.0, -1.0));
+        assert_eq!(b.max, Point2::new(2.0, 3.0));
     }
 
     #[test]
@@ -186,16 +158,6 @@ mod tests {
         assert!(b.contains(Point2::new(0.0, 0.0)));
         assert!(b.contains(Point2::new(1.0, 1.0)));
         assert!(!b.contains(Point2::new(1.0001, 0.5)));
-    }
-
-    #[test]
-    fn intersects_overlap_and_disjoint() {
-        let a = Aabb2::new(Point2::ORIGIN, Point2::new(2.0, 2.0));
-        let b = Aabb2::new(Point2::new(1.0, 1.0), Point2::new(3.0, 3.0));
-        let c = Aabb2::new(Point2::new(5.0, 5.0), Point2::new(6.0, 6.0));
-        assert!(a.intersects(&b));
-        assert!(b.intersects(&a));
-        assert!(!a.intersects(&c));
     }
 
     #[test]
@@ -218,13 +180,10 @@ mod tests {
     }
 
     #[test]
-    fn aabb3_contains_and_intersects() {
+    fn aabb3_contains_boundary() {
         let a = Aabb3::new(Point3::ORIGIN, Point3::new(2.0, 2.0, 2.0));
-        let b = Aabb3::new(Point3::new(1.0, 1.0, 1.0), Point3::new(3.0, 3.0, 3.0));
-        let c = Aabb3::new(Point3::new(5.0, 0.0, 0.0), Point3::new(6.0, 1.0, 1.0));
         assert!(a.contains(Point3::new(1.0, 1.0, 1.0)));
+        assert!(a.contains(Point3::new(2.0, 2.0, 2.0)));
         assert!(!a.contains(Point3::new(1.0, 1.0, 2.5)));
-        assert!(a.intersects(&b));
-        assert!(!a.intersects(&c));
     }
 }

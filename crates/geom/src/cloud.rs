@@ -13,12 +13,15 @@ use crate::Point3;
 /// # Example
 ///
 /// ```
-/// use rtr_geom::{Point3, PointCloud};
+/// use rtr_geom::{Point3, PointCloud, RigidTransform};
 ///
 /// let mut cloud = PointCloud::new();
 /// cloud.push(Point3::new(1.0, 0.0, 0.0));
 /// cloud.push(Point3::new(3.0, 0.0, 0.0));
-/// assert_eq!(cloud.centroid(), Point3::new(2.0, 0.0, 0.0));
+/// let shift = RigidTransform::from_yaw_translation(0.0, Point3::new(0.0, 1.0, 0.0));
+/// let moved = cloud.transformed(&shift);
+/// assert_eq!(moved.points()[1], Point3::new(3.0, 1.0, 0.0));
+/// assert_eq!(cloud.rmse(&moved), 1.0);
 /// ```
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct PointCloud {
@@ -116,11 +119,6 @@ impl PointCloud {
         PointCloud { points: Vec::new() }
     }
 
-    /// Creates a cloud from a vector of points.
-    pub fn from_points(points: Vec<Point3>) -> Self {
-        PointCloud { points }
-    }
-
     /// Appends a point.
     pub fn push(&mut self, p: Point3) {
         self.points.push(p);
@@ -141,29 +139,10 @@ impl PointCloud {
         &self.points
     }
 
-    /// Arithmetic centroid; the origin for an empty cloud.
-    pub fn centroid(&self) -> Point3 {
-        if self.points.is_empty() {
-            return Point3::ORIGIN;
-        }
-        let mut sum = Point3::ORIGIN;
-        for p in &self.points {
-            sum = sum + *p;
-        }
-        sum * (1.0 / self.points.len() as f64)
-    }
-
     /// Returns a copy with `transform` applied to every point.
     pub fn transformed(&self, transform: &RigidTransform) -> PointCloud {
         PointCloud {
             points: self.points.iter().map(|p| transform.apply(*p)).collect(),
-        }
-    }
-
-    /// Applies `transform` to every point in place.
-    pub fn transform_mut(&mut self, transform: &RigidTransform) {
-        for p in &mut self.points {
-            *p = transform.apply(*p);
         }
     }
 
@@ -218,18 +197,6 @@ mod tests {
     use std::f64::consts::FRAC_PI_2;
 
     #[test]
-    fn centroid_of_empty_is_origin() {
-        assert_eq!(PointCloud::new().centroid(), Point3::ORIGIN);
-    }
-
-    #[test]
-    fn centroid_of_pair() {
-        let cloud =
-            PointCloud::from_points(vec![Point3::new(0.0, 0.0, 0.0), Point3::new(2.0, 4.0, 6.0)]);
-        assert_eq!(cloud.centroid(), Point3::new(1.0, 2.0, 3.0));
-    }
-
-    #[test]
     fn identity_transform_is_noop() {
         let p = Point3::new(1.0, 2.0, 3.0);
         assert_eq!(RigidTransform::identity().apply(p), p);
@@ -274,16 +241,21 @@ mod tests {
 
     #[test]
     fn rmse_matches_known_offset() {
-        let a = PointCloud::from_points(vec![Point3::ORIGIN, Point3::ORIGIN]);
-        let b =
-            PointCloud::from_points(vec![Point3::new(3.0, 4.0, 0.0), Point3::new(3.0, 4.0, 0.0)]);
+        let a = PointCloud {
+            points: vec![Point3::ORIGIN, Point3::ORIGIN],
+        };
+        let b = PointCloud {
+            points: vec![Point3::new(3.0, 4.0, 0.0), Point3::new(3.0, 4.0, 0.0)],
+        };
         assert!((a.rmse(&b) - 5.0).abs() < 1e-12);
     }
 
     #[test]
     #[should_panic(expected = "cloud sizes differ")]
     fn rmse_size_mismatch_panics() {
-        let a = PointCloud::from_points(vec![Point3::ORIGIN]);
+        let a = PointCloud {
+            points: vec![Point3::ORIGIN],
+        };
         let b = PointCloud::new();
         let _ = a.rmse(&b);
     }
@@ -302,17 +274,5 @@ mod tests {
             cloud.transform_into(&t, &mut out);
         }
         assert_eq!(out.points.capacity(), cap, "storage must be reused");
-    }
-
-    #[test]
-    fn transform_mut_matches_transformed() {
-        let t = RigidTransform::from_yaw_translation(1.1, Point3::new(0.5, 0.5, 0.5));
-        let cloud: PointCloud = (0..5)
-            .map(|i| Point3::new(i as f64, -(i as f64), 1.0))
-            .collect();
-        let copy = cloud.transformed(&t);
-        let mut inplace = cloud.clone();
-        inplace.transform_mut(&t);
-        assert_eq!(copy, inplace);
     }
 }

@@ -66,18 +66,6 @@ impl Footprint {
         self.width
     }
 
-    /// The four corners of the footprint at `pose`, in world coordinates.
-    pub fn corners(&self, pose: &Pose2) -> [Point2; 4] {
-        let hl = self.length * 0.5;
-        let hw = self.width * 0.5;
-        [
-            pose.transform_point(Point2::new(hl, hw)),
-            pose.transform_point(Point2::new(hl, -hw)),
-            pose.transform_point(Point2::new(-hl, -hw)),
-            pose.transform_point(Point2::new(-hl, hw)),
-        ]
-    }
-
     /// Returns `true` when the footprint at `pose` overlaps any occupied
     /// cell of `map` (or pokes outside the map).
     ///
@@ -144,13 +132,6 @@ impl Footprint {
             (self.length / res).ceil().max(1.0) as usize + 1,
             (self.width / res).ceil().max(1.0) as usize + 1,
         )
-    }
-
-    /// Number of cell probes one collision check performs on `map` —
-    /// the "work unit" the characterization harness charges per check.
-    pub fn probe_count(&self, map: &GridMap2D) -> usize {
-        let (steps_l, steps_w) = self.steps(map.resolution());
-        steps_l * steps_w
     }
 }
 
@@ -275,15 +256,7 @@ mod tests {
         let p = Footprint::point();
         assert!(p.collides(&map, &Pose2::new(5.25, 5.25, 0.0)));
         assert!(!p.collides(&map, &Pose2::new(5.75, 5.25, 0.0)));
-        assert_eq!(p.probe_count(&map), 4); // 2x2 lattice of identical cells
-    }
-
-    #[test]
-    fn probe_count_scales_with_resolution() {
-        let coarse = GridMap2D::new(10, 10, 1.0);
-        let fine = GridMap2D::new(100, 100, 0.1);
-        let car = Footprint::new(4.8, 1.8);
-        assert!(car.probe_count(&fine) > car.probe_count(&coarse));
+        assert_eq!(p.steps(map.resolution()), (2, 2)); // 2x2 lattice of identical cells
     }
 
     #[test]
@@ -356,17 +329,5 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn invalid_dimensions_panic() {
         let _ = Footprint::new(0.0, 1.0);
-    }
-
-    #[test]
-    fn corners_are_rectangle() {
-        let f = Footprint::new(4.0, 2.0);
-        let pose = Pose2::new(1.0, 2.0, 0.5);
-        let c = f.corners(&pose);
-        // Diagonals of a rectangle are equal.
-        let d1 = c[0].distance(c[2]);
-        let d2 = c[1].distance(c[3]);
-        assert!((d1 - d2).abs() < 1e-12);
-        assert!((d1 - (16.0f64 + 4.0).sqrt()).abs() < 1e-12);
     }
 }

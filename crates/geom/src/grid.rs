@@ -315,12 +315,6 @@ impl GridMap3D {
         self.height
     }
 
-    /// Number of cells along z.
-    #[inline]
-    pub fn depth(&self) -> usize {
-        self.depth
-    }
-
     /// Metric size of one cell.
     #[inline]
     pub fn resolution(&self) -> f64 {

@@ -20,14 +20,14 @@
 //! distance ties toward the smallest payload, radius results come back
 //! sorted by `(payload, distance)` — so every answer is fully determined
 //! by the point set and can be checked against a brute-force scan
-//! (`crates/bench/tests/kdtree.rs`). Queries come in three flavors:
-//! allocating ([`KdTree::k_nearest`]), caller-scratch
-//! ([`KdTree::k_nearest_into`] and friends, allocation-free once the
-//! buffer is warm), and batched ([`KdTree::batch_nearest_into`] /
-//! [`KdTree::batch_k_nearest_into`]), which fan independent queries over
-//! the deterministic `rtr-harness` worker pool with fixed chunking —
-//! results are written by index, so they too are identical for every
-//! thread count.
+//! (`crates/bench/tests/kdtree.rs`). [`KdTree::nearest`] returns its
+//! answer by value; the k-nearest and radius queries fill a caller's
+//! buffer ([`KdTree::k_nearest_into`], [`KdTree::within_radius_into`],
+//! allocation-free once the buffer is warm); and the batched queries
+//! ([`KdTree::batch_nearest_into`], [`KdTree::batch_k_nearest`]) fan
+//! independent queries over the deterministic `rtr-harness` worker pool
+//! with fixed chunking — results are written by index, so they too are
+//! identical for every thread count.
 
 use rtr_harness::Pool;
 
@@ -467,21 +467,10 @@ impl<const DIM: usize> KdTree<DIM> {
         }
     }
 
-    /// Finds the `k` nearest points, sorted by ascending
-    /// `(squared_distance, payload)`.
-    ///
-    /// Returns `(payload, squared_distance)` pairs; fewer than `k` when the
-    /// tree is smaller. Allocates the result; hot loops should prefer
-    /// [`KdTree::k_nearest_into`] with a reused buffer.
-    pub fn k_nearest(&self, query: &[f64; DIM], k: usize) -> Vec<(usize, f64)> {
-        let mut out = Vec::with_capacity(k);
-        self.k_nearest_into(query, k, &mut out);
-        out
-    }
-
-    /// Allocation-free [`KdTree::k_nearest`]: clears `out` and fills it with
-    /// the `k` nearest `(payload, squared_distance)` pairs in ascending
-    /// `(distance, payload)` order, reusing the buffer's capacity.
+    /// Finds the `k` nearest points: clears `out` and fills it with the `k`
+    /// nearest `(payload, squared_distance)` pairs in ascending
+    /// `(distance, payload)` order (fewer than `k` when the tree is
+    /// smaller), reusing the buffer's capacity.
     ///
     /// During the search `out` doubles as a bounded binary max-heap keyed
     /// on `(distance, payload)`, so each candidate costs O(log k) and no
@@ -532,24 +521,16 @@ impl<const DIM: usize> KdTree<DIM> {
         }
     }
 
-    /// Finds all points within `radius` of `query`.
+    /// Finds all points within `radius` of `query`: clears `out` and fills
+    /// it, reusing the buffer's capacity.
     ///
     /// The boundary is **inclusive**: a point at exactly `radius` away is
     /// returned (membership is `d² <= radius²`, and the subtree pruning
     /// test uses the same `<=` so boundary points are never skipped).
     ///
-    /// Returns `(payload, squared_distance)` pairs sorted by ascending
-    /// `(payload, distance)` — canonical for the point set. Used by RRT* to
-    /// collect the rewiring neighborhood (the paper's "yellow circle");
-    /// that hot loop should use [`KdTree::within_radius_into`].
-    pub fn within_radius(&self, query: &[f64; DIM], radius: f64) -> Vec<(usize, f64)> {
-        let mut out = Vec::new();
-        self.within_radius_into(query, radius, &mut out);
-        out
-    }
-
-    /// Allocation-free [`KdTree::within_radius`]: clears `out` and fills it,
-    /// reusing the buffer's capacity.
+    /// Results are `(payload, squared_distance)` pairs sorted by ascending
+    /// `(payload, distance)` — canonical for the point set. RRT* collects
+    /// its rewiring neighborhood (the paper's "yellow circle") with it.
     pub fn within_radius_into(&self, query: &[f64; DIM], radius: f64, out: &mut Vec<(usize, f64)>) {
         out.clear();
         let r2 = radius * radius;
@@ -592,21 +573,12 @@ impl<const DIM: usize> KdTree<DIM> {
     // ------------------------------------------------------------------
 
     /// Answers one [`KdTree::nearest`] per query, fanning the independent
-    /// searches over `pool` with fixed chunking.
+    /// searches over `pool` with fixed chunking: resizes `out` to
+    /// `queries.len()` (reusing its capacity) and fills every slot.
     ///
     /// Each output slot is written by index, so the result is
     /// element-for-element identical to the sequential loop for every
     /// thread count ([`Pool::sequential`] *is* the sequential loop).
-    /// Allocates the output; hot loops should reuse a buffer through
-    /// [`KdTree::batch_nearest_into`].
-    pub fn batch_nearest(&self, queries: &[[f64; DIM]], pool: &Pool) -> Vec<Option<(usize, f64)>> {
-        let mut out = Vec::new();
-        self.batch_nearest_into(queries, pool, &mut out);
-        out
-    }
-
-    /// Allocation-free [`KdTree::batch_nearest`]: resizes `out` to
-    /// `queries.len()` (reusing its capacity) and fills every slot.
     pub fn batch_nearest_into(
         &self,
         queries: &[[f64; DIM]],
@@ -622,39 +594,22 @@ impl<const DIM: usize> KdTree<DIM> {
         });
     }
 
-    /// Answers one [`KdTree::k_nearest`] per query over `pool`; same
-    /// determinism contract as [`KdTree::batch_nearest`].
+    /// Answers one [`KdTree::k_nearest_into`] per query over `pool`; same
+    /// determinism contract as [`KdTree::batch_nearest_into`].
     pub fn batch_k_nearest(
         &self,
         queries: &[[f64; DIM]],
         k: usize,
         pool: &Pool,
     ) -> Vec<Vec<(usize, f64)>> {
-        let mut out = Vec::new();
-        self.batch_k_nearest_into(queries, k, pool, &mut out);
-        out
-    }
-
-    /// Buffer-reusing [`KdTree::batch_k_nearest`]: keeps both the outer
-    /// vector and every per-query inner buffer alive across calls, so a
-    /// steady-state caller (ICP iterations, PRM candidate sweeps) stops
-    /// allocating entirely after the first batch.
-    pub fn batch_k_nearest_into(
-        &self,
-        queries: &[[f64; DIM]],
-        k: usize,
-        pool: &Pool,
-        out: &mut Vec<Vec<(usize, f64)>>,
-    ) {
-        out.truncate(queries.len());
-        while out.len() < queries.len() {
-            out.push(Vec::with_capacity(k));
-        }
-        pool.par_chunks_mut(out, |start, chunk| {
+        let mut out: Vec<Vec<(usize, f64)>> =
+            (0..queries.len()).map(|_| Vec::with_capacity(k)).collect();
+        pool.par_chunks_mut(&mut out, |start, chunk| {
             for (off, buf) in chunk.iter_mut().enumerate() {
                 self.k_nearest_into(&queries[start + off], k, buf);
             }
         });
+        out
     }
 }
 
@@ -723,6 +678,28 @@ mod tests {
             .sum()
     }
 
+    /// [`KdTree::k_nearest_into`] into a fresh buffer.
+    fn k_nearest<const D: usize>(
+        tree: &KdTree<D>,
+        query: &[f64; D],
+        k: usize,
+    ) -> Vec<(usize, f64)> {
+        let mut out = Vec::new();
+        tree.k_nearest_into(query, k, &mut out);
+        out
+    }
+
+    /// [`KdTree::within_radius_into`] into a fresh buffer.
+    fn within_radius<const D: usize>(
+        tree: &KdTree<D>,
+        query: &[f64; D],
+        radius: f64,
+    ) -> Vec<(usize, f64)> {
+        let mut out = Vec::new();
+        tree.within_radius_into(query, radius, &mut out);
+        out
+    }
+
     fn brute_nearest<const D: usize>(
         points: &[[f64; D]],
         query: &[f64; D],
@@ -739,8 +716,8 @@ mod tests {
         let tree = KdTree::<3>::new();
         assert!(tree.is_empty());
         assert_eq!(tree.nearest(&[0.0; 3]), None);
-        assert!(tree.k_nearest(&[0.0; 3], 4).is_empty());
-        assert!(tree.within_radius(&[0.0; 3], 1.0).is_empty());
+        assert!(k_nearest(&tree, &[0.0; 3], 4).is_empty());
+        assert!(within_radius(&tree, &[0.0; 3], 1.0).is_empty());
     }
 
     #[test]
@@ -785,7 +762,7 @@ mod tests {
         for i in 0..10 {
             tree.insert([i as f64], i);
         }
-        let got = tree.k_nearest(&[3.2], 3);
+        let got = k_nearest(&tree, &[3.2], 3);
         assert_eq!(got.len(), 3);
         let ids: Vec<usize> = got.iter().map(|(p, _)| *p).collect();
         assert_eq!(ids, vec![3, 4, 2]);
@@ -798,7 +775,7 @@ mod tests {
         let mut tree = KdTree::<2>::new();
         tree.insert([0.0, 0.0], 0);
         tree.insert([1.0, 0.0], 1);
-        assert_eq!(tree.k_nearest(&[0.0, 0.0], 10).len(), 2);
+        assert_eq!(k_nearest(&tree, &[0.0, 0.0], 10).len(), 2);
     }
 
     #[test]
@@ -810,7 +787,7 @@ mod tests {
         tree.insert([3.0], 5);
         // 1.0 and -1.0 are both at distance 1 from the origin.
         assert_eq!(tree.nearest(&[0.0]), Some((2, 1.0)));
-        let two = tree.k_nearest(&[0.0], 2);
+        let two = k_nearest(&tree, &[0.0], 2);
         assert_eq!(two, vec![(2, 1.0), (9, 1.0)]);
     }
 
@@ -820,8 +797,7 @@ mod tests {
         for i in 0..10 {
             tree.insert([i as f64, 0.0], i);
         }
-        let got: Vec<usize> = tree
-            .within_radius(&[4.5, 0.0], 1.6)
+        let got: Vec<usize> = within_radius(&tree, &[4.5, 0.0], 1.6)
             .into_iter()
             .map(|(p, _)| p)
             .collect();
@@ -833,7 +809,7 @@ mod tests {
     fn radius_boundary_is_inclusive() {
         let mut tree = KdTree::<2>::new();
         tree.insert([3.0, 4.0], 7);
-        let got = tree.within_radius(&[0.0, 0.0], 5.0);
+        let got = within_radius(&tree, &[0.0, 0.0], 5.0);
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].0, 7);
     }
@@ -859,7 +835,7 @@ mod tests {
         let mut tree = KdTree::<2>::new();
         tree.insert([1.0, 1.0], 0);
         tree.insert([1.0, 1.0], 1);
-        assert_eq!(tree.within_radius(&[1.0, 1.0], 0.1).len(), 2);
+        assert_eq!(within_radius(&tree, &[1.0, 1.0], 0.1).len(), 2);
     }
 
     #[test]
@@ -871,7 +847,7 @@ mod tests {
             tree.insert([2.0, 3.0], i);
         }
         assert_eq!(tree.len(), 100);
-        assert_eq!(tree.within_radius(&[2.0, 3.0], 0.5).len(), 100);
+        assert_eq!(within_radius(&tree, &[2.0, 3.0], 0.5).len(), 100);
         let (payload, d2) = tree.nearest(&[2.0, 3.1]).unwrap();
         assert_eq!(payload, 0, "duplicate tie must break toward payload 0");
         assert!((d2 - 0.01).abs() < 1e-12);
@@ -918,10 +894,10 @@ mod tests {
             // Canonical tie-breaks make the answers exactly equal; no
             // set-comparison slack needed.
             assert_eq!(balanced.nearest(&q), incremental.nearest(&q));
-            assert_eq!(balanced.k_nearest(&q, 8), incremental.k_nearest(&q, 8));
+            assert_eq!(k_nearest(&balanced, &q, 8), k_nearest(&incremental, &q, 8));
             assert_eq!(
-                balanced.within_radius(&q, 2.0),
-                incremental.within_radius(&q, 2.0)
+                within_radius(&balanced, &q, 2.0),
+                within_radius(&incremental, &q, 2.0)
             );
         }
     }
@@ -989,8 +965,8 @@ mod tests {
             for q in lcg_points::<2>(20, 77) {
                 assert_eq!(t.nearest(&q), reference.nearest(&q), "bucket={bucket}");
                 assert_eq!(
-                    t.k_nearest(&q, 5),
-                    reference.k_nearest(&q, 5),
+                    k_nearest(&t, &q, 5),
+                    k_nearest(&reference, &q, 5),
                     "bucket={bucket}"
                 );
             }
@@ -1011,7 +987,7 @@ mod tests {
             points.iter().enumerate().map(|(i, p)| (*p, i)).collect();
         let tree = KdTree::build_balanced(&items);
         for q in lcg_points::<2>(25, 11) {
-            let got = tree.k_nearest(&q, 10);
+            let got = k_nearest(&tree, &q, 10);
             let mut brute: Vec<(usize, f64)> = points
                 .iter()
                 .enumerate()
@@ -1063,10 +1039,12 @@ mod tests {
             queries.iter().map(|q| tree.nearest(q)).collect();
         for threads in [1usize, 2, 4, 8] {
             let pool = Pool::new(threads);
-            assert_eq!(tree.batch_nearest(&queries, &pool), reference);
+            let mut got = Vec::new();
+            tree.batch_nearest_into(&queries, &pool, &mut got);
+            assert_eq!(got, reference);
             let got_k = tree.batch_k_nearest(&queries, 5, &pool);
             for (q, got) in queries.iter().zip(&got_k) {
-                assert_eq!(got, &tree.k_nearest(q, 5));
+                assert_eq!(got, &k_nearest(&tree, q, 5));
             }
         }
     }
@@ -1080,21 +1058,12 @@ mod tests {
         let queries = lcg_points::<2>(64, 9);
         let pool = Pool::sequential();
         let mut nn = Vec::new();
-        let mut knn = Vec::new();
         tree.batch_nearest_into(&queries, &pool, &mut nn);
-        tree.batch_k_nearest_into(&queries, 4, &pool, &mut knn);
         let nn_cap = nn.capacity();
-        let knn_caps: Vec<usize> = knn.iter().map(Vec::capacity).collect();
         for _ in 0..4 {
             tree.batch_nearest_into(&queries, &pool, &mut nn);
-            tree.batch_k_nearest_into(&queries, 4, &pool, &mut knn);
         }
         assert_eq!(nn.capacity(), nn_cap, "batch_nearest buffer must plateau");
-        assert_eq!(
-            knn.iter().map(Vec::capacity).collect::<Vec<usize>>(),
-            knn_caps,
-            "batch_k_nearest inner buffers must plateau"
-        );
     }
 
     #[test]

@@ -105,8 +105,9 @@ proptest! {
         for (i, p) in points.iter().enumerate() {
             tree.insert([p.0, p.1], i);
         }
-        let mut got: Vec<usize> = tree
-            .within_radius(&[q.0, q.1], radius)
+        let mut hits = Vec::new();
+        tree.within_radius_into(&[q.0, q.1], radius, &mut hits);
+        let mut got: Vec<usize> = hits
             .into_iter()
             .map(|(p, _)| p)
             .collect();
@@ -202,7 +203,8 @@ proptest! {
         for (i, p) in points.iter().enumerate() {
             tree.insert([p.0, p.1], i);
         }
-        let got = tree.k_nearest(&[q.0, q.1], k);
+        let mut got = Vec::new();
+        tree.k_nearest_into(&[q.0, q.1], k, &mut got);
         let mut expect: Vec<(usize, f64)> = points
             .iter()
             .enumerate()

@@ -35,9 +35,9 @@ struct RegionAcc {
 /// is attributed exclusively to that region (kernels keep their regions
 /// non-overlapping, matching how the paper attributes execution time).
 /// Fractions are computed against a *reference total*: the profiler's own
-/// observed span from construction (or [`Profiler::reset`]) to the moment
-/// of the query, so un-instrumented code shows up as a smaller fraction
-/// for every region rather than being silently ignored.
+/// observed span from construction to the moment of the query, so
+/// un-instrumented code shows up as a smaller fraction for every region
+/// rather than being silently ignored.
 ///
 /// # Example
 ///
@@ -130,14 +130,6 @@ impl Profiler {
         let start = Instant::now();
         let out = f();
         (out, start.elapsed())
-    }
-
-    /// Clears all regions and restarts the reference total; the
-    /// hot-timing knob is preserved.
-    pub fn reset(&mut self) {
-        self.regions.clear();
-        self.origin = Instant::now();
-        self.frozen_total = None;
     }
 
     /// Runs `f`, attributing its wall-clock time to `name`.
@@ -347,15 +339,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears_everything() {
-        let mut p = Profiler::new();
-        p.add("x", Duration::from_millis(10));
-        p.reset();
-        assert!(p.report().is_empty());
-        assert_eq!(p.region_total("x"), Duration::ZERO);
-    }
-
-    #[test]
     fn time_returns_closure_value() {
         let mut p = Profiler::new();
         assert_eq!(p.time("calc", || 6 * 7), 42);
@@ -393,15 +376,6 @@ mod tests {
         });
         assert_eq!(out, 7);
         assert!(elapsed >= Duration::from_millis(2));
-    }
-
-    #[test]
-    fn reset_preserves_hot_knob() {
-        let mut p = Profiler::timed();
-        p.add("x", Duration::from_millis(1));
-        p.reset();
-        assert!(p.hot_timing());
-        assert!(p.report().is_empty());
     }
 
     #[test]

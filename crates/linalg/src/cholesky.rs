@@ -18,8 +18,8 @@ use crate::{LinalgError, Matrix, Vector};
 /// # fn main() -> Result<(), rtr_linalg::LinalgError> {
 /// let a = Matrix::from_rows(&[&[4.0, 2.0], &[2.0, 3.0]])?;
 /// let chol = a.cholesky()?;
-/// let l = chol.l();
-/// let recomposed = l * &l.transpose();
+/// let l = chol.into_l();
+/// let recomposed = &l * &l.transpose();
 /// assert!(recomposed.approx_eq(&a, 1e-12));
 /// # Ok(())
 /// # }
@@ -67,11 +67,6 @@ impl Cholesky {
             }
         }
         Ok(Cholesky { l })
-    }
-
-    /// Borrows the lower-triangular factor `L`.
-    pub fn l(&self) -> &Matrix {
-        &self.l
     }
 
     /// Dimension of the factorized matrix.
@@ -191,14 +186,6 @@ impl Cholesky {
         Ok(())
     }
 
-    /// Log-determinant of `A`, computed as `2·Σ log L(i,i)`.
-    ///
-    /// Numerically safer than `determinant().ln()` for the large GP kernel
-    /// matrices built by `16.bo`.
-    pub fn log_determinant(&self) -> f64 {
-        (0..self.dim()).map(|i| self.l[(i, i)].ln()).sum::<f64>() * 2.0
-    }
-
     /// Consumes the factorization and returns `L`.
     pub fn into_l(self) -> Matrix {
         self.l
@@ -226,7 +213,7 @@ mod tests {
         let chol = spd().cholesky().unwrap();
         for r in 0..3 {
             for c in (r + 1)..3 {
-                assert_eq!(chol.l()[(r, c)], 0.0);
+                assert_eq!(chol.l[(r, c)], 0.0);
             }
         }
     }
@@ -249,14 +236,6 @@ mod tests {
         // ‖L⁻¹ b‖² should equal bᵀ A⁻¹ b.
         let x = chol.solve(&b).unwrap();
         assert!((y.norm_squared() - b.dot(&x)).abs() < 1e-10);
-    }
-
-    #[test]
-    fn log_determinant_matches_lu_determinant() {
-        let a = spd();
-        let logdet = a.cholesky().unwrap().log_determinant();
-        let det = a.determinant().unwrap();
-        assert!((logdet - det.ln()).abs() < 1e-10);
     }
 
     #[test]

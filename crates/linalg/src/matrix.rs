@@ -610,11 +610,6 @@ impl Matrix {
         (0..self.rows).map(|i| self[(i, i)]).sum()
     }
 
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
-    }
-
     /// Copies the `rows × cols` block starting at `(row, col)`.
     ///
     /// # Panics
@@ -626,23 +621,6 @@ impl Matrix {
             "block out of bounds"
         );
         Matrix::from_fn(rows, cols, |r, c| self[(row + r, col + c)])
-    }
-
-    /// Overwrites the block starting at `(row, col)` with `src`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the block extends past the matrix bounds.
-    pub fn set_block(&mut self, row: usize, col: usize, src: &Matrix) {
-        assert!(
-            row + src.rows <= self.rows && col + src.cols <= self.cols,
-            "set_block out of bounds"
-        );
-        for r in 0..src.rows {
-            for c in 0..src.cols {
-                self[(row + r, col + c)] = src[(r, c)];
-            }
-        }
     }
 
     /// Returns `true` when `self` and `other` have identical shape and all
@@ -940,9 +918,14 @@ mod tests {
 
     #[test]
     fn block_roundtrip() {
-        let mut m = Matrix::zeros(3, 3);
         let b = sample();
-        m.set_block(1, 1, &b);
+        let m = Matrix::from_fn(3, 3, |r, c| {
+            if r >= 1 && c >= 1 {
+                b[(r - 1, c - 1)]
+            } else {
+                0.0
+            }
+        });
         assert_eq!(m.block(1, 1, 2, 2), b);
         assert_eq!(m[(0, 0)], 0.0);
     }
@@ -977,12 +960,6 @@ mod tests {
         assert_eq!((&a - &b)[(1, 1)], 3.0);
         assert_eq!((&a * 2.0)[(1, 0)], 6.0);
         assert_eq!((-&a)[(0, 1)], -2.0);
-    }
-
-    #[test]
-    fn frobenius_norm_matches() {
-        let m = Matrix::from_rows(&[&[3.0, 0.0], &[0.0, 4.0]]).unwrap();
-        assert_eq!(m.frobenius_norm(), 5.0);
     }
 
     #[test]

@@ -38,13 +38,6 @@ impl Vector {
         Vector { data: vec![0.0; n] }
     }
 
-    /// Creates a vector of length `n` with every element set to `value`.
-    pub fn filled(n: usize, value: f64) -> Self {
-        Vector {
-            data: vec![value; n],
-        }
-    }
-
     /// Creates a vector by copying the elements of `slice`.
     pub fn from_slice(slice: &[f64]) -> Self {
         Vector {
@@ -183,35 +176,9 @@ impl Vector {
         }
     }
 
-    /// Returns the index and value of the largest element.
-    ///
-    /// Returns `None` for an empty vector. NaN elements are skipped.
-    pub fn argmax(&self) -> Option<(usize, f64)> {
-        let mut best: Option<(usize, f64)> = None;
-        for (i, &x) in self.data.iter().enumerate() {
-            if x.is_nan() {
-                continue;
-            }
-            match best {
-                Some((_, bx)) if bx >= x => {}
-                _ => best = Some((i, x)),
-            }
-        }
-        best
-    }
-
     /// Sum of all elements.
     pub fn sum(&self) -> f64 {
         self.data.iter().sum()
-    }
-
-    /// Arithmetic mean of the elements; `0.0` for an empty vector.
-    pub fn mean(&self) -> f64 {
-        if self.data.is_empty() {
-            0.0
-        } else {
-            self.sum() / self.data.len() as f64
-        }
     }
 
     /// Iterator over the elements.
@@ -369,9 +336,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn zeros_and_filled() {
+    fn zeros_and_empty() {
         assert_eq!(Vector::zeros(3).as_slice(), &[0.0, 0.0, 0.0]);
-        assert_eq!(Vector::filled(2, 7.0).as_slice(), &[7.0, 7.0]);
         assert!(Vector::zeros(0).is_empty());
     }
 
@@ -423,13 +389,6 @@ mod tests {
     }
 
     #[test]
-    fn argmax_skips_nan() {
-        let v = Vector::from_slice(&[1.0, f64::NAN, 3.0, 2.0]);
-        assert_eq!(v.argmax(), Some((2, 3.0)));
-        assert_eq!(Vector::zeros(0).argmax(), None);
-    }
-
-    #[test]
     fn arithmetic_operators() {
         let a = Vector::from_slice(&[1.0, 2.0]);
         let b = Vector::from_slice(&[3.0, 5.0]);
@@ -449,11 +408,10 @@ mod tests {
     }
 
     #[test]
-    fn mean_and_sum() {
+    fn sum_adds_every_element() {
         let v = Vector::from_slice(&[1.0, 2.0, 3.0]);
         assert_eq!(v.sum(), 6.0);
-        assert_eq!(v.mean(), 2.0);
-        assert_eq!(Vector::zeros(0).mean(), 0.0);
+        assert_eq!(Vector::zeros(0).sum(), 0.0);
     }
 
     #[test]

@@ -88,11 +88,6 @@ impl Workspace {
         self.handouts
     }
 
-    /// Number of buffers currently available for reuse.
-    pub fn pooled(&self) -> usize {
-        self.free.len()
-    }
-
     /// Takes a zero-filled buffer of exactly `n` elements, best-fit from
     /// the free list or freshly allocated.
     fn take(&mut self, n: usize) -> Vec<f64> {
@@ -165,7 +160,7 @@ mod tests {
         assert_eq!(ws.allocations(), 2);
         ws.recycle_matrix(s);
         ws.recycle_matrix(b);
-        assert_eq!(ws.pooled(), 2);
+        assert_eq!(ws.free.len(), 2);
     }
 
     #[test]

@@ -16,19 +16,20 @@ use rtr_linalg::{Matrix, Vector, Workspace};
 use rtr_sim::SlamStep;
 use rtr_trace::{Gated, MemTrace};
 
+/// Process noise: translation variance per step (m²).
+pub const Q_TRANS: f64 = 0.01;
+/// Process noise: rotation variance per step (rad²).
+pub const Q_ROT: f64 = 0.001;
+/// Measurement noise: range variance (m²).
+pub const R_RANGE: f64 = 0.05;
+/// Measurement noise: bearing variance (rad²).
+pub const R_BEARING: f64 = 0.002;
+
 /// Configuration for [`EkfSlam`].
 #[derive(Debug, Clone)]
 pub struct EkfSlamConfig {
     /// Number of landmarks the map can hold.
     pub max_landmarks: usize,
-    /// Process noise: translation variance per step (m²).
-    pub q_trans: f64,
-    /// Process noise: rotation variance per step (rad²).
-    pub q_rot: f64,
-    /// Measurement noise: range variance (m²).
-    pub r_range: f64,
-    /// Measurement noise: bearing variance (rad²).
-    pub r_bearing: f64,
     /// Initial pose of the filter (the paper's robot knows its start).
     pub initial_pose: Pose2,
 }
@@ -37,10 +38,6 @@ impl Default for EkfSlamConfig {
     fn default() -> Self {
         EkfSlamConfig {
             max_landmarks: 6,
-            q_trans: 0.01,
-            q_rot: 0.001,
-            r_range: 0.05,
-            r_bearing: 0.002,
             initial_pose: Pose2::new(7.0, 5.5, 0.0),
         }
     }
@@ -236,9 +233,9 @@ impl EkfSlam {
         f[(0, 2)] = -v * theta.sin();
         f[(1, 2)] = v * theta.cos();
         let mut q = ws.matrix(dim, dim);
-        q[(0, 0)] = self.config.q_trans;
-        q[(1, 1)] = self.config.q_trans;
-        q[(2, 2)] = self.config.q_rot;
+        q[(0, 0)] = Q_TRANS;
+        q[(1, 1)] = Q_TRANS;
+        q[(2, 2)] = Q_ROT;
 
         let mut p = ws.matrix(dim, dim);
         profiler.time("matrix_ops", || {
@@ -352,7 +349,6 @@ impl EkfSlam {
         let active = [0usize, 1, 2, lx_idx, ly_idx];
         let h0 = [-dx / sqrt_q, -dy / sqrt_q, 0.0, dx / sqrt_q, dy / sqrt_q];
         let h1 = [dy / q, -dx / q, -1.0, -dy / q, dx / q];
-        let (r_range, r_bearing) = (self.config.r_range, self.config.r_bearing);
 
         let cov = &self.cov;
         let ws = &mut self.ws;
@@ -398,10 +394,10 @@ impl EkfSlam {
                     s[i * 2 + j] = acc;
                 }
             }
-            s[0] += r_range;
+            s[0] += R_RANGE;
             s[1] += 0.0;
             s[2] += 0.0;
-            s[3] += r_bearing;
+            s[3] += R_BEARING;
 
             // 2×2 LU inverse with partial pivoting: the Lu::new / Lu::solve
             // arithmetic specialized to n = 2 on stack storage (same 1e-13

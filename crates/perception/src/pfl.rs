@@ -38,6 +38,14 @@ pub enum PflInit {
     },
 }
 
+/// Std dev of the Gaussian sensor model comparing measured and
+/// predicted ranges (meters).
+const SENSOR_SIGMA: f64 = 0.2;
+/// Laser maximum range (must match the scans supplied to `run`).
+const MAX_RANGE: f64 = 10.0;
+/// Motion model used to diffuse particles with each odometry reading.
+const MOTION: OdometryModel = OdometryModel::new(0.05, 0.03);
+
 /// Configuration for [`ParticleFilter`].
 #[derive(Debug, Clone)]
 pub struct PflConfig {
@@ -45,13 +53,6 @@ pub struct PflConfig {
     pub particles: usize,
     /// Initialization mode.
     pub init: PflInit,
-    /// Std dev of the Gaussian sensor model comparing measured and
-    /// predicted ranges (meters).
-    pub sensor_sigma: f64,
-    /// Laser maximum range (must match the scans supplied to `run`).
-    pub max_range: f64,
-    /// Motion model used to diffuse particles with each odometry reading.
-    pub motion: OdometryModel,
     /// Use every `beam_stride`-th beam of each scan (1 = all beams).
     pub beam_stride: usize,
     /// Effective-sample-size fraction below which the filter resamples.
@@ -71,9 +72,6 @@ impl Default for PflConfig {
         PflConfig {
             particles: 1000,
             init: PflInit::GlobalUniform,
-            sensor_sigma: 0.2,
-            max_range: 10.0,
-            motion: OdometryModel::new(0.05, 0.03),
             beam_stride: 1,
             resample_threshold: 0.5,
             seed: 0,
@@ -130,7 +128,7 @@ struct ResampleScratch {
 ///
 /// let map = maps::indoor_floor_plan(64, 0.1, 7);
 /// let mut pf = ParticleFilter::new(PflConfig { particles: 50, ..Default::default() }, &map);
-/// assert_eq!(pf.particle_count(), 50);
+/// assert_eq!(pf.poses().len(), 50);
 /// ```
 #[derive(Debug, Clone)]
 pub struct ParticleFilter<'m> {
@@ -234,20 +232,9 @@ impl<'m> ParticleFilter<'m> {
         self.resample_scratch.grows
     }
 
-    /// Number of particles.
-    pub fn particle_count(&self) -> usize {
-        self.poses.len()
-    }
-
     /// Current particle poses (for visualization / tests).
     pub fn poses(&self) -> Vec<Pose2> {
         self.poses.clone()
-    }
-
-    /// Current particle weights as a flat slice (for tests and the weight
-    /// benchmarks).
-    pub fn weights(&self) -> &[f64] {
-        &self.weights
     }
 
     /// Weighted-mean pose estimate.
@@ -282,9 +269,8 @@ impl<'m> ParticleFilter<'m> {
 
     /// Applies one odometry reading to all particles.
     pub fn motion_update(&mut self, reading: &OdometryReading) {
-        let motion = self.config.motion;
         for pose in &mut self.poses {
-            *pose = motion.sample_motion(pose, reading, &mut self.rng);
+            *pose = MOTION.sample_motion(pose, reading, &mut self.rng);
         }
     }
 
@@ -306,10 +292,8 @@ impl<'m> ParticleFilter<'m> {
     /// no longer read-only. The sink is shared mutable state, so the
     /// traced path always runs sequentially.
     pub fn measurement_update<T: MemTrace + ?Sized>(&mut self, scan: &LidarScan, trace: &mut T) {
-        let sigma = self.config.sensor_sigma;
-        let inv_two_sigma_sq = 1.0 / (2.0 * sigma * sigma);
+        let inv_two_sigma_sq = 1.0 / (2.0 * SENSOR_SIGMA * SENSOR_SIGMA);
         let stride = self.config.beam_stride;
-        let max_range = self.config.max_range;
         let width = self.map.width() as u64;
         let map = self.map.as_ref();
 
@@ -322,7 +306,7 @@ impl<'m> ParticleFilter<'m> {
                         map,
                         pose.position(),
                         pose.theta + angle,
-                        max_range,
+                        MAX_RANGE,
                         |ix, iy| {
                             // Grid cells are 1 byte each in a row-major Vec.
                             let addr = (iy.max(0) as u64) * width + ix.max(0) as u64;
@@ -349,7 +333,7 @@ impl<'m> ParticleFilter<'m> {
                 let mut cells = 0u64;
                 for (angle, range) in scan.angles.iter().zip(scan.ranges.iter()).step_by(stride) {
                     rays += 1;
-                    let hit = cast_ray(map, pose.position(), pose.theta + angle, max_range);
+                    let hit = cast_ray(map, pose.position(), pose.theta + angle, MAX_RANGE);
                     cells += hit.cells_visited as u64;
                     let err = range - hit.distance;
                     log_w -= err * err * inv_two_sigma_sq;
@@ -660,7 +644,7 @@ mod tests {
         let mut rng = SimRng::seed_from(0);
         let scan = lidar.scan(&map, &Pose2::new(3.2, 3.2, 0.0), &mut rng);
         pf.measurement_update(&scan, &mut NullTrace);
-        let total: f64 = pf.weights().iter().sum();
+        let total: f64 = pf.weights.iter().sum();
         assert!((total - 1.0).abs() < 1e-9);
     }
 

@@ -29,17 +29,18 @@ use rtr_trace::MemTrace;
 /// characterization sees the two streams as distinct data structures.
 const PAIR_TRACE_BASE: u64 = 1 << 32;
 
+/// Stop when the mean correspondence distance improves by less than
+/// this between iterations (meters).
+const CONVERGENCE_EPSILON: f64 = 1e-5;
+/// Reject correspondences farther than this (meters). At `INFINITY` the
+/// `dist <= MAX_CORRESPONDENCE_DISTANCE` gate rejects only a NaN distance.
+const MAX_CORRESPONDENCE_DISTANCE: f64 = f64::INFINITY;
+
 /// Configuration for [`Icp`].
 #[derive(Debug, Clone)]
 pub struct IcpConfig {
     /// Maximum ICP iterations.
     pub max_iterations: usize,
-    /// Stop when the mean correspondence distance improves by less than
-    /// this between iterations (meters).
-    pub convergence_epsilon: f64,
-    /// Reject correspondences farther than this (meters); `INFINITY`
-    /// disables gating.
-    pub max_correspondence_distance: f64,
     /// Worker threads for the correspondence search (`1` = sequential
     /// legacy path, `0` = one per hardware thread). Results are
     /// bit-identical for every thread count; traced runs (with a memory
@@ -51,8 +52,6 @@ impl Default for IcpConfig {
     fn default() -> Self {
         IcpConfig {
             max_iterations: 50,
-            convergence_epsilon: 1e-5,
-            max_correspondence_distance: f64::INFINITY,
             threads: 1,
         }
     }
@@ -230,7 +229,6 @@ impl Icp {
         if run.ended || run.iterations >= run.max_iterations {
             return false;
         }
-        let config = &self.config;
         let pool = self.pool;
         let scratch = &mut self.scratch;
         let tree = &run.tree;
@@ -254,7 +252,7 @@ impl Icp {
                 let (idx, d2) = found.expect("target cloud is non-empty");
                 let dist = d2.sqrt();
                 error_sum += dist;
-                if dist <= config.max_correspondence_distance {
+                if dist <= MAX_CORRESPONDENCE_DISTANCE {
                     // Accepted correspondences are appended to the
                     // pair buffer: one 48-byte store (two Point3
                     // records) per accepted pair, in a region far
@@ -280,7 +278,7 @@ impl Icp {
                 let (idx, d2) = found.expect("target cloud is non-empty");
                 let dist = d2.sqrt();
                 error_sum += dist;
-                if dist <= config.max_correspondence_distance {
+                if dist <= MAX_CORRESPONDENCE_DISTANCE {
                     scratch.pairs.push((*p, target.points()[idx]));
                 }
             }
@@ -291,7 +289,7 @@ impl Icp {
         if run.error_before.is_none() {
             run.error_before = Some(mean_error);
         }
-        let converged = (run.last_error - mean_error).abs() < config.convergence_epsilon;
+        let converged = (run.last_error - mean_error).abs() < CONVERGENCE_EPSILON;
         run.last_error = mean_error;
         // Converged, or too few pairs to constrain a transform.
         run.ended = converged || scratch.pairs.len() < 3;

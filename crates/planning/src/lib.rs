@@ -4,7 +4,8 @@
 //! towards a target position" (§III-B). This crate implements the paper's
 //! nine planning kernels plus the search substrates they share:
 //!
-//! - [`search`] — best-first graph search (Dijkstra, A*, Weighted A*) over
+//! - [`search`] — best-first graph search (Weighted A*, with A* and Dijkstra
+//!   at weights 1 and 0, and a multi-source Dijkstra flood) over
 //!   a generic [`search::SearchSpace`], with expansion hooks for the cache
 //!   simulator.
 //! - [`pp2d`] (`04.pp2d`) — 2D grid path planning for a car-sized
@@ -37,7 +38,7 @@ pub use prm::{Prm, PrmConfig, PrmResult};
 pub use rrt::{ArmProblem, Rrt, RrtConfig, RrtResult};
 pub use rrtpp::{RrtPp, RrtPpResult};
 pub use rrtstar::{RrtStar, RrtStarResult, RrtStarRun};
-pub use search::{astar, dijkstra, weighted_astar, SearchResult, SearchSpace};
+pub use search::{weighted_astar, SearchResult, SearchSpace};
 pub use symbolic::{
     blocks_world, firefight, Domain, Plan, SolveError, SymbolicPlanner, SEARCH_BUDGET,
 };

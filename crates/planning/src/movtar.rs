@@ -21,7 +21,7 @@ use rtr_harness::Profiler;
 use rtr_sim::SimRng;
 use rtr_trace::MemTrace;
 
-use crate::search::{dijkstra_flood_traced, weighted_astar_traced, FxBuildHasher, SearchSpace};
+use crate::search::{dijkstra_flood, weighted_astar, FxBuildHasher, SearchSpace};
 
 /// A 2D cost field: obstacles are `f64::INFINITY`, free cells have a
 /// positive traversal cost.
@@ -231,7 +231,7 @@ impl MovingTarget {
         let w = field.width() as u64;
         let h = field.height() as u64;
         let heuristic = profiler.time("heuristic_calc", || {
-            dijkstra_flood_traced(
+            dijkstra_flood(
                 &sources,
                 |(x, y), out| {
                     for (dx, dy) in &MOVES[1..] {
@@ -264,7 +264,7 @@ impl MovingTarget {
             return None;
         }
         let result = profiler.time("graph_search", || {
-            weighted_astar_traced(
+            weighted_astar(
                 &space,
                 start,
                 self.config.epsilon,

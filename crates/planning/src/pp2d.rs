@@ -14,7 +14,7 @@ use rtr_geom::{Footprint, FootprintLattice, GridMap2D};
 use rtr_harness::{HotRegion, Profiler};
 use rtr_trace::MemTrace;
 
-use crate::search::{weighted_astar_traced, SearchResult, SearchSpace};
+use crate::search::{weighted_astar, SearchResult, SearchSpace};
 
 /// Configuration for [`Pp2d`].
 #[derive(Debug, Clone)]
@@ -204,7 +204,7 @@ impl Pp2d {
 
         let width = map.width() as u64;
         let (result, total): (Option<SearchResult<(i64, i64)>>, _) = profiler.span(|| {
-            weighted_astar_traced(&space, start, self.config.weight, trace, &mut |n| {
+            weighted_astar(&space, start, self.config.weight, trace, &mut |n| {
                 ((n.1.max(0) as u64) * width + n.0.max(0) as u64) * 8
             })
         });

@@ -14,7 +14,7 @@ use rtr_geom::GridMap3D;
 use rtr_harness::{HotRegion, Profiler};
 use rtr_trace::MemTrace;
 
-use crate::search::{weighted_astar_traced, SearchSpace};
+use crate::search::{weighted_astar, SearchSpace};
 
 /// Configuration for [`Pp3d`].
 #[derive(Debug, Clone)]
@@ -152,7 +152,7 @@ impl Pp3d {
 
         let (w, h) = (map.width() as u64, map.height() as u64);
         let (result, total) = profiler.span(|| {
-            weighted_astar_traced(&space, start, self.config.weight, trace, &mut |n| {
+            weighted_astar(&space, start, self.config.weight, trace, &mut |n| {
                 let cell_index =
                     (n.2.max(0) as u64 * h + n.1.max(0) as u64) * w + n.0.max(0) as u64;
                 cell_index * 16

@@ -18,7 +18,7 @@ use rtr_sim::SimRng;
 use rtr_trace::MemTrace;
 
 use crate::rrt::{config_distance, ArmProblem, Config};
-use crate::search::{astar_traced, SearchSpace};
+use crate::search::{weighted_astar, SearchSpace};
 
 /// Configuration for [`Prm`].
 #[derive(Debug, Clone)]
@@ -337,7 +337,7 @@ impl Prm {
             l2_evals: &l2_evals,
         };
         let result = profiler.time("graph_search", || {
-            astar_traced(&space, START_ID, trace, &mut |&id| match id {
+            weighted_astar(&space, START_ID, 1.0, trace, &mut |&id| match id {
                 START_ID => 1 << 36,
                 GOAL_ID => (1 << 36) + 40,
                 _ => id as u64 * 40,

@@ -56,19 +56,6 @@ pub struct RrtStarRun {
     blocked: bool,
 }
 
-impl RrtStarRun {
-    /// `true` once at least one goal connection exists — stopping now
-    /// yields a valid (if not yet fully refined) plan.
-    pub fn has_plan(&self) -> bool {
-        self.best_goal.is_some()
-    }
-
-    /// Samples consumed so far.
-    pub fn samples_used(&self) -> usize {
-        self.samples_used
-    }
-}
-
 /// The RRT* kernel.
 ///
 /// # Example
@@ -117,7 +104,7 @@ impl RrtStar {
     /// Starts an anytime search: seeds the RNG, roots the tree at the
     /// start configuration, and zeroes the counters. Drive the returned
     /// [`RrtStarRun`] with [`RrtStar::sample_step`] until it returns
-    /// `false` (or stop early once [`RrtStarRun::has_plan`]), then call
+    /// `false` (or stop early), then call
     /// [`RrtStar::finish_plan`]; the full sequence is exactly
     /// [`RrtStar::plan`], bit for bit.
     pub fn begin(&self, problem: &ArmProblem) -> RrtStarRun {
@@ -566,11 +553,12 @@ mod tests {
         assert!(!buf.is_empty(), "radius too small to exercise the buffer");
         let cap = buf.capacity();
         // Replaying the same workload must not grow it again, and every
-        // result must match the allocating twin.
+        // result must match a query into a fresh buffer.
         for (i, q) in queries.iter().enumerate() {
-            let expected = tree.index.within_radius(q, 2.0);
+            let mut expected = Vec::new();
+            tree.index.within_radius_into(q, 2.0, &mut expected);
             neighborhood_into(&tree, q, 2.0, &mut NullTrace, &mut buf);
-            assert_eq!(buf, expected, "query {i} diverged from allocating twin");
+            assert_eq!(buf, expected, "query {i} diverged from a fresh buffer");
         }
         assert_eq!(
             buf.capacity(),

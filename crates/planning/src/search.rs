@@ -1,12 +1,14 @@
-//! Best-first graph search: Dijkstra, A* and Weighted A*.
+//! Best-first graph search: Weighted A* (A* at weight 1, Dijkstra at
+//! weight 0) and a multi-source Dijkstra flood.
 //!
 //! The paper's grid planners (`04.pp2d`, `05.pp3d`, `06.movtar`), the PRM
 //! online phase and the symbolic planner all reduce to best-first search.
-//! The engine here is shared by all of them; its `*_traced` variants emit
-//! every open-list push/pop, bookkeeping probe and node-record read into a
+//! The engine here is shared by all of them; both entry points emit every
+//! open-list push/pop, bookkeeping probe and node-record read into a
 //! [`MemTrace`] sink, reproducing the "irregular traversal ... hard to
-//! parallelize" behaviour the paper highlights for graph search. With
-//! [`NullTrace`] (the default) the emission compiles to nothing.
+//! parallelize" behaviour the paper highlights for graph search. Untraced
+//! callers pass [`rtr_trace::NullTrace`] and `&mut |_| 0`, and the
+//! emission compiles to nothing.
 
 use std::cmp::Ordering;
 use std::collections::hash_map::Entry;
@@ -17,7 +19,7 @@ use std::collections::hash_map::Entry;
 use std::collections::{BinaryHeap, HashMap};
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 
-use rtr_trace::{Gated, MemTrace, NullTrace};
+use rtr_trace::{Gated, MemTrace};
 
 /// Synthetic base address of the open-list entry array (32 B entries).
 const OPEN_REGION: u64 = 1 << 40;
@@ -189,33 +191,20 @@ impl<N> Ord for OpenEntry<N> {
     }
 }
 
-/// A* search (`weight = 1`). See [`weighted_astar`].
-pub fn astar<S: SearchSpace>(space: &S, start: S::Node) -> Option<SearchResult<S::Node>> {
-    weighted_astar(space, start, 1.0)
-}
-
-/// A* search emitting its open-list, bookkeeping and node-record accesses
-/// into `trace`. See [`weighted_astar_traced`].
-pub fn astar_traced<S: SearchSpace, T: MemTrace + ?Sized>(
-    space: &S,
-    start: S::Node,
-    trace: &mut T,
-    node_addr: &mut dyn FnMut(&S::Node) -> u64,
-) -> Option<SearchResult<S::Node>> {
-    weighted_astar_impl(space, start, 1.0, trace, node_addr)
-}
-
-/// Dijkstra search (ignores the space's heuristic).
-pub fn dijkstra<S: SearchSpace>(space: &S, start: S::Node) -> Option<SearchResult<S::Node>> {
-    weighted_astar_impl(space, start, 0.0, &mut NullTrace, &mut |_| 0)
-}
-
 /// Weighted A*: node priority is `g + weight·h`.
 ///
-/// `weight = 1` is optimal A*; `weight > 1` inflates the heuristic for
-/// speed at the cost of up to `weight`-suboptimal paths — exactly the
-/// `06.movtar` trade-off the paper describes ("the final path cost could
-/// become ε times higher than the shortest path cost").
+/// `weight = 1` is optimal A*, and `weight = 0` ignores the heuristic
+/// (Dijkstra); `weight > 1` inflates the heuristic for speed at the cost
+/// of up to `weight`-suboptimal paths — exactly the `06.movtar` trade-off
+/// the paper describes ("the final path cost could become ε times higher
+/// than the shortest path cost").
+///
+/// The search's memory behaviour goes into `trace`: every open-list
+/// push/pop (sift chains included), best/closed bookkeeping probe, and a
+/// read of each touched node's record at the address `node_addr` assigns
+/// it (grid cell, roadmap vertex, …). With [`rtr_trace::NullTrace`] the
+/// emission folds away entirely; results are bit-identical regardless of
+/// sink.
 ///
 /// Returns `None` when the goal is unreachable.
 ///
@@ -227,6 +216,7 @@ pub fn dijkstra<S: SearchSpace>(space: &S, start: S::Node) -> Option<SearchResul
 ///
 /// ```
 /// use rtr_planning::search::{weighted_astar, SearchSpace};
+/// use rtr_trace::NullTrace;
 ///
 /// // A 1D line where the goal is at 5.
 /// struct Line;
@@ -239,36 +229,11 @@ pub fn dijkstra<S: SearchSpace>(space: &S, start: S::Node) -> Option<SearchResul
 ///     fn heuristic(&self, n: i64) -> f64 { (5 - n).abs() as f64 }
 ///     fn is_goal(&self, n: i64) -> bool { n == 5 }
 /// }
-/// let result = weighted_astar(&Line, 0, 1.0).unwrap();
+/// let result = weighted_astar(&Line, 0, 1.0, &mut NullTrace, &mut |_| 0).unwrap();
 /// assert_eq!(result.cost, 5.0);
 /// assert_eq!(result.path.len(), 6);
 /// ```
-pub fn weighted_astar<S: SearchSpace>(
-    space: &S,
-    start: S::Node,
-    weight: f64,
-) -> Option<SearchResult<S::Node>> {
-    weighted_astar_impl(space, start, weight, &mut NullTrace, &mut |_| 0)
-}
-
-/// Like [`weighted_astar`], emitting the search's memory behaviour into a
-/// [`MemTrace`] sink: every open-list push/pop (sift chains included),
-/// best/closed bookkeeping probe, and a read of each touched node's record
-/// at the address `node_addr` assigns it (grid cell, roadmap vertex, …).
-///
-/// With [`NullTrace`] the emission folds away entirely and the search is
-/// the untraced one; results are bit-identical regardless of sink.
-pub fn weighted_astar_traced<S: SearchSpace, T: MemTrace + ?Sized>(
-    space: &S,
-    start: S::Node,
-    weight: f64,
-    trace: &mut T,
-    node_addr: &mut dyn FnMut(&S::Node) -> u64,
-) -> Option<SearchResult<S::Node>> {
-    weighted_astar_impl(space, start, weight, trace, node_addr)
-}
-
-fn weighted_astar_impl<S: SearchSpace, T: MemTrace + ?Sized>(
+pub fn weighted_astar<S: SearchSpace, T: MemTrace + ?Sized>(
     space: &S,
     start: S::Node,
     weight: f64,
@@ -402,27 +367,14 @@ struct Record<N> {
 ///
 /// This is the *backward Dijkstra* heuristic precomputation of `06.movtar`:
 /// seeded from the goal set, it labels the whole reachable space with exact
-/// goal distances in one sweep.
-#[expect(
-    clippy::disallowed_types,
-    reason = "callers read the table by key, never by order"
-)]
-pub fn dijkstra_flood<N, F>(sources: &[N], successors: F) -> HashMap<N, f64, FxBuildHasher>
-where
-    N: Copy + Eq + Hash,
-    F: FnMut(N, &mut Vec<(N, f64)>),
-{
-    dijkstra_flood_traced(sources, successors, &mut NullTrace, &mut |_| 0)
-}
-
-/// Like [`dijkstra_flood`], emitting the sweep's open-list operations and
-/// distance-table probes into a [`MemTrace`] sink (see
-/// [`weighted_astar_traced`] for the emission model).
+/// goal distances in one sweep. The sweep's open-list operations and
+/// distance-table probes go into `trace` (see [`weighted_astar`] for the
+/// emission model).
 #[expect(
     clippy::disallowed_types,
     reason = "callers read the table by key, never by order; the fill does keyed get/insert only"
 )]
-pub fn dijkstra_flood_traced<N, F, T>(
+pub fn dijkstra_flood<N, F, T>(
     sources: &[N],
     mut successors: F,
     trace: &mut T,
@@ -495,6 +447,16 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rtr_trace::NullTrace;
+
+    /// An untraced search, the way `07.prm` and the route planner call it.
+    fn search<S: SearchSpace>(
+        space: &S,
+        start: S::Node,
+        weight: f64,
+    ) -> Option<SearchResult<S::Node>> {
+        weighted_astar(space, start, weight, &mut NullTrace, &mut |_| 0)
+    }
 
     /// A small weighted digraph fixed in an adjacency list.
     struct Fixture {
@@ -532,7 +494,7 @@ mod tests {
 
     #[test]
     fn dijkstra_finds_cheapest_path() {
-        let result = dijkstra(&diamond(), 0).unwrap();
+        let result = search(&diamond(), 0, 0.0).unwrap();
         assert_eq!(result.cost, 5.0);
         assert_eq!(result.path, vec![0, 2, 3]);
     }
@@ -541,8 +503,8 @@ mod tests {
     fn astar_with_admissible_heuristic_matches_dijkstra() {
         let mut fx = diamond();
         fx.h = vec![4.0, 5.0, 1.0, 0.0]; // admissible
-        let a = astar(&fx, 0).unwrap();
-        let d = dijkstra(&fx, 0).unwrap();
+        let a = search(&fx, 0, 1.0).unwrap();
+        let d = search(&fx, 0, 0.0).unwrap();
         assert_eq!(a.cost, d.cost);
         assert!(a.expanded <= d.expanded);
     }
@@ -568,9 +530,9 @@ mod tests {
                 n == (20, 10)
             }
         }
-        let optimal = astar(&Grid, (0, 0)).unwrap();
+        let optimal = search(&Grid, (0, 0), 1.0).unwrap();
         let eps = 3.0;
-        let fast = weighted_astar(&Grid, (0, 0), eps).unwrap();
+        let fast = search(&Grid, (0, 0), eps).unwrap();
         assert!(fast.cost <= eps * optimal.cost + 1e-9);
         assert!(fast.expanded <= optimal.expanded);
     }
@@ -582,7 +544,7 @@ mod tests {
             goal: 1,
             h: vec![0.0, 0.0],
         };
-        assert!(astar(&fx, 0).is_none());
+        assert!(search(&fx, 0, 1.0).is_none());
     }
 
     #[test]
@@ -592,7 +554,7 @@ mod tests {
             goal: 0,
             h: vec![0.0],
         };
-        let r = astar(&fx, 0).unwrap();
+        let r = search(&fx, 0, 1.0).unwrap();
         assert_eq!(r.cost, 0.0);
         assert_eq!(r.path, vec![0]);
         assert_eq!(r.expanded, 1);
@@ -603,8 +565,7 @@ mod tests {
         use rtr_trace::RecordingTrace;
 
         let mut rec = RecordingTrace::default();
-        let traced =
-            weighted_astar_traced(&diamond(), 0, 1.0, &mut rec, &mut |n| *n as u64 * 64).unwrap();
+        let traced = weighted_astar(&diamond(), 0, 1.0, &mut rec, &mut |n| *n as u64 * 64).unwrap();
         // The first node-record read (sub-OPEN_REGION address) is the start.
         let first_record = rec
             .ops
@@ -624,7 +585,7 @@ mod tests {
             .iter()
             .any(|op| op.is_write && op.addr >= BEST_REGION));
         // Tracing is an observability knob: identical result either way.
-        let plain = weighted_astar(&diamond(), 0, 1.0).unwrap();
+        let plain = search(&diamond(), 0, 1.0).unwrap();
         assert_eq!(traced.path, plain.path);
         assert_eq!(traced.cost.to_bits(), plain.cost.to_bits());
         assert_eq!(traced.expanded, plain.expanded);
@@ -641,16 +602,16 @@ mod tests {
                 }
             }
         };
-        let plain = dijkstra_flood(&[0i64, 4], succ);
+        let plain = dijkstra_flood(&[0i64, 4], succ, &mut NullTrace, &mut |_| 0);
         let mut counts = CountingTrace::default();
-        let traced = dijkstra_flood_traced(&[0i64, 4], succ, &mut counts, &mut |n| *n as u64 * 8);
+        let traced = dijkstra_flood(&[0i64, 4], succ, &mut counts, &mut |n| *n as u64 * 8);
         assert_eq!(plain, traced);
         assert!(counts.reads > 0 && counts.writes > 0);
     }
 
     #[test]
     fn counts_are_plausible() {
-        let r = dijkstra(&diamond(), 0).unwrap();
+        let r = search(&diamond(), 0, 0.0).unwrap();
         assert!(r.expanded >= 3);
         assert!(r.generated >= r.expanded - 1);
     }
@@ -658,13 +619,14 @@ mod tests {
     #[test]
     fn dijkstra_flood_multi_source() {
         // Line graph 0-1-2-3-4 with unit edges, sources {0, 4}.
-        let dist = dijkstra_flood(&[0i64, 4], |n, out| {
+        let succ = |n: i64, out: &mut Vec<(i64, f64)>| {
             for next in [n - 1, n + 1] {
                 if (0..=4).contains(&next) {
                     out.push((next, 1.0));
                 }
             }
-        });
+        };
+        let dist = dijkstra_flood(&[0i64, 4], succ, &mut NullTrace, &mut |_| 0);
         assert_eq!(dist[&0], 0.0);
         assert_eq!(dist[&2], 2.0);
         assert_eq!(dist[&3], 1.0);
@@ -674,6 +636,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "non-negative")]
     fn negative_weight_panics() {
-        let _ = weighted_astar(&diamond(), 0, -1.0);
+        let _ = search(&diamond(), 0, -1.0);
     }
 }

@@ -23,7 +23,7 @@ use std::rc::Rc;
 use rtr_harness::{HotRegion, Pool, Profiler};
 use rtr_trace::{MemTrace, SharedTrace};
 
-use crate::search::{weighted_astar_traced, SearchSpace};
+use crate::search::{weighted_astar, SearchSpace};
 
 /// A ground fact, e.g. `On(A,B)`.
 pub type Fact = String;
@@ -427,7 +427,7 @@ impl SymbolicPlanner {
 
         let mut engine_trace = SharedTrace::new(&trace);
         let (result, total) = profiler.span(|| {
-            weighted_astar_traced(&space, 0usize, self.weight, &mut engine_trace, &mut |&id| {
+            weighted_astar(&space, 0usize, self.weight, &mut engine_trace, &mut |&id| {
                 id as u64 * ARENA_SLOT_BYTES
             })
         });

@@ -7,12 +7,12 @@
 //! 8 moves, heuristic weights 0, 1 and 2.5, unit costs that tie on f
 //! everywhere, mixed costs, walled-off goals) both must return the same
 //! path, cost bits and counters and emit the same `RecordingTrace`
-//! stream; `dijkstra_flood_traced` must return the same table and stream.
+//! stream; `dijkstra_flood` must return the same table and stream.
 
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
-use rtr_planning::search::{dijkstra_flood_traced, weighted_astar_traced, SearchSpace};
+use rtr_planning::search::{dijkstra_flood, weighted_astar, SearchSpace};
 use rtr_trace::RecordingTrace;
 
 #[expect(
@@ -382,7 +382,7 @@ proptest! {
         let mut want_trace = RecordingTrace::default();
         let want = reference::weighted_astar(&grid, (0, 0), weight, &mut want_trace, &mut cell_addr);
         let mut got_trace = RecordingTrace::default();
-        let got = weighted_astar_traced(&grid, (0, 0), weight, &mut got_trace, &mut cell_addr);
+        let got = weighted_astar(&grid, (0, 0), weight, &mut got_trace, &mut cell_addr);
         match (&want, &got) {
             (None, None) => {}
             (Some(w), Some(g)) => {
@@ -412,7 +412,7 @@ proptest! {
         let mut want_trace = RecordingTrace::default();
         let want = reference::dijkstra_flood(sources, |n, out| grid.neighbours(n, out), &mut want_trace, &mut cell_addr);
         let mut got_trace = RecordingTrace::default();
-        let got = dijkstra_flood_traced(sources, |n, out| grid.neighbours(n, out), &mut got_trace, &mut cell_addr);
+        let got = dijkstra_flood(sources, |n, out| grid.neighbours(n, out), &mut got_trace, &mut cell_addr);
         prop_assert_eq!(table_bits(&got), table_bits(&want));
         prop_assert!(got_trace.ops == want_trace.ops, "trace streams differ");
     }

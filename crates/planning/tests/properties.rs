@@ -3,8 +3,9 @@
 use proptest::prelude::*;
 use rtr_geom::GridMap2D;
 use rtr_harness::Profiler;
-use rtr_planning::search::{dijkstra, weighted_astar, SearchSpace};
+use rtr_planning::search::{weighted_astar, SearchResult, SearchSpace};
 use rtr_planning::{blocks_world, SymbolicPlanner};
+use rtr_trace::NullTrace;
 
 /// A grid search space over an arbitrary obstacle bitmap (point robot,
 /// 4-connected so costs are exact integers).
@@ -34,6 +35,11 @@ impl SearchSpace for GridSpace {
     }
 }
 
+/// An untraced search at `weight` (0 is Dijkstra, 1 is A*).
+fn search(space: &GridSpace, start: (i64, i64), weight: f64) -> Option<SearchResult<(i64, i64)>> {
+    weighted_astar(space, start, weight, &mut NullTrace, &mut |_| 0)
+}
+
 fn random_grid(bits: &[bool], side: usize) -> GridMap2D {
     let mut map = GridMap2D::new(side, side, 1.0);
     for (i, &b) in bits.iter().enumerate() {
@@ -58,8 +64,8 @@ proptest! {
         map.set_occupied(sx as usize, sy as usize, false);
         map.set_occupied(gx as usize, gy as usize, false);
         let space = GridSpace { map, goal: (gx, gy) };
-        let a = weighted_astar(&space, (sx, sy), 1.0);
-        let d = dijkstra(&space, (sx, sy));
+        let a = search(&space, (sx, sy), 1.0);
+        let d = search(&space, (sx, sy), 0.0);
         match (a, d) {
             (Some(a), Some(d)) => {
                 prop_assert!((a.cost - d.cost).abs() < 1e-9,
@@ -84,8 +90,8 @@ proptest! {
         map.set_occupied(11, 11, false);
         let space = GridSpace { map, goal: (11, 11) };
         if let (Some(w), Some(opt)) = (
-            weighted_astar(&space, (0, 0), weight),
-            dijkstra(&space, (0, 0)),
+            search(&space, (0, 0), weight),
+            search(&space, (0, 0), 0.0),
         ) {
             prop_assert!(w.cost <= weight * opt.cost + 1e-9,
                 "cost {} exceeds {}x optimal {}", w.cost, weight, opt.cost);
@@ -100,7 +106,7 @@ proptest! {
         map.set_occupied(0, 0, false);
         map.set_occupied(9, 9, false);
         let space = GridSpace { map, goal: (9, 9) };
-        if let Some(result) = weighted_astar(&space, (0, 0), 1.0) {
+        if let Some(result) = search(&space, (0, 0), 1.0) {
             prop_assert_eq!(result.path[0], (0, 0));
             prop_assert_eq!(*result.path.last().unwrap(), (9, 9));
             for w in result.path.windows(2) {

@@ -13,7 +13,7 @@
 use std::process::ExitCode;
 
 use rtr_harness::{usage_error, Args, Collector, OptionSpec};
-use rtr_scenario::{latency_table, LocalizerKind, ScenarioConfig, ScenarioState};
+use rtr_scenario::{latency_table, LocalizerKind, ScenarioConfig, ScenarioError, ScenarioState};
 use rtr_trace::{metric_channel, MetricMap};
 
 const OPTIONS: &[OptionSpec] = &[
@@ -58,7 +58,13 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
     let config = config_from(&args).unwrap_or_else(|e| usage_error("scenario", e));
-    match run(&config, &args.get_str("golden", "")) {
+    let outcome = match ScenarioState::begin(&config) {
+        // A value the scenario rejects is a bad option value.
+        Err(e @ ScenarioError::BadValue(_)) => usage_error("scenario", e),
+        Err(e) => Err(e.into()),
+        Ok(state) => run(state, &args.get_str("golden", "")),
+    };
+    match outcome {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("scenario: {e}");
@@ -88,8 +94,7 @@ fn config_from(args: &Args) -> Result<ScenarioConfig, Box<dyn std::error::Error>
     })
 }
 
-fn run(config: &ScenarioConfig, golden_path: &str) -> Result<(), Box<dyn std::error::Error>> {
-    let mut state = ScenarioState::begin(config)?;
+fn run(mut state: ScenarioState, golden_path: &str) -> Result<(), Box<dyn std::error::Error>> {
     let (publisher, reader) = metric_channel(1 << 14);
     let collector = Collector::spawn(reader, MetricMap::new());
     state.publish_to(publisher);

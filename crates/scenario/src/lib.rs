@@ -55,7 +55,7 @@ use std::time::{Duration, Instant};
 
 use rtr_control::{Mpc, MpcConfig, MpcResult, TrackRun};
 use rtr_geom::{maps, Footprint, GridMap2D, Point2, Pose2};
-use rtr_harness::{Profiler, RegionReport};
+use rtr_harness::{CliError, Profiler, RegionReport};
 use rtr_perception::{EkfSlam, EkfSlamConfig, ParticleFilter, PflConfig, PflInit};
 use rtr_planning::{Pp2d, Pp2dConfig};
 use rtr_sim::{Lidar, OdometryModel, SimRng, SlamStep, SlamWorld, TrajectoryStep};
@@ -80,6 +80,8 @@ const GOAL_TOLERANCE: f64 = 1.0;
 /// How far (in cells, Chebyshev rings) endpoint placement searches for a
 /// footprint-free cell around the nominal corner.
 const ENDPOINT_SEARCH_RADIUS: i64 = 40;
+/// Fewest particles the PFL localizer runs with.
+const MIN_PARTICLES: usize = 10;
 
 /// Which localization kernel closes the loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -150,6 +152,8 @@ pub enum ScenarioError {
     BlockedEndpoint,
     /// `04.pp2d` found no route between the chosen endpoints.
     Unreachable,
+    /// A config value outside its domain, naming the option that sets it.
+    BadValue(CliError),
 }
 
 impl fmt::Display for ScenarioError {
@@ -161,6 +165,7 @@ impl fmt::Display for ScenarioError {
             ScenarioError::Unreachable => {
                 write!(f, "the planner found no route between the endpoints")
             }
+            ScenarioError::BadValue(e) => e.fmt(f),
         }
     }
 }
@@ -269,8 +274,17 @@ impl ScenarioState {
     /// [`ScenarioError::BlockedEndpoint`] when no footprint-free cell
     /// exists near an endpoint corner, [`ScenarioError::Unreachable`]
     /// when the planner finds no route (neither occurs for the default
-    /// configuration; both are possible for adversarial seeds).
+    /// configuration; both are possible for adversarial seeds), and
+    /// [`ScenarioError::BadValue`] naming `particles` when the PFL
+    /// localizer is given fewer than 10.
     pub fn begin(config: &ScenarioConfig) -> Result<ScenarioState, ScenarioError> {
+        if config.localizer == LocalizerKind::Pfl && config.particles < MIN_PARTICLES {
+            return Err(ScenarioError::BadValue(CliError::BadValue {
+                option: "particles".into(),
+                value: config.particles.to_string(),
+                expected: "a particle count of at least 10",
+            }));
+        }
         let map = maps::indoor_floor_plan(MAP_CELLS, MAP_RESOLUTION, config.seed);
         let footprint = Footprint::new(0.6, 0.4);
 
@@ -312,7 +326,6 @@ impl ScenarioState {
             v_max: 2.0,
             a_max: 2.5,
             opt_iterations: 25,
-            ..Default::default()
         });
         let run = mpc.begin_track(&reference);
         let start_pose = run.pose();
@@ -325,7 +338,7 @@ impl ScenarioState {
             LocalizerKind::Pfl => {
                 let filter = ParticleFilter::with_owned_map(
                     PflConfig {
-                        particles: config.particles.max(10),
+                        particles: config.particles,
                         init: PflInit::AroundPose {
                             pose: start_pose,
                             pos_std: 0.3,
@@ -354,7 +367,6 @@ impl ScenarioState {
                 let filter = EkfSlam::new(EkfSlamConfig {
                     max_landmarks: landmarks.len(),
                     initial_pose: start_pose,
-                    ..Default::default()
                 });
                 let scratch = SlamStep {
                     v: 0.0,
@@ -529,11 +541,6 @@ impl ScenarioState {
     /// Control ticks executed so far.
     pub fn ticks(&self) -> usize {
         self.tick_index
-    }
-
-    /// Whether the plant has arrived at the goal.
-    pub fn goal_reached(&self) -> bool {
-        self.goal_reached
     }
 
     /// Reference waypoints of the global route.

@@ -1,7 +1,7 @@
 //! The `scenario` binary's input boundary: a usage error (an undeclared
-//! option, or a count too large to run) exits 2 naming the option, never
-//! an abort on allocation, and a run that fails after its arguments were
-//! accepted exits 1.
+//! option, or a count too large or too small to run) exits 2 naming the
+//! option, never an abort on allocation or a silent rewrite, and a run
+//! that fails after its arguments were accepted exits 1.
 
 use std::process::Command;
 
@@ -17,12 +17,16 @@ fn scenario(argv: &[&str]) -> (Option<i32>, String) {
 }
 
 #[test]
-fn huge_counts_exit_2_naming_the_option() {
-    for option in ["ticks", "particles", "threads"] {
-        let flag = format!("--{option}");
-        let (code, stderr) = scenario(&[flag.as_str(), "1000000000000"]);
-        assert_eq!(code, Some(2), "{flag}: {stderr}");
-        assert!(stderr.contains(&flag), "{flag}: {stderr}");
+fn bad_counts_exit_2_naming_the_option() {
+    for (flag, value) in [
+        ("--ticks", "1000000000000"),
+        ("--particles", "1000000000000"),
+        ("--threads", "1000000000000"),
+        ("--particles", "3"),
+    ] {
+        let (code, stderr) = scenario(&[flag, value]);
+        assert_eq!(code, Some(2), "{flag} {value}: {stderr}");
+        assert!(stderr.contains(flag), "{flag} {value}: {stderr}");
     }
 }
 

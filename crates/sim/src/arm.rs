@@ -45,16 +45,6 @@ impl<const N: usize> PlanarArm<N> {
         PlanarArm { base, link_lengths }
     }
 
-    /// The arm's anchor point.
-    pub fn base(&self) -> Point2 {
-        self.base
-    }
-
-    /// Link lengths.
-    pub fn link_lengths(&self) -> &[f64; N] {
-        &self.link_lengths
-    }
-
     /// Total reach (sum of link lengths).
     pub fn reach(&self) -> f64 {
         self.link_lengths.iter().sum()

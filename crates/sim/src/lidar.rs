@@ -79,33 +79,6 @@ impl Lidar {
         }
     }
 
-    /// Number of beams per scan.
-    pub fn beam_count(&self) -> usize {
-        self.beam_count
-    }
-
-    /// Maximum measurable range in meters.
-    pub fn max_range(&self) -> f64 {
-        self.max_range
-    }
-
-    /// Standard deviation of the per-beam range noise.
-    pub fn noise_std(&self) -> f64 {
-        self.noise_std
-    }
-
-    /// Beam angles relative to the robot heading.
-    pub fn beam_angles(&self) -> Vec<f64> {
-        if self.beam_count == 1 {
-            return vec![0.0];
-        }
-        let start = -self.fov * 0.5;
-        let step = self.fov / (self.beam_count - 1) as f64;
-        (0..self.beam_count)
-            .map(|i| start + step * i as f64)
-            .collect()
-    }
-
     /// Produces a noisy scan from `pose` in `map`.
     pub fn scan(&self, map: &GridMap2D, pose: &Pose2, rng: &mut SimRng) -> LidarScan {
         let mut out = LidarScan {
@@ -138,23 +111,22 @@ impl Lidar {
             out.ranges.push(r);
         }
     }
-
-    /// Produces the noiseless ground-truth ranges from `pose` — the ideal
-    /// measurement a particle at exactly the robot's pose would predict.
-    pub fn scan_ideal(&self, map: &GridMap2D, pose: &Pose2) -> LidarScan {
-        let angles = self.beam_angles();
-        let ranges = angles
-            .iter()
-            .map(|&a| cast_ray(map, pose.position(), pose.theta + a, self.max_range).distance)
-            .collect();
-        LidarScan { angles, ranges }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::f64::consts::PI;
+
+    /// The ground-truth scan from `pose`: the same sensor without noise,
+    /// so every range is its ray's exact distance.
+    fn ideal(lidar: &Lidar, map: &GridMap2D, pose: &Pose2) -> LidarScan {
+        let noiseless = Lidar {
+            noise_std: 0.0,
+            ..*lidar
+        };
+        noiseless.scan(map, pose, &mut SimRng::seed_from(0))
+    }
 
     fn walled_map() -> GridMap2D {
         let mut map = GridMap2D::new(100, 100, 0.1); // 10 m x 10 m
@@ -168,7 +140,7 @@ mod tests {
     fn forward_beam_measures_wall() {
         let map = walled_map();
         let lidar = Lidar::new(1, 0.1, 20.0, 0.0);
-        let scan = lidar.scan_ideal(&map, &Pose2::new(2.0, 5.0, 0.0));
+        let scan = ideal(&lidar, &map, &Pose2::new(2.0, 5.0, 0.0));
         assert_eq!(scan.len(), 1);
         assert!(
             (scan.ranges[0] - 6.0).abs() < 0.11,
@@ -180,24 +152,12 @@ mod tests {
     #[test]
     fn angles_are_symmetric_and_sorted() {
         let lidar = Lidar::new(9, PI, 10.0, 0.0);
-        let angles = lidar.beam_angles();
+        let angles = ideal(&lidar, &walled_map(), &Pose2::new(2.0, 5.0, 0.0)).angles;
         assert_eq!(angles.len(), 9);
         assert!((angles[0] + PI / 2.0).abs() < 1e-12);
         assert!((angles[8] - PI / 2.0).abs() < 1e-12);
         assert!((angles[4]).abs() < 1e-12);
         assert!(angles.windows(2).all(|w| w[0] < w[1]));
-    }
-
-    #[test]
-    fn noise_zero_matches_ideal() {
-        let map = walled_map();
-        let lidar = Lidar::new(19, PI, 20.0, 0.0);
-        let pose = Pose2::new(3.0, 5.0, 0.3);
-        let mut rng = SimRng::seed_from(1);
-        assert_eq!(
-            lidar.scan(&map, &pose, &mut rng).ranges,
-            lidar.scan_ideal(&map, &pose).ranges
-        );
     }
 
     #[test]
@@ -207,11 +167,11 @@ mod tests {
         let pose = Pose2::new(3.0, 5.0, 0.0);
         let mut rng = SimRng::seed_from(2);
         let noisy = lidar.scan(&map, &pose, &mut rng);
-        let ideal = lidar.scan_ideal(&map, &pose);
+        let truth = ideal(&lidar, &map, &pose);
         let diff: f64 = noisy
             .ranges
             .iter()
-            .zip(ideal.ranges.iter())
+            .zip(truth.ranges.iter())
             .map(|(a, b)| (a - b).abs())
             .sum();
         assert!(diff > 0.0);
@@ -222,13 +182,15 @@ mod tests {
     fn max_range_reported_in_open_space() {
         let map = GridMap2D::new(1000, 1000, 0.1); // 100 m x 100 m open
         let lidar = Lidar::new(5, 0.5, 7.0, 0.0);
-        let scan = lidar.scan_ideal(&map, &Pose2::new(50.0, 50.0, 0.0));
+        let scan = ideal(&lidar, &map, &Pose2::new(50.0, 50.0, 0.0));
         assert!(scan.ranges.iter().all(|&r| (r - 7.0).abs() < 1e-12));
     }
 
     #[test]
     fn single_beam_points_forward() {
-        assert_eq!(Lidar::new(1, PI, 5.0, 0.0).beam_angles(), vec![0.0]);
+        let lidar = Lidar::new(1, PI, 5.0, 0.0);
+        let scan = ideal(&lidar, &walled_map(), &Pose2::new(2.0, 5.0, 0.0));
+        assert_eq!(scan.angles, vec![0.0]);
     }
 
     #[test]

@@ -53,7 +53,7 @@ impl OdometryModel {
     /// # Panics
     ///
     /// Panics if either coefficient is negative or non-finite.
-    pub fn new(trans_noise: f64, rot_noise: f64) -> Self {
+    pub const fn new(trans_noise: f64, rot_noise: f64) -> Self {
         assert!(
             trans_noise >= 0.0 && trans_noise.is_finite(),
             "bad translation noise"

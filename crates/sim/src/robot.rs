@@ -79,11 +79,6 @@ impl DifferentialDrive {
         }
     }
 
-    /// Distance advanced per step.
-    pub fn step_size(&self) -> f64 {
-        self.step_size
-    }
-
     /// Drives from `start` through `waypoints`, recording a step log.
     ///
     /// Stops after `max_steps` steps or once the last waypoint is within

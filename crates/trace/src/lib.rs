@@ -58,9 +58,18 @@ pub use metric::{metric_channel, Histogram, Metric, MetricMap, MetricPublisher, 
 /// Minting one outside this crate does not compile:
 ///
 /// ```compile_fail,E0423
-/// use rtr_trace::Gated;
+/// use rtr_trace::{CountingTrace, Gated, MemTrace};
 ///
-/// let _ = Gated(());
+/// let _token: Gated = Gated(());
+/// ```
+///
+/// while the same snippet with the token from `gate()` does, so the one
+/// above fails for the minting line and not for its imports:
+///
+/// ```
+/// use rtr_trace::{CountingTrace, Gated, MemTrace};
+///
+/// let _token: Gated = CountingTrace::default().gate().unwrap();
 /// ```
 ///
 /// Nor does emitting without one:
@@ -68,7 +77,21 @@ pub use metric::{metric_channel, Histogram, Metric, MetricMap, MetricPublisher, 
 /// ```compile_fail,E0061
 /// use rtr_trace::{CountingTrace, MemTrace};
 ///
-/// CountingTrace::default().read(64);
+/// let mut t = CountingTrace::default();
+/// if let Some(g) = t.gate() {
+///     t.read(64);
+/// }
+/// ```
+///
+/// while passing the token compiles:
+///
+/// ```
+/// use rtr_trace::{CountingTrace, MemTrace};
+///
+/// let mut t = CountingTrace::default();
+/// if let Some(g) = t.gate() {
+///     t.read(64, g);
+/// }
 /// ```
 #[derive(Debug, Clone, Copy)]
 pub struct Gated(());
@@ -382,11 +405,6 @@ impl<S: MemTrace> BufferedTrace<S> {
         }
     }
 
-    /// Ops buffered but not yet delivered to the inner sink.
-    pub fn pending(&self) -> usize {
-        self.buf.len()
-    }
-
     /// Delivers all buffered ops to the inner sink as one batch. Every
     /// buffered op was emitted with a token, so the drain mints its own.
     pub fn flush(&mut self) {
@@ -555,7 +573,7 @@ mod tests {
         // be indistinguishable from the unbuffered one.
         let mut buffered = BufferedTrace::with_capacity(RecordingTrace::default(), 2);
         emit(&mut buffered);
-        assert_eq!(buffered.pending(), 1); // 3 ops, one flush of 2
+        assert_eq!(buffered.buf.len(), 1); // 3 ops, one flush of 2
         let recorded = buffered.into_inner();
         let mut direct = RecordingTrace::default();
         emit(&mut direct);
@@ -575,7 +593,7 @@ mod tests {
             }],
             G,
         );
-        assert_eq!(buffered.pending(), 0);
+        assert!(buffered.buf.is_empty());
         let recorded = buffered.into_inner();
         assert_eq!(
             recorded.ops,

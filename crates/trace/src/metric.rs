@@ -194,11 +194,6 @@ impl MetricMap {
     pub fn is_empty(&self) -> bool {
         self.metrics.is_empty()
     }
-
-    /// Metric ids seen so far, ascending.
-    pub fn ids(&self) -> impl Iterator<Item = u32> + '_ {
-        self.metrics.keys().copied()
-    }
 }
 
 impl BatchConsumer for MetricMap {
@@ -377,7 +372,7 @@ mod tests {
             MetricRecord { id: 1, value: 30 },
         ]);
         assert_eq!(map.len(), 2);
-        assert_eq!(map.ids().collect::<Vec<_>>(), vec![1, 2]);
+        assert_eq!(map.metrics.keys().copied().collect::<Vec<_>>(), vec![1, 2]);
         let m1 = map.get(1).unwrap();
         assert_eq!(m1.hist.count(), 2);
         assert_eq!(m1.hist.max(), 30);

@@ -10,7 +10,7 @@
 //!
 //! | Module | Contents |
 //! |--------|----------|
-//! | [`linalg`] | dense matrices, LU/Cholesky/QR, symmetric eigen |
+//! | [`linalg`] | dense matrices, LU/Cholesky, symmetric eigen |
 //! | [`geom`] | grids, ray casting, footprints, k-d trees, point clouds, maps |
 //! | [`sim`] | lidar/odometry simulation, arms, projectile physics |
 //! | [`archsim`] | trace-driven cache hierarchy + VLDP prefetcher (the zsim stand-in) |
