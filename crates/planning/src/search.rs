@@ -449,7 +449,7 @@ mod tests {
     use super::*;
     use rtr_trace::NullTrace;
 
-    /// An untraced search, the way `07.prm` and the route planner call it.
+    /// An untraced search at `weight` (0 is Dijkstra, 1 is A*).
     fn search<S: SearchSpace>(
         space: &S,
         start: S::Node,
@@ -500,7 +500,7 @@ mod tests {
     }
 
     #[test]
-    fn astar_with_admissible_heuristic_matches_dijkstra() {
+    fn weight_one_with_admissible_heuristic_matches_dijkstra() {
         let mut fx = diamond();
         fx.h = vec![4.0, 5.0, 1.0, 0.0]; // admissible
         let a = search(&fx, 0, 1.0).unwrap();
